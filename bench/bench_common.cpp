@@ -167,56 +167,46 @@ Result<double> OptimizeTau(const std::vector<ts::Dataset>& datasets,
   // The paper's "optimal probabilistic threshold, determined after repeated
   // experiments" maximizes the reported metric itself, so τ is tuned on the
   // same query set the evaluation uses.
-  core::RunOptions tune_options = options;
-
   const std::size_t use = std::min(tune_datasets, datasets.size());
-  core::Matcher* matchers[] = {&matcher};
-
-  auto pooled_f1 = [&](double tau) -> Result<double> {
-    matcher.set_tau(tau);
-    double f1_sum = 0.0;
-    for (std::size_t d = 0; d < use; ++d) {
-      auto run = core::RunSimilarityMatching(datasets[d], spec, matchers,
-                                             tune_options);
-      if (!run.ok()) return run.status();
-      f1_sum += run.ValueOrDie().front().f1.mean;
-    }
-    return f1_sum;
-  };
-
-  // Stage 1: coarse grid.
-  std::vector<double> grid = core::DefaultTauGrid();
   double best_tau = matcher.tau();
   double best_f1 = -1.0;
   std::size_t best_index = 0;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    auto f1 = pooled_f1(grid[i]);
-    if (!f1.ok()) return f1.status();
-    if (f1.ValueOrDie() > best_f1) {
-      best_f1 = f1.ValueOrDie();
-      best_tau = grid[i];
-      best_index = i;
+  // F1 per grid point summed over the tuning datasets (one SweepTau each,
+  // in dataset order); the first maximum wins.
+  auto search = [&](const std::vector<double>& grid) -> Status {
+    std::vector<double> f1(grid.size(), 0.0);
+    for (std::size_t d = 0; d < use; ++d) {
+      UTS_ASSIGN_OR_RETURN(
+          const core::TauSweepResult sweep,
+          core::SweepTau(datasets[d], spec, matcher, options, grid));
+      for (std::size_t i = 0; i < grid.size(); ++i) f1[i] += sweep.f1s[i];
     }
-  }
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (f1[i] > best_f1) {
+        best_f1 = f1[i];
+        best_tau = grid[i];
+        best_index = i;
+      }
+    }
+    return Status::OK();
+  };
+
+  // Stage 1: coarse grid.
+  const std::vector<double> grid = core::DefaultTauGrid();
+  UTS_RETURN_NOT_OK(search(grid));
 
   // Stage 2: refine between the coarse optimum's neighbors, sampling
   // linearly in ε_limit = Φ⁻¹(τ) space (the decision statistic's scale).
-  const double lo_tau = grid[best_index == 0 ? 0 : best_index - 1];
-  const double hi_tau =
-      grid[std::min(best_index + 1, grid.size() - 1)];
-  const double lo_z = prob::NormalQuantile(lo_tau);
-  const double hi_z = prob::NormalQuantile(hi_tau);
+  const double lo_z =
+      prob::NormalQuantile(grid[best_index == 0 ? 0 : best_index - 1]);
+  const double hi_z =
+      prob::NormalQuantile(grid[std::min(best_index + 1, grid.size() - 1)]);
   constexpr int kRefine = 8;
+  std::vector<double> refine;
   for (int i = 1; i < kRefine; ++i) {
-    const double z = lo_z + (hi_z - lo_z) * i / kRefine;
-    const double tau = prob::NormalCdf(z);
-    auto f1 = pooled_f1(tau);
-    if (!f1.ok()) return f1.status();
-    if (f1.ValueOrDie() > best_f1) {
-      best_f1 = f1.ValueOrDie();
-      best_tau = tau;
-    }
+    refine.push_back(prob::NormalCdf(lo_z + (hi_z - lo_z) * i / kRefine));
   }
+  UTS_RETURN_NOT_OK(search(refine));
   matcher.set_tau(best_tau);
   return best_tau;
 }

@@ -67,8 +67,8 @@ int Run(int argc, char** argv) {
 
   // One engine context for the whole figure: every error distribution, σ
   // grid point, τ tuning run and matcher shares one pool; within one (d, σ)
-  // configuration the τ sweep rebinds to bit-identical data and reuses the
-  // packed engines.
+  // configuration the τ searches and the final run rebind to bit-identical
+  // data and reuse the packed engines.
   query::EngineContextOptions engine_options;
   engine_options.threads = run_config.threads;
   query::EngineContext engines(engine_options);

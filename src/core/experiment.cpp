@@ -32,22 +32,39 @@ Status ValidateInput(const ts::Dataset& exact, const RunOptions& options) {
   return Status::OK();
 }
 
-}  // namespace
+/// Folds one query's retrieval into its result slot.
+void AddQueryScores(MatcherResult& result,
+                    const std::vector<std::size_t>& retrieved,
+                    const std::vector<std::size_t>& relevant) {
+  const SetMetrics metrics = ComputeSetMetrics(retrieved, relevant);
+  result.per_query_f1.push_back(metrics.f1);
+  result.per_query_precision.push_back(metrics.precision);
+  result.per_query_recall.push_back(metrics.recall);
+}
 
-Result<std::vector<MatcherResult>> RunSimilarityMatching(
+/// The evaluation behind RunSimilarityMatching and SweepTau. With an empty
+/// `tau_grid`, every matcher retrieves once per query at its own τ and
+/// result m belongs to matchers[m]. With a grid, `matchers` holds the one
+/// matcher under search: each query is scored once through
+/// `RetrieveEachTau`, result t holds the scores at tau_grid[t], and the
+/// per-τ match lists are reduced to F1 before the next query, so at most one
+/// query's lists are alive.
+Result<std::vector<MatcherResult>> Evaluate(
     const ts::Dataset& exact, const uncertain::ErrorSpec& spec,
-    std::span<Matcher* const> matchers, const RunOptions& options) {
+    std::span<Matcher* const> matchers, const RunOptions& options,
+    std::span<const double> tau_grid) {
   UTS_RETURN_NOT_OK(ValidateInput(exact, options));
   if (matchers.empty()) {
     return Status::InvalidArgument("no matchers supplied");
   }
+  assert(tau_grid.empty() || matchers.size() == 1);
 
   // --- Engine context ------------------------------------------------------
   // The single resource root of this evaluation: one shared thread pool,
   // one SoA pack per dataset, one uncertain engine for all matchers. An
   // externally supplied context (options.engine_context) persists those
-  // resources across runs — τ sweeps re-perturb to bit-identical data and
-  // therefore keep the packed engines.
+  // resources across runs — the final run after a τ search re-perturbs to
+  // bit-identical data and therefore keeps the packed engines.
   std::optional<query::EngineContext> local_engines;
   query::EngineContext* engines = options.engine_context;
   if (engines == nullptr) {
@@ -107,12 +124,13 @@ Result<std::vector<MatcherResult>> RunSimilarityMatching(
                                : std::min(options.max_queries, exact.size());
   const std::size_t k = options.ground_truth_k;
 
-  std::vector<MatcherResult> results(matchers.size());
-  for (std::size_t m = 0; m < matchers.size(); ++m) {
-    results[m].name = matchers[m]->name();
+  std::vector<MatcherResult> results(
+      tau_grid.empty() ? matchers.size() : tau_grid.size());
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    results[r].name = matchers[tau_grid.empty() ? r : 0]->name();
   }
 
-  std::vector<double> total_micros(matchers.size(), 0.0);
+  std::vector<double> total_micros(results.size(), 0.0);
 
   distance::DtwOptions gt_dtw_options;
   gt_dtw_options.band_radius = options.dtw_ground_truth_band;
@@ -161,20 +179,28 @@ Result<std::vector<MatcherResult>> RunSimilarityMatching(
       // workers; the default is the sequential Matches loop). Results are
       // bit-identical either way.
       Stopwatch watch;
-      auto retrieved = matcher.Retrieve(qi, exact.size(), eps.ValueOrDie());
-      if (!retrieved.ok()) return retrieved.status();
-      total_micros[m] += watch.ElapsedMicros();
-
-      const SetMetrics metrics =
-          ComputeSetMetrics(retrieved.ValueOrDie(), relevant);
-      results[m].per_query_f1.push_back(metrics.f1);
-      results[m].per_query_precision.push_back(metrics.precision);
-      results[m].per_query_recall.push_back(metrics.recall);
+      if (tau_grid.empty()) {
+        auto retrieved =
+            matcher.Retrieve(qi, exact.size(), eps.ValueOrDie());
+        if (!retrieved.ok()) return retrieved.status();
+        total_micros[m] += watch.ElapsedMicros();
+        AddQueryScores(results[m], retrieved.ValueOrDie(), relevant);
+        continue;
+      }
+      // τ search: one scoring pass decides every grid point.
+      auto each = matcher.RetrieveEachTau(qi, exact.size(), eps.ValueOrDie(),
+                                          tau_grid);
+      if (!each.ok()) return each.status();
+      const double micros = watch.ElapsedMicros();
+      for (std::size_t t = 0; t < tau_grid.size(); ++t) {
+        total_micros[t] += micros;
+        AddQueryScores(results[t], each.ValueOrDie()[t], relevant);
+      }
     }
   }
 
   // --- Aggregate -----------------------------------------------------------
-  for (std::size_t m = 0; m < matchers.size(); ++m) {
+  for (std::size_t m = 0; m < results.size(); ++m) {
     MatcherResult& r = results[m];
     r.queries = num_queries;
     r.f1 = prob::MeanConfidenceInterval(r.per_query_f1);
@@ -186,6 +212,14 @@ Result<std::vector<MatcherResult>> RunSimilarityMatching(
             : total_micros[m] / (1000.0 * static_cast<double>(num_queries));
   }
   return results;
+}
+
+}  // namespace
+
+Result<std::vector<MatcherResult>> RunSimilarityMatching(
+    const ts::Dataset& exact, const uncertain::ErrorSpec& spec,
+    std::span<Matcher* const> matchers, const RunOptions& options) {
+  return Evaluate(exact, spec, matchers, options, {});
 }
 
 std::vector<double> DefaultTauGrid() {
@@ -209,20 +243,26 @@ Result<TauSweepResult> SweepTau(const ts::Dataset& exact,
   if (tau_grid.empty()) {
     return Status::InvalidArgument("empty tau grid");
   }
+  for (double tau : tau_grid) {
+    // Φ⁻¹ is ∓inf at 0 and 1: every pair would match, or none.
+    if (!(tau > 0.0 && tau < 1.0)) {
+      return Status::InvalidArgument("tau grid values must lie in (0, 1)");
+    }
+  }
 
+  Matcher* const matchers[] = {&matcher};
+  UTS_ASSIGN_OR_RETURN(
+      const std::vector<MatcherResult> per_tau,
+      Evaluate(exact, spec, matchers, options, tau_grid));
   TauSweepResult sweep;
   sweep.best_f1 = -1.0;
-  Matcher* const matchers[] = {&matcher};
-  for (double tau : tau_grid) {
-    matcher.set_tau(tau);
-    auto run = RunSimilarityMatching(exact, spec, matchers, options);
-    if (!run.ok()) return run.status();
-    const double f1 = run.ValueOrDie().front().f1.mean;
-    sweep.taus.push_back(tau);
+  for (std::size_t t = 0; t < tau_grid.size(); ++t) {
+    const double f1 = per_tau[t].f1.mean;
+    sweep.taus.push_back(tau_grid[t]);
     sweep.f1s.push_back(f1);
     if (f1 > sweep.best_f1) {
       sweep.best_f1 = f1;
-      sweep.best_tau = tau;
+      sweep.best_tau = tau_grid[t];
     }
   }
   matcher.set_tau(sweep.best_tau);

@@ -91,10 +91,10 @@ struct RunOptions {
   /// pool, one SoA pack per dataset and one uncertain engine serve every
   /// matcher of the evaluation. Borrowed — it must outlive the run and be
   /// configured with the same thread count as `threads`. Passing one
-  /// context across repeated runs (τ sweeps, per-dataset loops) reuses the
-  /// pool and, when the perturbed data is bit-identical, the packed
-  /// engines too. When null the run creates a private context internally;
-  /// results are bit-identical either way.
+  /// context across repeated runs (a τ search and its final run,
+  /// per-dataset loops) reuses the pool and, when the perturbed data is
+  /// bit-identical, the packed engines too. When null the run creates a
+  /// private context internally; results are bit-identical either way.
   query::EngineContext* engine_context = nullptr;
 };
 
@@ -133,8 +133,18 @@ struct TauSweepResult {
 
 /// \brief Find the F1-optimal probabilistic threshold τ for one matcher —
 /// the paper's "optimal probabilistic threshold, determined after repeated
-/// experiments" (Section 4.2.1). Runs the full matching once per grid
-/// point; the matcher must have `has_tau()`.
+/// experiments" (Section 4.2.1). The matcher must have `has_tau()`, and
+/// every grid value must lie in (0, 1) (NaN, 0 and 1 are InvalidArgument).
+///
+/// Only the final decision depends on τ, so the search scores once: one
+/// perturbation, one Bind, one ground truth and one ε calibration, then per
+/// query a single `Matcher::RetrieveEachTau` that decides every grid τ
+/// (PROUD on an engine: one moment pass; MUNICH: one estimate per pair).
+/// Each query's per-τ matches are reduced to F1 at once. `f1s`, `best_tau`,
+/// `best_f1` and the matcher's final τ are bitwise equal to running
+/// `set_tau` + `RunSimilarityMatching` per grid point, at every thread
+/// count and SIMD level. The first maximum wins ties; the matcher is left
+/// at `best_tau`.
 Result<TauSweepResult> SweepTau(const ts::Dataset& exact,
                                 const uncertain::ErrorSpec& spec,
                                 Matcher& matcher, const RunOptions& options,

@@ -125,40 +125,51 @@ Result<std::vector<std::size_t>> ProudMatcher::Retrieve(std::size_t qi,
   return engine_->ProbabilisticRangeSearchProud(qi, epsilon, tau_);
 }
 
+Result<std::vector<std::vector<std::size_t>>> ProudMatcher::RetrieveEachTau(
+    std::size_t qi, std::size_t n, double epsilon,
+    std::span<const double> taus) {
+  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  if (engine_ == nullptr || n != engine_->size()) {
+    return Matcher::RetrieveEachTau(qi, n, epsilon, taus);
+  }
+  return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
+}
+
 // ----------------------------------------------------------- PROUD-wavelet
 
-Status ProudSynopsisMatcherAdapter::Rebuild() {
+Status ProudSynopsisMatcherAdapter::RebuildMatcher() {
+  matcher_.reset();
+  if (!(tau_ >= 0.5 && tau_ < 1.0)) {
+    return Status::InvalidArgument(
+        "PROUD-wavelet pruning requires tau in [0.5, 1)");
+  }
   wavelet::ProudSynopsisOptions options;
   options.proud.tau = tau_;
-  options.proud.sigma = sigma_override_.value_or(ctx_->reported_sigma);
+  options.proud.sigma = sigma_;
   options.synopsis_size = synopsis_size_;
-  if (tau_ < 0.5) {
-    return Status::InvalidArgument(
-        "PROUD-wavelet pruning requires tau >= 0.5");
-  }
   matcher_ = std::make_unique<wavelet::ProudSynopsisMatcher>(options);
-  synopses_.clear();
-  synopses_.reserve(ctx_->pdf->size());
-  for (const auto& series : ctx_->pdf->series) {
-    synopses_.push_back(matcher_->Synopsize(series.observations()));
-  }
-  stats_ = {};
   return Status::OK();
 }
 
 Status ProudSynopsisMatcherAdapter::Bind(const EvalContext& context) {
   UTS_RETURN_NOT_OK(RequirePdf(context));
   ctx_ = &context;
-  return Rebuild();
+  sigma_ = sigma_override_.value_or(context.reported_sigma);
+  // Synopses depend on neither τ nor σ, so a later set_tau keeps them.
+  synopses_.clear();
+  synopses_.reserve(context.pdf->size());
+  for (const auto& series : context.pdf->series) {
+    synopses_.push_back(
+        wavelet::BuildSynopsis(series.observations(), synopsis_size_));
+  }
+  stats_ = {};
+  tau_status_ = RebuildMatcher();
+  return tau_status_;
 }
 
 void ProudSynopsisMatcherAdapter::set_tau(double tau) {
   tau_ = tau;
-  if (ctx_ != nullptr) {
-    const Status st = Rebuild();
-    assert(st.ok());
-    (void)st;
-  }
+  if (ctx_ != nullptr) tau_status_ = RebuildMatcher();
 }
 
 Result<double> ProudSynopsisMatcherAdapter::CalibrationDistance(
@@ -172,6 +183,7 @@ Result<bool> ProudSynopsisMatcherAdapter::Matches(std::size_t qi,
                                                   std::size_t ci,
                                                   double epsilon) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD-wavelet"));
+  UTS_RETURN_NOT_OK(tau_status_);
   return matcher_->Matches(synopses_[qi], synopses_[ci],
                            (*ctx_->pdf)[qi].observations(),
                            (*ctx_->pdf)[ci].observations(), epsilon, &stats_);
@@ -261,8 +273,8 @@ namespace {
 
 /// FNV-1a fingerprint of the sample-model data a MunichMatcher is bound to.
 /// Used to keep the probability cache across re-binds to *identical* data
-/// (a τ sweep re-runs the whole evaluation per grid point; probabilities
-/// do not depend on τ).
+/// (the final run after a τ search perturbs to the same samples;
+/// probabilities do not depend on τ).
 std::uint64_t FingerprintSamples(const EvalContext& context) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t v) {

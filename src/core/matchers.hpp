@@ -68,6 +68,11 @@ class ProudMatcher final : public Matcher {
   /// (bit-identical to the sequential Matches loop at any thread count).
   Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
                                             double epsilon) override;
+  /// One moment pass on the shared engine decides every τ (bit-identical
+  /// to a Retrieve per τ); without an engine, the default per-τ loop.
+  Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
+      std::size_t qi, std::size_t n, double epsilon,
+      std::span<const double> taus) override;
   bool has_tau() const override { return true; }
   double tau() const override { return tau_; }
   void set_tau(double tau) override;
@@ -83,6 +88,10 @@ class ProudMatcher final : public Matcher {
 };
 
 /// \brief PROUD accelerated by the Haar-synopsis filter (Section 4.3).
+///
+/// The prune is only sound for τ >= 0.5. A τ outside [0.5, 1) fails `Bind`;
+/// set after Bind, it makes every later decision (`Matches`, `Retrieve`,
+/// `RetrieveEachTau`) return the error until a valid τ is set.
 class ProudSynopsisMatcherAdapter final : public Matcher {
  public:
   explicit ProudSynopsisMatcherAdapter(
@@ -105,11 +114,14 @@ class ProudSynopsisMatcherAdapter final : public Matcher {
   const wavelet::ProudSynopsisStats& stats() const { return stats_; }
 
  private:
-  Status Rebuild();
+  /// Replace the decision matcher at `tau_`; leaves it null on error.
+  Status RebuildMatcher();
 
   double tau_;
   std::size_t synopsis_size_;
   std::optional<double> sigma_override_;
+  double sigma_ = 1.0;  ///< σ told to PROUD, resolved at Bind.
+  Status tau_status_;   ///< Outcome of the last RebuildMatcher.
   std::unique_ptr<wavelet::ProudSynopsisMatcher> matcher_;
   std::vector<wavelet::HaarSynopsis> synopses_;
   wavelet::ProudSynopsisStats stats_;
@@ -165,9 +177,12 @@ class DustDtwMatcher final : public Matcher {
 
 /// \brief MUNICH over the repeated-observations model (Euclidean flavor).
 ///
-/// Match probabilities are cached per (query, candidate, ε): a τ sweep
-/// (`SweepTau`) re-decides against the same probabilities instead of
-/// re-running the exact/Monte-Carlo estimator. The cache resets at Bind.
+/// Match probabilities are cached per (query, candidate, ε). Within a τ
+/// search (`SweepTau`), `RetrieveEachTau` estimates each row once and
+/// re-thresholds it per τ. The cache also survives a re-bind to identical
+/// data, so the final run at the tuned τ reuses the probabilities the tune
+/// run computed instead of re-running the exact/Monte-Carlo estimator. The
+/// cache resets at a Bind to different data.
 class MunichMatcher final : public Matcher {
  public:
   explicit MunichMatcher(measures::MunichOptions options = {})

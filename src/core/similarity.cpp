@@ -15,4 +15,23 @@ Result<std::vector<std::size_t>> Matcher::Retrieve(std::size_t qi,
   return retrieved;
 }
 
+Result<std::vector<std::vector<std::size_t>>> Matcher::RetrieveEachTau(
+    std::size_t qi, std::size_t n, double epsilon,
+    std::span<const double> taus) {
+  const double saved = tau();
+  std::vector<std::vector<std::size_t>> each;
+  each.reserve(taus.size());
+  for (double t : taus) {
+    set_tau(t);
+    auto retrieved = Retrieve(qi, n, epsilon);
+    if (!retrieved.ok()) {
+      set_tau(saved);
+      return retrieved.status();
+    }
+    each.push_back(std::move(retrieved).ValueOrDie());
+  }
+  set_tau(saved);
+  return each;
+}
+
 }  // namespace uts::core

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,16 @@ class Matcher {
   virtual Result<std::vector<std::size_t>> Retrieve(std::size_t qi,
                                                     std::size_t n,
                                                     double epsilon);
+
+  /// `Retrieve` at every threshold of `taus` — the scoring step of the
+  /// optimal-τ search (`SweepTau`). `result[i]` is exactly what
+  /// `set_tau(taus[i])` followed by `Retrieve(qi, n, epsilon)` returns, and
+  /// `tau()` is unchanged afterwards. The default runs that loop and then
+  /// restores τ, so MUNICH re-thresholds its cached probabilities; PROUD on
+  /// an engine overrides it with one moment pass that decides every τ.
+  virtual Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
+      std::size_t qi, std::size_t n, double epsilon,
+      std::span<const double> taus);
 
   /// Whether this matcher has a probabilistic threshold τ (MUNICH, PROUD).
   virtual bool has_tau() const { return false; }

@@ -25,22 +25,28 @@ ProudStats Proud::DistanceStats(std::span<const double> x_obs,
   return stats;
 }
 
-double Proud::ProbabilityFromStats(const ProudStats& stats, double epsilon) {
+ProudMargin Proud::MarginFromStats(const ProudStats& stats, double epsilon) {
+  ProudMargin margin;
   if (stats.var_sq <= 0.0) {
     // Degenerate (σ = 0): the distance is deterministic.
-    return stats.mean_sq <= epsilon * epsilon ? 1.0 : 0.0;
+    margin.degenerate = true;
+    margin.within = stats.mean_sq <= epsilon * epsilon;
+    return margin;
   }
-  const double eps_norm =
+  margin.eps_norm =
       (epsilon * epsilon - stats.mean_sq) / std::sqrt(stats.var_sq);
-  return prob::NormalCdf(eps_norm);
+  return margin;
+}
+
+double Proud::ProbabilityFromStats(const ProudStats& stats, double epsilon) {
+  const ProudMargin margin = MarginFromStats(stats, epsilon);
+  if (margin.degenerate) return margin.within ? 1.0 : 0.0;
+  return prob::NormalCdf(margin.eps_norm);
 }
 
 bool Proud::DecideFromStats(const ProudStats& stats, double epsilon,
                             double tau) {
-  if (stats.var_sq <= 0.0) return stats.mean_sq <= epsilon * epsilon;
-  const double eps_norm =
-      (epsilon * epsilon - stats.mean_sq) / std::sqrt(stats.var_sq);
-  return eps_norm >= prob::NormalQuantile(tau);
+  return MarginFromStats(stats, epsilon).Decide(prob::NormalQuantile(tau));
 }
 
 double Proud::MatchProbability(std::span<const double> x_obs,

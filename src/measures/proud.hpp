@@ -40,6 +40,21 @@ struct ProudStats {
   double var_sq = 0.0;   ///< Var[Σ D_i²]
 };
 
+/// \brief The τ-independent half of the PRQ decision (Eq. 10) for one pair.
+/// Scored once, it decides any number of thresholds: a τ search evaluates
+/// the moments and ε_norm once per pair and Φ⁻¹(τ) once per τ.
+struct ProudMargin {
+  bool degenerate = false;  ///< var_sq <= 0: the distance is deterministic.
+  bool within = false;      ///< The degenerate decision, mean_sq <= ε².
+  double eps_norm = 0.0;    ///< (ε² − mean_sq) / sqrt(var_sq); unused when
+                            ///< degenerate.
+
+  /// The PRQ decision at ε_limit = Φ⁻¹(τ).
+  bool Decide(double limit) const {
+    return degenerate ? within : eps_norm >= limit;
+  }
+};
+
 /// \brief Configuration of the PROUD matcher.
 struct ProudOptions {
   /// Probability threshold τ of the PRQ query.
@@ -102,7 +117,12 @@ class Proud {
   /// bit-identical to the scalar matcher.
   static double ProbabilityFromStats(const ProudStats& stats, double epsilon);
 
-  /// The ε_norm ≥ Φ⁻¹(τ) PRQ decision (Eq. 10) from accumulated moments.
+  /// ε_norm (or the degenerate decision) from accumulated moments — the
+  /// single expression behind ProbabilityFromStats and DecideFromStats.
+  static ProudMargin MarginFromStats(const ProudStats& stats, double epsilon);
+
+  /// The ε_norm ≥ Φ⁻¹(τ) PRQ decision (Eq. 10) from accumulated moments:
+  /// `MarginFromStats(stats, ε).Decide(Φ⁻¹(τ))`.
   static bool DecideFromStats(const ProudStats& stats, double epsilon,
                               double tau);
 

@@ -162,7 +162,7 @@ Status EngineContext::BindData(
   const std::uint64_t fingerprint =
       FingerprintRunData(pdf, samples, seed, proud_sigma);
   if (bound_ && fingerprint == data_fingerprint_) {
-    // Bit-identical rebind (the τ-sweep pattern): keep every engine and
+    // Bit-identical rebind (the repeated-run pattern): keep every engine and
     // cache; the freshly perturbed copies are discarded.
     ++stats_.data_rebind_hits;
     return Status::OK();

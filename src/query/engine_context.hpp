@@ -23,12 +23,12 @@
 ///    on first use and cached for the rest of the run;
 ///  * **one certain engine** — the `DistanceMatrixEngine` driving the
 ///    ground-truth / calibration sweeps is cached across runs keyed by the
-///    exact dataset's content, so a τ sweep re-running the evaluation per
-///    grid point packs the exact dataset once, not once per τ.
+///    exact dataset's content, so repeated runs over one dataset (a τ
+///    search and the final run at the tuned τ) pack it once.
 ///
-/// Re-binding with bit-identical data (the τ-sweep pattern: every grid
-/// point re-perturbs deterministically to the same observations) is
-/// detected by content fingerprint and keeps all engines and caches.
+/// Re-binding with bit-identical data (the repeated-run pattern: every run
+/// re-perturbs deterministically to the same observations) is detected by
+/// content fingerprint and keeps all engines and caches.
 ///
 /// Determinism: the context only changes *where* resources live, never what
 /// is computed — all engine results remain bit-identical to per-matcher
@@ -158,7 +158,7 @@ class EngineContext {
   /// pair streams, `proud_sigma` the constant-σ PROUD kernels). When the
   /// incoming data and parameters fingerprint identically to what is
   /// already bound, the call is a no-op that keeps every engine and cache
-  /// (the τ-sweep fast path); otherwise the uncertain engine and its
+  /// (the repeated-run fast path); otherwise the uncertain engine and its
   /// measure state are dropped and rebuilt lazily against the new data.
   Status BindData(uncertain::UncertainDataset pdf,
                   std::optional<uncertain::MultiSampleDataset> samples,

@@ -12,6 +12,7 @@
 #include "exec/parallel_for.hpp"
 #include "index/cascade.hpp"
 #include "prob/rng.hpp"
+#include "prob/special.hpp"
 #include "query/engine.hpp"
 
 namespace uts::query {
@@ -434,10 +435,25 @@ std::vector<double> UncertainEngine::ProudMatchProbabilities(
 
 std::vector<std::size_t> UncertainEngine::ProbabilisticRangeSearchProud(
     std::size_t query, double epsilon, double tau) const {
+  return std::move(ProbabilisticRangeSearchProud(
+      query, epsilon, std::span<const double>(&tau, 1)).front());
+}
+
+std::vector<std::vector<std::size_t>>
+UncertainEngine::ProbabilisticRangeSearchProud(
+    std::size_t query, double epsilon, std::span<const double> taus) const {
   assert(query < size());
   const std::size_t n = size();
+  const std::size_t num_taus = taus.size();
+  // ε_limit = Φ⁻¹(τ) once per τ; each candidate's ε_norm is scored once and
+  // compared against every limit (measures::ProudMargin).
+  std::vector<double> limits(num_taus);
+  for (std::size_t t = 0; t < num_taus; ++t) {
+    limits[t] = prob::NormalQuantile(taus[t]);
+  }
   std::vector<double> mean(n, 0.0), var(n, 0.0);
-  std::vector<std::uint8_t> matched(n, 0);
+  // Candidate-major: row i holds candidate i's decision at every τ.
+  std::vector<std::uint8_t> matched(n * num_taus, 0);
   const ts::StoreView view(store_);
   const auto query_pin = ts::PinRowOrAbort(view, query);
   const std::span<const double> qrow = query_pin.row();
@@ -456,17 +472,21 @@ std::vector<std::size_t> UncertainEngine::ProbabilisticRangeSearchProud(
               std::span<double>(var).subspan(chunk.begin,
                                              chunk.end - chunk.begin));
           for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            matched[i] = measures::Proud::DecideFromStats({mean[i], var[i]},
-                                                          epsilon, tau)
-                             ? 1
-                             : 0;
+            const measures::ProudMargin margin =
+                measures::Proud::MarginFromStats({mean[i], var[i]}, epsilon);
+            std::uint8_t* row = &matched[i * num_taus];
+            for (std::size_t t = 0; t < num_taus; ++t) {
+              row[t] = margin.Decide(limits[t]) ? 1 : 0;
+            }
           }
         }
       });
-  std::vector<std::size_t> matches;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == query) continue;
-    if (matched[i] != 0) matches.push_back(i);
+  std::vector<std::vector<std::size_t>> matches(num_taus);
+  for (std::size_t t = 0; t < num_taus; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == query) continue;
+      if (matched[i * num_taus + t] != 0) matches[t].push_back(i);
+    }
   }
   return matches;
 }

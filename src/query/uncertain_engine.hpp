@@ -48,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/result.hpp"
@@ -205,10 +206,17 @@ class UncertainEngine {
                                               double epsilon) const;
 
   /// PRQ(Q, C, ε, τ) via the ε_norm ≥ Φ⁻¹(τ) test — bit-identical to
-  /// measures::Proud::Matches per candidate. Self excluded, ascending.
+  /// measures::Proud::Matches per candidate. Self excluded, ascending. The
+  /// one-τ case of the multi-τ scan below.
   std::vector<std::size_t> ProbabilisticRangeSearchProud(std::size_t query,
                                                          double epsilon,
                                                          double tau) const;
+
+  /// PRQ(Q, C, ε, τ) for every τ of `taus` from one moment pass: each
+  /// candidate's ε_norm is scored once and Φ⁻¹(τ) is evaluated once per τ.
+  /// `result[i]` is bit-identical to the single-τ call at `taus[i]`.
+  std::vector<std::vector<std::size_t>> ProbabilisticRangeSearchProud(
+      std::size_t query, double epsilon, std::span<const double> taus) const;
 
   /// k candidates with the highest match probability at ε, self excluded;
   /// descending probability, ties by index. `Neighbor::distance` carries

@@ -147,8 +147,8 @@ TEST(EngineContextTest, TauSweepRebindKeepsEnginesAndCaches) {
   core::RunOptions options = QuickRunOptions(2);
   options.engine_context = &engines;
 
-  // A τ sweep re-runs the whole evaluation per grid point: same seed, same
-  // spec — bit-identical perturbed data every time.
+  // Runs at several τ re-run the whole evaluation: same seed, same spec —
+  // bit-identical perturbed data every time.
   for (double tau : {0.3, 0.5, 0.8}) {
     trio.proud.set_tau(tau);
     trio.munich.set_tau(tau);

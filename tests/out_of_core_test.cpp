@@ -304,6 +304,14 @@ TEST(OutOfCoreUncertainTest, ProudPagedBitwiseEqualsResident) {
                       .ValueOrDie();
   const auto probs = resident->ProudMatchProbabilities(1, 6.0);
   const auto prq = resident->ProbabilisticRangeSearchProud(1, 6.0, 0.3);
+  const std::vector<double> taus = {0.05, 0.3, 0.7, 0.95};
+  const auto prq_each = resident->ProbabilisticRangeSearchProud(1, 6.0, taus);
+  ASSERT_EQ(prq_each.size(), taus.size());
+  for (std::size_t k = 0; k < taus.size(); ++k) {
+    EXPECT_EQ(prq_each[k],
+              resident->ProbabilisticRangeSearchProud(1, 6.0, taus[k]))
+        << k;
+  }
 
   for (std::size_t threads : kThreadCounts) {
     auto pool = MakePool(2 * kBlockBytes);
@@ -316,6 +324,7 @@ TEST(OutOfCoreUncertainTest, ProudPagedBitwiseEqualsResident) {
       EXPECT_EQ(probs[i], paged_probs[i]) << i;
     }
     EXPECT_EQ(prq, paged->ProbabilisticRangeSearchProud(1, 6.0, 0.3));
+    EXPECT_EQ(prq_each, paged->ProbabilisticRangeSearchProud(1, 6.0, taus));
     EXPECT_GT(pool->stats().faults, 0u);
   }
 }

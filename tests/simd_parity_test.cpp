@@ -561,6 +561,20 @@ TEST(SimdEngineParityTest, DustAndProudQueriesMatchScalarEngine) {
       EXPECT_EQ(simd.ProbabilisticRangeSearchProud(q, 6.0, 0.6),
                 scalar.ProbabilisticRangeSearchProud(q, 6.0, 0.6))
           << "q=" << q;
+      // A τ list: each slot equals the single-τ call, on both levels. Match
+      // probabilities at ε = 6 sit far below 0.5, so the list reaches into
+      // the lower tail, where the slots differ.
+      const std::vector<double> taus = {1e-8, 1e-4, 0.6};
+      const auto simd_each = simd.ProbabilisticRangeSearchProud(q, 6.0, taus);
+      EXPECT_EQ(simd_each, scalar.ProbabilisticRangeSearchProud(q, 6.0, taus))
+          << "q=" << q;
+      ASSERT_EQ(simd_each.size(), taus.size());
+      EXPECT_GT(simd_each[0].size(), simd_each[1].size()) << "q=" << q;
+      for (std::size_t k = 0; k < taus.size(); ++k) {
+        EXPECT_EQ(simd_each[k],
+                  simd.ProbabilisticRangeSearchProud(q, 6.0, taus[k]))
+            << "q=" << q << " tau=" << taus[k];
+      }
       const auto want_p = scalar.ProudMatchProbabilities(q, 6.0);
       const auto got_p = simd.ProudMatchProbabilities(q, 6.0);
       ASSERT_EQ(got_p.size(), want_p.size());

@@ -272,33 +272,42 @@ TEST(UncertainEngineParityTest, ProudPrqMatchesScalarAtEveryThreadCount) {
     return err;
   });
   const double sigma = 0.6;
-  for (double tau : {0.1, 0.5, 0.9}) {
-    measures::Proud proud({.tau = tau, .sigma = sigma});
-    for (std::size_t q : {std::size_t{0}, std::size_t{49}}) {
-      // ε on an attained observation distance → exact decision boundaries.
-      double eps_sq = 0.0;
-      for (std::size_t t = 0; t < 8; ++t) {
-        const double d = ties[q].observation(t) - ties[3].observation(t);
-        eps_sq += d * d;
-      }
-      const double epsilon = std::sqrt(eps_sq);
-      std::vector<std::size_t> want;
+  // The τ list repeats a value: every slot is decided independently.
+  const std::vector<double> taus = {0.1, 0.5, 0.9, 0.5};
+  for (std::size_t q : {std::size_t{0}, std::size_t{49}}) {
+    // ε on an attained observation distance → exact decision boundaries.
+    double eps_sq = 0.0;
+    for (std::size_t t = 0; t < 8; ++t) {
+      const double d = ties[q].observation(t) - ties[3].observation(t);
+      eps_sq += d * d;
+    }
+    const double epsilon = std::sqrt(eps_sq);
+    std::vector<std::vector<std::size_t>> want(taus.size());
+    for (std::size_t k = 0; k < taus.size(); ++k) {
+      measures::Proud proud({.tau = taus[k], .sigma = sigma});
       for (std::size_t i = 0; i < ties.size(); ++i) {
         if (i == q) continue;
         if (proud.Matches(ties[q].observations(), ties[i].observations(),
                           epsilon)) {
-          want.push_back(i);
+          want[k].push_back(i);
         }
       }
-      for (std::size_t threads : kThreadCounts) {
-        UncertainEngineOptions options = SmallChunkOptions(threads);
-        options.proud_sigma = sigma;
-        auto engine = UncertainEngine::Create(ties, options);
-        ASSERT_TRUE(engine.ok());
+    }
+    for (std::size_t threads : kThreadCounts) {
+      UncertainEngineOptions options = SmallChunkOptions(threads);
+      options.proud_sigma = sigma;
+      auto engine = UncertainEngine::Create(ties, options);
+      ASSERT_TRUE(engine.ok());
+      const auto each =
+          engine.ValueOrDie()->ProbabilisticRangeSearchProud(q, epsilon, taus);
+      ASSERT_EQ(each.size(), taus.size());
+      for (std::size_t k = 0; k < taus.size(); ++k) {
         EXPECT_EQ(engine.ValueOrDie()->ProbabilisticRangeSearchProud(
-                      q, epsilon, tau),
-                  want)
-            << "tau=" << tau << " threads=" << threads << " q=" << q;
+                      q, epsilon, taus[k]),
+                  want[k])
+            << "tau=" << taus[k] << " threads=" << threads << " q=" << q;
+        EXPECT_EQ(each[k], want[k])
+            << "tau list slot " << k << " threads=" << threads << " q=" << q;
       }
     }
   }
@@ -332,6 +341,13 @@ TEST(UncertainEngineParityTest, ProudDegenerateSigmaSharpThreshold) {
         engine.ValueOrDie()->ProbabilisticRangeSearchProud(0, epsilon, 0.5),
         want)
         << "threads=" << threads;
+    // The degenerate decision ignores τ, so every slot of a τ list is the
+    // same distance test.
+    const std::vector<double> taus = {0.01, 0.5, 0.99};
+    for (const auto& slot : engine.ValueOrDie()->ProbabilisticRangeSearchProud(
+             0, epsilon, taus)) {
+      EXPECT_EQ(slot, want) << "threads=" << threads;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/timer.hpp"
+#include "exec/parallel_for.hpp"
 #include "query/engine.hpp"
 #include "query/engine_context.hpp"
 #include "query/search.hpp"
@@ -32,14 +33,52 @@ Status ValidateInput(const ts::Dataset& exact, const RunOptions& options) {
   return Status::OK();
 }
 
-/// Folds one query's retrieval into its result slot.
-void AddQueryScores(MatcherResult& result,
-                    const std::vector<std::size_t>& retrieved,
-                    const std::vector<std::size_t>& relevant) {
-  const SetMetrics metrics = ComputeSetMetrics(retrieved, relevant);
-  result.per_query_f1.push_back(metrics.f1);
-  result.per_query_precision.push_back(metrics.precision);
-  result.per_query_recall.push_back(metrics.recall);
+/// One query's outcome per result slot (see Evaluate).
+struct QueryScore {
+  SetMetrics metrics;
+  double micros = 0.0;  ///< Time to decide the query.
+};
+
+/// Calibrates, retrieves and scores query `qi` for every matcher, in
+/// matcher order, into `out` (one slot per result of Evaluate). Stops at the
+/// first failing matcher. Touches only query `qi`'s matcher state and
+/// slots, so distinct queries may run concurrently.
+Status ScoreQuery(std::span<Matcher* const> matchers,
+                  std::span<const double> tau_grid, std::size_t qi,
+                  std::size_t n, const std::vector<query::Neighbor>& neighbors,
+                  std::span<QueryScore> out) {
+  std::vector<std::size_t> relevant;
+  relevant.reserve(neighbors.size());
+  for (const auto& nb : neighbors) relevant.push_back(nb.index);
+  const std::size_t calibration_index = neighbors.back().index;
+
+  for (std::size_t m = 0; m < matchers.size(); ++m) {
+    Matcher& matcher = *matchers[m];
+
+    // Technique-equivalent threshold from the k-th nearest neighbor.
+    UTS_ASSIGN_OR_RETURN(const double eps,
+                         matcher.CalibrationDistance(qi, calibration_index));
+
+    // Retrieval through the matcher's batched sweep (engine-aware matchers
+    // run it on query::UncertainEngine, inline on this worker; the default
+    // is the sequential Matches loop). Results are bit-identical either way.
+    Stopwatch watch;
+    if (tau_grid.empty()) {
+      UTS_ASSIGN_OR_RETURN(const auto retrieved,
+                           matcher.Retrieve(qi, n, eps));
+      const double micros = watch.ElapsedMicros();
+      out[m] = {ComputeSetMetrics(retrieved, relevant), micros};
+      continue;
+    }
+    // τ search: one scoring pass decides every grid point.
+    UTS_ASSIGN_OR_RETURN(const auto each,
+                         matcher.RetrieveEachTau(qi, n, eps, tau_grid));
+    const double micros = watch.ElapsedMicros();
+    for (std::size_t t = 0; t < tau_grid.size(); ++t) {
+      out[t] = {ComputeSetMetrics(each[t], relevant), micros};
+    }
+  }
+  return Status::OK();
 }
 
 /// The evaluation behind RunSimilarityMatching and SweepTau. With an empty
@@ -47,8 +86,8 @@ void AddQueryScores(MatcherResult& result,
 /// result m belongs to matchers[m]. With a grid, `matchers` holds the one
 /// matcher under search: each query is scored once through
 /// `RetrieveEachTau`, result t holds the scores at tau_grid[t], and the
-/// per-τ match lists are reduced to F1 before the next query, so at most one
-/// query's lists are alive.
+/// per-τ match lists are reduced to F1 before the query's task ends, so at
+/// most one query's lists are alive per worker.
 Result<std::vector<MatcherResult>> Evaluate(
     const ts::Dataset& exact, const uncertain::ErrorSpec& spec,
     std::span<Matcher* const> matchers, const RunOptions& options,
@@ -111,7 +150,6 @@ Result<std::vector<MatcherResult>> Evaluate(
   context.samples = engines->samples();
   context.reported_sigma = reported_sigma;
   context.seed = options.seed;
-  context.threads = options.threads;
   context.engines = engines;
 
   for (Matcher* matcher : matchers) {
@@ -129,8 +167,6 @@ Result<std::vector<MatcherResult>> Evaluate(
   for (std::size_t r = 0; r < results.size(); ++r) {
     results[r].name = matchers[tau_grid.empty() ? r : 0]->name();
   }
-
-  std::vector<double> total_micros(results.size(), 0.0);
 
   distance::DtwOptions gt_dtw_options;
   gt_dtw_options.band_radius = options.dtw_ground_truth_band;
@@ -159,43 +195,34 @@ Result<std::vector<MatcherResult>> Evaluate(
     ground_truth = engine.AllKNearestEuclidean(k, num_queries);
   }
 
-  for (std::size_t qi = 0; qi < num_queries; ++qi) {
-    const auto& neighbors = ground_truth[qi];
-    assert(neighbors.size() == k);
-    std::vector<std::size_t> relevant;
-    relevant.reserve(k);
-    for (const auto& nb : neighbors) relevant.push_back(nb.index);
-    const std::size_t calibration_index = neighbors.back().index;
+  // One task per query on the run's pool: a query is calibrated, retrieved
+  // and scored on one worker (nested engine loops run inline there). Each
+  // query writes only its own slots, which are appended in query order
+  // below, and the lowest failing query's error is returned — so scores
+  // and errors equal the sequential loop at every thread count.
+  const std::size_t width = results.size();
+  std::vector<QueryScore> scores(num_queries * width);
+  std::vector<Status> failures(num_queries);
+  exec::ParallelFor(
+      engines->pool(), num_queries, 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t qi = begin; qi < end; ++qi) {
+          assert(ground_truth[qi].size() == k);
+          failures[qi] = ScoreQuery(
+              matchers, tau_grid, qi, exact.size(), ground_truth[qi],
+              std::span(scores).subspan(qi * width, width));
+        }
+      });
+  for (const Status& failure : failures) UTS_RETURN_NOT_OK(failure);
 
-    for (std::size_t m = 0; m < matchers.size(); ++m) {
-      Matcher& matcher = *matchers[m];
-
-      // Technique-equivalent threshold from the k-th nearest neighbor.
-      auto eps = matcher.CalibrationDistance(qi, calibration_index);
-      if (!eps.ok()) return eps.status();
-
-      // Retrieval through the matcher's batched sweep (engine-aware
-      // matchers run it on query::UncertainEngine with options.threads
-      // workers; the default is the sequential Matches loop). Results are
-      // bit-identical either way.
-      Stopwatch watch;
-      if (tau_grid.empty()) {
-        auto retrieved =
-            matcher.Retrieve(qi, exact.size(), eps.ValueOrDie());
-        if (!retrieved.ok()) return retrieved.status();
-        total_micros[m] += watch.ElapsedMicros();
-        AddQueryScores(results[m], retrieved.ValueOrDie(), relevant);
-        continue;
-      }
-      // τ search: one scoring pass decides every grid point.
-      auto each = matcher.RetrieveEachTau(qi, exact.size(), eps.ValueOrDie(),
-                                          tau_grid);
-      if (!each.ok()) return each.status();
-      const double micros = watch.ElapsedMicros();
-      for (std::size_t t = 0; t < tau_grid.size(); ++t) {
-        total_micros[t] += micros;
-        AddQueryScores(results[t], each.ValueOrDie()[t], relevant);
-      }
+  std::vector<double> total_micros(width, 0.0);
+  for (std::size_t r = 0; r < width; ++r) {
+    MatcherResult& result = results[r];
+    for (std::size_t qi = 0; qi < num_queries; ++qi) {
+      const QueryScore& score = scores[qi * width + r];
+      result.per_query_f1.push_back(score.metrics.f1);
+      result.per_query_precision.push_back(score.metrics.precision);
+      result.per_query_recall.push_back(score.metrics.recall);
+      total_micros[r] += score.micros;
     }
   }
 

@@ -56,9 +56,11 @@ struct RunOptions {
   /// Perturbation / estimator base seed.
   std::uint64_t seed = 42;
 
-  /// Worker threads for the ground-truth / calibration distance sweeps
-  /// (query::DistanceMatrixEngine): 1 = sequential, 0 = hardware
-  /// concurrency. Results are bit-identical at every setting.
+  /// Worker threads of the run's pool: 1 = sequential, 0 = hardware
+  /// concurrency. The pool runs the ground-truth sweep, then the
+  /// per-query loop — each query's calibration, retrieval and scoring is
+  /// one task, its engine scans inline on that worker. Results (and the
+  /// error of a failing run) are bit-identical at every setting.
   std::size_t threads = 1;
 
   /// Pin every engine of the run to the scalar reference kernels instead
@@ -75,9 +77,6 @@ struct RunOptions {
 
   /// σ reported to PROUD; 0 = use the spec's RepresentativeSigma().
   double proud_sigma = 0.0;
-
-  /// Collect per-query timing (Figures 11/12).
-  bool measure_time = true;
 
   /// Define the ground-truth k-NN sets under exact DTW instead of exact
   /// Euclidean — for evaluating the DTW-flavored matchers (Section 3.2)
@@ -104,7 +103,8 @@ struct MatcherResult {
   prob::ConfidenceInterval f1;         ///< Mean F1 with 95% CI.
   prob::ConfidenceInterval precision;  ///< Mean precision with 95% CI.
   prob::ConfidenceInterval recall;     ///< Mean recall with 95% CI.
-  double avg_query_millis = 0.0;       ///< Mean per-query decision time.
+  double avg_query_millis = 0.0;       ///< Mean time to decide one query
+                                       ///< (timed on its worker).
   std::size_t queries = 0;             ///< Number of queries evaluated.
 
   /// Raw per-query scores (for cross-dataset aggregation).
@@ -117,8 +117,10 @@ struct MatcherResult {
 /// one exact dataset under one perturbation spec.
 ///
 /// The exact dataset must be z-normalized and of uniform length; matchers
-/// are bound to the perturbed context inside. Results preserve the matcher
-/// order.
+/// are bound to the perturbed context inside. Queries then run
+/// concurrently on the run's pool, so a matcher must honour the per-query
+/// contract of `Matcher`. Results preserve the matcher order and are
+/// bitwise equal at every thread count.
 Result<std::vector<MatcherResult>> RunSimilarityMatching(
     const ts::Dataset& exact, const uncertain::ErrorSpec& spec,
     std::span<Matcher* const> matchers, const RunOptions& options);
@@ -150,7 +152,9 @@ Result<TauSweepResult> SweepTau(const ts::Dataset& exact,
                                 Matcher& matcher, const RunOptions& options,
                                 std::span<const double> tau_grid);
 
-/// \brief Default τ grid {0.1, 0.2, ..., 0.9}.
+/// \brief Default τ grid: 19 points from 1e-6 to 0.9999, dense in both
+/// tails ({1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, ..., 0.9, 0.95,
+/// 0.99, 0.999, 0.9999}), since the F1-optimal τ can sit deep in either.
 std::vector<double> DefaultTauGrid();
 
 /// \brief Merge per-query scores of the same matcher across datasets and

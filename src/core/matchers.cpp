@@ -1,11 +1,16 @@
 #include "core/matchers.hpp"
 
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
 
 #include "distance/lp.hpp"
 #include "prob/rng.hpp"
+#include "prob/special.hpp"
 #include "query/engine_context.hpp"
 
 namespace uts::core {
@@ -129,26 +134,48 @@ Result<std::vector<std::vector<std::size_t>>> ProudMatcher::RetrieveEachTau(
     std::size_t qi, std::size_t n, double epsilon,
     std::span<const double> taus) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
-  if (engine_ == nullptr || n != engine_->size()) {
-    return Matcher::RetrieveEachTau(qi, n, epsilon, taus);
+  if (engine_ != nullptr && n == engine_->size()) {
+    return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
   }
-  return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
+  // Matches at τ is MarginFromStats(...).Decide(Φ⁻¹(τ)); the margin does
+  // not depend on τ.
+  std::vector<double> limits;
+  limits.reserve(taus.size());
+  for (double tau : taus) limits.push_back(prob::NormalQuantile(tau));
+  const auto q = (*ctx_->pdf)[qi].observations();
+  return CollectEachTau(
+      qi, n, taus.size(),
+      [&](std::size_t ci) -> Result<measures::ProudMargin> {
+        return measures::Proud::MarginFromStats(
+            proud_->DistanceStats(q, (*ctx_->pdf)[ci].observations()),
+            epsilon);
+      },
+      [&](const measures::ProudMargin& margin, std::size_t t) {
+        return margin.Decide(limits[t]);
+      });
 }
 
 // ----------------------------------------------------------- PROUD-wavelet
 
-Status ProudSynopsisMatcherAdapter::RebuildMatcher() {
-  matcher_.reset();
-  if (!(tau_ >= 0.5 && tau_ < 1.0)) {
+Result<wavelet::ProudSynopsisMatcher> ProudSynopsisMatcherAdapter::MatcherAt(
+    double tau) const {
+  if (!(tau >= 0.5 && tau < 1.0)) {
     return Status::InvalidArgument(
         "PROUD-wavelet pruning requires tau in [0.5, 1)");
   }
   wavelet::ProudSynopsisOptions options;
-  options.proud.tau = tau_;
+  options.proud.tau = tau;
   options.proud.sigma = sigma_;
   options.synopsis_size = synopsis_size_;
-  matcher_ = std::make_unique<wavelet::ProudSynopsisMatcher>(options);
-  return Status::OK();
+  return wavelet::ProudSynopsisMatcher(options);
+}
+
+Result<bool> ProudSynopsisMatcherAdapter::Decide(
+    const wavelet::ProudSynopsisMatcher& matcher, std::size_t qi,
+    std::size_t ci, double epsilon) const {
+  return matcher.Matches(synopses_[qi], synopses_[ci],
+                         (*ctx_->pdf)[qi].observations(),
+                         (*ctx_->pdf)[ci].observations(), epsilon);
 }
 
 Status ProudSynopsisMatcherAdapter::Bind(const EvalContext& context) {
@@ -162,14 +189,13 @@ Status ProudSynopsisMatcherAdapter::Bind(const EvalContext& context) {
     synopses_.push_back(
         wavelet::BuildSynopsis(series.observations(), synopsis_size_));
   }
-  stats_ = {};
-  tau_status_ = RebuildMatcher();
-  return tau_status_;
+  matcher_ = MatcherAt(tau_);
+  return matcher_.status();
 }
 
 void ProudSynopsisMatcherAdapter::set_tau(double tau) {
   tau_ = tau;
-  if (ctx_ != nullptr) tau_status_ = RebuildMatcher();
+  if (ctx_ != nullptr) matcher_ = MatcherAt(tau_);
 }
 
 Result<double> ProudSynopsisMatcherAdapter::CalibrationDistance(
@@ -183,10 +209,26 @@ Result<bool> ProudSynopsisMatcherAdapter::Matches(std::size_t qi,
                                                   std::size_t ci,
                                                   double epsilon) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD-wavelet"));
-  UTS_RETURN_NOT_OK(tau_status_);
-  return matcher_->Matches(synopses_[qi], synopses_[ci],
-                           (*ctx_->pdf)[qi].observations(),
-                           (*ctx_->pdf)[ci].observations(), epsilon, &stats_);
+  UTS_RETURN_NOT_OK(matcher_.status());
+  return Decide(matcher_.ValueOrDie(), qi, ci, epsilon);
+}
+
+Result<std::vector<std::vector<std::size_t>>>
+ProudSynopsisMatcherAdapter::RetrieveEachTau(std::size_t qi, std::size_t n,
+                                             double epsilon,
+                                             std::span<const double> taus) {
+  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD-wavelet"));
+  std::vector<std::vector<std::size_t>> each;
+  each.reserve(taus.size());
+  for (double tau : taus) {
+    UTS_ASSIGN_OR_RETURN(const wavelet::ProudSynopsisMatcher matcher,
+                         MatcherAt(tau));
+    UTS_ASSIGN_OR_RETURN(auto retrieved, Collect(qi, n, [&](std::size_t ci) {
+                           return Decide(matcher, qi, ci, epsilon);
+                         }));
+    each.push_back(std::move(retrieved));
+  }
+  return each;
 }
 
 // --------------------------------------------------------------------- DUST
@@ -271,10 +313,11 @@ Result<bool> DustDtwMatcher::Matches(std::size_t qi, std::size_t ci,
 
 namespace {
 
-/// FNV-1a fingerprint of the sample-model data a MunichMatcher is bound to.
-/// Used to keep the probability cache across re-binds to *identical* data
-/// (the final run after a τ search perturbs to the same samples;
-/// probabilities do not depend on τ).
+/// FNV-1a fingerprint of the sample-model data a MunichMatcher is bound to:
+/// the seed, the series count and every sample. Used to keep the
+/// probability rows across re-binds to *identical* data (the final run
+/// after a τ search perturbs to the same samples; probabilities do not
+/// depend on τ).
 std::uint64_t FingerprintSamples(const EvalContext& context) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t v) {
@@ -283,19 +326,12 @@ std::uint64_t FingerprintSamples(const EvalContext& context) {
   };
   mix(context.seed);
   mix(context.samples->size());
-  auto mix_series = [&](const uncertain::MultiSampleSeries& s) {
-    mix(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      for (double v : s.samples(i)) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-      }
+  for (const auto& series : context.samples->series) {
+    mix(series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      mix(series.samples(i).size());
+      for (double v : series.samples(i)) mix(std::bit_cast<std::uint64_t>(v));
     }
-  };
-  if (context.samples->size() > 0) {
-    mix_series((*context.samples)[0]);
-    mix_series((*context.samples)[context.samples->size() - 1]);
   }
   return h;
 }
@@ -312,8 +348,9 @@ Status MunichMatcher::Bind(const EvalContext& context) {
                 ? context.engines->AcquireMunich(munich_.options())
                 : nullptr;
   const std::uint64_t fingerprint = FingerprintSamples(context);
-  if (fingerprint != bound_fingerprint_) {
-    prob_cache_.clear();
+  if (fingerprint != bound_fingerprint_ ||
+      rows_.size() != context.samples->size()) {
+    rows_.assign(context.samples->size(), Row{});
     bound_fingerprint_ = fingerprint;
   }
   return Status::OK();
@@ -342,69 +379,95 @@ Result<double> MunichMatcher::CalibrationDistance(std::size_t qi,
   return distance::Euclidean(q.values(), c.values());
 }
 
-Result<double> MunichMatcher::ProbabilityFor(std::size_t qi, std::size_t ci,
-                                             double epsilon) {
+Result<MunichMatcher::Row*> MunichMatcher::RowAt(std::size_t qi,
+                                                 double epsilon) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH"));
-  std::uint64_t eps_bits;
-  static_assert(sizeof(eps_bits) == sizeof(epsilon));
-  std::memcpy(&eps_bits, &epsilon, sizeof(eps_bits));
-  const auto key = std::make_tuple(qi, ci, eps_bits);
-  auto it = prob_cache_.find(key);
-  if (it == prob_cache_.end()) {
-    auto prob = munich_.MatchProbability((*ctx_->samples)[qi],
-                                         (*ctx_->samples)[ci], epsilon,
-                                         PairSeed(*ctx_, qi, ci));
-    if (!prob.ok()) return prob.status();
-    it = prob_cache_.emplace(key, prob.ValueOrDie()).first;
+  if (qi >= rows_.size()) {
+    return Status::InvalidArgument("MUNICH query index out of range");
   }
-  return it->second;
+  Row& row = rows_[qi];
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(epsilon);
+  if (row.probabilities.empty() || row.epsilon_bits != bits) {
+    row.epsilon_bits = bits;
+    row.probabilities.assign(rows_.size(),
+                             std::numeric_limits<double>::quiet_NaN());
+  }
+  return &row;
+}
+
+Result<double> MunichMatcher::ProbabilityFor(Row& row, std::size_t qi,
+                                             std::size_t ci, double epsilon) {
+  if (ci >= row.probabilities.size()) {
+    return Status::InvalidArgument("MUNICH candidate index out of range");
+  }
+  // A NaN estimate (none of the estimators yields one for a valid pair)
+  // would only be recomputed, to the same value.
+  double& p = row.probabilities[ci];
+  if (std::isnan(p)) {
+    UTS_ASSIGN_OR_RETURN(p, munich_.MatchProbability((*ctx_->samples)[qi],
+                                                     (*ctx_->samples)[ci],
+                                                     epsilon,
+                                                     PairSeed(*ctx_, qi, ci)));
+  }
+  return p;
 }
 
 Result<bool> MunichMatcher::Matches(std::size_t qi, std::size_t ci,
                                     double epsilon) {
-  auto prob = ProbabilityFor(qi, ci, epsilon);
-  if (!prob.ok()) return prob.status();
-  return prob.ValueOrDie() >= munich_.options().tau;
+  UTS_ASSIGN_OR_RETURN(Row* row, RowAt(qi, epsilon));
+  UTS_ASSIGN_OR_RETURN(const double p,
+                       ProbabilityFor(*row, qi, ci, epsilon));
+  return p >= munich_.options().tau;
+}
+
+Result<const std::vector<double>*> MunichMatcher::Probabilities(
+    std::size_t qi, std::size_t n, double epsilon) {
+  UTS_ASSIGN_OR_RETURN(Row* row, RowAt(qi, epsilon));
+  std::vector<double>& p = row->probabilities;
+  if (n > p.size()) {
+    return Status::InvalidArgument("MUNICH candidate index out of range");
+  }
+  bool complete = true;
+  for (std::size_t ci = 0; ci < n && complete; ++ci) {
+    complete = ci == qi || !std::isnan(p[ci]);
+  }
+  if (complete) return &p;
+  if (engine_ == nullptr || n != engine_->size()) {
+    for (std::size_t ci = 0; ci < n; ++ci) {
+      if (ci == qi) continue;
+      UTS_RETURN_NOT_OK(ProbabilityFor(*row, qi, ci, epsilon).status());
+    }
+    return &p;
+  }
+  // One estimator sweep fills the whole row; per-pair counter seeds make
+  // it bit-identical to the sequential estimates, so entries already
+  // present are overwritten with the same values.
+  UTS_ASSIGN_OR_RETURN(const std::vector<double> swept,
+                       engine_->MunichMatchProbabilities(qi, epsilon));
+  for (std::size_t ci = 0; ci < n; ++ci) {
+    if (ci != qi) p[ci] = swept[ci];
+  }
+  return &p;
 }
 
 Result<std::vector<std::size_t>> MunichMatcher::Retrieve(std::size_t qi,
                                                          std::size_t n,
                                                          double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH"));
-  if (engine_ == nullptr || n != engine_->size()) {
-    return Matcher::Retrieve(qi, n, epsilon);
-  }
-  std::uint64_t eps_bits;
-  static_assert(sizeof(eps_bits) == sizeof(epsilon));
-  std::memcpy(&eps_bits, &epsilon, sizeof(eps_bits));
   const double tau = munich_.options().tau;
-  bool all_cached = true;
-  for (std::size_t ci = 0; ci < n && all_cached; ++ci) {
-    if (ci == qi) continue;
-    all_cached = prob_cache_.count({qi, ci, eps_bits}) != 0;
-  }
-  std::vector<std::size_t> matches;
-  if (!all_cached) {
-    // One parallel estimator sweep fills the whole row of the τ-sweep
-    // cache; per-pair counter seeds make it bit-identical to the
-    // sequential Matches loop. Threshold the fresh row directly — cached
-    // entries (emplace never overwrites) hold the same pure-function
-    // values the sweep just recomputed.
-    auto probs = engine_->MunichMatchProbabilities(qi, epsilon);
-    if (!probs.ok()) return probs.status();
-    const std::vector<double>& p = probs.ValueOrDie();
-    for (std::size_t ci = 0; ci < n; ++ci) {
-      if (ci == qi) continue;
-      prob_cache_.emplace(std::make_tuple(qi, ci, eps_bits), p[ci]);
-      if (p[ci] >= tau) matches.push_back(ci);
-    }
-    return matches;
-  }
-  for (std::size_t ci = 0; ci < n; ++ci) {
-    if (ci == qi) continue;
-    if (prob_cache_.at({qi, ci, eps_bits}) >= tau) matches.push_back(ci);
-  }
-  return matches;
+  UTS_ASSIGN_OR_RETURN(auto each,
+                       RetrieveEachTau(qi, n, epsilon, std::span(&tau, 1)));
+  return std::move(each.front());
+}
+
+Result<std::vector<std::vector<std::size_t>>> MunichMatcher::RetrieveEachTau(
+    std::size_t qi, std::size_t n, double epsilon,
+    std::span<const double> taus) {
+  UTS_ASSIGN_OR_RETURN(const std::vector<double>* p,
+                       Probabilities(qi, n, epsilon));
+  return CollectEachTau(
+      qi, n, taus.size(),
+      [&](std::size_t ci) -> Result<double> { return (*p)[ci]; },
+      [&](double prob, std::size_t t) { return prob >= taus[t]; });
 }
 
 // --------------------------------------------------------------- MUNICH-DTW
@@ -429,20 +492,39 @@ Result<double> MunichDtwMatcher::CalibrationDistance(std::size_t qi,
   return distance::Dtw(q.values(), c.values(), dtw_options_);
 }
 
-Result<bool> MunichDtwMatcher::Matches(std::size_t qi, std::size_t ci,
-                                       double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH-DTW"));
+MunichDtwMatcher::Verdict MunichDtwMatcher::Score(std::size_t qi,
+                                                 std::size_t ci,
+                                                 double epsilon) const {
   const auto& x = (*ctx_->samples)[qi];
   const auto& y = (*ctx_->samples)[ci];
   // Bounds filter first (certain accept / certain reject), then Monte Carlo.
   const measures::DistanceBounds bounds =
       measures::Munich::DtwBounds(x, y, dtw_options_);
-  if (bounds.upper <= epsilon) return true;
-  if (bounds.lower > epsilon) return false;
-  const double p = measures::Munich::MonteCarloDtwMatchProbability(
-      x, y, epsilon, options_.mc_samples, PairSeed(*ctx_, qi, ci),
-      dtw_options_);
-  return p >= options_.tau;
+  if (bounds.upper <= epsilon) return {true, 0.0};
+  if (bounds.lower > epsilon) return {false, 0.0};
+  return {std::nullopt,
+          measures::Munich::MonteCarloDtwMatchProbability(
+              x, y, epsilon, options_.mc_samples, PairSeed(*ctx_, qi, ci),
+              dtw_options_)};
+}
+
+Result<bool> MunichDtwMatcher::Matches(std::size_t qi, std::size_t ci,
+                                       double epsilon) {
+  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH-DTW"));
+  return Score(qi, ci, epsilon).At(options_.tau);
+}
+
+Result<std::vector<std::vector<std::size_t>>>
+MunichDtwMatcher::RetrieveEachTau(std::size_t qi, std::size_t n,
+                                  double epsilon,
+                                  std::span<const double> taus) {
+  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH-DTW"));
+  return CollectEachTau(
+      qi, n, taus.size(),
+      [&](std::size_t ci) -> Result<Verdict> { return Score(qi, ci, epsilon); },
+      [&](const Verdict& verdict, std::size_t t) {
+        return verdict.At(taus[t]);
+      });
 }
 
 // ---------------------------------------------------------------------- DTW

@@ -18,10 +18,8 @@
 #define UTS_CORE_MATCHERS_HPP_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "core/similarity.hpp"
@@ -69,7 +67,8 @@ class ProudMatcher final : public Matcher {
   Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
                                             double epsilon) override;
   /// One moment pass on the shared engine decides every τ (bit-identical
-  /// to a Retrieve per τ); without an engine, the default per-τ loop.
+  /// to a Retrieve per τ); without an engine, one scalar ε_norm per
+  /// candidate decides every τ.
   Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
       std::size_t qi, std::size_t n, double epsilon,
       std::span<const double> taus) override;
@@ -90,8 +89,9 @@ class ProudMatcher final : public Matcher {
 /// \brief PROUD accelerated by the Haar-synopsis filter (Section 4.3).
 ///
 /// The prune is only sound for τ >= 0.5. A τ outside [0.5, 1) fails `Bind`;
-/// set after Bind, it makes every later decision (`Matches`, `Retrieve`,
-/// `RetrieveEachTau`) return the error until a valid τ is set.
+/// set after Bind, it makes every later decision (`Matches`, `Retrieve`)
+/// return the error until a valid τ is set. `RetrieveEachTau` fails at the
+/// first such τ of its list.
 class ProudSynopsisMatcherAdapter final : public Matcher {
  public:
   explicit ProudSynopsisMatcherAdapter(
@@ -106,25 +106,32 @@ class ProudSynopsisMatcherAdapter final : public Matcher {
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
+  /// A synopsis matcher per τ decides that τ's candidates; `tau()` and the
+  /// matcher of `set_tau` are never touched.
+  Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
+      std::size_t qi, std::size_t n, double epsilon,
+      std::span<const double> taus) override;
   bool has_tau() const override { return true; }
   double tau() const override { return tau_; }
   void set_tau(double tau) override;
 
-  /// Filter effectiveness counters accumulated since the last Bind.
-  const wavelet::ProudSynopsisStats& stats() const { return stats_; }
-
  private:
-  /// Replace the decision matcher at `tau_`; leaves it null on error.
-  Status RebuildMatcher();
+  /// The synopsis matcher deciding at `tau` under the bound σ, or
+  /// InvalidArgument outside [0.5, 1).
+  Result<wavelet::ProudSynopsisMatcher> MatcherAt(double tau) const;
+
+  /// `matcher`'s decision for the bound pair (qi, ci).
+  Result<bool> Decide(const wavelet::ProudSynopsisMatcher& matcher,
+                      std::size_t qi, std::size_t ci, double epsilon) const;
 
   double tau_;
   std::size_t synopsis_size_;
   std::optional<double> sigma_override_;
   double sigma_ = 1.0;  ///< σ told to PROUD, resolved at Bind.
-  Status tau_status_;   ///< Outcome of the last RebuildMatcher.
-  std::unique_ptr<wavelet::ProudSynopsisMatcher> matcher_;
+  /// The matcher at `tau_`, or why there is none.
+  Result<wavelet::ProudSynopsisMatcher> matcher_ =
+      Status::InvalidArgument("PROUD-wavelet matcher is not bound");
   std::vector<wavelet::HaarSynopsis> synopses_;
-  wavelet::ProudSynopsisStats stats_;
   const EvalContext* ctx_ = nullptr;
 };
 
@@ -177,12 +184,14 @@ class DustDtwMatcher final : public Matcher {
 
 /// \brief MUNICH over the repeated-observations model (Euclidean flavor).
 ///
-/// Match probabilities are cached per (query, candidate, ε). Within a τ
-/// search (`SweepTau`), `RetrieveEachTau` estimates each row once and
-/// re-thresholds it per τ. The cache also survives a re-bind to identical
-/// data, so the final run at the tuned τ reuses the probabilities the tune
-/// run computed instead of re-running the exact/Monte-Carlo estimator. The
-/// cache resets at a Bind to different data.
+/// Match probabilities are cached in one row per query, at that query's
+/// latest ε. Within a τ search (`SweepTau`), `RetrieveEachTau` estimates
+/// each row once and thresholds it per τ. The rows also survive a re-bind
+/// to identical data, so the final run at the tuned τ reuses the
+/// probabilities the tune run computed instead of re-running the
+/// exact/Monte-Carlo estimator. They reset at a Bind to data that differs
+/// in any sample, the seed or the series count. Only query `qi`'s calls
+/// touch row `qi`, so distinct queries may run concurrently.
 class MunichMatcher final : public Matcher {
  public:
   explicit MunichMatcher(measures::MunichOptions options = {})
@@ -196,16 +205,36 @@ class MunichMatcher final : public Matcher {
   /// Batched estimator sweep on the run's shared UncertainEngine. Per-pair
   /// Monte Carlo streams are counter-seeded exactly like the sequential
   /// path, so results are bit-identical at any thread count; computed
-  /// probabilities land in the same τ-sweep cache the sequential path uses.
+  /// probabilities land in the query's row, which the sequential path uses
+  /// too.
   Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
                                             double epsilon) override;
+  /// One probability row, thresholded at every τ.
+  Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
+      std::size_t qi, std::size_t n, double epsilon,
+      std::span<const double> taus) override;
   bool has_tau() const override { return true; }
   double tau() const override { return munich_.options().tau; }
   void set_tau(double tau) override;
 
  private:
-  /// Cached probability of (qi, ci, ε), or the freshly computed one.
-  Result<double> ProbabilityFor(std::size_t qi, std::size_t ci,
+  /// Query `qi`'s cached probabilities at `epsilon`; NaN marks a candidate
+  /// not estimated yet.
+  struct Row {
+    std::uint64_t epsilon_bits = 0;
+    std::vector<double> probabilities;
+  };
+
+  /// Row `qi` keyed to `epsilon` (emptied when its ε differs).
+  Result<Row*> RowAt(std::size_t qi, double epsilon);
+
+  /// Probabilities of every candidate [0, n) of `qi` (self slot unused).
+  Result<const std::vector<double>*> Probabilities(std::size_t qi,
+                                                   std::size_t n,
+                                                   double epsilon);
+
+  /// Cached probability of (qi, ci) at ε, or the freshly computed one.
+  Result<double> ProbabilityFor(Row& row, std::size_t qi, std::size_t ci,
                                 double epsilon);
 
   measures::Munich munich_;
@@ -214,8 +243,7 @@ class MunichMatcher final : public Matcher {
   query::UncertainEngine* engine_ = nullptr;
   const EvalContext* ctx_ = nullptr;
   std::uint64_t bound_fingerprint_ = 0;
-  std::map<std::tuple<std::size_t, std::size_t, std::uint64_t>, double>
-      prob_cache_;
+  std::vector<Row> rows_;  ///< One per series, sized at Bind.
 };
 
 /// \brief MUNICH with DTW distances over materializations.
@@ -230,11 +258,27 @@ class MunichDtwMatcher final : public Matcher {
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
+  /// One bounds check (and Monte Carlo estimate) per candidate decides
+  /// every τ.
+  Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
+      std::size_t qi, std::size_t n, double epsilon,
+      std::span<const double> taus) override;
   bool has_tau() const override { return true; }
   double tau() const override { return options_.tau; }
   void set_tau(double tau) override { options_.tau = tau; }
 
  private:
+  /// The τ-independent outcome for one pair: a certain accept or reject
+  /// from the DTW bounds filter, else the Monte Carlo probability.
+  struct Verdict {
+    std::optional<bool> certain;
+    double probability = 0.0;
+    bool At(double tau) const {
+      return certain.has_value() ? *certain : probability >= tau;
+    }
+  };
+  Verdict Score(std::size_t qi, std::size_t ci, double epsilon) const;
+
   measures::MunichOptions options_;
   distance::DtwOptions dtw_options_;
   const EvalContext* ctx_ = nullptr;

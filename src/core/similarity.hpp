@@ -55,11 +55,6 @@ struct EvalContext {
   /// per-pair seeds from it.
   std::uint64_t seed = 0;
 
-  /// Worker threads engine-aware matchers may use for their retrieval
-  /// sweeps (query::UncertainEngine): 1 = sequential, 0 = hardware
-  /// concurrency. Retrieval results are bit-identical at every setting.
-  std::size_t threads = 1;
-
   /// The run-wide shared engine context (one thread pool, one SoA pack,
   /// one uncertain engine for every matcher of the run). Engine-aware
   /// matchers acquire borrowed engine views from it at Bind; when null
@@ -72,7 +67,11 @@ struct EvalContext {
 ///
 /// Matchers are stateful: `Bind` is called once per perturbed dataset and
 /// may precompute per-series artifacts (filtered sequences, synopses, DUST
-/// tables). They are not thread-safe.
+/// tables). Concurrency contract: after `Bind`, `CalibrationDistance`,
+/// `Matches`, `Retrieve` and `RetrieveEachTau` may run concurrently for
+/// distinct query indices `qi` — the evaluation runner spreads its queries
+/// over the run's pool this way. `Bind` and `set_tau` must not overlap any
+/// other call.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -100,18 +99,18 @@ class Matcher {
   /// (self excluded, ascending) under threshold `epsilon` — the retrieval
   /// step of the evaluation loop. The default is the sequential reference:
   /// one `Matches` call per candidate. Engine-aware matchers (DUST, PROUD,
-  /// MUNICH) override it with parallel batched sweeps whose results are
-  /// bit-identical to the default at every `EvalContext::threads` setting.
+  /// MUNICH) override it with batched engine sweeps whose results are
+  /// bit-identical to the default at every thread count.
   virtual Result<std::vector<std::size_t>> Retrieve(std::size_t qi,
                                                     std::size_t n,
                                                     double epsilon);
 
   /// `Retrieve` at every threshold of `taus` — the scoring step of the
   /// optimal-τ search (`SweepTau`). `result[i]` is exactly what
-  /// `set_tau(taus[i])` followed by `Retrieve(qi, n, epsilon)` returns, and
-  /// `tau()` is unchanged afterwards. The default runs that loop and then
-  /// restores τ, so MUNICH re-thresholds its cached probabilities; PROUD on
-  /// an engine overrides it with one moment pass that decides every τ.
+  /// `set_tau(taus[i])` followed by `Retrieve(qi, n, epsilon)` returns, yet
+  /// τ is never changed: every `has_tau()` matcher overrides this to score
+  /// each candidate once and decide each τ from that score. The default
+  /// fails with InvalidArgument (no probabilistic threshold).
   virtual Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
       std::size_t qi, std::size_t n, double epsilon,
       std::span<const double> taus);
@@ -126,6 +125,42 @@ class Matcher {
   /// sweep ("we are using the optimal probabilistic threshold τ, determined
   /// after repeated experiments", Section 4.2.1).
   virtual void set_tau(double tau) { (void)tau; }
+
+ protected:
+  /// The candidates [0, n) other than `qi` that `decide(ci)` (a
+  /// `Result<bool>`) accepts, ascending; the first failing decision's error
+  /// otherwise. The loop behind the default `Retrieve`.
+  template <typename Decide>
+  static Result<std::vector<std::size_t>> Collect(std::size_t qi,
+                                                  std::size_t n,
+                                                  Decide&& decide) {
+    std::vector<std::size_t> retrieved;
+    for (std::size_t ci = 0; ci < n; ++ci) {
+      if (ci == qi) continue;
+      UTS_ASSIGN_OR_RETURN(const bool matched, decide(ci));
+      if (matched) retrieved.push_back(ci);
+    }
+    return retrieved;
+  }
+
+  /// `Collect` at `num_taus` thresholds from one score per candidate:
+  /// `score(ci)` (a `Result`) runs once per candidate, then
+  /// `accept(score, t)` decides it at threshold t. `result[t]` lists the
+  /// candidates accepted at t, ascending.
+  template <typename Score, typename Accept>
+  static Result<std::vector<std::vector<std::size_t>>> CollectEachTau(
+      std::size_t qi, std::size_t n, std::size_t num_taus, Score&& score,
+      Accept&& accept) {
+    std::vector<std::vector<std::size_t>> each(num_taus);
+    for (std::size_t ci = 0; ci < n; ++ci) {
+      if (ci == qi) continue;
+      UTS_ASSIGN_OR_RETURN(const auto scored, score(ci));
+      for (std::size_t t = 0; t < num_taus; ++t) {
+        if (accept(scored, t)) each[t].push_back(ci);
+      }
+    }
+    return each;
+  }
 };
 
 }  // namespace uts::core

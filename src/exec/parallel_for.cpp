@@ -20,7 +20,8 @@ void ParallelFor(ThreadPool* pool, std::size_t n, std::size_t grain,
   if (n == 0) return;
   const std::size_t chunks = NumChunks(n, grain);
 
-  if (pool == nullptr || pool->size() <= 1 || chunks <= 1) {
+  if (pool == nullptr || pool->size() <= 1 || chunks <= 1 ||
+      pool->OnWorkerThread()) {
     for (std::size_t c = 0; c < chunks; ++c) {
       body(c * grain, std::min(n, (c + 1) * grain));
     }

@@ -22,10 +22,13 @@ namespace uts::exec {
 /// \brief Run `body(range_begin, range_end)` over the blocked partition of
 /// [0, n) with chunks of `grain` indices (the last chunk may be short).
 ///
-/// Runs inline on the caller when `pool` is null, has a single worker, or
-/// there is only one chunk. Otherwise every chunk is submitted to the pool
-/// and the call blocks until all chunks finish. The body must be
-/// thread-safe and must only write caller-owned disjoint state per chunk.
+/// Runs inline on the caller when `pool` is null, has a single worker,
+/// there is only one chunk, or the caller is itself a worker of `pool` (a
+/// nested loop, e.g. an engine sweep inside the evaluation runner's
+/// per-query tasks). Otherwise every chunk is submitted to the pool and the
+/// call blocks until all chunks finish. The chunks and their order are the
+/// same either way. The body must be thread-safe and must only write
+/// caller-owned disjoint state per chunk.
 ///
 /// Exceptions thrown by the body are captured per chunk; after all chunks
 /// complete, the exception of the lowest-index failing chunk is re-thrown

@@ -7,6 +7,13 @@ namespace uts::exec {
 
 std::atomic<std::size_t> ThreadPool::total_created_{0};
 
+namespace {
+
+/// The pool whose worker loop runs on this thread; null on other threads.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   total_created_.fetch_add(1, std::memory_order_relaxed);
   if (num_threads == 0) {
@@ -35,7 +42,10 @@ void ThreadPool::Submit(std::function<void()> task) {
   wake_.notify_one();
 }
 
+bool ThreadPool::OnWorkerThread() const { return current_pool == this; }
+
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

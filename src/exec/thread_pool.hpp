@@ -7,6 +7,8 @@
 /// keeps the execution order — and therefore the result — easy to reason
 /// about. Tasks must not throw across the pool boundary; `ParallelFor`
 /// captures and re-throws task exceptions deterministically on the caller.
+/// A task may itself call `ParallelFor` on its own pool: the nested loop
+/// runs inline on that worker (`OnWorkerThread`).
 
 #ifndef UTS_EXEC_THREAD_POOL_HPP_
 #define UTS_EXEC_THREAD_POOL_HPP_
@@ -41,6 +43,11 @@ class ThreadPool {
   /// Enqueue a task. The task must not throw — wrap fallible work in a
   /// try/catch that records the failure (ParallelFor does this for you).
   void Submit(std::function<void()> task);
+
+  /// True when the calling thread is one of this pool's workers. A worker
+  /// that queued chunks and waited for them could deadlock the pool once
+  /// every worker did the same, so ParallelFor runs nested loops inline.
+  bool OnWorkerThread() const;
 
   /// Process-wide count of ThreadPool constructions. Diagnostic backing for
   /// the run-wide resource discipline (query::EngineContext): the

@@ -213,13 +213,27 @@ Result<const DustTable*> Dust::TableForFast(
   return table.ValueOrDie();
 }
 
+Result<const DustTable*> Dust::Table(const prob::ErrorDistributionPtr& ex,
+                                     const prob::ErrorDistributionPtr& ey) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return TableForFast(ex, ey);
+}
+
+std::size_t Dust::CacheSize() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return cache_.size();
+}
+
 Result<double> Dust::PointDust(double x_obs,
                                const prob::ErrorDistribution& ex,
                                double y_obs,
                                const prob::ErrorDistribution& ey) {
-  auto table = TableFor(ex, ey);
-  if (!table.ok()) return table.status();
-  return table.ValueOrDie()->Dust(x_obs - y_obs);
+  const DustTable* table = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    UTS_ASSIGN_OR_RETURN(table, TableFor(ex, ey));
+  }
+  return table->Dust(x_obs - y_obs);
 }
 
 Result<double> Dust::Distance(const uncertain::UncertainSeries& x,
@@ -228,7 +242,7 @@ Result<double> Dust::Distance(const uncertain::UncertainSeries& x,
     return Status::InvalidArgument("series differ in length");
   }
   // Hot loop: consecutive points usually share their error models, so the
-  // previous table is memoized ahead of the pointer-pair cache.
+  // previous table is memoized ahead of the locked pointer-pair cache.
   const prob::ErrorDistribution* last_x = nullptr;
   const prob::ErrorDistribution* last_y = nullptr;
   const DustTable* table = nullptr;
@@ -237,9 +251,7 @@ Result<double> Dust::Distance(const uncertain::UncertainSeries& x,
     const auto& ex = x.error(i);
     const auto& ey = y.error(i);
     if (ex.get() != last_x || ey.get() != last_y) {
-      auto resolved = TableForFast(ex, ey);
-      if (!resolved.ok()) return resolved.status();
-      table = resolved.ValueOrDie();
+      UTS_ASSIGN_OR_RETURN(table, Table(ex, ey));
       last_x = ex.get();
       last_y = ey.get();
     }
@@ -255,15 +267,24 @@ Result<double> Dust::DtwDistance(const uncertain::UncertainSeries& x,
   if (x.empty() || y.empty()) {
     return Status::InvalidArgument("series must be non-empty");
   }
-  // Pre-resolve per-pair tables so the DP inner loop cannot fail.
+  // Pre-resolve per-pair tables so the DP inner loop cannot fail, with the
+  // same previous-pair memo as Distance.
   const std::size_t n = x.size();
   const std::size_t m = y.size();
   std::vector<const DustTable*> row_tables(n * m);
+  const prob::ErrorDistribution* last_x = nullptr;
+  const prob::ErrorDistribution* last_y = nullptr;
+  const DustTable* table = nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
-      auto table = TableForFast(x.error(i), y.error(j));
-      if (!table.ok()) return table.status();
-      row_tables[i * m + j] = table.ValueOrDie();
+      const auto& ex = x.error(i);
+      const auto& ey = y.error(j);
+      if (ex.get() != last_x || ey.get() != last_y) {
+        UTS_ASSIGN_OR_RETURN(table, Table(ex, ey));
+        last_x = ex.get();
+        last_y = ey.get();
+      }
+      row_tables[i * m + j] = table;
     }
   }
   const double total = distance::DtwGeneric(
@@ -279,6 +300,7 @@ Result<double> Dust::DtwDistance(const uncertain::UncertainSeries& x,
 
 Status Dust::Prewarm(const prob::ErrorDistributionPtr& ex,
                      const prob::ErrorDistributionPtr& ey) {
+  std::lock_guard<std::mutex> lock(mutex_);
   auto table = TableFor(*ex, *ey);
   return table.ok() ? Status::OK() : table.status();
 }

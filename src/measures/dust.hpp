@@ -43,6 +43,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,8 +141,10 @@ class DustTable {
 
 /// \brief The DUST distance with a per-error-pair table cache.
 ///
-/// Not thread-safe: the cache mutates on first use of each error pair.
-/// Create one instance per thread, or pre-warm with `Prewarm`.
+/// Thread-safe: concurrent calls may share one instance. The cache grows on
+/// first use of each error pair under a mutex, which the distance loops take
+/// only when a point's error pair differs from the previous point's. Tables
+/// are heap-pinned and immutable once built, so they are read unlocked.
 class Dust {
  public:
   explicit Dust(DustOptions options = {}) : options_(options) {}
@@ -173,25 +176,25 @@ class Dust {
   /// query::UncertainEngine borrow tables from a persistent Dust instance
   /// instead of re-running the numeric integration on every rebuild.
   Result<const DustTable*> Table(const prob::ErrorDistributionPtr& ex,
-                                 const prob::ErrorDistributionPtr& ey) {
-    return TableForFast(ex, ey);
-  }
+                                 const prob::ErrorDistributionPtr& ey);
 
   /// Number of distinct tables currently cached.
-  std::size_t CacheSize() const { return cache_.size(); }
+  std::size_t CacheSize() const;
 
  private:
+  /// Caller holds `mutex_`.
   Result<const DustTable*> TableFor(const prob::ErrorDistribution& ex,
                                     const prob::ErrorDistribution& ey);
 
   /// Pointer-identity fast path over `TableFor`: avoids re-deriving the
   /// string keys on every point pair (the hot loop of Distance). The
   /// referenced distributions are pinned in `pinned_` so the pointer keys
-  /// cannot dangle or be recycled.
+  /// cannot dangle or be recycled. Caller holds `mutex_`.
   Result<const DustTable*> TableForFast(const prob::ErrorDistributionPtr& ex,
                                         const prob::ErrorDistributionPtr& ey);
 
   DustOptions options_;
+  mutable std::mutex mutex_;  ///< Guards the three maps below.
   std::map<std::pair<std::string, std::string>, std::unique_ptr<DustTable>>
       cache_;
   std::map<std::pair<const void*, const void*>, const DustTable*> fast_cache_;

@@ -1,5 +1,7 @@
 #include "server/service.hpp"
 
+#include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,19 @@ prob::ErrorKind ToErrorKind(WireErrorKind kind) {
     default:
       return prob::ErrorKind::kNormal;
   }
+}
+
+/// ε as a range, PRQ or probability-measure query reads it: a distance
+/// threshold, so finite and non-negative (NaN fails).
+Status CheckEpsilon(const char* what, double epsilon) {
+  if (std::isfinite(epsilon) && epsilon >= 0.0) return Status::OK();
+  return Status::InvalidArgument(std::string(what) +
+                                 ": epsilon must be finite and >= 0");
+}
+
+/// The measures whose kNN and sweeps rank by match probability at ε.
+bool ReadsEpsilon(WireMeasure measure) {
+  return measure == WireMeasure::kProud || measure == WireMeasure::kMunich;
 }
 
 }  // namespace
@@ -168,6 +183,10 @@ Result<query::UncertainEngine*> Service::AcquireFor(
 
 Result<KnnResponse> Service::Knn(const QueryRequest& request,
                                  std::uint64_t request_seq) {
+  if (request.k == 0) return Status::InvalidArgument("knn: k must be >= 1");
+  if (ReadsEpsilon(request.measure)) {
+    UTS_RETURN_NOT_OK(CheckEpsilon("knn", request.epsilon));
+  }
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   KnnResponse response;
   response.request_seq = request_seq;
@@ -213,6 +232,11 @@ Result<KnnResponse> Service::Knn(const QueryRequest& request,
 
 Result<IndexListResponse> Service::Range(const QueryRequest& request,
                                          std::uint64_t request_seq) {
+  if (ReadsEpsilon(request.measure)) {
+    return Status::InvalidArgument(
+        "range: PROUD/MUNICH are probabilistic — use PRQ");
+  }
+  UTS_RETURN_NOT_OK(CheckEpsilon("range", request.epsilon));
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   IndexListResponse response;
   response.request_seq = request_seq;
@@ -223,15 +247,12 @@ Result<IndexListResponse> Service::Range(const QueryRequest& request,
     const auto& engine = context_.Certain(*observed);
     matches =
         engine.RangeSearchEuclidean(request.query, request.epsilon, &cost);
-  } else if (request.measure == WireMeasure::kDust) {
+  } else {
     UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
                          AcquireFor(request.measure, request.dataset));
     UTS_ASSIGN_OR_RETURN(
         matches, engine->RangeSearchDust(request.query, request.epsilon,
                                          &cost));
-  } else {
-    return Status::InvalidArgument(
-        "range: PROUD/MUNICH are probabilistic — use PRQ");
   }
   response.indices.assign(matches.begin(), matches.end());
   response.cost = WireSearchCost::From(cost);
@@ -244,10 +265,14 @@ Result<IndexListResponse> Service::Range(const QueryRequest& request,
 
 Result<IndexListResponse> Service::Prq(const QueryRequest& request,
                                        std::uint64_t request_seq) {
-  if (request.measure != WireMeasure::kProud &&
-      request.measure != WireMeasure::kMunich) {
+  if (!ReadsEpsilon(request.measure)) {
     return Status::InvalidArgument(
         "prq: only the probabilistic measures (PROUD, MUNICH) answer PRQ");
+  }
+  UTS_RETURN_NOT_OK(CheckEpsilon("prq", request.epsilon));
+  // Φ⁻¹(τ) is ∓inf at 0 and 1: every candidate would match, or none.
+  if (!(request.tau > 0.0 && request.tau < 1.0)) {
+    return Status::InvalidArgument("prq: tau must lie in (0, 1)");
   }
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
@@ -277,6 +302,9 @@ Result<SweepResponse> Service::MeasureSweep(const QueryRequest& request,
     return Status::InvalidArgument(
         "sweep: dense sweeps serve the uncertain measures (dust|proud|"
         "munich)");
+  }
+  if (ReadsEpsilon(request.measure)) {
+    UTS_RETURN_NOT_OK(CheckEpsilon("sweep", request.epsilon));
   }
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,

@@ -110,19 +110,25 @@ class Service {
 
   /// k-NN under the requested measure. For the probability measures the
   /// neighbor `distance` field carries the match probability at ε.
+  /// InvalidArgument for k = 0, and for PROUD/MUNICH a non-finite or
+  /// negative ε.
   Result<KnnResponse> Knn(const QueryRequest& request,
                           std::uint64_t request_seq);
 
-  /// Range query: Euclidean or DUST distance <= ε.
+  /// Range query: Euclidean or DUST distance <= ε. InvalidArgument for a
+  /// non-finite or negative ε.
   Result<IndexListResponse> Range(const QueryRequest& request,
                                   std::uint64_t request_seq);
 
   /// Probabilistic range query: PROUD or MUNICH Pr(dist <= ε) >= τ.
+  /// InvalidArgument for a non-finite or negative ε, or τ outside (0, 1)
+  /// (NaN included).
   Result<IndexListResponse> Prq(const QueryRequest& request,
                                 std::uint64_t request_seq);
 
   /// Dense per-candidate sweep: DUST distances or PROUD/MUNICH match
-  /// probabilities at ε.
+  /// probabilities at ε. InvalidArgument for PROUD/MUNICH with a
+  /// non-finite or negative ε.
   Result<SweepResponse> MeasureSweep(const QueryRequest& request,
                                      std::uint64_t request_seq);
 

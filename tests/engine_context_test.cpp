@@ -63,7 +63,6 @@ core::RunOptions QuickRunOptions(std::size_t threads) {
   options.seed = 77;
   options.threads = threads;
   options.munich_samples_per_point = 3;
-  options.measure_time = false;
   return options;
 }
 

@@ -344,7 +344,6 @@ TEST(EngineParityTest, SimilarityMatchingIsThreadCountInvariant) {
     options.max_queries = 15;
     options.seed = 77;
     options.threads = threads;
-    options.measure_time = false;
     auto run = core::RunSimilarityMatching(d, spec, matchers, options);
     EXPECT_TRUE(run.ok()) << run.status();
     return std::move(run).ValueOrDie();
@@ -376,7 +375,6 @@ TEST(EngineParityTest, DtwGroundTruthIsThreadCountInvariant) {
     options.max_queries = 8;
     options.seed = 78;
     options.threads = threads;
-    options.measure_time = false;
     options.dtw_ground_truth = true;
     options.dtw_ground_truth_band = 3;
     auto run = core::RunSimilarityMatching(d, spec, matchers, options);

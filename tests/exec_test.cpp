@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/parallel_for.hpp"
@@ -98,6 +99,45 @@ TEST(ParallelForTest, InlineWhenPoolIsNullOrSingleWorker) {
   ParallelFor(&single, 100, 10, [&](std::size_t, std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
+}
+
+TEST(ParallelForTest, NestedLoopOnTheSamePoolRunsInline) {
+  // Both workers of a 2-worker pool run an outer chunk that issues its own
+  // loop on the same pool. Queued behind the two waiting workers, the inner
+  // chunks would never run; inline on each worker, the nest completes and
+  // writes exactly what the sequential loops write.
+  constexpr std::size_t kOuter = 2;
+  constexpr std::size_t kInner = 8;
+  std::vector<std::size_t> want(kOuter * kInner);
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    for (std::size_t i = 0; i < kInner; ++i) want[o * kInner + i] = o * 100 + i;
+  }
+  ThreadPool pool(2);
+  std::vector<std::size_t> got(kOuter * kInner, 0);
+  ParallelFor(&pool, kOuter, 1, [&](std::size_t ob, std::size_t oe) {
+    for (std::size_t o = ob; o < oe; ++o) {
+      const auto worker = std::this_thread::get_id();
+      ParallelFor(&pool, kInner, 1, [&](std::size_t ib, std::size_t ie) {
+        EXPECT_EQ(std::this_thread::get_id(), worker);
+        for (std::size_t i = ib; i < ie; ++i) got[o * kInner + i] = o * 100 + i;
+      });
+    }
+  });
+  EXPECT_EQ(got, want);
+}
+
+TEST(ThreadPoolTest, OnWorkerThreadOnlyOnItsOwnWorkers) {
+  ThreadPool pool(2);
+  ThreadPool other(2);
+  EXPECT_FALSE(pool.OnWorkerThread());
+  std::atomic<int> own{0};
+  std::atomic<int> foreign{0};
+  ParallelFor(&pool, 4, 1, [&](std::size_t, std::size_t) {
+    if (pool.OnWorkerThread()) own.fetch_add(1);
+    if (other.OnWorkerThread()) foreign.fetch_add(1);
+  });
+  EXPECT_EQ(own.load(), 4);
+  EXPECT_EQ(foreign.load(), 0);
 }
 
 TEST(ParallelForTest, PropagatesBodyException) {

@@ -7,9 +7,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -35,7 +39,6 @@ RunOptions QuickOptions() {
   options.ground_truth_k = 5;
   options.max_queries = 10;
   options.seed = 101;
-  options.measure_time = false;
   return options;
 }
 
@@ -499,6 +502,34 @@ TEST(MatcherTest, MunichProbabilityCacheSurvivesTauChanges) {
   }
 }
 
+TEST(MatcherTest, MunichRebindToDataChangedInTheMiddleDropsCachedRows) {
+  // Two datasets differing only in series 5 and 6 (negated): same first and
+  // last series, same seed. A matcher that ran on the first must score the
+  // second exactly like a fresh matcher, not from stale probabilities.
+  const ts::Dataset d = SmallDataset().Truncated(12, 6).ValueOrDie();
+  ts::Dataset changed = d;
+  for (std::size_t i : {5u, 6u}) {
+    for (double& v : changed[i].mutable_values()) v = -v;
+  }
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  RunOptions options = QuickOptions();
+  options.ground_truth_k = 3;
+  options.munich_samples_per_point = 4;
+
+  MunichMatcher reused, fresh;
+  Matcher* reused_arr[] = {&reused};
+  Matcher* fresh_arr[] = {&fresh};
+  ASSERT_TRUE(RunSimilarityMatching(d, spec, reused_arr, options).ok());
+  auto a = RunSimilarityMatching(changed, spec, reused_arr, options);
+  auto b = RunSimilarityMatching(changed, spec, fresh_arr, options);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const MatcherResult& got = a.ValueOrDie()[0];
+  const MatcherResult& want = b.ValueOrDie()[0];
+  EXPECT_EQ(Bits(got.per_query_f1), Bits(want.per_query_f1));
+  EXPECT_EQ(Bits(got.per_query_precision), Bits(want.per_query_precision));
+  EXPECT_EQ(Bits(got.per_query_recall), Bits(want.per_query_recall));
+}
+
 TEST(MatcherTest, DustDtwMatcherRuns) {
   const ts::Dataset d = SmallDataset().Truncated(15, 24).ValueOrDie();
   DustDtwMatcher dust_dtw;
@@ -525,6 +556,296 @@ TEST(MatcherTest, MunichDtwMatcherRuns) {
   auto results = RunSimilarityMatching(
       d, ErrorSpec::Constant(ErrorKind::kUniform, 0.4), matchers, options);
   ASSERT_TRUE(results.ok()) << results.status();
+}
+
+// --------------------------------------------------- query-parallel runner
+//
+// The runner spreads queries over the run's pool. Every matcher must give
+// bitwise the same per-query scores, τ-search outcome and error at every
+// pool width; these suites also run under TSan, which checks that matchers
+// are safe per query.
+
+using MatcherSet = std::vector<std::unique_ptr<Matcher>>;
+
+/// Per-query f1/precision/recall of every result, as bit patterns.
+std::vector<std::uint64_t> ScoreBits(const std::vector<MatcherResult>& rs) {
+  std::vector<std::uint64_t> bits;
+  for (const MatcherResult& r : rs) {
+    for (const auto* scores :
+         {&r.per_query_f1, &r.per_query_precision, &r.per_query_recall}) {
+      for (double v : *scores) bits.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  return bits;
+}
+
+std::vector<Matcher*> Borrow(const MatcherSet& owned) {
+  std::vector<Matcher*> matchers;
+  for (const auto& m : owned) matchers.push_back(m.get());
+  return matchers;
+}
+
+/// Runs fresh matchers from `make` at 1, 2 and 8 threads, each on its own
+/// context, and requires bitwise-equal per-query scores. Returns the
+/// declined engine acquisitions of the last run.
+std::size_t ExpectRunParity(const ts::Dataset& exact, const ErrorSpec& spec,
+                            RunOptions options,
+                            const std::function<MatcherSet()>& make) {
+  std::vector<std::uint64_t> want;
+  std::size_t declined = 0;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    query::EngineContextOptions context_options;
+    context_options.threads = threads;
+    query::EngineContext context(context_options);
+    options.threads = threads;
+    options.engine_context = &context;
+    const MatcherSet owned = make();
+    const std::vector<Matcher*> matchers = Borrow(owned);
+    auto run = RunSimilarityMatching(exact, spec, matchers, options);
+    EXPECT_TRUE(run.ok()) << run.status();
+    if (!run.ok()) return declined;
+    EXPECT_EQ(run.ValueOrDie().size(), owned.size());
+    const std::vector<std::uint64_t> bits = ScoreBits(run.ValueOrDie());
+    if (threads == 1) {
+      want = bits;
+    } else {
+      EXPECT_EQ(bits, want) << "threads=" << threads;
+    }
+    declined = context.stats().acquires_declined;
+  }
+  return declined;
+}
+
+template <typename T, typename... Args>
+void Add(MatcherSet& set, Args&&... args) {
+  set.push_back(std::make_unique<T>(std::forward<Args>(args)...));
+}
+
+TEST(RunnerThreadParityTest, EuclideanProudAndDust) {
+  const ts::Dataset d = SmallDataset();
+  RunOptions options = QuickOptions();
+  options.max_queries = 0;
+  measures::DustOptions other_dust;
+  other_dust.table_size = 1024;
+  const std::size_t declined = ExpectRunParity(
+      d, ErrorSpec::Constant(ErrorKind::kNormal, 0.6), options, [&] {
+        MatcherSet set;
+        Add<EuclideanMatcher>(set);
+        Add<ProudMatcher>(set, 0.5);
+        Add<ProudMatcher>(set, 0.5, 0.7);  // σ override: engine declined
+        Add<ProudSynopsisMatcherAdapter>(set, 0.8, 8);
+        Add<DustMatcher>(set);
+        Add<DustMatcher>(set, other_dust);  // second config: declined
+        return set;
+      });
+  EXPECT_EQ(declined, 2u);
+}
+
+TEST(RunnerThreadParityTest, DustScalarPathsShareOneTableCache) {
+  // Several error classes and numerically integrated tables: the declined
+  // DUST matcher and DUST-DTW look tables up (DUST-DTW builds them) from
+  // every worker through one measures::Dust cache each.
+  const ts::Dataset d = SmallDataset().Truncated(16, 24).ValueOrDie();
+  RunOptions options = QuickOptions();
+  options.ground_truth_k = 3;
+  options.max_queries = 0;
+  measures::DustOptions dust;
+  dust.table_size = 128;
+  measures::DustOptions other_dust = dust;
+  other_dust.table_size = 96;
+  const std::size_t declined = ExpectRunParity(
+      d, ErrorSpec::MixedSigma(ErrorKind::kUniform), options, [&] {
+        MatcherSet set;
+        Add<DustMatcher>(set, dust);
+        Add<DustMatcher>(set, other_dust);
+        Add<DustDtwMatcher>(set, dust);
+        return set;
+      });
+  EXPECT_EQ(declined, 1u);
+}
+
+TEST(RunnerThreadParityTest, MunichAndMunichDtw) {
+  const ts::Dataset d = SmallDataset().Truncated(12, 6).ValueOrDie();
+  RunOptions options = QuickOptions();
+  options.ground_truth_k = 3;
+  options.max_queries = 0;
+  options.munich_samples_per_point = 4;
+  measures::MunichOptions cheap;
+  cheap.mc_samples = 200;
+  const std::size_t declined = ExpectRunParity(
+      d, ErrorSpec::Constant(ErrorKind::kNormal, 0.5), options, [&] {
+        MatcherSet set;
+        Add<MunichMatcher>(set);
+        Add<MunichMatcher>(set, cheap);  // second config: declined
+        Add<MunichDtwMatcher>(set, cheap);
+        return set;
+      });
+  EXPECT_EQ(declined, 1u);
+}
+
+TEST(RunnerThreadParityTest, FilteredSmoothedAndDtw) {
+  const ts::Dataset d = SmallDataset();
+  RunOptions options = QuickOptions();
+  options.max_queries = 0;
+  ExpectRunParity(d, ErrorSpec::Constant(ErrorKind::kNormal, 0.6), options,
+                  [] {
+                    MatcherSet set;
+                    set.push_back(MakeUmaMatcher());
+                    set.push_back(MakeUemaMatcher());
+                    Add<Ar1SmootherMatcher>(set);
+                    Add<DtwMatcher>(set);
+                    return set;
+                  });
+}
+
+/// SweepTau on a fresh matcher from `make` at 1, 2 and 8 threads: bitwise
+/// equal f1s and best τ.
+void ExpectSweepParity(const ts::Dataset& exact, const ErrorSpec& spec,
+                       RunOptions options,
+                       const std::function<std::unique_ptr<Matcher>()>& make,
+                       const std::vector<double>& grid) {
+  TauSweepResult want;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    options.threads = threads;
+    const std::unique_ptr<Matcher> matcher = make();
+    auto sweep = SweepTau(exact, spec, *matcher, options, grid);
+    ASSERT_TRUE(sweep.ok()) << sweep.status();
+    const TauSweepResult& got = sweep.ValueOrDie();
+    if (threads == 1) {
+      want = got;
+      EXPECT_GT(std::set<double>(got.f1s.begin(), got.f1s.end()).size(), 1u);
+      continue;
+    }
+    EXPECT_EQ(Bits(got.f1s), Bits(want.f1s)) << "threads=" << threads;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best_tau),
+              std::bit_cast<std::uint64_t>(want.best_tau))
+        << "threads=" << threads;
+  }
+}
+
+TEST(RunnerThreadParityTest, SweepTauProudAndWavelet) {
+  const ts::Dataset d = SmallDataset();
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.6);
+  RunOptions options = QuickOptions();
+  options.max_queries = 0;
+  ExpectSweepParity(
+      d, spec, options, [] { return std::make_unique<ProudMatcher>(0.5); },
+      DefaultTauGrid());
+  ExpectSweepParity(
+      d, spec, options,
+      [] { return std::make_unique<ProudMatcher>(0.5, 0.7); },
+      DefaultTauGrid());
+  // Told a small σ, so the τ >= 0.5 grid the prune allows discriminates.
+  ExpectSweepParity(
+      d, spec, options,
+      [] {
+        return std::make_unique<ProudSynopsisMatcherAdapter>(0.8, 8, 0.1);
+      },
+      {0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999});
+}
+
+TEST(RunnerThreadParityTest, SweepTauMunichAndMunichDtw) {
+  const ts::Dataset d = SmallDataset().Truncated(12, 6).ValueOrDie();
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  RunOptions options = QuickOptions();
+  options.ground_truth_k = 3;
+  options.max_queries = 0;
+  options.munich_samples_per_point = 4;
+  const std::vector<double> grid = {0.05, 0.2, 0.4, 0.6, 0.8, 0.95};
+  ExpectSweepParity(
+      d, spec, options, [] { return std::make_unique<MunichMatcher>(); },
+      grid);
+  measures::MunichOptions cheap;
+  cheap.mc_samples = 200;
+  ExpectSweepParity(
+      d, spec, options,
+      [&] { return std::make_unique<MunichDtwMatcher>(cheap); }, grid);
+}
+
+/// Euclidean matcher whose calibration fails from query `fail_from` on,
+/// naming itself and the query; records the threads that ran it.
+class FailingMatcher final : public Matcher {
+ public:
+  FailingMatcher(std::string name, std::size_t fail_from)
+      : name_(std::move(name)), fail_from_(fail_from) {}
+
+  std::string name() const override { return name_; }
+  Status Bind(const EvalContext& context) override {
+    return inner_.Bind(context);
+  }
+  Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    if (qi >= fail_from_) {
+      return Status::NumericError(name_ + " failed at query " +
+                                  std::to_string(qi));
+    }
+    return inner_.CalibrationDistance(qi, ci);
+  }
+  Result<bool> Matches(std::size_t qi, std::size_t ci,
+                       double epsilon) override {
+    return inner_.Matches(qi, ci, epsilon);
+  }
+
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  std::string name_;
+  std::size_t fail_from_;
+  EuclideanMatcher inner_;
+  mutable std::mutex mutex_;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(RunnerThreadParityTest, LowestFailingQueryThenMatcherAtEveryWidth) {
+  const ts::Dataset d = SmallDataset();
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.6);
+  RunOptions options = QuickOptions();
+  options.max_queries = 0;
+  struct Case {
+    std::size_t a_from, b_from;
+    std::string want;
+  };
+  for (const Case& c : {Case{7, 4, "B failed at query 4"},
+                        Case{4, 4, "A failed at query 4"},
+                        Case{29, 30, "A failed at query 29"}}) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      options.threads = threads;
+      EuclideanMatcher euclid;
+      FailingMatcher a("A", c.a_from), b("B", c.b_from);
+      Matcher* matchers[] = {&euclid, &a, &b};
+      auto run = RunSimilarityMatching(d, spec, matchers, options);
+      ASSERT_FALSE(run.ok()) << "threads=" << threads;
+      EXPECT_EQ(run.status().code(), StatusCode::kNumericError);
+      EXPECT_EQ(run.status().message(), c.want) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(RunnerThreadParityTest, QueriesRunOnThePoolNotTheCaller) {
+  const ts::Dataset d = SmallDataset();
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.6);
+  RunOptions options = QuickOptions();
+  options.max_queries = 0;
+  const auto caller = std::this_thread::get_id();
+  for (std::size_t threads : {1u, 2u}) {
+    options.threads = threads;
+    FailingMatcher never("never", d.size());
+    Matcher* matchers[] = {&never};
+    ASSERT_TRUE(RunSimilarityMatching(d, spec, matchers, options).ok());
+    const std::set<std::thread::id> ran_on = never.threads();
+    if (threads == 1) {
+      EXPECT_EQ(ran_on, std::set<std::thread::id>{caller});
+    } else {
+      EXPECT_EQ(ran_on.count(caller), 0u);
+      EXPECT_LE(ran_on.size(), threads);
+    }
+  }
 }
 
 }  // namespace

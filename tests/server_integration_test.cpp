@@ -15,7 +15,9 @@
 //  * multi-dataset residency through the wire (bind two, query both, list);
 //  * stalled-peer hardening — a client that stops reading its socket stalls
 //    a dispatcher for at most send_timeout_ms; responses buffer in the
-//    session backlog and replay on reconnect.
+//    session backlog and replay on reconnect;
+//  * boundary validation — malformed ε, τ and k are rejected where a
+//    request reads them, directly on Service and as kBadRequest frames.
 //
 // Cross-shard behavior (per-dataset dispatchers, pool policies, global
 // admission) lives in server_shard_test.cpp.
@@ -29,6 +31,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -518,6 +521,127 @@ TEST(ServerIntegration, MultiDatasetResidencyOverTheWire) {
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(client->last_error().code, WireError::kNotFound);
 
+  server->Stop();
+}
+
+QueryRequest MakeQuery(WireMeasure measure, std::uint32_t k, double epsilon,
+                       double tau) {
+  QueryRequest query;
+  query.dataset = "v";
+  query.measure = measure;
+  query.query = 1;
+  query.k = k;
+  query.epsilon = epsilon;
+  query.tau = tau;
+  query.num_queries = 2;
+  return query;
+}
+
+TEST(ServerIntegration, ServiceRejectsMalformedQueryParameters) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr auto kInvalid = StatusCode::kInvalidArgument;
+  constexpr WireMeasure kEuclid = WireMeasure::kEuclid;
+  constexpr WireMeasure kDust = WireMeasure::kDust;
+  constexpr WireMeasure kProud = WireMeasure::kProud;
+  constexpr WireMeasure kMunich = WireMeasure::kMunich;
+  Service service(MakeServiceOptions(1));
+  ASSERT_TRUE(service.Bind(MakeBind("v", MakeExact(12, 16, 5), 3), 1).ok());
+
+  // ε is rejected wherever a request reads it.
+  for (double eps : {kNaN, kInf, -kInf, -1.0}) {
+    for (WireMeasure m : {kEuclid, kDust}) {
+      EXPECT_EQ(service.Range(MakeQuery(m, 3, eps, 0.5), 2).status().code(),
+                kInvalid);
+    }
+    for (WireMeasure m : {kProud, kMunich}) {
+      EXPECT_EQ(service.Prq(MakeQuery(m, 3, eps, 0.5), 2).status().code(),
+                kInvalid);
+      EXPECT_EQ(service.Knn(MakeQuery(m, 3, eps, 0.5), 2).status().code(),
+                kInvalid);
+      EXPECT_EQ(
+          service.MeasureSweep(MakeQuery(m, 3, eps, 0.5), 2).status().code(),
+          kInvalid);
+    }
+  }
+  // τ outside (0, 1), NaN included, on PRQ.
+  for (double tau : {kNaN, 0.0, 1.0, -0.5, 1.5, kInf}) {
+    for (WireMeasure m : {kProud, kMunich}) {
+      EXPECT_EQ(service.Prq(MakeQuery(m, 3, 1.0, tau), 2).status().code(),
+                kInvalid);
+    }
+  }
+  // k = 0 on kNN, under every measure.
+  for (WireMeasure m : {kEuclid, kDust, kProud, kMunich}) {
+    EXPECT_EQ(service.Knn(MakeQuery(m, 0, 1.0, 0.5), 2).status().code(),
+              kInvalid);
+  }
+
+  // Fields a request does not read are not checked: the calibration kNN
+  // (ε = 0, τ = 0), ε and τ on Euclidean/DUST kNN, τ on range, ε on the
+  // DUST sweep, k on PRQ. ε = 0 is a valid threshold.
+  for (WireMeasure m : {kEuclid, kDust}) {
+    EXPECT_TRUE(service.Knn(MakeQuery(m, 3, 0.0, 0.0), 2).ok());
+    EXPECT_TRUE(service.Knn(MakeQuery(m, 3, kNaN, kNaN), 2).ok());
+    EXPECT_TRUE(service.Range(MakeQuery(m, 0, 0.0, kNaN), 2).ok());
+  }
+  EXPECT_TRUE(service.MeasureSweep(MakeQuery(kDust, 0, kNaN, kNaN), 2).ok());
+  for (WireMeasure m : {kProud, kMunich}) {
+    EXPECT_TRUE(service.Prq(MakeQuery(m, 0, 0.0, 0.5), 2).ok());
+    EXPECT_TRUE(service.Knn(MakeQuery(m, 3, 0.0, kNaN), 2).ok());
+  }
+}
+
+TEST(ServerIntegration, MalformedQueryParametersFailOverTheWire) {
+  ServerOptions options;
+  options.unix_socket_path = SocketPath("validate");
+  options.service = MakeServiceOptions(2);
+  auto server_or = Server::Start(options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).ValueOrDie();
+
+  Client::Options copts;
+  copts.unix_socket_path = options.unix_socket_path;
+  copts.token = 9;
+  auto client_or = Client::Connect(copts);
+  ASSERT_TRUE(client_or.ok());
+  auto client = std::move(client_or).ValueOrDie();
+  ASSERT_TRUE(client->Bind(MakeBind("v", MakeExact(12, 16, 5), 3)).ok());
+
+  // Each rejection arrives as a kBadRequest frame naming the field.
+  auto expect_bad_request = [&](const Status& status, const char* what) {
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_EQ(client->last_error().code, WireError::kBadRequest) << what;
+    EXPECT_NE(client->last_error().message.find(what), std::string::npos)
+        << client->last_error().message;
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  expect_bad_request(
+      client->Knn(MakeQuery(WireMeasure::kProud, 3, kNaN, 0.5)).status(),
+      "knn: epsilon");
+  expect_bad_request(
+      client->Prq(MakeQuery(WireMeasure::kMunich, 3, 1.0, 1.0)).status(),
+      "prq: tau");
+  expect_bad_request(
+      client->Range(MakeQuery(WireMeasure::kDust, 3, -1.0, 0.5)).status(),
+      "range: epsilon");
+  expect_bad_request(
+      client->MeasureSweep(MakeQuery(WireMeasure::kProud, 3, kInf, 0.5))
+          .status(),
+      "sweep: epsilon");
+
+  // A k = 0 sweep fails at its first item.
+  ASSERT_TRUE(
+      client->StartKnnSweep(MakeQuery(WireMeasure::kEuclid, 0, 0.0, 0.0)).ok());
+  bool done = false;
+  expect_bad_request(client->NextSweepItem(&done).status(), "knn: k");
+  EXPECT_FALSE(done);
+
+  // The connection keeps serving; the calibration kNN shape still works.
+  auto ok = client->Knn(MakeQuery(WireMeasure::kEuclid, 3, 0.0, 0.0));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.ValueOrDie().neighbors.size(), 3u);
   server->Stop();
 }
 

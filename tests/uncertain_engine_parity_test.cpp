@@ -559,7 +559,6 @@ TEST(UncertainEngineParityTest, SimilarityMatchingThreadCountInvariant) {
     options.seed = 99;
     options.threads = threads;
     options.munich_samples_per_point = 3;
-    options.measure_time = false;
     auto run = core::RunSimilarityMatching(d, spec, matchers, options);
     EXPECT_TRUE(run.ok()) << run.status();
     return std::move(run).ValueOrDie();

@@ -126,8 +126,10 @@ Result<std::vector<MatcherResult>> Evaluate(
   }
 
   // --- Perturb -------------------------------------------------------------
+  // Series are perturbed on the run's pool; the output is bitwise identical
+  // to the inline loop at every width.
   uncertain::UncertainDataset pdf =
-      uncertain::PerturbDataset(exact, spec, options.seed);
+      uncertain::PerturbDataset(exact, spec, options.seed, engines->pool());
   std::optional<uncertain::MultiSampleDataset> samples;
   const bool want_samples = options.munich_samples_per_point > 0;
   if (want_samples) {
@@ -135,7 +137,7 @@ Result<std::vector<MatcherResult>> Evaluate(
     // different set of measurements of the same underlying series.
     samples = uncertain::PerturbDatasetMultiSample(
         exact, spec, options.munich_samples_per_point,
-        prob::DeriveSeed(options.seed, 0xface));
+        prob::DeriveSeed(options.seed, 0xface), engines->pool());
   }
 
   const double reported_sigma = options.proud_sigma > 0.0

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
+
+#include "exec/parallel_for.hpp"
 
 namespace uts::query {
 
@@ -26,63 +28,109 @@ struct Fnv {
   }
 };
 
+/// Series per fingerprint task on the context's pool.
+constexpr std::size_t kSeriesPerChunk = 16;
+
+/// Mix `count` per-series hashes into `f` in series order.
+/// `hash_range(begin, end, hashes)` fills hashes[begin, end) and runs as one
+/// ParallelFor chunk — on the pool's workers when there is a pool, inline
+/// otherwise. Each series hashes on its own and the fold is sequential, so
+/// the value is the same at every pool width.
+template <typename HashRange>
+void MixSeriesHashes(Fnv& f, exec::ThreadPool* pool, std::size_t count,
+                     const HashRange& hash_range) {
+  std::vector<std::uint64_t> hashes(count);
+  exec::ParallelFor(pool, count, kSeriesPerChunk,
+                    [&](std::size_t begin, std::size_t end) {
+                      hash_range(begin, end, hashes);
+                    });
+  f.Mix(count);
+  for (std::uint64_t h : hashes) f.Mix(h);
+}
+
 /// Content fingerprint of one run's engine-relevant state: the run
 /// parameters baked into engines (seed, PROUD σ), every pdf observation and
 /// its error model, and every sample-model value. Error models are hashed
-/// by semantic Key() with a pointer memo, so the common constant-error
-/// dataset pays one Key() call total.
+/// by semantic Key(), so equal models held by different objects fingerprint
+/// equally. A last-pointer memo skips the lookup while consecutive points
+/// share one model object; only a pointer change reaches the pointer →
+/// Key()-hash map, which is local to its chunk of series. A dataset built
+/// by ErrorSpec::Assign therefore pays one Key() call per distinct model
+/// per series, and no per-point map lookup.
 std::uint64_t FingerprintRunData(
     const uncertain::UncertainDataset& pdf,
     const std::optional<uncertain::MultiSampleDataset>& samples,
-    std::uint64_t seed, double proud_sigma) {
+    std::uint64_t seed, double proud_sigma, exec::ThreadPool* pool) {
   Fnv f;
   f.Mix(seed);
   f.MixDouble(proud_sigma);
-  f.Mix(pdf.size());
-  std::map<const void*, std::uint64_t> key_hash_of;
-  for (std::size_t s = 0; s < pdf.size(); ++s) {
-    const uncertain::UncertainSeries& series = pdf[s];
-    f.Mix(series.size());
-    for (std::size_t t = 0; t < series.size(); ++t) {
-      f.MixDouble(series.observation(t));
-      const auto& err = series.error(t);
-      auto it = key_hash_of.find(err.get());
-      if (it == key_hash_of.end()) {
-        it = key_hash_of
-                 .emplace(err.get(), std::hash<std::string>{}(err->Key()))
-                 .first;
-      }
-      f.Mix(it->second);
-    }
-  }
+  MixSeriesHashes(
+      f, pool, pdf.size(),
+      [&pdf](std::size_t begin, std::size_t end,
+             std::vector<std::uint64_t>& hashes) {
+        std::unordered_map<const prob::ErrorDistribution*, std::uint64_t>
+            key_hash_of;
+        const prob::ErrorDistribution* last_ptr = nullptr;
+        std::uint64_t last_hash = 0;
+        for (std::size_t s = begin; s < end; ++s) {
+          const uncertain::UncertainSeries& series = pdf[s];
+          Fnv h;
+          h.Mix(series.size());
+          for (std::size_t t = 0; t < series.size(); ++t) {
+            h.MixDouble(series.observation(t));
+            const prob::ErrorDistribution* err = series.error(t).get();
+            if (err != last_ptr) {
+              auto [it, inserted] = key_hash_of.try_emplace(err, 0);
+              if (inserted) it->second = std::hash<std::string>{}(err->Key());
+              last_ptr = err;
+              last_hash = it->second;
+            }
+            h.Mix(last_hash);
+          }
+          hashes[s] = h.h;
+        }
+      });
   if (samples.has_value()) {
     f.Mix(1);
-    f.Mix(samples->size());
-    for (std::size_t s = 0; s < samples->size(); ++s) {
-      const uncertain::MultiSampleSeries& series = (*samples)[s];
-      f.Mix(series.size());
-      for (std::size_t t = 0; t < series.size(); ++t) {
-        // Delimit each timestep's sample vector so differently shaped
-        // layouts with identical flattened values cannot collide.
-        f.Mix(series.samples(t).size());
-        for (double v : series.samples(t)) f.MixDouble(v);
-      }
-    }
+    MixSeriesHashes(
+        f, pool, samples->size(),
+        [&samples](std::size_t begin, std::size_t end,
+                   std::vector<std::uint64_t>& hashes) {
+          for (std::size_t s = begin; s < end; ++s) {
+            const uncertain::MultiSampleSeries& series = (*samples)[s];
+            Fnv h;
+            h.Mix(series.size());
+            for (std::size_t t = 0; t < series.size(); ++t) {
+              // Delimit each timestep's sample vector so differently shaped
+              // layouts with identical flattened values cannot collide.
+              h.Mix(series.samples(t).size());
+              for (double v : series.samples(t)) h.MixDouble(v);
+            }
+            hashes[s] = h.h;
+          }
+        });
   } else {
     f.Mix(0);
   }
   return f.h;
 }
 
-/// Content fingerprint of the exact dataset a certain engine is built over.
-std::uint64_t FingerprintDataset(const ts::Dataset& dataset) {
+/// Content fingerprint of the exact dataset a certain engine is built over,
+/// folded per series like FingerprintRunData.
+std::uint64_t FingerprintDataset(const ts::Dataset& dataset,
+                                 exec::ThreadPool* pool) {
   Fnv f;
-  f.Mix(dataset.size());
-  for (std::size_t s = 0; s < dataset.size(); ++s) {
-    const auto& values = dataset[s].values();
-    f.Mix(values.size());
-    for (double v : values) f.MixDouble(v);
-  }
+  MixSeriesHashes(f, pool, dataset.size(),
+                  [&dataset](std::size_t begin, std::size_t end,
+                             std::vector<std::uint64_t>& hashes) {
+                    for (std::size_t s = begin; s < end; ++s) {
+                      const auto& values = dataset[s].values();
+                      Fnv h;
+                      h.Mix(values.size());
+                      for (double v : values) h.MixDouble(v);
+                      hashes[s] = h.h;
+                    }
+                  });
   return f.h;
 }
 
@@ -160,7 +208,7 @@ Status EngineContext::BindData(
                                    "pdf-model dataset");
   }
   const std::uint64_t fingerprint =
-      FingerprintRunData(pdf, samples, seed, proud_sigma);
+      FingerprintRunData(pdf, samples, seed, proud_sigma, pool());
   if (bound_ && fingerprint == data_fingerprint_) {
     // Bit-identical rebind (the repeated-run pattern): keep every engine and
     // cache; the freshly perturbed copies are discarded.
@@ -254,7 +302,7 @@ const uncertain::UncertainDataset* EngineContext::ResidentPdf(
 
 const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
                                                    std::size_t grain) {
-  const std::uint64_t fingerprint = FingerprintDataset(exact);
+  const std::uint64_t fingerprint = FingerprintDataset(exact, pool());
   // Compare the stored key address, never certain_->dataset(): the cached
   // engine borrows a dataset that may be gone by now (a driver rebuilding
   // per iteration), and the address alone is safe to compare.

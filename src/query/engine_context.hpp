@@ -160,6 +160,12 @@ class EngineContext {
   /// already bound, the call is a no-op that keeps every engine and cache
   /// (the repeated-run fast path); otherwise the uncertain engine and its
   /// measure state are dropped and rebuilt lazily against the new data.
+  ///
+  /// The fingerprint is one pass per series, on the context's pool when
+  /// there is one: each series hashes its observations, its error models
+  /// (by `Key()`, so equal models in distinct objects match) and its
+  /// samples on its own, and the per-series hashes fold in series order.
+  /// Hit or miss is therefore the same at every thread count.
   Status BindData(uncertain::UncertainDataset pdf,
                   std::optional<uncertain::MultiSampleDataset> samples,
                   std::uint64_t seed, double proud_sigma);
@@ -196,7 +202,10 @@ class EngineContext {
                      std::uint64_t seed, double proud_sigma);
 
   /// Bind the named resident as the context's active dataset (see
-  /// `BindData` for the rebind semantics). NotFound when absent.
+  /// `BindData` for the rebind semantics). NotFound when absent. BindData
+  /// takes ownership, so every activation copies the resident (one
+  /// shared_ptr per point), fingerprints the copy and, on a hit, frees it;
+  /// those three passes are the activation's whole cost.
   Status ActivateResident(const std::string& name);
 
   /// True iff a resident named `name` is stored.

@@ -93,8 +93,9 @@ Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
   // Class resolution is layered like measures::Dust's table cache: a
   // last-seen-pointer memo (consecutive points usually share one
   // distribution), then a pointer-keyed map, and only for a never-seen
-  // pointer the semantic string key — so the common constant-error dataset
-  // pays one Key() call total, not one per point.
+  // pointer the semantic string key — so a dataset pays one Key() call per
+  // distinct model object (ErrorSpec::Assign builds a few per series), not
+  // one per point.
   std::vector<double> values;
   values.reserve(n * len);
   std::map<std::string, std::uint16_t> class_of;

@@ -88,11 +88,23 @@ Result<BindOkResponse> Service::Bind(const BindDatasetRequest& request,
   if (length == 0) {
     return Status::InvalidArgument("bind: series must be non-empty");
   }
+  // σ is read only by the constant spec; the mixed spec has fixed levels.
+  if (request.mixed_sigma == 0 &&
+      !(std::isfinite(request.sigma) && request.sigma > 0.0)) {
+    return Status::InvalidArgument("bind: sigma must be finite and > 0");
+  }
   ts::Dataset exact(request.name);
   for (std::size_t i = 0; i < request.series.size(); ++i) {
     if (request.series[i].size() != length) {
       return Status::InvalidArgument(
           "bind: the engines require uniform series lengths");
+    }
+    // A non-finite value perturbs into NaN distances, and NaN breaks the
+    // strict weak ordering the kNN heaps and sorts rely on.
+    for (double v : request.series[i]) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("bind: series values must be finite");
+      }
     }
     const int label = i < request.labels.size()
                           ? static_cast<int>(request.labels[i])
@@ -106,13 +118,15 @@ Result<BindOkResponse> Service::Bind(const BindDatasetRequest& request,
                                : uncertain::ErrorSpec::Constant(kind,
                                                                 request.sigma);
   // Deterministic perturbation: the same exact values + spec + seed yield
-  // bit-identical uncertain datasets here and in any in-process reference.
+  // bit-identical uncertain datasets here and in any in-process reference,
+  // on the context's pool or inline (no pool at one thread per shard).
+  exec::ThreadPool* pool = context_.pool();
   uncertain::UncertainDataset pdf =
-      uncertain::PerturbDataset(exact, spec, request.seed);
+      uncertain::PerturbDataset(exact, spec, request.seed, pool);
   std::optional<uncertain::MultiSampleDataset> samples;
   if (request.samples_per_point > 0) {
     samples = uncertain::PerturbDatasetMultiSample(
-        exact, spec, request.samples_per_point, request.seed);
+        exact, spec, request.samples_per_point, request.seed, pool);
   }
   const double proud_sigma = spec.RepresentativeSigma();
   UTS_RETURN_NOT_OK(context_.AddResident(request.name, std::move(pdf),

@@ -101,7 +101,9 @@ class Service {
 
   /// Perturb the uploaded exact dataset deterministically and make it
   /// resident under `request.name` (pdf model, optional sample model, and
-  /// the observations as a certain dataset).
+  /// the observations as a certain dataset). InvalidArgument for an empty
+  /// or ragged dataset, a non-finite value, and — when the constant regime
+  /// reads it (`mixed_sigma == 0`) — a non-finite or non-positive σ.
   Result<BindOkResponse> Bind(const BindDatasetRequest& request,
                               std::uint64_t request_seq);
 

@@ -66,9 +66,6 @@ constexpr ErrorKind kMixKinds[] = {ErrorKind::kUniform, ErrorKind::kNormal,
 ErrorAssignment ErrorSpec::Assign(std::size_t length,
                                   std::uint64_t seed) const {
   prob::Rng rng(seed);
-  ErrorAssignment out;
-  out.actual.reserve(length);
-  out.reported.reserve(length);
 
   // Choose which positions receive the high σ. Using exact counts (rather
   // than independent coin flips) matches the paper's "20% of the values"
@@ -88,51 +85,52 @@ ErrorAssignment ErrorSpec::Assign(std::size_t length,
     }
   }
 
-  // Cache distributions — most timestamps share one of a few models.
-  auto make = [&](ErrorKind kind, double sigma) {
-    return prob::MakeError(kind, sigma);
-  };
-  const ErrorDistributionPtr constant_dist = make(kind_, sigma_);
-  const ErrorDistributionPtr hi_dist = make(kind_, sigma_hi_);
-  const ErrorDistributionPtr lo_dist = make(kind_, sigma_lo_);
-  ErrorDistributionPtr mixed_kind_cache[3][2];
-  if (regime_ == ErrorRegime::kMixedKind) {
-    for (int k = 0; k < 3; ++k) {
-      mixed_kind_cache[k][0] = make(kMixKinds[k], sigma_lo_);
-      mixed_kind_cache[k][1] = make(kMixKinds[k], sigma_hi_);
-    }
-  }
+  // The regime's distinct actual models, each paired with the one model
+  // reported for it: the misreported constant, a tailed-uniform substitute
+  // for a uniform model, or the model itself. Model m = 2·family + is_hi
+  // (the constant regime has only model 0).
+  ErrorAssignment out;
+  std::vector<ErrorDistributionPtr> reported_of;
   const ErrorDistributionPtr reported_const =
-      misreport_ ? make(reported_kind_, reported_sigma_) : nullptr;
-
-  // Tailed-uniform substitutes, built lazily per σ actually used.
-  auto report_of = [&](const ErrorDistributionPtr& actual)
-      -> ErrorDistributionPtr {
-    if (misreport_) return reported_const;
-    if (tailed_uniform_reporting_ &&
-        actual->kind() == ErrorKind::kUniform) {
-      return prob::MakeTailedUniformError(actual->stddev(), tail_weight_);
+      misreport_ ? prob::MakeError(reported_kind_, reported_sigma_) : nullptr;
+  auto add_model = [&](ErrorKind kind, double sigma) {
+    ErrorDistributionPtr actual = prob::MakeError(kind, sigma);
+    if (misreport_) {
+      reported_of.push_back(reported_const);
+    } else if (tailed_uniform_reporting_ &&
+               actual->kind() == ErrorKind::kUniform) {
+      reported_of.push_back(
+          prob::MakeTailedUniformError(actual->stddev(), tail_weight_));
+    } else {
+      reported_of.push_back(actual);
     }
-    return actual;
+    out.models.push_back(std::move(actual));
   };
-
-  for (std::size_t i = 0; i < length; ++i) {
-    ErrorDistributionPtr actual;
-    switch (regime_) {
-      case ErrorRegime::kConstant:
-        actual = constant_dist;
-        break;
-      case ErrorRegime::kMixedSigma:
-        actual = is_hi[i] ? hi_dist : lo_dist;
-        break;
-      case ErrorRegime::kMixedKind: {
-        const auto k = static_cast<int>(rng.UniformInt(3));
-        actual = mixed_kind_cache[k][is_hi[i] ? 1 : 0];
-        break;
+  switch (regime_) {
+    case ErrorRegime::kConstant:
+      add_model(kind_, sigma_);
+      break;
+    case ErrorRegime::kMixedSigma:
+      add_model(kind_, sigma_lo_);
+      add_model(kind_, sigma_hi_);
+      break;
+    case ErrorRegime::kMixedKind:
+      for (ErrorKind kind : kMixKinds) {
+        add_model(kind, sigma_lo_);
+        add_model(kind, sigma_hi_);
       }
+      break;
+  }
+
+  out.actual.reserve(length);
+  out.reported.reserve(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    std::size_t m = is_hi[i] ? 1 : 0;
+    if (regime_ == ErrorRegime::kMixedKind) {
+      m += 2 * static_cast<std::size_t>(rng.UniformInt(3));
     }
-    out.reported.push_back(report_of(actual));
-    out.actual.push_back(std::move(actual));
+    out.actual.push_back(out.models[m].get());
+    out.reported.push_back(reported_of[m]);
   }
   return out;
 }

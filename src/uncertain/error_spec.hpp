@@ -14,7 +14,9 @@
 ///
 /// An `ErrorSpec` turns into a per-timestamp `ErrorAssignment` with two
 /// parallel distribution vectors: `actual` generates the observations,
-/// `reported` is what the techniques are allowed to know.
+/// `reported` is what the techniques are allowed to know. A regime has only
+/// a few distinct models, so each assignment builds them once and every
+/// timestamp refers to one of them.
 
 #ifndef UTS_UNCERTAIN_ERROR_SPEC_HPP_
 #define UTS_UNCERTAIN_ERROR_SPEC_HPP_
@@ -30,11 +32,22 @@
 namespace uts::uncertain {
 
 /// \brief Per-timestamp error models for one series.
+///
+/// Ownership: `models` owns the regime's distinct actual models (one for a
+/// constant spec, two for mixed σ, six for mixed kind), and every `actual`
+/// entry is a non-owning pointer into it — valid while the assignment (or
+/// its `models`) lives. `reported` holds shared owners because it becomes
+/// the perturbed series' error models; it shares one object per distinct
+/// reported model (an actual model itself, the misreported constant, or one
+/// tailed-uniform substitute per uniform model).
 struct ErrorAssignment {
-  /// Distribution that actually perturbs each point.
-  std::vector<prob::ErrorDistributionPtr> actual;
-  /// Distribution reported to the similarity techniques (usually == actual).
+  /// Distribution that actually perturbs each point; points into `models`.
+  std::vector<const prob::ErrorDistribution*> actual;
+  /// Distribution reported to the similarity techniques (usually the same
+  /// object as the actual one).
   std::vector<prob::ErrorDistributionPtr> reported;
+  /// The distinct actual models `actual` points at.
+  std::vector<prob::ErrorDistributionPtr> models;
 
   std::size_t size() const { return actual.size(); }
 };

@@ -1,6 +1,33 @@
 #include "uncertain/perturb.hpp"
 
+#include "exec/parallel_for.hpp"
+
 namespace uts::uncertain {
+
+namespace {
+
+/// Series per pool task: enough work per chunk to amortize the submission,
+/// enough chunks to keep every worker busy on the paper's datasets.
+constexpr std::size_t kSeriesPerChunk = 16;
+
+/// A dataset named like `exact` whose series i is `perturb_one(i)`, filled
+/// on the pool (inline without one); each call writes only its own slot.
+template <typename Dataset, typename PerturbOne>
+Dataset PerturbEach(const ts::Dataset& exact, exec::ThreadPool* pool,
+                    const PerturbOne& perturb_one) {
+  Dataset out;
+  out.name = exact.name();
+  out.series.resize(exact.size());
+  exec::ParallelFor(pool, exact.size(), kSeriesPerChunk,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        out.series[i] = perturb_one(i);
+                      }
+                    });
+  return out;
+}
+
+}  // namespace
 
 UncertainSeries PerturbSeries(const ts::TimeSeries& exact,
                               const ErrorSpec& spec, std::uint64_t seed) {
@@ -39,29 +66,22 @@ MultiSampleSeries PerturbMultiSample(const ts::TimeSeries& exact,
 }
 
 UncertainDataset PerturbDataset(const ts::Dataset& exact,
-                                const ErrorSpec& spec, std::uint64_t seed) {
-  UncertainDataset out;
-  out.name = exact.name();
-  out.series.reserve(exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    out.series.push_back(
-        PerturbSeries(exact[i], spec, prob::DeriveSeed(seed, i)));
-  }
-  return out;
+                                const ErrorSpec& spec, std::uint64_t seed,
+                                exec::ThreadPool* pool) {
+  return PerturbEach<UncertainDataset>(exact, pool, [&](std::size_t i) {
+    return PerturbSeries(exact[i], spec, prob::DeriveSeed(seed, i));
+  });
 }
 
 MultiSampleDataset PerturbDatasetMultiSample(const ts::Dataset& exact,
                                              const ErrorSpec& spec,
                                              std::size_t samples_per_point,
-                                             std::uint64_t seed) {
-  MultiSampleDataset out;
-  out.name = exact.name();
-  out.series.reserve(exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    out.series.push_back(PerturbMultiSample(exact[i], spec, samples_per_point,
-                                            prob::DeriveSeed(seed, i)));
-  }
-  return out;
+                                             std::uint64_t seed,
+                                             exec::ThreadPool* pool) {
+  return PerturbEach<MultiSampleDataset>(exact, pool, [&](std::size_t i) {
+    return PerturbMultiSample(exact[i], spec, samples_per_point,
+                              prob::DeriveSeed(seed, i));
+  });
 }
 
 }  // namespace uts::uncertain

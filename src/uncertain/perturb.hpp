@@ -6,12 +6,18 @@
 /// through perturbation" (Section 4.1.1). Perturbation is fully deterministic
 /// given (series index, seed), so experiments are reproducible and every
 /// technique sees exactly the same perturbed data.
+///
+/// The dataset calls can split their series over an `exec::ThreadPool`.
+/// Series i always draws from its own seed DeriveSeed(seed, i) and writes
+/// only output slot i, so the result is bitwise identical at every pool
+/// width, and to the inline loop.
 
 #ifndef UTS_UNCERTAIN_PERTURB_HPP_
 #define UTS_UNCERTAIN_PERTURB_HPP_
 
 #include <cstdint>
 
+#include "exec/thread_pool.hpp"
 #include "ts/dataset.hpp"
 #include "uncertain/error_spec.hpp"
 #include "uncertain/uncertain_series.hpp"
@@ -35,14 +41,21 @@ MultiSampleSeries PerturbMultiSample(const ts::TimeSeries& exact,
 
 /// \brief Perturb a whole dataset (pdf model). Series i uses the derived
 /// seed DeriveSeed(seed, i).
+///
+/// With a `pool` the series are perturbed on its workers; null (the
+/// default) runs the loop inline, as does a call from one of the pool's own
+/// workers. The output is bitwise identical either way.
 UncertainDataset PerturbDataset(const ts::Dataset& exact,
-                                const ErrorSpec& spec, std::uint64_t seed);
+                                const ErrorSpec& spec, std::uint64_t seed,
+                                exec::ThreadPool* pool = nullptr);
 
-/// \brief Perturb a whole dataset (repeated-observations model).
+/// \brief Perturb a whole dataset (repeated-observations model). Series i
+/// uses the derived seed DeriveSeed(seed, i); `pool` as for PerturbDataset.
 MultiSampleDataset PerturbDatasetMultiSample(const ts::Dataset& exact,
                                              const ErrorSpec& spec,
                                              std::size_t samples_per_point,
-                                             std::uint64_t seed);
+                                             std::uint64_t seed,
+                                             exec::ThreadPool* pool = nullptr);
 
 }  // namespace uts::uncertain
 

@@ -13,6 +13,9 @@
 //  * lazy caches — τ-sweep style rebinds to bit-identical data keep the
 //    packed engines; incompatible measure configurations are declined and
 //    fall back to the sequential scalar path;
+//  * bind fingerprint — equal content rebinds whatever the model objects,
+//    one changed point misses, and the decisions are the same at 1, 2 and
+//    8 threads;
 //  * the unbound-matcher regression — Retrieve / Matches /
 //    CalibrationDistance on a never-bound matcher return a Status instead
 //    of dereferencing null state.
@@ -22,13 +25,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstddef>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/matchers.hpp"
 #include "exec/thread_pool.hpp"
+#include "prob/distribution.hpp"
 #include "prob/rng.hpp"
 #include "query/engine_context.hpp"
 #include "query/uncertain_engine.hpp"
@@ -544,6 +550,137 @@ TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
   EXPECT_EQ(engines.stats().pdf_packs, 2u);
   EXPECT_EQ(engines.stats().resident_adds, 3u);
   EXPECT_EQ(engines.stats().resident_activations, 3u);
+}
+
+// --- Bind fingerprint --------------------------------------------------------
+
+/// `exact` as a pdf dataset with normal(σ) error at every point: one model
+/// object shared by every point of every series when `shared_model`, one
+/// object per series otherwise. The two fingerprint equally.
+uncertain::UncertainDataset NormalPdf(const ts::Dataset& exact, double sigma,
+                                      bool shared_model) {
+  uncertain::UncertainDataset pdf;
+  pdf.name = exact.name();
+  const prob::ErrorDistributionPtr shared = prob::MakeNormalError(sigma);
+  for (const auto& series : exact) {
+    const auto values = series.values();
+    const prob::ErrorDistributionPtr model =
+        shared_model ? shared : prob::MakeNormalError(sigma);
+    pdf.series.emplace_back(
+        std::vector<double>(values.begin(), values.end()),
+        std::vector<prob::ErrorDistributionPtr>(values.size(), model),
+        series.label());
+  }
+  return pdf;
+}
+
+/// `pdf` with point t of series s replaced by (value, model).
+uncertain::UncertainDataset WithPoint(uncertain::UncertainDataset pdf,
+                                      std::size_t s, std::size_t t,
+                                      double value,
+                                      prob::ErrorDistributionPtr model) {
+  const uncertain::UncertainSeries& old = pdf.series[s];
+  std::vector<double> observations = old.observations();
+  std::vector<prob::ErrorDistributionPtr> errors;
+  for (std::size_t i = 0; i < old.size(); ++i) errors.push_back(old.error(i));
+  observations[t] = value;
+  errors[t] = std::move(model);
+  pdf.series[s] = uncertain::UncertainSeries(
+      std::move(observations), std::move(errors), old.label(), old.id());
+  return pdf;
+}
+
+TEST(EngineContextTest, EqualContentRebindsWhateverTheModelObjects) {
+  // 40 series: several fingerprint chunks, the last one short.
+  const ts::Dataset exact = MakeExact(40, 8, 21);
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(
+      engines.BindData(NormalPdf(exact, 0.5, true), std::nullopt, 3, 0.5)
+          .ok());
+  ASSERT_NE(engines.AcquireProud(0.5), nullptr);
+  ASSERT_EQ(engines.stats().pdf_packs, 1u);
+
+  // Same observations and models by Key(), one model object per series.
+  ASSERT_TRUE(
+      engines.BindData(NormalPdf(exact, 0.5, false), std::nullopt, 3, 0.5)
+          .ok());
+  EXPECT_EQ(engines.stats().data_rebind_hits, 1u);
+  EXPECT_EQ(engines.stats().data_binds, 1u);
+  ASSERT_NE(engines.AcquireProud(0.5), nullptr);
+  EXPECT_EQ(engines.stats().pdf_packs, 1u);
+}
+
+TEST(EngineContextTest, OneChangedObservationOrModelInAMiddleSeriesMisses) {
+  const ts::Dataset exact = MakeExact(40, 8, 21);
+  const uncertain::UncertainDataset base = NormalPdf(exact, 0.5, true);
+  const double value = base[20].observation(3);
+  const prob::ErrorDistributionPtr model = base[20].error(3);
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(engines.BindData(base, std::nullopt, 3, 0.5).ok());
+
+  const uncertain::UncertainDataset changed[] = {
+      WithPoint(base, 20, 3, std::nextafter(value, 1e9), model),
+      WithPoint(base, 20, 3, value, prob::MakeNormalError(0.6)),
+      WithPoint(base, 20, 3, value, prob::MakeUniformError(0.5)),
+  };
+  std::size_t binds = 1;
+  for (const auto& pdf : changed) {
+    ASSERT_TRUE(engines.BindData(pdf, std::nullopt, 3, 0.5).ok());
+    EXPECT_EQ(engines.stats().data_binds, ++binds);
+    // And back: the base content differs from what is bound now.
+    ASSERT_TRUE(engines.BindData(base, std::nullopt, 3, 0.5).ok());
+    EXPECT_EQ(engines.stats().data_binds, ++binds);
+  }
+  EXPECT_EQ(engines.stats().data_rebind_hits, 0u);
+}
+
+TEST(EngineContextTest, BindDecisionsAreTheSameAtEveryThreadCount) {
+  const ts::Dataset exact = MakeExact(40, 8, 21);
+  const auto spec = uncertain::ErrorSpec::MixedSigma(ErrorKind::kNormal);
+  const uncertain::UncertainDataset shared = NormalPdf(exact, 0.5, true);
+  const uncertain::UncertainDataset changed =
+      WithPoint(shared, 20, 3, 0.25, shared[20].error(3));
+  struct Bind {
+    uncertain::UncertainDataset pdf;
+    std::optional<uncertain::MultiSampleDataset> samples;
+    std::uint64_t seed;
+    double proud_sigma;
+  };
+  const std::vector<Bind> sequence = {
+      {shared, std::nullopt, 3, 0.5},
+      {NormalPdf(exact, 0.5, false), std::nullopt, 3, 0.5},  // hit
+      {changed, std::nullopt, 3, 0.5},                       // miss
+      {changed, std::nullopt, 3, 0.5},                       // hit
+      {changed, std::nullopt, 4, 0.5},                       // seed: miss
+      {changed, std::nullopt, 4, 0.6},                       // σ: miss
+      {uncertain::PerturbDataset(exact, spec, 9), std::nullopt, 9, 0.5},
+      {uncertain::PerturbDataset(exact, spec, 9), std::nullopt, 9, 0.5},
+      {uncertain::PerturbDataset(exact, spec, 9),
+       uncertain::PerturbDatasetMultiSample(exact, spec, 3, 9), 9, 0.5},
+      {uncertain::PerturbDataset(exact, spec, 9),
+       uncertain::PerturbDatasetMultiSample(exact, spec, 3, 9), 9, 0.5},
+      {uncertain::PerturbDataset(exact, spec, 9),
+       uncertain::PerturbDatasetMultiSample(exact, spec, 2, 9), 9, 0.5},
+  };
+  const std::vector<bool> expected_hits = {false, true,  false, true,
+                                           false, false, false, true,
+                                           false, true,  false};
+  for (std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineContextOptions options;
+    options.threads = threads;
+    EngineContext engines(options);
+    std::vector<bool> hits;
+    for (const Bind& bind : sequence) {
+      const std::size_t before = engines.stats().data_rebind_hits;
+      ASSERT_TRUE(engines
+                      .BindData(bind.pdf, bind.samples, bind.seed,
+                                bind.proud_sigma)
+                      .ok());
+      hits.push_back(engines.stats().data_rebind_hits != before);
+    }
+    EXPECT_EQ(hits, expected_hits);
+  }
 }
 
 TEST(EngineContextTest, SessionAttachReplaysOnlyFramesPastPartialAck) {

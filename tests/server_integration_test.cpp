@@ -17,7 +17,8 @@
 //    a dispatcher for at most send_timeout_ms; responses buffer in the
 //    session backlog and replay on reconnect;
 //  * boundary validation — malformed ε, τ and k are rejected where a
-//    request reads them, directly on Service and as kBadRequest frames.
+//    request reads them, and binds with non-finite values or a bad σ,
+//    directly on Service and as kBadRequest frames.
 //
 // Cross-shard behavior (per-dataset dispatchers, pool policies, global
 // admission) lives in server_shard_test.cpp.
@@ -592,7 +593,7 @@ TEST(ServerIntegration, ServiceRejectsMalformedQueryParameters) {
   }
 }
 
-TEST(ServerIntegration, MalformedQueryParametersFailOverTheWire) {
+TEST(ServerIntegration, MalformedBindsAndQueriesFailOverTheWire) {
   ServerOptions options;
   options.unix_socket_path = SocketPath("validate");
   options.service = MakeServiceOptions(2);
@@ -606,7 +607,6 @@ TEST(ServerIntegration, MalformedQueryParametersFailOverTheWire) {
   auto client_or = Client::Connect(copts);
   ASSERT_TRUE(client_or.ok());
   auto client = std::move(client_or).ValueOrDie();
-  ASSERT_TRUE(client->Bind(MakeBind("v", MakeExact(12, 16, 5), 3)).ok());
 
   // Each rejection arrives as a kBadRequest frame naming the field.
   auto expect_bad_request = [&](const Status& status, const char* what) {
@@ -617,6 +617,14 @@ TEST(ServerIntegration, MalformedQueryParametersFailOverTheWire) {
   };
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ts::Dataset exact = MakeExact(12, 16, 5);
+  BindDatasetRequest nan_value = MakeBind("v", exact, 3);
+  nan_value.series[2][0] = kNaN;
+  expect_bad_request(client->Bind(nan_value).status(), "bind: series values");
+  BindDatasetRequest zero_sigma = MakeBind("v", exact, 3);
+  zero_sigma.sigma = 0.0;
+  expect_bad_request(client->Bind(zero_sigma).status(), "bind: sigma");
+  ASSERT_TRUE(client->Bind(MakeBind("v", exact, 3)).ok());
   expect_bad_request(
       client->Knn(MakeQuery(WireMeasure::kProud, 3, kNaN, 0.5)).status(),
       "knn: epsilon");
@@ -643,6 +651,42 @@ TEST(ServerIntegration, MalformedQueryParametersFailOverTheWire) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.ValueOrDie().neighbors.size(), 3u);
   server->Stop();
+}
+
+TEST(ServerIntegration, ServiceRejectsMalformedBinds) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr auto kInvalid = StatusCode::kInvalidArgument;
+  const ts::Dataset exact = MakeExact(6, 8, 5);
+  Service service(MakeServiceOptions(1));
+
+  // A non-finite value anywhere in the series, under either regime.
+  for (double bad : {kNaN, kInf, -kInf}) {
+    for (std::uint8_t mixed : {0, 1}) {
+      BindDatasetRequest bind = MakeBind("v", exact, 0);
+      bind.mixed_sigma = mixed;
+      bind.series[3][5] = bad;
+      EXPECT_EQ(service.Bind(bind, 1).status().code(), kInvalid);
+    }
+  }
+  // A non-finite or non-positive σ where the constant regime reads it.
+  for (double sigma : {kNaN, kInf, -kInf, 0.0, -0.4}) {
+    BindDatasetRequest bind = MakeBind("v", exact, 0);
+    bind.sigma = sigma;
+    EXPECT_EQ(service.Bind(bind, 1).status().code(), kInvalid);
+  }
+  EXPECT_TRUE(service.List(1).names.empty());
+
+  // The mixed regime does not read σ; the paper's σ levels still bind.
+  BindDatasetRequest mixed = MakeBind("mixed", exact, 0);
+  mixed.mixed_sigma = 1;
+  mixed.sigma = kNaN;
+  EXPECT_TRUE(service.Bind(mixed, 1).ok());
+  for (double sigma : {0.4, 0.5, 0.75}) {
+    BindDatasetRequest bind = MakeBind("v", exact, 2);
+    bind.sigma = sigma;
+    EXPECT_TRUE(service.Bind(bind, 1).ok()) << sigma;
+  }
 }
 
 }  // namespace

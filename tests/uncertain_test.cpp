@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <set>
 
+#include "exec/parallel_for.hpp"
+#include "exec/thread_pool.hpp"
 #include "prob/stats.hpp"
 #include "ts/normalize.hpp"
 #include "uncertain/error_spec.hpp"
@@ -65,10 +69,12 @@ TEST(ErrorSpecTest, ConstantAssignsOneDistributionEverywhere) {
   const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.7);
   const ErrorAssignment a = spec.Assign(20, 42);
   ASSERT_EQ(a.size(), 20u);
+  ASSERT_EQ(a.models.size(), 1u);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_EQ(a.actual[i]->kind(), ErrorKind::kNormal);
     EXPECT_NEAR(a.actual[i]->stddev(), 0.7, 1e-12);
-    EXPECT_EQ(a.actual[i].get(), a.reported[i].get());  // same object
+    EXPECT_EQ(a.actual[i], a.models[0].get());  // owned by the assignment
+    EXPECT_EQ(a.actual[i], a.reported[i].get());  // same object
   }
   EXPECT_NEAR(spec.RepresentativeSigma(), 0.7, 1e-12);
 }
@@ -102,10 +108,19 @@ TEST(ErrorSpecTest, MixedKindUsesAllThreeFamilies) {
   const ErrorSpec spec = ErrorSpec::MixedKind();
   const ErrorAssignment a = spec.Assign(300, 11);
   std::set<ErrorKind> kinds;
-  for (const auto& d : a.actual) kinds.insert(d->kind());
+  for (const auto* d : a.actual) kinds.insert(d->kind());
   EXPECT_TRUE(kinds.count(ErrorKind::kNormal));
   EXPECT_TRUE(kinds.count(ErrorKind::kUniform));
   EXPECT_TRUE(kinds.count(ErrorKind::kExponential));
+}
+
+TEST(ErrorSpecTest, ActualModelsPointIntoTheAssignmentsOwnModels) {
+  // Three families × two σ levels: six models, however long the series.
+  const ErrorAssignment a = ErrorSpec::MixedKind().Assign(300, 11);
+  ASSERT_EQ(a.models.size(), 6u);
+  std::set<const prob::ErrorDistribution*> owned;
+  for (const auto& model : a.models) owned.insert(model.get());
+  for (const auto* d : a.actual) EXPECT_EQ(owned.count(d), 1u);
 }
 
 TEST(ErrorSpecTest, MisreportedSeparatesActualFromReported) {
@@ -125,14 +140,21 @@ TEST(ErrorSpecTest, MisreportedSeparatesActualFromReported) {
 TEST(ErrorSpecTest, TailedUniformReportingOnlyRewritesUniform) {
   const ErrorSpec spec = ErrorSpec::MixedKind().WithTailedUniformReporting();
   const ErrorAssignment a = spec.Assign(300, 13);
+  // One substitute per uniform σ level, shared by every point at that σ.
+  std::map<double, const prob::ErrorDistribution*> substitute_of_sigma;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a.actual[i]->kind() == ErrorKind::kUniform) {
       EXPECT_EQ(a.reported[i]->kind(), ErrorKind::kTailedUniform);
       EXPECT_NEAR(a.reported[i]->stddev(), a.actual[i]->stddev(), 1e-9);
+      const auto [it, first] = substitute_of_sigma.emplace(
+          a.actual[i]->stddev(), a.reported[i].get());
+      EXPECT_EQ(it->second, a.reported[i].get()) << "point " << i;
     } else {
       EXPECT_EQ(a.reported[i]->kind(), a.actual[i]->kind());
+      EXPECT_EQ(a.reported[i].get(), a.actual[i]);
     }
   }
+  EXPECT_EQ(substitute_of_sigma.size(), 2u);  // σ_lo and σ_hi
 }
 
 TEST(ErrorSpecTest, RepresentativeSigmaOfMixedSpecIsRms) {
@@ -242,6 +264,114 @@ TEST(PerturbTest, MultiSampleDatasetIsDeterministic) {
     for (std::size_t i = 0; i < 8; ++i) {
       EXPECT_EQ(a[s].samples(i), b[s].samples(i));
     }
+  }
+}
+
+// ------------------------------------------------------- perturbation pool
+
+constexpr std::size_t kPoolWidths[] = {1, 2, 8};
+
+/// The error specs the paper perturbs with.
+std::vector<ErrorSpec> PaperSpecs() {
+  return {ErrorSpec::Constant(ErrorKind::kNormal, 0.5),
+          ErrorSpec::MixedSigma(ErrorKind::kNormal),
+          ErrorSpec::MixedKind(),
+          ErrorSpec::MixedSigma(ErrorKind::kNormal)
+              .WithMisreported(ErrorKind::kNormal, 0.7),
+          ErrorSpec::MixedKind().WithTailedUniformReporting()};
+}
+
+/// Enough series for several pool chunks, the last one short.
+ts::Dataset ManySeries() {
+  ts::Dataset dataset("many");
+  for (std::size_t s = 0; s < 53; ++s) {
+    std::vector<double> values(24);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = std::sin(0.3 * static_cast<double>(i + s));
+    }
+    dataset.Add(ts::TimeSeries(std::move(values), static_cast<int>(s % 3),
+                               "many/" + std::to_string(s)));
+  }
+  return dataset;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Bitwise equal observations, equal metadata and equal error models
+/// (compared by Key(): the two sides build their own model objects).
+void ExpectSameDataset(const UncertainDataset& a, const UncertainDataset& b) {
+  EXPECT_EQ(a.name, b.name);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size()) << "series " << s;
+    EXPECT_EQ(a[s].label(), b[s].label());
+    EXPECT_EQ(a[s].id(), b[s].id());
+    for (std::size_t t = 0; t < a[s].size(); ++t) {
+      EXPECT_TRUE(SameBits(a[s].observation(t), b[s].observation(t)))
+          << "series " << s << " point " << t;
+      EXPECT_EQ(a[s].error(t)->Key(), b[s].error(t)->Key());
+    }
+  }
+}
+
+void ExpectSameDataset(const MultiSampleDataset& a,
+                       const MultiSampleDataset& b) {
+  EXPECT_EQ(a.name, b.name);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size()) << "series " << s;
+    EXPECT_EQ(a[s].label(), b[s].label());
+    EXPECT_EQ(a[s].id(), b[s].id());
+    for (std::size_t t = 0; t < a[s].size(); ++t) {
+      ASSERT_EQ(a[s].num_samples(t), b[s].num_samples(t));
+      for (std::size_t k = 0; k < a[s].num_samples(t); ++k) {
+        EXPECT_TRUE(SameBits(a[s].samples(t)[k], b[s].samples(t)[k]))
+            << "series " << s << " point " << t << " sample " << k;
+      }
+    }
+  }
+}
+
+TEST(PerturbPoolTest, DatasetOnAPoolIsBitwiseTheInlineDataset) {
+  const ts::Dataset exact = ManySeries();
+  for (const ErrorSpec& spec : PaperSpecs()) {
+    SCOPED_TRACE(spec.Describe());
+    const UncertainDataset inline_pdf = PerturbDataset(exact, spec, 31);
+    const MultiSampleDataset inline_samples =
+        PerturbDatasetMultiSample(exact, spec, 3, 31);
+    for (std::size_t width : kPoolWidths) {
+      SCOPED_TRACE("pool width " + std::to_string(width));
+      exec::ThreadPool pool(width);
+      ExpectSameDataset(PerturbDataset(exact, spec, 31, &pool), inline_pdf);
+      ExpectSameDataset(PerturbDatasetMultiSample(exact, spec, 3, 31, &pool),
+                        inline_samples);
+    }
+  }
+}
+
+TEST(PerturbPoolTest, CallFromAWorkerOfThePoolRunsInline) {
+  // Both workers issue a perturbation on their own pool. Had the nested
+  // calls queued chunks behind the waiting workers, this would hang.
+  const ts::Dataset exact = ManySeries();
+  const ErrorSpec spec = ErrorSpec::MixedSigma(ErrorKind::kUniform);
+  exec::ThreadPool pool(2);
+  std::vector<UncertainDataset> pdfs(2);
+  std::vector<MultiSampleDataset> samples(2);
+  exec::ParallelFor(&pool, 2, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      EXPECT_TRUE(pool.OnWorkerThread());
+      pdfs[i] = PerturbDataset(exact, spec, 8, &pool);
+      samples[i] = PerturbDatasetMultiSample(exact, spec, 2, 8, &pool);
+    }
+  });
+  const UncertainDataset inline_pdf = PerturbDataset(exact, spec, 8);
+  const MultiSampleDataset inline_samples =
+      PerturbDatasetMultiSample(exact, spec, 2, 8);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ExpectSameDataset(pdfs[i], inline_pdf);
+    ExpectSameDataset(samples[i], inline_samples);
   }
 }
 

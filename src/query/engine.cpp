@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "distance/batch.hpp"
 #include "distance/lp.hpp"
 #include "exec/parallel_for.hpp"
-#include "index/cascade.hpp"
 
 namespace uts::query {
 
@@ -32,26 +30,6 @@ void BoundedMotifHeap::Push(const MotifPair& pair) {
 std::vector<MotifPair> BoundedMotifHeap::TakeSorted() {
   std::sort(heap_.begin(), heap_.end(), Less);
   return std::move(heap_);
-}
-
-std::vector<Neighbor> SelectKNearest(std::span<const double> distances,
-                                     std::size_t exclude, std::size_t k) {
-  std::vector<Neighbor> all;
-  all.reserve(distances.size());
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    if (i == exclude) continue;
-    all.push_back({i, distances[i]});
-  }
-  const std::size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(take),
-                    all.end(), [](const Neighbor& a, const Neighbor& b) {
-                      if (a.distance != b.distance) {
-                        return a.distance < b.distance;
-                      }
-                      return a.index < b.index;
-                    });
-  all.resize(take);
-  return all;
 }
 
 }  // namespace detail
@@ -106,6 +84,11 @@ std::size_t DistanceMatrixEngine::threads() const {
   return pool_ ? pool_->size() : 1;
 }
 
+detail::ScanTarget DistanceMatrixEngine::Target() const {
+  return {ts::StoreView(*store_), dispatch_, pool_, options_.grain,
+          synopsis_index_.get()};
+}
+
 std::size_t DistanceMatrixEngine::MotifGrain(std::size_t n) const {
   const std::size_t t = threads();
   if (t <= 1) return options_.grain;
@@ -115,19 +98,6 @@ std::size_t DistanceMatrixEngine::MotifGrain(std::size_t n) const {
 // --- Generic callback paths --------------------------------------------------
 
 namespace {
-
-/// Indices (ascending, skipping `exclude`) whose value satisfies `keep`.
-template <typename Keep>
-std::vector<std::size_t> CollectMatches(std::span<const double> values,
-                                        std::size_t exclude,
-                                        const Keep& keep) {
-  std::vector<std::size_t> matches;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i == exclude) continue;
-    if (keep(values[i])) matches.push_back(i);
-  }
-  return matches;
-}
 
 /// Euclidean distance over the common prefix of two (possibly ragged)
 /// series. Only the un-batched fallback paths can see mixed lengths; the
@@ -156,22 +126,15 @@ std::vector<double> DistanceMatrixEngine::ComputeDense(
 std::vector<Neighbor> DistanceMatrixEngine::KNearest(
     std::size_t n, std::size_t exclude, std::size_t k,
     const DistanceToFn& distance_to) const {
-  return detail::SelectKNearest(ComputeDense(n, exclude, distance_to),
-                                exclude, k);
-}
-
-std::vector<std::size_t> DistanceMatrixEngine::RangeSearch(
-    std::size_t n, std::size_t exclude, double epsilon,
-    const DistanceToFn& distance_to) const {
-  return CollectMatches(ComputeDense(n, exclude, distance_to), exclude,
-                        [epsilon](double d) { return d <= epsilon; });
+  return detail::SelectKSmallest(ComputeDense(n, exclude, distance_to),
+                                 exclude, k);
 }
 
 std::vector<std::size_t> DistanceMatrixEngine::ProbabilisticRangeSearch(
     std::size_t n, std::size_t exclude, double tau,
     const MatchProbabilityFn& probability_of) const {
-  return CollectMatches(ComputeDense(n, exclude, probability_of), exclude,
-                        [tau](double p) { return p >= tau; });
+  return detail::SelectThreshold(ComputeDense(n, exclude, probability_of),
+                                 exclude, tau, detail::Keep::kAtLeast);
 }
 
 std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
@@ -197,100 +160,18 @@ std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
 
 // --- Euclidean batched paths -------------------------------------------------
 
-namespace {
-
-/// Relative inflation of τ² handed to the early-abandon filter. The exact
-/// scan's τ is a rounded sqrt (τ² can understate the stored square by
-/// ~3·eps relative) and the abandon kernel accumulates in a different order
-/// than the exact per-row kernel (divergence ≲ 2n·eps relative, n up to
-/// ~1e7). A partial sum above the inflated threshold therefore proves the
-/// exact kernel's distance exceeds τ — abandoning can never drop a row the
-/// full scan would keep.
-constexpr double kAbandonSlack = 4e-9;
-
-/// Work accounting of a path that scores every eligible candidate.
-void ChargeFullScan(index::SearchCost* cost, std::size_t eligible) {
-  if (cost == nullptr) return;
-  cost->candidates_total += eligible;
-  cost->candidates_touched += eligible;
-}
-
-}  // namespace
-
-index::ExactScorer DistanceMatrixEngine::EuclideanCascadeScorer(
-    std::span<const double> query, index::SearchCost* cost) const {
-  // `query` must stay pinned by the caller for the scorer's lifetime; the
-  // candidate row's block is pinned per call (free for resident stores).
-  return [this, query, cost](std::size_t row, double tau) {
-    const ts::StoreView view(*store_);
-    const auto pin = ts::PinOrAbort(view, view.block_of(row));
-    const std::size_t local = row - pin.first_row();
-    double value = 0.0;
-    const std::span<double> slot(&value, 1);
-    if (std::isfinite(tau)) {
-      const double threshold_sq = tau * tau * (1.0 + kAbandonSlack);
-      dispatch_->squared_euclidean_early_abandon_range(
-          query, pin.block(), threshold_sq, local, local + 1, slot);
-      if (value > threshold_sq) {
-        if (cost != nullptr) ++cost->abandoned_early;
-        return std::numeric_limits<double>::infinity();
-      }
-    }
-    // Final value always comes from the same per-row-deterministic kernel
-    // the full scan uses (the abandon kernel's completed sums accumulate in
-    // a different order under AVX2 and are *not* bitwise comparable).
-    dispatch_->squared_euclidean_range(query, pin.block(), local, local + 1,
-                                       slot);
-    return std::sqrt(value);
-  };
-}
-
-std::vector<Neighbor> DistanceMatrixEngine::IndexedKNearestEuclidean(
-    std::size_t query_index, std::size_t k, index::SearchCost* cost) const {
-  const ts::StoreView view(*store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query_index);
-  const std::span<const double> query = query_pin.row();
-  std::vector<double> bounds(store_->rows(), 0.0);
-  synopsis_index_->EuclideanLowerBounds(synopsis_index_->Synopsize(query),
-                                        bounds);
-  return index::CascadeKNearest(bounds, query_index, k,
-                                EuclideanCascadeScorer(query, cost), cost);
-}
-
 std::vector<Neighbor> DistanceMatrixEngine::KNearestEuclidean(
     std::size_t query_index, std::size_t k, index::SearchCost* cost) const {
   const std::size_t n = dataset_->size();
   assert(query_index < n);
-  if (synopsis_index_ != nullptr) {
-    return IndexedKNearestEuclidean(query_index, k, cost);
+  if (store_ != nullptr) {
+    return detail::KNearestEuclidean(Target(), query_index, k, cost);
   }
-  ChargeFullScan(cost, n - 1);
-  if (store_ == nullptr) {
-    const ts::TimeSeries& query = (*dataset_)[query_index];
-    return KNearest(n, query_index, k, [&](std::size_t i) {
-      return PrefixEuclidean(query.values(), (*dataset_)[i].values());
-    });
-  }
-  const ts::StoreView view(*store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query_index);
-  const std::span<const double> query = query_pin.row();
-  std::vector<double> distances(n, 0.0);
-  const auto chunks = ts::PartitionRows(view, options_.grain);
-  exec::ParallelFor(
-      pool_, chunks.size(), /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          const ts::RowChunk& chunk = chunks[c];
-          const auto pin = ts::PinOrAbort(view, chunk.block);
-          const std::span<double> slot = std::span<double>(distances).subspan(
-              chunk.begin, chunk.end - chunk.begin);
-          dispatch_->squared_euclidean_range(query, pin.block(),
-                                             chunk.begin - pin.first_row(),
-                                             chunk.end - pin.first_row(), slot);
-          for (double& v : slot) v = std::sqrt(v);
-        }
-      });
-  return detail::SelectKNearest(distances, query_index, k);
+  detail::ChargeFullScan(cost, n - 1);
+  const ts::TimeSeries& query = (*dataset_)[query_index];
+  return KNearest(n, query_index, k, [&](std::size_t i) {
+    return PrefixEuclidean(query.values(), (*dataset_)[i].values());
+  });
 }
 
 std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
@@ -301,15 +182,16 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
   std::vector<std::vector<Neighbor>> out(queries);
   if (synopsis_index_ != nullptr) {
     // Per-query cascades parallelized over queries (grain 1: pruning makes
-    // per-query work uneven). Each query's cost lands in its own record;
-    // the fold below is index-ordered, so the counters are deterministic at
-    // every thread count.
+    // per-query work uneven; a cascade itself never forks). Each query's
+    // cost lands in its own record; the fold below is index-ordered, so the
+    // counters are deterministic at every thread count.
+    const detail::ScanTarget target = Target();
     std::vector<index::SearchCost> per_query(queries);
     exec::ParallelFor(pool_, queries, /*grain=*/1,
                       [&](std::size_t begin, std::size_t end) {
                         for (std::size_t q = begin; q < end; ++q) {
-                          out[q] = IndexedKNearestEuclidean(q, k,
-                                                            &per_query[q]);
+                          out[q] = detail::KNearestEuclidean(target, q, k,
+                                                             &per_query[q]);
                         }
                       });
     if (cost != nullptr) {
@@ -319,7 +201,7 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
     }
     return out;
   }
-  if (n > 0) ChargeFullScan(cost, queries * (n - 1));
+  if (n > 0) detail::ChargeFullScan(cost, queries * (n - 1));
   if (store_ == nullptr) {
     for (std::size_t q = 0; q < queries; ++q) out[q] = KNearestEuclidean(q, k);
     return out;
@@ -381,7 +263,7 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
           for (std::size_t q = begin; q < end; ++q) {
             double* row = matrix.data() + q * n;
             for (std::size_t c = 0; c < n; ++c) row[c] = std::sqrt(row[c]);
-            out[q] = detail::SelectKNearest(
+            out[q] = detail::SelectKSmallest(
                 std::span<const double>(row, n), q, k);
           }
         });
@@ -413,7 +295,7 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
           }
           for (double& v : block) v = std::sqrt(v);
           for (std::size_t q = chunk.begin; q < chunk.end; ++q) {
-            out[q] = detail::SelectKNearest(
+            out[q] = detail::SelectKSmallest(
                 std::span<const double>(block).subspan((q - chunk.begin) * n,
                                                        n),
                 q, k);
@@ -427,45 +309,18 @@ std::vector<std::size_t> DistanceMatrixEngine::RangeSearchEuclidean(
     std::size_t query_index, double epsilon, index::SearchCost* cost) const {
   const std::size_t n = dataset_->size();
   assert(query_index < n);
-  if (synopsis_index_ != nullptr) {
-    const ts::StoreView view(*store_);
-    const auto query_pin = ts::PinRowOrAbort(view, query_index);
-    const std::span<const double> query = query_pin.row();
-    std::vector<double> bounds(store_->rows(), 0.0);
-    synopsis_index_->EuclideanLowerBounds(synopsis_index_->Synopsize(query),
-                                          bounds);
-    return index::CascadeRangeSearch(bounds, query_index, epsilon,
-                                     EuclideanCascadeScorer(query, cost),
-                                     cost);
+  if (store_ != nullptr) {
+    return detail::RangeSearchEuclidean(Target(), query_index, epsilon, cost);
   }
-  ChargeFullScan(cost, n - 1);
-  if (store_ == nullptr) {
-    const ts::TimeSeries& query = (*dataset_)[query_index];
-    return RangeSearch(n, query_index, epsilon, [&](std::size_t i) {
-      return PrefixEuclidean(query.values(), (*dataset_)[i].values());
-    });
-  }
-  const ts::StoreView view(*store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query_index);
-  const std::span<const double> query = query_pin.row();
-  std::vector<double> distances(n, 0.0);
-  const auto chunks = ts::PartitionRows(view, options_.grain);
-  exec::ParallelFor(
-      pool_, chunks.size(), /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          const ts::RowChunk& chunk = chunks[c];
-          const auto pin = ts::PinOrAbort(view, chunk.block);
-          const std::span<double> slot = std::span<double>(distances).subspan(
-              chunk.begin, chunk.end - chunk.begin);
-          dispatch_->squared_euclidean_range(query, pin.block(),
-                                             chunk.begin - pin.first_row(),
-                                             chunk.end - pin.first_row(), slot);
-          for (double& v : slot) v = std::sqrt(v);
-        }
-      });
-  return CollectMatches(distances, query_index,
-                        [epsilon](double d) { return d <= epsilon; });
+  detail::ChargeFullScan(cost, n - 1);
+  const ts::TimeSeries& query = (*dataset_)[query_index];
+  return detail::SelectThreshold(
+      ComputeDense(n, query_index,
+                   [&](std::size_t i) {
+                     return PrefixEuclidean(query.values(),
+                                            (*dataset_)[i].values());
+                   }),
+      query_index, epsilon, detail::Keep::kAtMost);
 }
 
 std::vector<MotifPair> DistanceMatrixEngine::TopKMotifsEuclidean(

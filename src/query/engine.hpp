@@ -8,19 +8,17 @@
 /// candidates scheduled on an `exec::ThreadPool`.
 ///
 /// Determinism guarantee: results are bit-identical to the sequential
-/// reference path at every thread count. Three ingredients make that hold:
-///
-///  1. candidate ranges are a pure blocked partition of the index space
-///     (exec::ParallelFor), never timing-dependent;
-///  2. each worker writes only pre-allocated slots of the output buffer
-///     owned by its range — there is no shared accumulator;
-///  3. reductions (k-NN selection, motif top-k merge, match collection) run
-///     over the completed buffers in ascending index order with the same
-///     (distance, index) tie-break comparator as the legacy sequential
-///     code.
+/// reference path at every thread count. Candidate ranges are a pure
+/// blocked partition of the index space, each worker writes only the output
+/// slots its range owns, and reductions (k-NN selection, motif top-k merge,
+/// match collection) run after the barrier in ascending index order with
+/// the legacy (distance, index) tie-break.
 ///
 /// Euclidean queries stream the dataset's contiguous SoA mirror
-/// (ts::SoaStore) through the blocked kernels of distance/batch.hpp; the
+/// (ts::SoaStore) through the shared store scan of scan.hpp. UncertainEngine
+/// shares that Euclidean measure and the server answers Euclidean requests
+/// from it, so a served dataset needs no engine of this kind; the
+/// evaluation runs this one over exact data for its ground truth. The
 /// callback overloads parallelize arbitrary thread-safe distances (e.g. the
 /// exact-DTW ground truth).
 
@@ -36,6 +34,7 @@
 #include "exec/thread_pool.hpp"
 #include "index/cascade.hpp"
 #include "query/exec_options.hpp"
+#include "query/scan.hpp"
 #include "query/search.hpp"
 #include "ts/dataset.hpp"
 #include "ts/store_view.hpp"
@@ -128,11 +127,6 @@ class DistanceMatrixEngine {
                                  std::size_t k,
                                  const DistanceToFn& distance_to) const;
 
-  /// RQ(Q, C, ε) under an arbitrary distance callback; indices ascending.
-  std::vector<std::size_t> RangeSearch(std::size_t n, std::size_t exclude,
-                                       double epsilon,
-                                       const DistanceToFn& distance_to) const;
-
   /// PRQ(Q, C, ε, τ) over an arbitrary match-probability callback (ε folded
   /// into the callback); indices ascending.
   std::vector<std::size_t> ProbabilisticRangeSearch(
@@ -158,16 +152,8 @@ class DistanceMatrixEngine {
   std::vector<double> ComputeDense(std::size_t n, std::size_t exclude,
                                    const DistanceToFn& fn) const;
 
-  /// Exact scorer over the SoA store for the cascade: early-abandon filter
-  /// (threshold inflated against accumulation rounding) + exact per-row
-  /// kernel, bitwise identical to the unindexed scan's per-row values.
-  index::ExactScorer EuclideanCascadeScorer(std::span<const double> query,
-                                            index::SearchCost* cost) const;
-
-  /// Sequential single-query cascade (no nested parallelism): used by the
-  /// indexed KNearestEuclidean and, per query, by AllKNearestEuclidean.
-  std::vector<Neighbor> IndexedKNearestEuclidean(
-      std::size_t query_index, std::size_t k, index::SearchCost* cost) const;
+  /// The scan target over the SoA store (requires batched()).
+  detail::ScanTarget Target() const;
 
   const ts::Dataset* dataset_;
   EngineOptions options_;
@@ -213,15 +199,6 @@ class BoundedMotifHeap {
   std::size_t k_;
   std::vector<MotifPair> heap_;  ///< Max-heap under Less.
 };
-
-/// \brief Select the k nearest from a dense distance buffer (one slot per
-/// candidate index; slot `exclude` is ignored), with the legacy
-/// (distance, index) comparator. Distances must be final metric values —
-/// selecting on squared values would order sqrt-rounding collisions
-/// (distinct squares whose roots round to the same double) differently
-/// than the sequential reference.
-std::vector<Neighbor> SelectKNearest(std::span<const double> distances,
-                                     std::size_t exclude, std::size_t k);
 
 }  // namespace detail
 

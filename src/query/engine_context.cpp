@@ -242,10 +242,6 @@ Status EngineContext::AddResident(
                                    "' needs a non-empty pdf-model dataset");
   }
   Resident resident;
-  resident.observed = ts::Dataset(name);
-  for (const auto& series : pdf.series) {
-    resident.observed.Add(series.AsTimeSeries());
-  }
   resident.pdf = std::move(pdf);
   resident.samples = std::move(samples);
   resident.seed = seed;
@@ -286,12 +282,6 @@ Status EngineContext::DropResident(const std::string& name) {
   if (active_resident_ == name) active_resident_.clear();
   residents_.erase(it);
   return Status::OK();
-}
-
-const ts::Dataset* EngineContext::ResidentObserved(
-    const std::string& name) const {
-  auto it = residents_.find(name);
-  return it == residents_.end() ? nullptr : &it->second.observed;
 }
 
 const uncertain::UncertainDataset* EngineContext::ResidentPdf(
@@ -355,6 +345,12 @@ UncertainEngine* EngineContext::EnsureUncertain() {
   uncertain_ = std::move(engine).ValueOrDie();
   ++stats_.pdf_packs;
   return uncertain_.get();
+}
+
+UncertainEngine* EngineContext::AcquireEuclidean() {
+  UncertainEngine* engine = EnsureUncertain();
+  ++(engine == nullptr ? stats_.acquires_declined : stats_.acquires_served);
+  return engine;
 }
 
 UncertainEngine* EngineContext::AcquireDust(

@@ -15,16 +15,17 @@
 ///  * **one pdf pack** — `BindData` takes ownership of the perturbed
 ///    datasets of the evaluation; the shared `UncertainEngine` over them is
 ///    built lazily on the first matcher acquisition and reused by every
-///    subsequent one;
+///    subsequent one, Euclidean included (`AcquireEuclidean`);
 ///  * **lazy, cached measure state** — DUST lookup tables (built through a
 ///    context-persistent `measures::Dust` cache, so re-binding across
 ///    datasets under one error spec reuses already-integrated tables),
 ///    PROUD moment columns and the MUNICH sample attachment are each built
 ///    on first use and cached for the rest of the run;
 ///  * **one certain engine** — the `DistanceMatrixEngine` driving the
-///    ground-truth / calibration sweeps is cached across runs keyed by the
-///    exact dataset's content, so repeated runs over one dataset (a τ
-///    search and the final run at the tuned τ) pack it once.
+///    ground-truth sweeps over *exact* data is cached across runs keyed by
+///    the dataset's content, so repeated runs over one dataset (a τ search
+///    and the final run at the tuned τ) pack it once. Residency keeps no
+///    certain view of the observations.
 ///
 /// Re-binding with bit-identical data (the repeated-run pattern: every run
 /// re-perturbs deterministically to the same observations) is detected by
@@ -184,8 +185,8 @@ class EngineContext {
   /// \name Multi-dataset residency (the server front end)
   /// A long-running service keeps several evaluations' datasets alive in one
   /// context and switches between them per request. Residency stores each
-  /// dataset (pdf model, optional sample model, run parameters, plus the
-  /// observations viewed as a certain dataset) under a caller-chosen name;
+  /// dataset (pdf model, optional sample model, run parameters) under a
+  /// caller-chosen name;
   /// `ActivateResident` routes through `BindData`, so re-activating the
   /// dataset that is already bound is a fingerprint rebind hit that keeps
   /// every engine and cache, while switching to a different resident drops
@@ -227,11 +228,6 @@ class EngineContext {
   /// bound copies. NotFound when absent.
   Status DropResident(const std::string& name);
 
-  /// The resident's observations viewed as a certain dataset (the input of
-  /// the Euclidean / ground-truth paths, stable address for `Certain`);
-  /// null when absent.
-  const ts::Dataset* ResidentObserved(const std::string& name) const;
-
   /// The resident's pdf-model run parameters, exported for servers that
   /// need to echo them per request; null when absent.
   const uncertain::UncertainDataset* ResidentPdf(const std::string& name) const;
@@ -250,12 +246,16 @@ class EngineContext {
   /// \}
 
   /// \name Uncertain engine acquisition (one per run, lazily built)
-  /// All three return the same underlying engine — plus its
+  /// All four return the same underlying engine — plus its
   /// measure-specific state built on first use — or null when the bound
   /// dataset is not engine-shaped (empty / non-uniform lengths) or the
   /// requested configuration conflicts with state already built for an
   /// earlier matcher of the run.
   /// \{
+
+  /// Euclidean over the observations: the engine alone, no measure state.
+  /// Declined only when the bound dataset is not engine-shaped.
+  UncertainEngine* AcquireEuclidean();
 
   /// DUST: engine + lookup tables for every distinct error-class pair.
   /// Tables are built through the context's persistent `measures::Dust`
@@ -289,7 +289,6 @@ class EngineContext {
   struct Resident {
     uncertain::UncertainDataset pdf;                     ///< PDF model.
     std::optional<uncertain::MultiSampleDataset> samples;  ///< Sample model.
-    ts::Dataset observed;      ///< Observations as a certain dataset.
     std::uint64_t seed = 0;    ///< MUNICH pair-stream base seed.
     double proud_sigma = 1.0;  ///< Constant σ reported to PROUD.
   };
@@ -325,8 +324,7 @@ class EngineContext {
   bool munich_configured_ = false;
   measures::MunichOptions munich_config_;
 
-  // Residency table of the server front end; map nodes give ResidentObserved
-  // a stable address for the certain-engine cache.
+  // Residency table of the server front end.
   std::map<std::string, Resident> residents_;
   std::string active_resident_;  ///< Empty when the binding is not a resident.
 

@@ -7,7 +7,7 @@
 namespace uts::query {
 
 // The callback overloads are the sequential reference path. They share the
-// engine's selection internals (detail::SelectKNearest, BoundedMotifHeap),
+// engine's selection internals (detail::SelectKSmallest, BoundedMotifHeap),
 // so the parallel engine is bit-identical to them by construction; the
 // callbacks themselves are invoked in ascending index order and need not be
 // thread-safe here.
@@ -20,7 +20,7 @@ std::vector<Neighbor> KNearest(std::size_t n, std::size_t exclude,
     if (i == exclude) continue;
     distances[i] = distance_to(i);
   }
-  return detail::SelectKNearest(distances, exclude, k);
+  return detail::SelectKSmallest(distances, exclude, k);
 }
 
 std::vector<std::size_t> RangeSearch(std::size_t n, std::size_t exclude,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <map>
 #include <string>
 #include <thread>
@@ -13,35 +12,8 @@
 #include "index/cascade.hpp"
 #include "prob/rng.hpp"
 #include "prob/special.hpp"
-#include "query/engine.hpp"
 
 namespace uts::query {
-
-namespace {
-
-/// Top-k by descending score (probability), ties by ascending index — the
-/// selection order of the probabilistic k-NN queries. `exclude` is skipped.
-std::vector<Neighbor> SelectTopKByScore(std::span<const double> scores,
-                                        std::size_t exclude, std::size_t k) {
-  std::vector<Neighbor> all;
-  all.reserve(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (i == exclude) continue;
-    all.push_back({i, scores[i]});
-  }
-  const std::size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(take),
-                    all.end(), [](const Neighbor& a, const Neighbor& b) {
-                      if (a.distance != b.distance) {
-                        return a.distance > b.distance;
-                      }
-                      return a.index < b.index;
-                    });
-  all.resize(take);
-  return all;
-}
-
-}  // namespace
 
 UncertainEngine::UncertainEngine(UncertainEngineOptions options)
     : options_(options),
@@ -66,6 +38,11 @@ UncertainEngine::~UncertainEngine() = default;
 
 std::size_t UncertainEngine::threads() const {
   return pool_ ? pool_->size() : 1;
+}
+
+detail::ScanTarget UncertainEngine::Target() const {
+  return {ts::StoreView(store_), dispatch_, pool_, options_.grain,
+          synopsis_index_.get()};
 }
 
 Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
@@ -181,6 +158,20 @@ Status UncertainEngine::BuildProudMomentColumns() {
   return Status::OK();
 }
 
+// --- Euclidean ---------------------------------------------------------------
+
+std::vector<Neighbor> UncertainEngine::KNearestEuclidean(
+    std::size_t query, std::size_t k, index::SearchCost* cost) const {
+  assert(query < size());
+  return detail::KNearestEuclidean(Target(), query, k, cost);
+}
+
+std::vector<std::size_t> UncertainEngine::RangeSearchEuclidean(
+    std::size_t query, double epsilon, index::SearchCost* cost) const {
+  assert(query < size());
+  return detail::RangeSearchEuclidean(Target(), query, epsilon, cost);
+}
+
 // --- DUST --------------------------------------------------------------------
 
 Status UncertainEngine::BuildDustTables(measures::Dust& shared_cache) {
@@ -215,223 +206,153 @@ Status UncertainEngine::BuildDustTables() {
   return BuildDustTables(*owned_dust_cache_);
 }
 
+Status UncertainEngine::RequireDustTables() const {
+  if (dust_ready_) return Status::OK();
+  return Status::InvalidArgument(
+      "DUST tables not built; call BuildDustTables first");
+}
+
+detail::ChunkScorer UncertainEngine::DustScorer(
+    std::size_t query, std::span<const double> qrow) const {
+  if (num_classes_ == 1) {
+    const distance::DustLut* lut = &dust_luts_.front();
+    return [this, qrow, lut](const ts::RowChunk& chunk,
+                             const ts::StoreView::PinnedBlock& pin,
+                             std::span<double> out) {
+      const std::size_t begin = chunk.begin - pin.first_row();
+      dispatch_->dust_range(qrow, pin.block(), *lut, begin,
+                            begin + out.size(), out);
+    };
+  }
+  // Row t: the K luts pairing the query's class at t with each class.
+  const std::size_t len = length();
+  std::vector<const distance::DustLut*> qluts(len);
+  for (std::size_t t = 0; t < len; ++t) {
+    qluts[t] = &dust_luts_[class_ids_[query * len + t] * num_classes_];
+  }
+  return [this, qrow, len, qluts = std::move(qluts)](
+             const ts::RowChunk& chunk, const ts::StoreView::PinnedBlock& pin,
+             std::span<double> out) {
+    const std::size_t begin = chunk.begin - pin.first_row();
+    const std::span<const std::uint16_t> block_ids =
+        std::span<const std::uint16_t>(class_ids_)
+            .subspan(pin.first_row() * len, pin.block().rows() * len);
+    dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids, begin,
+                                  begin + out.size(), out);
+  };
+}
+
 Result<std::vector<double>> UncertainEngine::DustDistances(
     std::size_t query) const {
   assert(query < size());
-  if (!dust_ready_) {
-    return Status::InvalidArgument(
-        "DUST tables not built; call BuildDustTables first");
-  }
-  const std::size_t n = size();
-  const std::size_t len = length();
-  std::vector<double> distances(n, 0.0);
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  const std::span<const double> qrow = query_pin.row();
-  const auto chunks = ts::PartitionRows(view, options_.grain);
-  if (num_classes_ == 1) {
-    const distance::DustLut& lut = PairLut(0, 0);
-    exec::ParallelFor(
-        pool_, chunks.size(), /*grain=*/1,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-            const ts::RowChunk& chunk = chunks[c];
-            const auto pin = ts::PinOrAbort(view, chunk.block);
-            dispatch_->dust_range(qrow, pin.block(), lut,
-                                  chunk.begin - pin.first_row(),
-                                  chunk.end - pin.first_row(),
-                                  std::span<double>(distances)
-                                      .subspan(chunk.begin,
-                                               chunk.end - chunk.begin));
-          }
-        });
-    return distances;
-  }
-  std::vector<const distance::DustLut*> qluts(len);
-  for (std::size_t t = 0; t < len; ++t) {
-    qluts[t] = &dust_luts_[class_id(query, t) * num_classes_];
-  }
-  exec::ParallelFor(
-      pool_, chunks.size(), /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          const ts::RowChunk& chunk = chunks[c];
-          const auto pin = ts::PinOrAbort(view, chunk.block);
-          const std::span<const std::uint16_t> block_ids =
-              std::span<const std::uint16_t>(class_ids_)
-                  .subspan(pin.first_row() * len);
-          dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids,
-                                        chunk.begin - pin.first_row(),
-                                        chunk.end - pin.first_row(),
-                                        std::span<double>(distances)
-                                            .subspan(chunk.begin,
-                                                     chunk.end - chunk.begin));
-        }
-      });
-  return distances;
+  UTS_RETURN_NOT_OK(RequireDustTables());
+  const auto query_pin = ts::PinRowOrAbort(ts::StoreView(store_), query);
+  return detail::ScanRows(Target(), DustScorer(query, query_pin.row()));
 }
 
 Result<double> UncertainEngine::DustDistance(std::size_t query,
                                              std::size_t candidate) const {
   assert(query < size() && candidate < size());
-  if (!dust_ready_) {
-    return Status::InvalidArgument(
-        "DUST tables not built; call BuildDustTables first");
-  }
+  UTS_RETURN_NOT_OK(RequireDustTables());
   const ts::StoreView view(store_);
   const auto query_pin = ts::PinRowOrAbort(view, query);
-  const auto cand_pin = ts::PinRowOrAbort(view, candidate);
-  const std::span<const double> q = query_pin.row();
-  const std::span<const double> c = cand_pin.row();
-  double sum = 0.0;
-  for (std::size_t t = 0; t < q.size(); ++t) {
-    const double d =
-        PairLut(class_id(query, t), class_id(candidate, t)).Eval(q[t] - c[t]);
-    sum += d * d;
-  }
-  return std::sqrt(sum);
+  return detail::ScoreRow(view, candidate, DustScorer(query, query_pin.row()));
 }
-
-namespace {
-
-/// Work accounting of a DUST sweep that scores every eligible candidate.
-void ChargeFullDustSweep(index::SearchCost* cost, std::size_t eligible) {
-  if (cost == nullptr) return;
-  cost->candidates_total += eligible;
-  cost->candidates_touched += eligible;
-}
-
-}  // namespace
 
 std::vector<double> UncertainEngine::DustCascadeLowerBounds(
-    std::size_t query) const {
+    std::span<const double> qrow) const {
   // Stage-1 bounds: Haar-synopsis Euclidean lower bounds on the observation
   // rows, mapped through the table minorant into the DUST metric.
   std::vector<double> bounds(size(), 0.0);
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  synopsis_index_->EuclideanLowerBounds(
-      synopsis_index_->Synopsize(query_pin.row()), bounds);
+  synopsis_index_->EuclideanLowerBounds(synopsis_index_->Synopsize(qrow),
+                                        bounds);
   for (double& b : bounds) b = dust_bound_(b);
   return bounds;
 }
 
-index::ExactScorer UncertainEngine::DustCascadeScorer(
-    std::span<const double> qrow,
-    const std::vector<const distance::DustLut*>& qluts) const {
-  // Exact stage-2 scorer: the same per-row-deterministic dispatch kernels
-  // the full sweep runs, on single-row ranges — bitwise identical values.
-  // DUST has no early-abandon kernel, so `tau` is unused. `qrow` must stay
-  // pinned by the caller for the scorer's lifetime; the candidate row's
-  // block is pinned per call (free for resident stores).
-  if (num_classes_ == 1) {
-    const distance::DustLut& lut = PairLut(0, 0);
-    return [this, qrow, &lut](std::size_t row, double /*tau*/) {
-      const ts::StoreView view(store_);
-      const auto pin = ts::PinOrAbort(view, view.block_of(row));
-      const std::size_t local = row - pin.first_row();
-      double value = 0.0;
-      dispatch_->dust_range(qrow, pin.block(), lut, local, local + 1,
-                            std::span<double>(&value, 1));
-      return value;
-    };
-  }
-  return [this, qrow, &qluts](std::size_t row, double /*tau*/) {
-    const ts::StoreView view(store_);
-    const auto pin = ts::PinOrAbort(view, view.block_of(row));
-    const std::size_t local = row - pin.first_row();
-    const std::span<const std::uint16_t> block_ids =
-        std::span<const std::uint16_t>(class_ids_)
-            .subspan(pin.first_row() * store_.stride());
-    double value = 0.0;
-    dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids, local,
-                                  local + 1, std::span<double>(&value, 1));
-    return value;
-  };
-}
-
 Result<std::vector<Neighbor>> UncertainEngine::KNearestDust(
     std::size_t query, std::size_t k, index::SearchCost* cost) const {
+  UTS_RETURN_NOT_OK(RequireDustTables());
+  const ts::StoreView view(store_);
+  const auto query_pin = ts::PinRowOrAbort(view, query);
+  const detail::ChunkScorer score = DustScorer(query, query_pin.row());
   if (dust_index_enabled()) {
-    const std::vector<double> bounds = DustCascadeLowerBounds(query);
-    std::vector<const distance::DustLut*> qluts;
-    if (num_classes_ > 1) {
-      qluts.resize(length());
-      for (std::size_t t = 0; t < length(); ++t) {
-        qluts[t] = &dust_luts_[class_id(query, t) * num_classes_];
-      }
-    }
-    const ts::StoreView view(store_);
-    const auto query_pin = ts::PinRowOrAbort(view, query);
     return index::CascadeKNearest(
-        bounds, query, k, DustCascadeScorer(query_pin.row(), qluts), cost);
+        DustCascadeLowerBounds(query_pin.row()), query, k,
+        [&](std::size_t row, double) {
+          return detail::ScoreRow(view, row, score);
+        },
+        cost);
   }
-  auto distances = DustDistances(query);
-  if (!distances.ok()) return distances.status();
-  ChargeFullDustSweep(cost, size() - 1);
-  return detail::SelectKNearest(distances.ValueOrDie(), query, k);
+  detail::ChargeFullScan(cost, size() - 1);
+  return detail::SelectKSmallest(detail::ScanRows(Target(), score), query, k);
 }
 
 Result<std::vector<std::size_t>> UncertainEngine::RangeSearchDust(
     std::size_t query, double epsilon, index::SearchCost* cost) const {
+  UTS_RETURN_NOT_OK(RequireDustTables());
+  const ts::StoreView view(store_);
+  const auto query_pin = ts::PinRowOrAbort(view, query);
+  const detail::ChunkScorer score = DustScorer(query, query_pin.row());
   if (dust_index_enabled()) {
-    const std::vector<double> bounds = DustCascadeLowerBounds(query);
-    std::vector<const distance::DustLut*> qluts;
-    if (num_classes_ > 1) {
-      qluts.resize(length());
-      for (std::size_t t = 0; t < length(); ++t) {
-        qluts[t] = &dust_luts_[class_id(query, t) * num_classes_];
-      }
-    }
-    const ts::StoreView view(store_);
-    const auto query_pin = ts::PinRowOrAbort(view, query);
     return index::CascadeRangeSearch(
-        bounds, query, epsilon, DustCascadeScorer(query_pin.row(), qluts),
+        DustCascadeLowerBounds(query_pin.row()), query, epsilon,
+        [&](std::size_t row, double) {
+          return detail::ScoreRow(view, row, score);
+        },
         cost);
   }
-  auto distances = DustDistances(query);
-  if (!distances.ok()) return distances.status();
-  ChargeFullDustSweep(cost, size() - 1);
-  const std::vector<double>& d = distances.ValueOrDie();
-  std::vector<std::size_t> matches;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (i == query) continue;
-    if (d[i] <= epsilon) matches.push_back(i);
-  }
-  return matches;
+  detail::ChargeFullScan(cost, size() - 1);
+  return detail::SelectThreshold(detail::ScanRows(Target(), score), query,
+                                 epsilon, detail::Keep::kAtMost);
 }
 
 // --- PROUD -------------------------------------------------------------------
 
+namespace {
+
+/// Constant-σ PROUD chunk scorer of row `qrow` (pinned by the caller): each
+/// candidate's distance mean goes to its scan slot, its variance to `var`.
+auto ProudMomentScorer(const distance::KernelDispatch* dispatch, double v,
+                       std::span<const double> qrow,
+                       std::vector<double>& var) {
+  return [dispatch, v, qrow, &var](const ts::RowChunk& chunk,
+                                   const ts::StoreView::PinnedBlock& pin,
+                                   std::span<double> out) {
+    const std::size_t begin = chunk.begin - pin.first_row();
+    dispatch->proud_moment_range(
+        qrow, pin.block(), v, begin, begin + out.size(), out,
+        std::span<double>(var).subspan(chunk.begin, out.size()));
+  };
+}
+
+/// Turn a chunk's distance means (in `out`) into match probabilities at ε,
+/// reading the variances of the same rows from `var`.
+void MeansToProbabilities(const ts::RowChunk& chunk,
+                          const std::vector<double>& var, double epsilon,
+                          std::span<double> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = measures::Proud::ProbabilityFromStats(
+        {out[i], var[chunk.begin + i]}, epsilon);
+  }
+}
+
+}  // namespace
+
 std::vector<double> UncertainEngine::ProudMatchProbabilities(
     std::size_t query, double epsilon) const {
   assert(query < size());
-  const std::size_t n = size();
-  std::vector<double> mean(n, 0.0), var(n, 0.0), probs(n, 0.0);
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  const std::span<const double> qrow = query_pin.row();
-  const auto chunks = ts::PartitionRows(view, options_.grain);
-  exec::ParallelFor(
-      pool_, chunks.size(), /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          const ts::RowChunk& chunk = chunks[c];
-          const auto pin = ts::PinOrAbort(view, chunk.block);
-          dispatch_->proud_moment_range(
-              qrow, pin.block(), proud_v_, chunk.begin - pin.first_row(),
-              chunk.end - pin.first_row(),
-              std::span<double>(mean).subspan(chunk.begin,
-                                              chunk.end - chunk.begin),
-              std::span<double>(var).subspan(chunk.begin,
-                                             chunk.end - chunk.begin));
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            probs[i] = measures::Proud::ProbabilityFromStats(
-                {mean[i], var[i]}, epsilon);
-          }
-        }
+  std::vector<double> var(size(), 0.0);
+  const auto query_pin = ts::PinRowOrAbort(ts::StoreView(store_), query);
+  const auto moments =
+      ProudMomentScorer(dispatch_, proud_v_, query_pin.row(), var);
+  return detail::ScanRows(
+      Target(), [&](const ts::RowChunk& chunk,
+                    const ts::StoreView::PinnedBlock& pin,
+                    std::span<double> out) {
+        moments(chunk, pin, out);
+        MeansToProbabilities(chunk, var, epsilon, out);
       });
-  return probs;
 }
 
 std::vector<std::size_t> UncertainEngine::ProbabilisticRangeSearchProud(
@@ -445,48 +366,23 @@ UncertainEngine::ProbabilisticRangeSearchProud(
     std::size_t query, double epsilon, std::span<const double> taus) const {
   assert(query < size());
   const std::size_t n = size();
-  const std::size_t num_taus = taus.size();
-  // ε_limit = Φ⁻¹(τ) once per τ; each candidate's ε_norm is scored once and
-  // compared against every limit (measures::ProudMargin).
-  std::vector<double> limits(num_taus);
-  for (std::size_t t = 0; t < num_taus; ++t) {
+  std::vector<double> var(n, 0.0);
+  const auto query_pin = ts::PinRowOrAbort(ts::StoreView(store_), query);
+  const std::vector<double> mean = detail::ScanRows(
+      Target(), ProudMomentScorer(dispatch_, proud_v_, query_pin.row(), var));
+  // ε_limit = Φ⁻¹(τ) once per τ; each candidate's margin is scored once and
+  // decided against every limit, in ascending candidate order.
+  std::vector<double> limits(taus.size());
+  for (std::size_t t = 0; t < taus.size(); ++t) {
     limits[t] = prob::NormalQuantile(taus[t]);
   }
-  std::vector<double> mean(n, 0.0), var(n, 0.0);
-  // Candidate-major: row i holds candidate i's decision at every τ.
-  std::vector<std::uint8_t> matched(n * num_taus, 0);
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  const std::span<const double> qrow = query_pin.row();
-  const auto chunks = ts::PartitionRows(view, options_.grain);
-  exec::ParallelFor(
-      pool_, chunks.size(), /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          const ts::RowChunk& chunk = chunks[c];
-          const auto pin = ts::PinOrAbort(view, chunk.block);
-          dispatch_->proud_moment_range(
-              qrow, pin.block(), proud_v_, chunk.begin - pin.first_row(),
-              chunk.end - pin.first_row(),
-              std::span<double>(mean).subspan(chunk.begin,
-                                              chunk.end - chunk.begin),
-              std::span<double>(var).subspan(chunk.begin,
-                                             chunk.end - chunk.begin));
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            const measures::ProudMargin margin =
-                measures::Proud::MarginFromStats({mean[i], var[i]}, epsilon);
-            std::uint8_t* row = &matched[i * num_taus];
-            for (std::size_t t = 0; t < num_taus; ++t) {
-              row[t] = margin.Decide(limits[t]) ? 1 : 0;
-            }
-          }
-        }
-      });
-  std::vector<std::vector<std::size_t>> matches(num_taus);
-  for (std::size_t t = 0; t < num_taus; ++t) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == query) continue;
-      if (matched[i * num_taus + t] != 0) matches[t].push_back(i);
+  std::vector<std::vector<std::size_t>> matches(taus.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == query) continue;
+    const measures::ProudMargin margin =
+        measures::Proud::MarginFromStats({mean[i], var[i]}, epsilon);
+    for (std::size_t t = 0; t < limits.size(); ++t) {
+      if (margin.Decide(limits[t])) matches[t].push_back(i);
     }
   }
   return matches;
@@ -495,7 +391,8 @@ UncertainEngine::ProbabilisticRangeSearchProud(
 std::vector<Neighbor> UncertainEngine::KNearestProud(std::size_t query,
                                                      double epsilon,
                                                      std::size_t k) const {
-  return SelectTopKByScore(ProudMatchProbabilities(query, epsilon), query, k);
+  return detail::SelectKLargest(ProudMatchProbabilities(query, epsilon),
+                                query, k);
 }
 
 Result<std::vector<double>> UncertainEngine::ProudGeneralMatchProbabilities(
@@ -506,11 +403,10 @@ Result<std::vector<double>> UncertainEngine::ProudGeneralMatchProbabilities(
         "PROUD moment columns not built; call BuildProudMomentColumns "
         "first");
   }
-  const std::size_t n = size();
-  std::vector<double> mean(n, 0.0), var(n, 0.0), probs(n, 0.0);
+  std::vector<double> var(size(), 0.0);
   // The moment columns share the observation store's block geometry (same
-  // stride, same block_rows), so one chunk maps to the same block index in
-  // all four stores.
+  // stride, same block_rows), so a chunk's block index addresses the same
+  // rows in all four stores.
   assert(m2_store_.block_rows() == store_.block_rows());
   const ts::StoreView view(store_);
   const ts::StoreView m2_view(m2_store_), m3_view(m3_store_),
@@ -519,31 +415,21 @@ Result<std::vector<double>> UncertainEngine::ProudGeneralMatchProbabilities(
   const auto q2_pin = ts::PinRowOrAbort(m2_view, query);
   const auto q3_pin = ts::PinRowOrAbort(m3_view, query);
   const auto q4_pin = ts::PinRowOrAbort(m4_view, query);
-  const auto chunks = ts::PartitionRows(view, options_.grain);
-  exec::ParallelFor(
-      pool_, chunks.size(), /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          const ts::RowChunk& chunk = chunks[c];
-          const auto pin = ts::PinOrAbort(view, chunk.block);
-          const auto m2_pin = ts::PinOrAbort(m2_view, chunk.block);
-          const auto m3_pin = ts::PinOrAbort(m3_view, chunk.block);
-          const auto m4_pin = ts::PinOrAbort(m4_view, chunk.block);
-          dispatch_->proud_general_moment_range(
-              query_pin.row(), q2_pin.row(), q3_pin.row(), q4_pin.row(),
-              pin.block(), m2_pin.block(), m3_pin.block(), m4_pin.block(),
-              chunk.begin - pin.first_row(), chunk.end - pin.first_row(),
-              std::span<double>(mean).subspan(chunk.begin,
-                                              chunk.end - chunk.begin),
-              std::span<double>(var).subspan(chunk.begin,
-                                             chunk.end - chunk.begin));
-          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-            probs[i] = measures::Proud::ProbabilityFromStats(
-                {mean[i], var[i]}, epsilon);
-          }
-        }
+  return detail::ScanRows(
+      Target(), [&](const ts::RowChunk& chunk,
+                    const ts::StoreView::PinnedBlock& pin,
+                    std::span<double> out) {
+        const auto m2_pin = ts::PinOrAbort(m2_view, chunk.block);
+        const auto m3_pin = ts::PinOrAbort(m3_view, chunk.block);
+        const auto m4_pin = ts::PinOrAbort(m4_view, chunk.block);
+        const std::size_t begin = chunk.begin - pin.first_row();
+        dispatch_->proud_general_moment_range(
+            query_pin.row(), q2_pin.row(), q3_pin.row(), q4_pin.row(),
+            pin.block(), m2_pin.block(), m3_pin.block(), m4_pin.block(),
+            begin, begin + out.size(), out,
+            std::span<double>(var).subspan(chunk.begin, out.size()));
+        MeansToProbabilities(chunk, var, epsilon, out);
       });
-  return probs;
 }
 
 // --- MUNICH ------------------------------------------------------------------
@@ -584,15 +470,6 @@ Status UncertainEngine::AttachSamples(
   return Status::OK();
 }
 
-std::uint64_t UncertainEngine::MunichPairSeed(std::size_t qi,
-                                              std::size_t ci) const {
-  // Counter-based: the stream of pair (qi, ci) depends only on the pair
-  // counter qi·n + ci and the engine seed — never on evaluation order or
-  // thread placement. Shared with the evaluation matchers, so engine
-  // sweeps reproduce the sequential results bit-exactly.
-  return prob::PairStreamSeed(options_.seed, qi, ci, size());
-}
-
 Result<double> UncertainEngine::MunichPairProbability(std::size_t qi,
                                                       std::size_t ci,
                                                       double epsilon) const {
@@ -614,8 +491,11 @@ Result<double> UncertainEngine::MunichPairProbability(std::size_t qi,
     // so the bounds are not recomputed from the raw samples.
     options.use_bounds_filter = false;
   }
-  return measures::Munich(options).MatchProbability(x, y, epsilon,
-                                                    MunichPairSeed(qi, ci));
+  // Counter-based: the stream of pair (qi, ci) depends only on the pair
+  // counter and the engine seed — never on evaluation order or thread
+  // placement — and the evaluation matchers derive it the same way.
+  return measures::Munich(options).MatchProbability(
+      x, y, epsilon, prob::PairStreamSeed(options_.seed, qi, ci, size()));
 }
 
 Result<std::vector<double>> UncertainEngine::MunichMatchProbabilities(
@@ -652,20 +532,15 @@ Result<std::vector<std::size_t>> UncertainEngine::ProbabilisticRangeSearchMunich
     std::size_t query, double epsilon, double tau) const {
   auto probs = MunichMatchProbabilities(query, epsilon);
   if (!probs.ok()) return probs.status();
-  const std::vector<double>& p = probs.ValueOrDie();
-  std::vector<std::size_t> matches;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (i == query) continue;
-    if (p[i] >= tau) matches.push_back(i);
-  }
-  return matches;
+  return detail::SelectThreshold(probs.ValueOrDie(), query, tau,
+                                 detail::Keep::kAtLeast);
 }
 
 Result<std::vector<Neighbor>> UncertainEngine::KNearestMunich(
     std::size_t query, double epsilon, std::size_t k) const {
   auto probs = MunichMatchProbabilities(query, epsilon);
   if (!probs.ok()) return probs.status();
-  return SelectTopKByScore(probs.ValueOrDie(), query, k);
+  return detail::SelectKLargest(probs.ValueOrDie(), query, k);
 }
 
 }  // namespace uts::query

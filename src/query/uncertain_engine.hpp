@@ -8,7 +8,10 @@
 /// distance/probability vectors, k-NN lists, range queries RQ and
 /// probabilistic range queries PRQ(Q,C,ε,τ) (Eq. 2) — over parallel blocks
 /// of candidates scheduled on an `exec::ThreadPool`, streaming contiguous
-/// `ts::SoaStore` snapshots instead of per-series heap allocations.
+/// `ts::SoaStore` snapshots instead of per-series heap allocations. Each
+/// sweep is a chunk scorer on the shared store scan (scan.hpp). Euclidean
+/// queries over the observations run scan.hpp's Euclidean measure, so one
+/// engine serves all four measures and no certain-dataset copy is kept.
 ///
 /// Per measure, the engine precomputes at build time:
 ///
@@ -32,13 +35,11 @@
 /// Determinism guarantee: results are bit-identical to the scalar measure
 /// APIs (measures::Dust::Distance, measures::Proud::Matches,
 /// measures::Munich::MatchProbability with the same per-pair seeds) at every
-/// thread count. The ingredients are the same as DistanceMatrixEngine's —
-/// pure blocked partitions (exec::ParallelFor), disjoint pre-allocated
-/// output slots, ordered post-barrier reductions — plus two structural ones:
-/// every batch kernel accumulates in exactly the scalar measure's operation
-/// order (distance/batch.hpp documents each identity), and the scalar
-/// measures themselves evaluate through the very code the kernels use
-/// (DustTable::Dust == DustLut::Eval; Proud decisions go through
+/// thread count. The ingredients are the shared store scan's (scan.hpp) plus
+/// two structural ones: every batch kernel accumulates in exactly the scalar
+/// measure's operation order (distance/batch.hpp documents each identity),
+/// and the scalar measures themselves evaluate through the very code the
+/// kernels use (DustTable::Dust == DustLut::Eval; Proud decisions go through
 /// Proud::DecideFromStats; MUNICH bounds go through
 /// Munich::EuclideanBoundsFromIntervals).
 
@@ -60,6 +61,7 @@
 #include "measures/munich.hpp"
 #include "measures/proud.hpp"
 #include "query/exec_options.hpp"
+#include "query/scan.hpp"
 #include "query/search.hpp"
 #include "ts/soa_store.hpp"
 #include "ts/store_view.hpp"
@@ -73,9 +75,9 @@ namespace uts::query {
 /// their names and meanings are unchanged. Engine-specific notes: DUST
 /// results are bitwise identical at every SIMD level, PROUD sweeps are
 /// within the pinned tolerance of distance/simd.hpp, MUNICH never touches
-/// the dispatch; the index cascade routes only the DUST k-NN / range paths
-/// (PROUD/MUNICH match probabilities are not provably monotone in the
-/// observation distance).
+/// the dispatch; the index cascade routes only the Euclidean and DUST k-NN
+/// / range paths (PROUD/MUNICH match probabilities are not provably
+/// monotone in the observation distance).
 struct UncertainEngineOptions : ExecOptions {
   /// Candidate rows per parallel chunk of a single query's sweep. Smaller
   /// than DistanceMatrixEngine's default because MUNICH estimators cost
@@ -131,9 +133,6 @@ class UncertainEngine {
   /// Resolved worker-thread count (>= 1).
   std::size_t threads() const;
 
-  /// Number of distinct error classes across the dataset.
-  std::size_t num_error_classes() const { return num_classes_; }
-
   /// The options the engine was created with (munich possibly replaced via
   /// set_munich_options).
   const UncertainEngineOptions& options() const { return options_; }
@@ -149,6 +148,19 @@ class UncertainEngine {
   void set_munich_options(const measures::MunichOptions& munich) {
     options_.munich = munich;
   }
+
+  /// Euclidean k nearest neighbors of `query` over the observations, self
+  /// excluded, ascending: bitwise DistanceMatrixEngine's answer over the
+  /// same observations, `cost` (incremented when non-null) included.
+  std::vector<Neighbor> KNearestEuclidean(
+      std::size_t query, std::size_t k,
+      index::SearchCost* cost = nullptr) const;
+
+  /// Euclidean RQ(Q, C, ε) over the observations, self excluded, ascending;
+  /// bitwise DistanceMatrixEngine's answer, like KNearestEuclidean.
+  std::vector<std::size_t> RangeSearchEuclidean(
+      std::size_t query, double epsilon,
+      index::SearchCost* cost = nullptr) const;
 
   /// \name DUST
   /// \{
@@ -251,15 +263,10 @@ class UncertainEngine {
   /// True once a sample-model dataset is attached.
   bool has_samples() const { return samples_ != nullptr; }
 
-  /// The deterministic Monte Carlo seed of pair (qi, ci): the pair counter
-  /// qi·n + ci hashed with the engine seed. Pure function — independent of
-  /// thread count, evaluation order, and which queries ran before.
-  std::uint64_t MunichPairSeed(std::size_t qi, std::size_t ci) const;
-
   /// Dense Pr(distance(query, ·) ≤ ε) sweep via the configured estimator
   /// with the interval-bounds filter applied first (when enabled). The self
   /// slot is 0 (never evaluated). Bit-identical to
-  /// measures::Munich::MatchProbability with MunichPairSeed per pair.
+  /// measures::Munich::MatchProbability with prob::PairStreamSeed per pair.
   Result<std::vector<double>> MunichMatchProbabilities(std::size_t query,
                                                        double epsilon) const;
 
@@ -277,32 +284,26 @@ class UncertainEngine {
  private:
   explicit UncertainEngine(UncertainEngineOptions options);
 
-  /// Class id of series `s` at timestamp `t`.
-  std::uint16_t class_id(std::size_t s, std::size_t t) const {
-    return class_ids_[s * store_.stride() + t];
-  }
-
-  /// The lut of class pair (a, b).
-  const distance::DustLut& PairLut(std::size_t a, std::size_t b) const {
-    return dust_luts_[a * num_classes_ + b];
-  }
-
   /// MUNICH probability of one pair (bounds filter + estimator), reading
   /// the precomputed interval columns.
   Result<double> MunichPairProbability(std::size_t qi, std::size_t ci,
                                        double epsilon) const;
 
-  /// Stage-1 bounds of the DUST cascade: per-row synopsis Euclidean bounds
-  /// mapped through dust_bound_. Requires dust_index_enabled().
-  std::vector<double> DustCascadeLowerBounds(std::size_t query) const;
+  /// The scan target over the observation store.
+  detail::ScanTarget Target() const;
 
-  /// Exact single-row DUST scorer (same dispatch kernels as the full
-  /// sweep). `qrow` must stay pinned by the caller for the scorer's
-  /// lifetime; `qluts` must outlive the scorer and, for multi-class data,
-  /// hold the query's per-timestamp lut rows; unused when single-class.
-  index::ExactScorer DustCascadeScorer(
-      std::span<const double> qrow,
-      const std::vector<const distance::DustLut*>& qluts) const;
+  /// InvalidArgument until BuildDustTables has succeeded.
+  Status RequireDustTables() const;
+
+  /// DUST chunk scorer of series `query` (row `qrow`, pinned by the caller
+  /// for the scorer's lifetime): single-lut or classed kernel.
+  detail::ChunkScorer DustScorer(std::size_t query,
+                                 std::span<const double> qrow) const;
+
+  /// Stage-1 bounds of the DUST cascade: synopsis Euclidean bounds of
+  /// `qrow` mapped through dust_bound_. Requires dust_index_enabled().
+  std::vector<double> DustCascadeLowerBounds(
+      std::span<const double> qrow) const;
 
   UncertainEngineOptions options_;
   /// Kernel table resolved from options_.simd at construction; never null.

@@ -548,12 +548,17 @@ void Server::Execute(Shard& shard, WorkItem& item) {
       // Stream one sequenced KnnResult per query so the sweep is resumable
       // mid-flight: finished items sit in the session backlog, and a
       // reconnecting client replays only what it has not acked.
+      // The block end is computed in 64 bits: `query + num_queries` may
+      // pass 2^32, and a wrapped end would silently stream nothing. Every
+      // block fails at its first out-of-range query instead (no dataset
+      // holds 2^32 series, so `q` never leaves the 32-bit range).
       QueryRequest single = request;
       std::uint32_t completed = 0;
-      for (std::uint32_t q = request.query;
-           q < request.query + request.num_queries; ++q) {
+      const std::uint64_t end =
+          std::uint64_t{request.query} + request.num_queries;
+      for (std::uint64_t q = request.query; q < end; ++q) {
         if (stopping_.load()) return;
-        single.query = q;
+        single.query = static_cast<std::uint32_t>(q);
         Result<KnnResponse> response = service.Knn(single, seq);
         if (!response.ok()) {
           DeliverError(session, seq, response.status());

@@ -168,6 +168,9 @@ Result<query::UncertainEngine*> Service::AcquireFor(
     WireMeasure measure, const std::string& dataset) {
   query::UncertainEngine* engine = nullptr;
   switch (measure) {
+    case WireMeasure::kEuclid:
+      engine = context_.AcquireEuclidean();
+      break;
     case WireMeasure::kDust:
       engine = context_.AcquireDust(options_.dust);
       break;
@@ -182,9 +185,8 @@ Result<query::UncertainEngine*> Service::AcquireFor(
     case WireMeasure::kMunich:
       engine = context_.AcquireMunich(options_.munich);
       break;
-    case WireMeasure::kEuclid:
     default:
-      return Status::InvalidArgument("measure has no uncertain engine");
+      return Status::InvalidArgument("unknown measure");
   }
   if (engine == nullptr) {
     return Status::NotSupported(
@@ -205,36 +207,32 @@ Result<KnnResponse> Service::Knn(const QueryRequest& request,
   KnnResponse response;
   response.request_seq = request_seq;
   response.query = request.query;
+  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
+                       AcquireFor(request.measure, request.dataset));
   index::SearchCost cost;
-  if (request.measure == WireMeasure::kEuclid) {
-    const ts::Dataset* observed = context_.ResidentObserved(request.dataset);
-    const auto& engine = context_.Certain(*observed);
-    response.neighbors =
-        engine.KNearestEuclidean(request.query, request.k, &cost);
-  } else {
-    UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                         AcquireFor(request.measure, request.dataset));
-    switch (request.measure) {
-      case WireMeasure::kDust: {
-        UTS_ASSIGN_OR_RETURN(
-            response.neighbors,
-            engine->KNearestDust(request.query, request.k, &cost));
-        break;
-      }
-      case WireMeasure::kProud:
-        response.neighbors =
-            engine->KNearestProud(request.query, request.epsilon, request.k);
-        break;
-      case WireMeasure::kMunich: {
-        UTS_ASSIGN_OR_RETURN(response.neighbors,
-                             engine->KNearestMunich(request.query,
-                                                    request.epsilon,
-                                                    request.k));
-        break;
-      }
-      default:
-        return Status::InvalidArgument("knn: unsupported measure");
+  switch (request.measure) {
+    case WireMeasure::kEuclid:
+      response.neighbors =
+          engine->KNearestEuclidean(request.query, request.k, &cost);
+      break;
+    case WireMeasure::kDust: {
+      UTS_ASSIGN_OR_RETURN(
+          response.neighbors,
+          engine->KNearestDust(request.query, request.k, &cost));
+      break;
     }
+    case WireMeasure::kProud:
+      response.neighbors =
+          engine->KNearestProud(request.query, request.epsilon, request.k);
+      break;
+    case WireMeasure::kMunich: {
+      UTS_ASSIGN_OR_RETURN(response.neighbors,
+                           engine->KNearestMunich(request.query,
+                                                  request.epsilon, request.k));
+      break;
+    }
+    default:
+      return Status::InvalidArgument("knn: unsupported measure");
   }
   response.cost = WireSearchCost::From(cost);
   {
@@ -254,16 +252,14 @@ Result<IndexListResponse> Service::Range(const QueryRequest& request,
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   IndexListResponse response;
   response.request_seq = request_seq;
+  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
+                       AcquireFor(request.measure, request.dataset));
   index::SearchCost cost;
   std::vector<std::size_t> matches;
   if (request.measure == WireMeasure::kEuclid) {
-    const ts::Dataset* observed = context_.ResidentObserved(request.dataset);
-    const auto& engine = context_.Certain(*observed);
     matches =
-        engine.RangeSearchEuclidean(request.query, request.epsilon, &cost);
+        engine->RangeSearchEuclidean(request.query, request.epsilon, &cost);
   } else {
-    UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                         AcquireFor(request.measure, request.dataset));
     UTS_ASSIGN_OR_RETURN(
         matches, engine->RangeSearchDust(request.query, request.epsilon,
                                          &cost));

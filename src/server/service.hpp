@@ -100,10 +100,11 @@ class Service {
   query::EngineContext& context() { return context_; }
 
   /// Perturb the uploaded exact dataset deterministically and make it
-  /// resident under `request.name` (pdf model, optional sample model, and
-  /// the observations as a certain dataset). InvalidArgument for an empty
-  /// or ragged dataset, a non-finite value, and — when the constant regime
-  /// reads it (`mixed_sigma == 0`) — a non-finite or non-positive σ.
+  /// resident under `request.name` (pdf model and optional sample model;
+  /// Euclidean requests read the pdf model's observations). InvalidArgument
+  /// for an empty or ragged dataset, a non-finite value, and — when the
+  /// constant regime reads it (`mixed_sigma == 0`) — a non-finite or
+  /// non-positive σ.
   Result<BindOkResponse> Bind(const BindDatasetRequest& request,
                               std::uint64_t request_seq);
 
@@ -151,8 +152,8 @@ class Service {
   /// the query index is out of range.
   Status Activate(const std::string& name, std::uint32_t query);
 
-  /// The shared uncertain engine for `measure`, or a Status explaining why
-  /// the dataset cannot serve it.
+  /// The shared uncertain engine for `measure` (Euclidean included), or a
+  /// Status explaining why the dataset cannot serve it.
   Result<query::UncertainEngine*> AcquireFor(WireMeasure measure,
                                              const std::string& dataset);
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -17,6 +19,7 @@
 #include "distance/lp.hpp"
 #include "prob/rng.hpp"
 #include "query/engine.hpp"
+#include "query/scan.hpp"
 #include "query/search.hpp"
 #include "uncertain/error_spec.hpp"
 
@@ -388,6 +391,92 @@ TEST(EngineParityTest, DtwGroundTruthIsThreadCountInvariant) {
     ASSERT_EQ(got.size(), reference.size());
     EXPECT_EQ(got[0].per_query_f1, reference[0].per_query_f1);
   }
+}
+
+// --- Store scan (scan.hpp) ---------------------------------------------------
+
+TEST(ScanRowsTest, EveryRowScoredOnceWithinItsBlockAtEveryPoolWidth) {
+  // 37 rows in blocks of 8 at a grain of 3: the grain does not divide the
+  // block, so every block boundary clips a chunk. Resident stores are one
+  // block; the paged twin evicts every unpinned block.
+  constexpr std::size_t kRows = 37, kStride = 5, kBlockRows = 8, kGrain = 3;
+  std::vector<double> values(kRows * kStride);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i % 11) - 0.25 * static_cast<double>(i);
+  }
+  std::vector<double> want(kRows, 0.0);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t t = 0; t < kStride; ++t) {
+      want[r] += values[r * kStride + t];
+    }
+  }
+  ts::BufferPool::Options pool_options;
+  pool_options.budget_bytes = 0;
+  for (bool paged : {false, true}) {
+    auto store = ts::SoaStore::FromPacked(
+        values, kStride,
+        paged ? ts::BufferPool::Create(pool_options).ValueOrDie() : nullptr,
+        kBlockRows);
+    ASSERT_TRUE(store.ok());
+    const ts::StoreView view(store.ValueOrDie());
+    for (std::size_t threads : {1, 2, 8}) {
+      exec::ThreadPool pool(threads);
+      const detail::ScanTarget target{
+          view, &distance::ResolveDispatch(distance::SimdMode::kAuto), &pool,
+          kGrain};
+      std::vector<std::atomic<int>> visits(kRows);
+      std::atomic<int> bad_chunks{0};
+      const std::vector<double> got = detail::ScanRows(
+          target, [&](const ts::RowChunk& chunk,
+                      const ts::StoreView::PinnedBlock& pin,
+                      std::span<double> out) {
+            const std::size_t block_end =
+                pin.first_row() + view.block_row_count(chunk.block);
+            if (pin.first_row() != view.block_first_row(chunk.block) ||
+                chunk.begin < pin.first_row() || chunk.end > block_end ||
+                chunk.end - chunk.begin > kGrain ||
+                out.size() != chunk.end - chunk.begin) {
+              ++bad_chunks;
+              return;
+            }
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              ++visits[chunk.begin + i];
+              const std::size_t local = chunk.begin + i - pin.first_row();
+              out[i] = 0.0;
+              for (double v : pin.block().row(local)) out[i] += v;
+            }
+          });
+      EXPECT_EQ(bad_chunks.load(), 0) << "paged=" << paged;
+      for (std::size_t r = 0; r < kRows; ++r) {
+        EXPECT_EQ(visits[r].load(), 1) << "row " << r << " threads=" << threads;
+      }
+      EXPECT_EQ(got, want) << "paged=" << paged << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ScanRowsTest, SelectionsKeepTheReferenceOrder) {
+  // Ties on the score break by index in both k-selections; the threshold
+  // keeps its boundary and never a NaN; the excluded slot never appears.
+  const std::vector<double> finite{0.5, 0.2, 0.5, 0.9, 0.2, 0.1, 0.5};
+  const auto smallest = detail::SelectKSmallest(finite, 5, 3);
+  ASSERT_EQ(smallest.size(), 3u);
+  EXPECT_EQ(smallest[0].index, 1u);
+  EXPECT_EQ(smallest[1].index, 4u);
+  EXPECT_EQ(smallest[2].index, 0u);
+  const auto largest = detail::SelectKLargest(finite, 3, 3);
+  ASSERT_EQ(largest.size(), 3u);
+  EXPECT_EQ(largest[0].index, 0u);
+  EXPECT_EQ(largest[1].index, 2u);
+  EXPECT_EQ(largest[2].index, 6u);
+  EXPECT_EQ(largest[2].distance, 0.5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> scores{0.5, 0.2, 0.5, 0.9, 0.2, nan, 0.5};
+  EXPECT_EQ(detail::SelectThreshold(scores, 2, 0.5, detail::Keep::kAtMost),
+            (std::vector<std::size_t>{0, 1, 4, 6}));
+  EXPECT_EQ(detail::SelectThreshold(scores, 0, 0.5, detail::Keep::kAtLeast),
+            (std::vector<std::size_t>{2, 3, 6}));
+  EXPECT_TRUE(detail::SelectKSmallest(finite, 0, 0).empty());
 }
 
 }  // namespace

@@ -334,6 +334,64 @@ TEST(IndexParityTest, DustWalkDataPrunes) {
   EXPECT_LT(cost.candidates_touched, cost.candidates_total);
 }
 
+// --- One Euclidean measure for both engines ----------------------------------
+
+TEST(IndexParityTest, UncertainEngineEuclideanEqualsCertainEngineBitwise) {
+  // The server answers Euclidean requests from the uncertain engine's
+  // observation store, so its kNN and range queries must be exactly the
+  // certain engine's over the same observations: neighbors, distances and
+  // work accounting, at every thread count, with the index on and off, on
+  // resident and paged stores. Blocks of 12 rows (a multiple of
+  // kQueryBlock, like every store's) are a multiple of neither grain, 16 and
+  // 5, so chunks are clipped at block boundaries.
+  constexpr std::size_t kBlockRows = 12;
+  ts::BufferPool::Options pool_options;
+  pool_options.budget_bytes = 0;  // evict every unpinned block
+  for (DustCase& c : DustCases()) {
+    ts::Dataset observed("observed");
+    for (const auto& series : c.dataset.series) {
+      observed.Add(series.AsTimeSeries());
+    }
+    const double epsilon = distance::Euclidean(observed[0].values(),
+                                               observed[17].values());
+    for (bool paged : {false, true}) {
+      for (bool indexed : {false, true}) {
+        for (std::size_t threads : kThreadCounts) {
+          EngineOptions certain_options = CertainOptions(threads, indexed);
+          UncertainEngineOptions uncertain_options =
+              UncertainOptions(threads, indexed);
+          uncertain_options.grain = 5;
+          if (paged) {
+            certain_options.buffer_pool = uncertain_options.buffer_pool =
+                ts::BufferPool::Create(pool_options).ValueOrDie();
+            certain_options.block_rows = uncertain_options.block_rows =
+                kBlockRows;
+          }
+          const DistanceMatrixEngine certain(observed, certain_options);
+          auto created = UncertainEngine::Create(c.dataset, uncertain_options);
+          ASSERT_TRUE(created.ok()) << c.name;
+          const UncertainEngine& uncertain = *created.ValueOrDie();
+          ASSERT_EQ(certain.index_enabled(), indexed);
+          for (std::size_t q = 0; q < observed.size(); ++q) {
+            index::SearchCost want, got;
+            ExpectNeighborsIdentical(uncertain.KNearestEuclidean(q, 10, &got),
+                                     certain.KNearestEuclidean(q, 10, &want));
+            EXPECT_EQ(uncertain.RangeSearchEuclidean(q, epsilon, &got),
+                      certain.RangeSearchEuclidean(q, epsilon, &want))
+                << c.name << " q=" << q;
+            EXPECT_EQ(got.candidates_total, want.candidates_total);
+            EXPECT_EQ(got.candidates_touched, want.candidates_touched);
+            EXPECT_EQ(got.pruned_lower_bound, want.pruned_lower_bound);
+            EXPECT_EQ(got.abandoned_early, want.abandoned_early)
+                << c.name << " paged=" << paged << " indexed=" << indexed
+                << " threads=" << threads << " q=" << q;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- PRQ ---------------------------------------------------------------------
 
 TEST(IndexParityTest, ProudPrqIdenticalAcrossIndexFlip) {

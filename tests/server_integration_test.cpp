@@ -39,10 +39,13 @@
 #include <vector>
 
 #include "prob/rng.hpp"
+#include "query/engine.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
 #include "ts/dataset.hpp"
+#include "uncertain/error_spec.hpp"
+#include "uncertain/perturb.hpp"
 
 namespace uts::server {
 namespace {
@@ -686,6 +689,108 @@ TEST(ServerIntegration, ServiceRejectsMalformedBinds) {
     BindDatasetRequest bind = MakeBind("v", exact, 2);
     bind.sigma = sigma;
     EXPECT_TRUE(service.Bind(bind, 1).ok()) << sigma;
+  }
+}
+
+TEST(ServerIntegration, KnnSweepWrappingBlockFailsAtFirstBadQuery) {
+  // query + num_queries overflows 32 bits in both blocks below; each must
+  // still stream its valid items and then fail NotFound at its first
+  // out-of-range query, like any sweep that runs past the dataset.
+  const ts::Dataset exact = MakeExact(12, 16, 31);
+  ServerOptions options;
+  options.unix_socket_path = SocketPath("wrap");
+  options.service = MakeServiceOptions(1);
+  auto server_or = Server::Start(options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).ValueOrDie();
+
+  Client::Options copts;
+  copts.unix_socket_path = options.unix_socket_path;
+  copts.token = 11;
+  auto client_or = Client::Connect(copts);
+  ASSERT_TRUE(client_or.ok());
+  auto client = std::move(client_or).ValueOrDie();
+  ASSERT_TRUE(client->Bind(MakeBind("w", exact, 0)).ok());
+
+  QueryRequest sweep;
+  sweep.dataset = "w";
+  sweep.measure = WireMeasure::kEuclid;
+  sweep.k = 3;
+  sweep.query = 0xFFFFFFFFu;
+  sweep.num_queries = 2;
+  ASSERT_TRUE(client->StartKnnSweep(sweep).ok());
+  bool done = false;
+  EXPECT_FALSE(client->NextSweepItem(&done).ok());
+  EXPECT_FALSE(done);
+  EXPECT_EQ(client->last_error().code, WireError::kNotFound);
+
+  sweep.query = 5;
+  sweep.num_queries = 0xFFFFFFFFu;
+  ASSERT_TRUE(client->StartKnnSweep(sweep).ok());
+  std::vector<std::uint32_t> queries;
+  while (true) {
+    auto item = client->NextSweepItem(&done);
+    if (!item.ok()) break;
+    ASSERT_FALSE(done) << "the block ended without an error";
+    queries.push_back(item.ValueOrDie().query);
+  }
+  EXPECT_FALSE(done);
+  EXPECT_EQ(client->last_error().code, WireError::kNotFound);
+  EXPECT_EQ(queries, (std::vector<std::uint32_t>{5, 6, 7, 8, 9, 10, 11}));
+  server->Stop();
+}
+
+TEST(ServerIntegration, ServiceServesEveryMeasureFromOnePack) {
+  // Euclidean requests read the uncertain engine's observation store: a
+  // bound dataset is packed once for all four measures and no certain
+  // engine is built, yet the answers are exactly a DistanceMatrixEngine's
+  // over the observations of the same deterministic perturbation.
+  const ts::Dataset exact = MakeExact(12, 16, 41);
+  const BindDatasetRequest bind = MakeBind("p", exact, 0);
+  ServiceOptions service_options = MakeServiceOptions(2);
+  service_options.index.enabled = true;
+  Service service(service_options);
+  ASSERT_TRUE(service.Bind(bind, 1).ok());
+
+  QueryRequest query;
+  query.dataset = "p";
+  query.query = 3;
+  query.k = 4;
+  query.epsilon = 5.0;
+  query.tau = 0.2;
+  query.measure = WireMeasure::kEuclid;
+  auto knn = service.Knn(query, 2);
+  ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+  auto range = service.Range(query, 3);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  query.measure = WireMeasure::kDust;
+  ASSERT_TRUE(service.Knn(query, 4).ok());
+  query.measure = WireMeasure::kProud;
+  ASSERT_TRUE(service.Prq(query, 5).ok());
+  EXPECT_EQ(service.context().stats().certain_packs, 0u);
+  EXPECT_EQ(service.context().stats().pdf_packs, 1u);
+
+  const uncertain::UncertainDataset pdf = uncertain::PerturbDataset(
+      exact, uncertain::ErrorSpec::Constant(prob::ErrorKind::kNormal, 0.4),
+      bind.seed);
+  ts::Dataset observed("observed");
+  for (const auto& series : pdf.series) observed.Add(series.AsTimeSeries());
+  query::EngineOptions engine_options;
+  engine_options.index.enabled = true;
+  const query::DistanceMatrixEngine reference(observed, engine_options);
+  index::SearchCost knn_cost, range_cost;
+  ExpectSameNeighbors(knn.ValueOrDie().neighbors,
+                      reference.KNearestEuclidean(3, 4, &knn_cost));
+  const auto matches = reference.RangeSearchEuclidean(3, 5.0, &range_cost);
+  EXPECT_EQ(range.ValueOrDie().indices,
+            std::vector<std::uint64_t>(matches.begin(), matches.end()));
+  for (const auto& [got, want] :
+       {std::pair{knn.ValueOrDie().cost, knn_cost},
+        std::pair{range.ValueOrDie().cost, range_cost}}) {
+    EXPECT_EQ(got.candidates_total, want.candidates_total);
+    EXPECT_EQ(got.candidates_touched, want.candidates_touched);
+    EXPECT_EQ(got.pruned_lower_bound, want.pruned_lower_bound);
+    EXPECT_EQ(got.abandoned_early, want.abandoned_early);
   }
 }
 

@@ -813,37 +813,6 @@ void BM_ProudScanEngineMomentBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ProudScanEngineMomentBatch)->Unit(benchmark::kMillisecond);
 
-// The general-moment sweep reads the precomputed m2/m3/m4 columns instead
-// of six virtual CentralMoment calls per point pair.
-void BM_ProudScanGeneralScalar(benchmark::State& state) {
-  const std::size_t n = 128, len = 290;
-  const auto d =
-      RandomUncertainDataset(n, len, 303, prob::ErrorKind::kExponential, 0.5);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      benchmark::DoNotOptimize(
-          measures::Proud::MatchProbabilityGeneral(d[0], d[i], 8.0));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n * len);
-}
-BENCHMARK(BM_ProudScanGeneralScalar)->Unit(benchmark::kMillisecond);
-
-void BM_ProudScanGeneralEngineColumns(benchmark::State& state) {
-  const std::size_t n = 128, len = 290;
-  const auto d =
-      RandomUncertainDataset(n, len, 303, prob::ErrorKind::kExponential, 0.5);
-  auto engine = query::UncertainEngine::Create(d).ValueOrDie();
-  if (!engine->BuildProudMomentColumns().ok()) {
-    state.SkipWithError("moment columns");
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->ProudGeneralMatchProbabilities(0, 8.0));
-  }
-  state.SetItemsProcessed(state.iterations() * n * len);
-}
-BENCHMARK(BM_ProudScanGeneralEngineColumns)->Unit(benchmark::kMillisecond);
-
 // MUNICH bounds filter: per-pair interval rescans vs the engine's
 // precomputed min/max columns (both feed the same estimator afterwards).
 void BM_MunichBoundsFromColumns(benchmark::State& state) {

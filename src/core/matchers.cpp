@@ -34,6 +34,13 @@ Status RequireBound(const EvalContext* ctx, const char* name) {
   return Status::OK();
 }
 
+/// PROUD decides against Φ⁻¹(τ), which is ∓inf at τ = 0 and 1: every pair
+/// would match, or none. NaN fails too.
+Status RequireProudTau(double tau) {
+  if (tau > 0.0 && tau < 1.0) return Status::OK();
+  return Status::InvalidArgument("PROUD requires tau in (0, 1)");
+}
+
 Status RequireSamples(const EvalContext& context) {
   if (context.samples == nullptr) {
     return Status::InvalidArgument(
@@ -80,6 +87,7 @@ Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
 
 Status ProudMatcher::Bind(const EvalContext& context) {
   UTS_RETURN_NOT_OK(RequirePdf(context));
+  UTS_RETURN_NOT_OK(RequireProudTau(tau_));
   ctx_ = &context;
   measures::ProudOptions options;
   options.tau = tau_;
@@ -96,7 +104,8 @@ Status ProudMatcher::Bind(const EvalContext& context) {
 
 void ProudMatcher::set_tau(double tau) {
   tau_ = tau;
-  if (proud_ != nullptr) {
+  // A bad τ keeps the old measure; Matches and Retrieve report it instead.
+  if (proud_ != nullptr && RequireProudTau(tau).ok()) {
     measures::ProudOptions options = proud_->options();
     options.tau = tau;
     proud_ = std::make_unique<measures::Proud>(options);
@@ -116,6 +125,7 @@ Result<double> ProudMatcher::CalibrationDistance(std::size_t qi,
 Result<bool> ProudMatcher::Matches(std::size_t qi, std::size_t ci,
                                    double epsilon) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  UTS_RETURN_NOT_OK(RequireProudTau(tau_));
   return proud_->Matches((*ctx_->pdf)[qi].observations(),
                          (*ctx_->pdf)[ci].observations(), epsilon);
 }
@@ -124,6 +134,7 @@ Result<std::vector<std::size_t>> ProudMatcher::Retrieve(std::size_t qi,
                                                         std::size_t n,
                                                         double epsilon) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  UTS_RETURN_NOT_OK(RequireProudTau(tau_));
   if (engine_ == nullptr || n != engine_->size()) {
     return Matcher::Retrieve(qi, n, epsilon);
   }
@@ -134,6 +145,7 @@ Result<std::vector<std::vector<std::size_t>>> ProudMatcher::RetrieveEachTau(
     std::size_t qi, std::size_t n, double epsilon,
     std::span<const double> taus) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  for (double tau : taus) UTS_RETURN_NOT_OK(RequireProudTau(tau));
   if (engine_ != nullptr && n == engine_->size()) {
     return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
   }

@@ -48,6 +48,10 @@ class EuclideanMatcher final : public Matcher {
 };
 
 /// \brief PROUD with the paper's constant-σ model.
+///
+/// A τ outside (0, 1), NaN included, fails `Bind`; set after Bind, it makes
+/// every later decision (`Matches`, `Retrieve`) return the error until a
+/// valid τ is set. `RetrieveEachTau` fails at any such τ of its list.
 class ProudMatcher final : public Matcher {
  public:
   /// \param tau            probability threshold τ

@@ -218,51 +218,6 @@ void ProudMomentBatchRange(std::span<const double> query,
   }
 }
 
-void ProudGeneralMomentBatchRange(
-    std::span<const double> query_obs, std::span<const double> query_m2,
-    std::span<const double> query_m3, std::span<const double> query_m4,
-    const ts::RowBlock& block, const ts::RowBlock& m2_block,
-    const ts::RowBlock& m3_block, const ts::RowBlock& m4_block,
-    std::size_t row_begin, std::size_t row_end, std::span<double> mean_out,
-    std::span<double> var_out) {
-  const std::size_t n = query_obs.size();
-  assert(n == block.stride() && n == m2_block.stride() &&
-         n == m3_block.stride() && n == m4_block.stride());
-  assert(query_m2.size() == n && query_m3.size() == n && query_m4.size() == n);
-  assert(row_begin <= row_end && row_end <= block.rows());
-  assert(row_end <= m2_block.rows() && row_end <= m3_block.rows() &&
-         row_end <= m4_block.rows());
-  assert(mean_out.size() == row_end - row_begin);
-  assert(var_out.size() == row_end - row_begin);
-  const double* qo = query_obs.data();
-  const double* q2 = query_m2.data();
-  const double* q3 = query_m3.data();
-  const double* q4 = query_m4.data();
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    const double* ro = block.data() + r * n;
-    const double* r2 = m2_block.data() + r * n;
-    const double* r3 = m3_block.data() + r * n;
-    const double* r4 = m4_block.data() + r * n;
-    double mean_sq = 0.0;
-    double var_sq = 0.0;
-    // Mirrors Proud::DistanceStatsGeneral term by term (the query plays the
-    // x role): m2 = m2x + m2y, m3 = m3x − m3y, m4 = m4x + 6 m2x m2y + m4y.
-    for (std::size_t t = 0; t < n; ++t) {
-      const double mu = qo[t] - ro[t];
-      const double m2 = q2[t] + r2[t];
-      const double m3 = q3[t] - r3[t];
-      const double m4 = q4[t] + 6.0 * q2[t] * r2[t] + r4[t];
-      const double mean_d2 = mu * mu + m2;
-      const double mean_d4 =
-          mu * mu * mu * mu + 6.0 * mu * mu * m2 + 4.0 * mu * m3 + m4;
-      mean_sq += mean_d2;
-      var_sq += mean_d4 - mean_d2 * mean_d2;
-    }
-    mean_out[r - row_begin] = mean_sq;
-    var_out[r - row_begin] = var_sq;
-  }
-}
-
 void SquaredEuclideanEarlyAbandonBatchRange(std::span<const double> query,
                                             const ts::RowBlock& block,
                                             double threshold_sq,

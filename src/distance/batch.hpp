@@ -150,20 +150,6 @@ void ProudMomentBatchRange(std::span<const double> query,
                            std::span<double> mean_out,
                            std::span<double> var_out);
 
-/// \brief PROUD general moment sweep over precomputed per-series central
-/// moment columns (the "moment prefixes": the m2/m3/m4 blocks share the
-/// observation block's geometry — same block index of stores with identical
-/// blocking). Accumulates exactly like measures::Proud::DistanceStatsGeneral
-/// — bit-identical — but reads the precomputed columns instead of paying
-/// six virtual CentralMoment calls per point pair.
-void ProudGeneralMomentBatchRange(
-    std::span<const double> query_obs, std::span<const double> query_m2,
-    std::span<const double> query_m3, std::span<const double> query_m4,
-    const ts::RowBlock& block, const ts::RowBlock& m2_block,
-    const ts::RowBlock& m3_block, const ts::RowBlock& m4_block,
-    std::size_t row_begin, std::size_t row_end, std::span<double> mean_out,
-    std::span<double> var_out);
-
 /// \brief Early-abandoning range kernel: out[r - row_begin] is the exact
 /// squared distance when it is <= threshold_sq, otherwise the first running
 /// sum that exceeded threshold_sq (a value > threshold_sq). Because partial

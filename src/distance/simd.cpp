@@ -25,7 +25,6 @@ const KernelDispatch& ScalarDispatch() {
       .dust_range = &DustBatchRange,
       .dust_classed_range = &DustClassedBatchRange,
       .proud_moment_range = &ProudMomentBatchRange,
-      .proud_general_moment_range = &ProudGeneralMomentBatchRange,
   };
   return table;
 }

@@ -11,7 +11,7 @@
 ///  * blocked squared Euclidean (1-vs-all, the kQueryBlock multi-query
 ///    all-pairs kernel, and the early-abandoning variant),
 ///  * the DUST closed-form / lookup-table batch (single-lut and classed),
-///  * the fused PROUD moment kernels (constant-σ and general-moment).
+///  * the fused constant-σ PROUD moment kernel.
 ///
 /// Selection is runtime CPU dispatch: `ResolveDispatch` probes the CPU once
 /// (AVX2 *and* FMA must both be present), honors the `UNCERTTS_FORCE_SCALAR`
@@ -28,7 +28,7 @@
 /// |--------------------------------|-------------------------------------|
 /// | squared Euclidean (all forms)  | pinned tolerance (reassociation)    |
 /// | early-abandon squared Euclid   | pinned tolerance + per-tile checks  |
-/// | PROUD moments (both forms)     | pinned tolerance (reassociation)    |
+/// | PROUD moments (constant σ)     | pinned tolerance (reassociation)    |
 /// | DUST closed-form               | **bitwise**                         |
 /// | DUST lookup-table (gather)     | **bitwise**                         |
 /// | DUST classed (per-point luts)  | **bitwise**                         |
@@ -143,14 +143,6 @@ struct KernelDispatch {
                              std::size_t row_begin, std::size_t row_end,
                              std::span<double> mean_out,
                              std::span<double> var_out) = nullptr;
-
-  void (*proud_general_moment_range)(
-      std::span<const double> query_obs, std::span<const double> query_m2,
-      std::span<const double> query_m3, std::span<const double> query_m4,
-      const ts::RowBlock& block, const ts::RowBlock& m2_block,
-      const ts::RowBlock& m3_block, const ts::RowBlock& m4_block,
-      std::size_t row_begin, std::size_t row_end, std::span<double> mean_out,
-      std::span<double> var_out) = nullptr;
 };
 
 /// Elements between the early-abandon AVX2 kernel's threshold checks (see

@@ -457,78 +457,6 @@ void ProudMomentRangeAvx2(std::span<const double> query,
   }
 }
 
-void ProudGeneralMomentRangeAvx2(
-    std::span<const double> query_obs, std::span<const double> query_m2,
-    std::span<const double> query_m3, std::span<const double> query_m4,
-    const ts::RowBlock& block, const ts::RowBlock& m2_block,
-    const ts::RowBlock& m3_block, const ts::RowBlock& m4_block,
-    std::size_t row_begin, std::size_t row_end, std::span<double> mean_out,
-    std::span<double> var_out) {
-  const std::size_t n = query_obs.size();
-  assert(n == block.stride() && n == m2_block.stride() &&
-         n == m3_block.stride() && n == m4_block.stride());
-  assert(query_m2.size() == n && query_m3.size() == n && query_m4.size() == n);
-  assert(row_begin <= row_end && row_end <= block.rows());
-  assert(row_end <= m2_block.rows() && row_end <= m3_block.rows() &&
-         row_end <= m4_block.rows());
-  assert(mean_out.size() == row_end - row_begin);
-  assert(var_out.size() == row_end - row_begin);
-  const double* qo = query_obs.data();
-  const double* q2 = query_m2.data();
-  const double* q3 = query_m3.data();
-  const double* q4 = query_m4.data();
-  const __m256d six = _mm256_set1_pd(6.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    const double* ro = block.data() + r * n;
-    const double* r2 = m2_block.data() + r * n;
-    const double* r3 = m3_block.data() + r * n;
-    const double* r4 = m4_block.data() + r * n;
-    __m256d mean_acc = _mm256_setzero_pd();
-    __m256d var_acc = _mm256_setzero_pd();
-    std::size_t t = 0;
-    for (; t + 4 <= n; t += 4) {
-      const __m256d mu =
-          _mm256_sub_pd(_mm256_loadu_pd(qo + t), _mm256_loadu_pd(ro + t));
-      const __m256d vq2 = _mm256_loadu_pd(q2 + t);
-      const __m256d vr2 = _mm256_loadu_pd(r2 + t);
-      const __m256d m2 = _mm256_add_pd(vq2, vr2);
-      const __m256d m3 =
-          _mm256_sub_pd(_mm256_loadu_pd(q3 + t), _mm256_loadu_pd(r3 + t));
-      // m4 = m4x + 6·m2x·m2y + m4y
-      const __m256d m4 = _mm256_fmadd_pd(
-          six, _mm256_mul_pd(vq2, vr2),
-          _mm256_add_pd(_mm256_loadu_pd(q4 + t), _mm256_loadu_pd(r4 + t)));
-      const __m256d mu2 = _mm256_mul_pd(mu, mu);
-      const __m256d mean_d2 = _mm256_add_pd(mu2, m2);
-      // mean_d4 = mu⁴ + 6·mu²·m2 + 4·mu·m3 + m4
-      const __m256d mean_d4 = _mm256_fmadd_pd(
-          mu2, mu2,
-          _mm256_fmadd_pd(_mm256_mul_pd(six, mu2), m2,
-                          _mm256_fmadd_pd(_mm256_mul_pd(four, mu), m3, m4)));
-      mean_acc = _mm256_add_pd(mean_acc, mean_d2);
-      // var term = mean_d4 − mean_d2²
-      var_acc = _mm256_add_pd(var_acc,
-                              _mm256_fnmadd_pd(mean_d2, mean_d2, mean_d4));
-    }
-    double mean_sq = HSum(mean_acc);
-    double var_sq = HSum(var_acc);
-    for (; t < n; ++t) {
-      const double mu = qo[t] - ro[t];
-      const double m2 = q2[t] + r2[t];
-      const double m3 = q3[t] - r3[t];
-      const double m4 = q4[t] + 6.0 * q2[t] * r2[t] + r4[t];
-      const double mean_d2 = mu * mu + m2;
-      const double mean_d4 =
-          mu * mu * mu * mu + 6.0 * mu * mu * m2 + 4.0 * mu * m3 + m4;
-      mean_sq += mean_d2;
-      var_sq += mean_d4 - mean_d2 * mean_d2;
-    }
-    mean_out[r - row_begin] = mean_sq;
-    var_out[r - row_begin] = var_sq;
-  }
-}
-
 }  // namespace
 
 bool Avx2CompiledIn() { return true; }
@@ -543,7 +471,6 @@ const KernelDispatch& Avx2Dispatch() {
       .dust_range = &DustRangeAvx2,
       .dust_classed_range = &DustClassedRangeAvx2,
       .proud_moment_range = &ProudMomentRangeAvx2,
-      .proud_general_moment_range = &ProudGeneralMomentRangeAvx2,
   };
   return table;
 }

@@ -29,6 +29,12 @@ Result<std::vector<double>> ParseLine(const std::string& line,
       return Status::Corruption("trailing garbage in field '" + token +
                                 "' on line " + std::to_string(line_number));
     }
+    // std::stod accepts "nan" and "inf"; a NaN distance would break the
+    // strict weak order every ranking relies on.
+    if (!std::isfinite(value)) {
+      return Status::Corruption("non-finite field '" + token + "' on line " +
+                                std::to_string(line_number));
+    }
     fields.push_back(value);
     token.clear();
     return Status::OK();

@@ -21,7 +21,8 @@ namespace uts::io {
 ///
 /// Lines must agree on length; empty lines are skipped. Labels are rounded
 /// to the nearest integer (UCR labels are integral but sometimes written as
-/// floats). Fails with Corruption on non-numeric fields or ragged rows.
+/// floats). Fails with Corruption on non-numeric or non-finite fields (NaN
+/// and ±inf, label included) or ragged rows.
 Result<ts::Dataset> ReadUcrStream(std::istream& in, const std::string& name);
 
 /// \brief Load a UCR-format file.

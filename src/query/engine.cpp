@@ -130,13 +130,6 @@ std::vector<Neighbor> DistanceMatrixEngine::KNearest(
                                  exclude, k);
 }
 
-std::vector<std::size_t> DistanceMatrixEngine::ProbabilisticRangeSearch(
-    std::size_t n, std::size_t exclude, double tau,
-    const MatchProbabilityFn& probability_of) const {
-  return detail::SelectThreshold(ComputeDense(n, exclude, probability_of),
-                                 exclude, tau, detail::Keep::kAtLeast);
-}
-
 std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
     std::size_t n, std::size_t k, const PairwiseDistanceFn& distance) const {
   const std::size_t grain = MotifGrain(n);

@@ -1,11 +1,12 @@
 /// \file engine.hpp
 /// \brief The batched, multi-threaded query-execution engine.
 ///
-/// `DistanceMatrixEngine` answers the query shapes the paper's evaluation
-/// is built from — k-NN lists (10-NN ground truth, Section 4.1.2), range
-/// queries RQ(Q,C,ε) (Eq. 1), probabilistic range queries PRQ(Q,C,ε,τ)
-/// (Eq. 2) and top-k motif pairs (Section 3.3) — over parallel blocks of
-/// candidates scheduled on an `exec::ThreadPool`.
+/// `DistanceMatrixEngine` answers the certain query shapes the paper's
+/// evaluation is built from — k-NN lists (10-NN ground truth, Section
+/// 4.1.2), range queries RQ(Q,C,ε) (Eq. 1) and top-k motif pairs (Section
+/// 3.3) — over parallel blocks of candidates scheduled on an
+/// `exec::ThreadPool`. Probabilistic range queries PRQ(Q,C,ε,τ) (Eq. 2) run
+/// on UncertainEngine.
 ///
 /// Determinism guarantee: results are bit-identical to the sequential
 /// reference path at every thread count. Candidate ranges are a pure
@@ -50,7 +51,7 @@ struct EngineOptions : ExecOptions {
   std::size_t grain = 256;
 };
 
-/// \brief Batched parallel k-NN / RQ / PRQ / motif execution over one
+/// \brief Batched parallel k-NN / RQ / motif execution over one
 /// dataset. The engine borrows the dataset; it must outlive the engine and
 /// not be mutated while the engine is in use.
 class DistanceMatrixEngine {
@@ -126,12 +127,6 @@ class DistanceMatrixEngine {
   std::vector<Neighbor> KNearest(std::size_t n, std::size_t exclude,
                                  std::size_t k,
                                  const DistanceToFn& distance_to) const;
-
-  /// PRQ(Q, C, ε, τ) over an arbitrary match-probability callback (ε folded
-  /// into the callback); indices ascending.
-  std::vector<std::size_t> ProbabilisticRangeSearch(
-      std::size_t n, std::size_t exclude, double tau,
-      const MatchProbabilityFn& probability_of) const;
 
   /// Top-k closest pairs under an arbitrary pairwise distance; same
   /// ordering contract as query::TopKMotifs.

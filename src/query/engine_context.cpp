@@ -297,7 +297,7 @@ const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
   // engine borrows a dataset that may be gone by now (a driver rebuilding
   // per iteration), and the address alone is safe to compare.
   if (certain_ != nullptr && fingerprint == certain_fingerprint_ &&
-      grain == certain_grain_ && certain_dataset_ == &exact) {
+      grain == certain_key_grain_ && certain_dataset_ == &exact) {
     ++stats_.certain_reuses;
     return *certain_;
   }
@@ -305,18 +305,14 @@ const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
   options.threads = threads_;
   options.shared_pool = pool();
   options.simd = options_.simd;
-  if (grain != 0) {
-    options.grain = grain;
-  } else if (options_.certain_grain != 0) {
-    options.grain = options_.certain_grain;
-  }
+  if (grain != 0) options.grain = grain;
   options.index = options_.index;
   options.buffer_pool = buffer_pool();
   options.block_rows = options_.block_rows;
   certain_ = std::make_unique<DistanceMatrixEngine>(exact, options);
   certain_dataset_ = &exact;
   certain_fingerprint_ = fingerprint;
-  certain_grain_ = grain;
+  certain_key_grain_ = grain;
   ++stats_.certain_packs;
   return *certain_;
 }
@@ -328,7 +324,6 @@ UncertainEngine* EngineContext::EnsureUncertain() {
   options.threads = threads_;
   options.shared_pool = pool();
   options.simd = options_.simd;
-  if (options_.uncertain_grain != 0) options.grain = options_.uncertain_grain;
   options.index = options_.index;
   options.buffer_pool = buffer_pool();
   options.block_rows = options_.block_rows;
@@ -414,18 +409,6 @@ UncertainEngine* EngineContext::AcquireMunich(
   }
   ++stats_.acquires_served;
   return engine;
-}
-
-Status EngineContext::EnsureProudMoments() {
-  UncertainEngine* engine = EnsureUncertain();
-  if (engine == nullptr) {
-    return Status::InvalidArgument(
-        "engine context has no usable uncertain engine");
-  }
-  if (engine->proud_moments_ready()) return Status::OK();
-  UTS_RETURN_NOT_OK(engine->BuildProudMomentColumns());
-  ++stats_.proud_moment_builds;
-  return Status::OK();
 }
 
 }  // namespace uts::query

@@ -18,9 +18,9 @@
 ///    subsequent one, Euclidean included (`AcquireEuclidean`);
 ///  * **lazy, cached measure state** — DUST lookup tables (built through a
 ///    context-persistent `measures::Dust` cache, so re-binding across
-///    datasets under one error spec reuses already-integrated tables),
-///    PROUD moment columns and the MUNICH sample attachment are each built
-///    on first use and cached for the rest of the run;
+///    datasets under one error spec reuses already-integrated tables) and
+///    the MUNICH sample attachment are each built on first use and cached
+///    for the rest of the run;
 ///  * **one certain engine** — the `DistanceMatrixEngine` driving the
 ///    ground-truth sweeps over *exact* data is cached across runs keyed by
 ///    the dataset's content, so repeated runs over one dataset (a τ search
@@ -69,21 +69,13 @@ namespace uts::query {
 /// `pools_created` stays 0, `threads` still controls partitioning so
 /// results stay bit-identical to an owned pool of the same width).
 struct EngineContextOptions : ExecOptions {
-  /// Candidate rows per parallel chunk of the certain-distance sweeps
-  /// (DistanceMatrixEngine); 0 = that engine's default.
-  std::size_t certain_grain = 0;
-
-  /// Candidate rows per parallel chunk of the uncertain-measure sweeps
-  /// (UncertainEngine); 0 = that engine's default.
-  std::size_t uncertain_grain = 0;
-
   /// Memory budget of the run's storage tier, in bytes. 0 (default) =
   /// fully-resident stores, exactly the classic behavior. Non-zero makes
   /// the context create a ts::BufferPool with this budget and build every
-  /// engine store (values, PROUD moment columns, MUNICH interval columns)
-  /// as paged blocks under it — datasets larger than the budget page
-  /// through the pool's spill log with results bitwise identical to the
-  /// resident run. Ignored when `buffer_pool` is set explicitly.
+  /// engine store (values, MUNICH interval columns) as paged blocks under
+  /// it — datasets larger than the budget page through the pool's spill
+  /// log with results bitwise identical to the resident run. Ignored when
+  /// `buffer_pool` is set explicitly.
   std::size_t memory_budget_bytes = 0;
 
   /// Spill directory of the context-created buffer pool (empty = $TMPDIR,
@@ -114,7 +106,6 @@ class EngineContext {
     std::size_t data_rebind_hits = 0;  ///< BindData calls that kept data.
     std::size_t certain_reuses = 0;    ///< Certain() calls served from cache.
     std::size_t dust_table_builds = 0;     ///< EnsureDustTables misses.
-    std::size_t proud_moment_builds = 0;   ///< EnsureProudMoments misses.
     std::size_t sample_attaches = 0;       ///< EnsureSamples misses.
     std::size_t acquires_served = 0;   ///< Acquire* calls that returned the
                                        ///< shared engine.
@@ -274,10 +265,6 @@ class EngineContext {
   /// engine never reads it); later acquisitions with a conflicting config
   /// are declined.
   UncertainEngine* AcquireMunich(const measures::MunichOptions& munich);
-
-  /// PROUD general-moment columns (m2/m3/m4 SoA prefixes) on the shared
-  /// engine; built on first call, cached for the run.
-  Status EnsureProudMoments();
   /// \}
 
   /// The lifecycle counters (see Stats).
@@ -334,7 +321,7 @@ class EngineContext {
   std::unique_ptr<DistanceMatrixEngine> certain_;
   const ts::Dataset* certain_dataset_ = nullptr;
   std::uint64_t certain_fingerprint_ = 0;
-  std::size_t certain_grain_ = 0;
+  std::size_t certain_key_grain_ = 0;  ///< Certain()'s `grain` argument.
 
   Stats stats_;
 };

@@ -120,44 +120,6 @@ Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
   return engine;
 }
 
-Status UncertainEngine::BuildProudMomentColumns() {
-  if (proud_moments_ready_) return Status::OK();
-  // Per-class central moments scattered into per-point SoA columns — the
-  // "moment prefixes" the general sweep streams instead of paying six
-  // virtual CentralMoment calls per point pair.
-  std::vector<double> m2_of_class, m3_of_class, m4_of_class;
-  for (const auto& dist : class_dists_) {
-    m2_of_class.push_back(dist->CentralMoment(2));
-    m3_of_class.push_back(dist->CentralMoment(3));
-    m4_of_class.push_back(dist->CentralMoment(4));
-  }
-  // Each column streams through FromRows one block at a time, so paged
-  // engines never materialize a full n×len moment column; its blocking is a
-  // pure function of (stride, block_rows), so the moment stores share the
-  // observation store's block geometry.
-  const std::size_t len = length();
-  const auto build = [&](const std::vector<double>& of_class) {
-    return ts::SoaStore::FromRows(
-        size(), len,
-        [&](std::size_t r, std::span<double> out) {
-          const std::uint16_t* ids = class_ids_.data() + r * len;
-          for (std::size_t t = 0; t < len; ++t) out[t] = of_class[ids[t]];
-        },
-        options_.buffer_pool, options_.block_rows);
-  };
-  auto m2 = build(m2_of_class);
-  if (!m2.ok()) return m2.status();
-  auto m3 = build(m3_of_class);
-  if (!m3.ok()) return m3.status();
-  auto m4 = build(m4_of_class);
-  if (!m4.ok()) return m4.status();
-  m2_store_ = std::move(m2).ValueOrDie();
-  m3_store_ = std::move(m3).ValueOrDie();
-  m4_store_ = std::move(m4).ValueOrDie();
-  proud_moments_ready_ = true;
-  return Status::OK();
-}
-
 // --- Euclidean ---------------------------------------------------------------
 
 std::vector<Neighbor> UncertainEngine::KNearestEuclidean(
@@ -326,17 +288,6 @@ auto ProudMomentScorer(const distance::KernelDispatch* dispatch, double v,
   };
 }
 
-/// Turn a chunk's distance means (in `out`) into match probabilities at ε,
-/// reading the variances of the same rows from `var`.
-void MeansToProbabilities(const ts::RowChunk& chunk,
-                          const std::vector<double>& var, double epsilon,
-                          std::span<double> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = measures::Proud::ProbabilityFromStats(
-        {out[i], var[chunk.begin + i]}, epsilon);
-  }
-}
-
 }  // namespace
 
 std::vector<double> UncertainEngine::ProudMatchProbabilities(
@@ -351,7 +302,11 @@ std::vector<double> UncertainEngine::ProudMatchProbabilities(
                     const ts::StoreView::PinnedBlock& pin,
                     std::span<double> out) {
         moments(chunk, pin, out);
-        MeansToProbabilities(chunk, var, epsilon, out);
+        // The chunk's distance means become match probabilities at ε.
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] = measures::Proud::ProbabilityFromStats(
+              {out[i], var[chunk.begin + i]}, epsilon);
+        }
       });
 }
 
@@ -393,43 +348,6 @@ std::vector<Neighbor> UncertainEngine::KNearestProud(std::size_t query,
                                                      std::size_t k) const {
   return detail::SelectKLargest(ProudMatchProbabilities(query, epsilon),
                                 query, k);
-}
-
-Result<std::vector<double>> UncertainEngine::ProudGeneralMatchProbabilities(
-    std::size_t query, double epsilon) const {
-  assert(query < size());
-  if (!proud_moments_ready_) {
-    return Status::InvalidArgument(
-        "PROUD moment columns not built; call BuildProudMomentColumns "
-        "first");
-  }
-  std::vector<double> var(size(), 0.0);
-  // The moment columns share the observation store's block geometry (same
-  // stride, same block_rows), so a chunk's block index addresses the same
-  // rows in all four stores.
-  assert(m2_store_.block_rows() == store_.block_rows());
-  const ts::StoreView view(store_);
-  const ts::StoreView m2_view(m2_store_), m3_view(m3_store_),
-      m4_view(m4_store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  const auto q2_pin = ts::PinRowOrAbort(m2_view, query);
-  const auto q3_pin = ts::PinRowOrAbort(m3_view, query);
-  const auto q4_pin = ts::PinRowOrAbort(m4_view, query);
-  return detail::ScanRows(
-      Target(), [&](const ts::RowChunk& chunk,
-                    const ts::StoreView::PinnedBlock& pin,
-                    std::span<double> out) {
-        const auto m2_pin = ts::PinOrAbort(m2_view, chunk.block);
-        const auto m3_pin = ts::PinOrAbort(m3_view, chunk.block);
-        const auto m4_pin = ts::PinOrAbort(m4_view, chunk.block);
-        const std::size_t begin = chunk.begin - pin.first_row();
-        dispatch_->proud_general_moment_range(
-            query_pin.row(), q2_pin.row(), q3_pin.row(), q4_pin.row(),
-            pin.block(), m2_pin.block(), m3_pin.block(), m4_pin.block(),
-            begin, begin + out.size(), out,
-            std::span<double>(var).subspan(chunk.begin, out.size()));
-        MeansToProbabilities(chunk, var, epsilon, out);
-      });
 }
 
 // --- MUNICH ------------------------------------------------------------------

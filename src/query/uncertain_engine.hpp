@@ -21,10 +21,8 @@
 ///    the blocked batch kernels of distance/batch.hpp as borrowed
 ///    `distance::DustLut` views. The all-normal-error case takes the closed
 ///    form dust(Δ) = Δ / sqrt(2(σx² + σy²)) — no table loads at all.
-///  * **PROUD** — per-series central-moment prefixes (m2/m3/m4 columns in
-///    SoA layout), so the general-moment ε_norm sweep is one contiguous
-///    pass per candidate with zero virtual dispatch; the paper-faithful
-///    constant-σ sweep is a single fused pass over the observation rows.
+///  * **PROUD** — nothing beyond the observation rows: the paper-faithful
+///    constant-σ sweep is a single fused pass over them.
 ///  * **MUNICH** — per-series bounding-interval columns (min/max per
 ///    timestamp) for the certain-accept / certain-reject filter, plus
 ///    deterministic *counter-based* RNG seeding: the Monte Carlo stream of
@@ -111,8 +109,7 @@ class UncertainEngine {
   /// error-class ids. Requires a non-empty dataset of uniform length.
   /// Measure-specific precomputations are explicit setup steps so callers
   /// only pay for what they query: `BuildDustTables` before the DUST
-  /// queries, `BuildProudMomentColumns` before the general-moment PROUD
-  /// sweep (the constant-σ PROUD and MUNICH paths need neither).
+  /// queries (PROUD needs none; MUNICH needs `AttachSamples`).
   static Result<std::unique_ptr<UncertainEngine>> Create(
       const uncertain::UncertainDataset& pdf,
       UncertainEngineOptions options = {});
@@ -235,21 +232,6 @@ class UncertainEngine {
   /// the probability.
   std::vector<Neighbor> KNearestProud(std::size_t query, double epsilon,
                                       std::size_t k) const;
-
-  /// Precompute the per-series central-moment columns (the "moment
-  /// prefixes") the general-moment sweep reads. Idempotent; immutable once
-  /// built. Kept out of Create so the constant-σ/DUST/MUNICH callers do
-  /// not pay 3·n·len doubles they never read.
-  Status BuildProudMomentColumns();
-
-  /// True once BuildProudMomentColumns has run.
-  bool proud_moments_ready() const { return proud_moments_ready_; }
-
-  /// Dense sweep through the exact per-point moment propagation
-  /// (Proud::MatchProbabilityGeneral), reading the precomputed moment
-  /// columns instead of per-point virtual dispatch.
-  Result<std::vector<double>> ProudGeneralMatchProbabilities(
-      std::size_t query, double epsilon) const;
   /// \}
 
   /// \name MUNICH (requires AttachSamples)
@@ -310,9 +292,6 @@ class UncertainEngine {
   const distance::KernelDispatch* dispatch_;
 
   ts::SoaStore store_;  ///< Packed observations.
-  /// PROUD moment columns; empty until BuildProudMomentColumns.
-  ts::SoaStore m2_store_, m3_store_, m4_store_;
-  bool proud_moments_ready_ = false;
   double proud_v_ = 2.0;  ///< v = 2σ² of the constant-σ PROUD model.
 
   std::vector<std::uint16_t> class_ids_;  ///< rows×stride error-class ids.

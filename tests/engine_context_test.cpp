@@ -311,19 +311,6 @@ TEST(EngineContextTest, SharedEngineQueriesMatchFreshEnginesBitwise) {
               ->ProbabilisticRangeSearchMunich(q, epsilon, tau)
               .ValueOrDie());
     }
-
-    // The PROUD general-moment columns are the fourth lazy cache: built on
-    // first EnsureProudMoments, reused on the second, bitwise the fresh
-    // engine's sweep.
-    ASSERT_TRUE(engines.EnsureProudMoments().ok());
-    ASSERT_TRUE(engines.EnsureProudMoments().ok());
-    EXPECT_EQ(engines.stats().proud_moment_builds, 1u);
-    ASSERT_TRUE(fresh_proud.ValueOrDie()->BuildProudMomentColumns().ok());
-    EXPECT_EQ(
-        shared->ProudGeneralMatchProbabilities(0, epsilon).ValueOrDie(),
-        fresh_proud.ValueOrDie()
-            ->ProudGeneralMatchProbabilities(0, epsilon)
-            .ValueOrDie());
   }
 }
 

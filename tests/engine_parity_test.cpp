@@ -1,5 +1,5 @@
 // Parity suite for the parallel query engine (src/query/engine):
-// k-NN / RQ / PRQ / motif results must be bit-identical — indices AND
+// k-NN / RQ / motif results must be bit-identical — indices AND
 // distances — to the sequential reference at 1, 2 and 8 threads, including
 // tie-heavy inputs. The references below are verbatim ports of the seed's
 // sequential implementations, so the engine is also checked against the
@@ -213,24 +213,6 @@ TEST(EngineParityTest, RangeSearchMatchesReferenceIncludingExactBoundary) {
         EXPECT_EQ(got, want);
       }
     }
-  }
-}
-
-// --- Probabilistic range queries --------------------------------------------
-
-TEST(EngineParityTest, ProbabilisticRangeSearchMatchesSequentialShim) {
-  // A pure, thread-safe match-probability stub with exact tau collisions.
-  const auto probability_of = [](std::size_t i) {
-    return static_cast<double>((i * 2654435761u) % 97u) / 96.0;
-  };
-  const std::size_t n = 200;
-  const double tau = probability_of(7);  // attained exactly by several items
-  const auto want = ProbabilisticRangeSearch(n, 3, tau, probability_of);
-  const ts::Dataset d = GaussianDataset(8, 4, 9);  // engine host dataset
-  for (std::size_t threads : kThreadCounts) {
-    DistanceMatrixEngine engine(d, SmallChunkOptions(threads));
-    EXPECT_EQ(engine.ProbabilisticRangeSearch(n, 3, tau, probability_of),
-              want);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -469,6 +470,54 @@ TEST(MatcherTest, ProudWaveletTauBelowHalfIsAnErrorNotAStaleTau) {
   auto sweep = SweepTau(d, ErrorSpec::Constant(ErrorKind::kNormal, 0.5),
                         wavelet, QuickOptions(), taus);
   EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MatcherTest, ProudTauOutsideTheOpenUnitIntervalIsAnError) {
+  // Φ⁻¹(τ) is ∓inf at τ = 0 and 1: such a τ must be an error, never a
+  // decision that matches every pair or none.
+  const ts::Dataset d = SmallDataset();
+  const uncertain::UncertainDataset pdf = uncertain::PerturbDataset(
+      d, ErrorSpec::Constant(ErrorKind::kNormal, 0.5), 3);
+  query::EngineContext engines;
+  ASSERT_TRUE(engines.BindData(pdf, std::nullopt, 3, 0.5).ok());
+  for (const bool use_engine : {false, true}) {
+    EvalContext context;
+    context.exact = &d;
+    context.pdf = use_engine ? engines.pdf() : &pdf;
+    context.reported_sigma = 0.5;
+    context.seed = 3;
+    context.engines = use_engine ? &engines : nullptr;
+
+    for (const double tau :
+         {0.0, 1.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      ProudMatcher bad(tau);
+      EXPECT_EQ(bad.Bind(context).code(), StatusCode::kInvalidArgument)
+          << tau;
+    }
+
+    ProudMatcher proud(0.8);
+    ASSERT_TRUE(proud.Bind(context).ok());
+    const double eps = proud.CalibrationDistance(0, 5).ValueOrDie();
+    const std::size_t n = pdf.size();
+    const auto at_08 = proud.Retrieve(0, n, eps).ValueOrDie();
+    const bool match_08 = proud.Matches(0, 1, eps).ValueOrDie();
+
+    proud.set_tau(1.0);
+    EXPECT_EQ(proud.tau(), 1.0);
+    EXPECT_EQ(proud.Matches(0, 1, eps).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(proud.Retrieve(0, n, eps).status().code(),
+              StatusCode::kInvalidArgument);
+    const std::vector<double> taus = {0.8, 1.0};
+    EXPECT_EQ(proud.RetrieveEachTau(0, n, eps, taus).status().code(),
+              StatusCode::kInvalidArgument);
+
+    // A valid τ restores the original answer.
+    proud.set_tau(0.8);
+    EXPECT_EQ(proud.Retrieve(0, n, eps).ValueOrDie(), at_08);
+    EXPECT_EQ(proud.Matches(0, 1, eps).ValueOrDie(), match_08);
+  }
+  EXPECT_GT(engines.stats().acquires_served, 0u);
 }
 
 TEST(MatcherTest, MunichProbabilityCacheSurvivesTauChanges) {

@@ -58,6 +58,17 @@ TEST(UcrReadTest, RejectsRaggedRows) {
 TEST(UcrReadTest, RejectsGarbageFields) {
   std::istringstream in("1,1.0,banana\n");
   EXPECT_EQ(ReadUcrStream(in, "t").status().code(), StatusCode::kCorruption);
+  // std::stod parses these, but a non-finite value, label included, is
+  // rejected too.
+  for (const char* text :
+       {"1,1.0,2.0\n1,NaN,2.0\n", "1,1.0,2.0\n1,1.0,nan\n",
+        "1,1.0,2.0\ninf,1.0,2.0\n", "1,1.0,2.0\n1,-inf,2.0\n"}) {
+    std::istringstream bad(text);
+    const Status status = ReadUcrStream(bad, "t").status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << text;
+    EXPECT_NE(status.message().find("on line 2"), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(UcrReadTest, RejectsLabelOnlyLines) {

@@ -329,35 +329,6 @@ TEST(OutOfCoreUncertainTest, ProudPagedBitwiseEqualsResident) {
   }
 }
 
-TEST(OutOfCoreUncertainTest, ProudGeneralMomentColumnsShareBlockGeometry) {
-  // Exponential error: the general-moment path reads the lazily built
-  // m2/m3/m4 SoA columns, which must be blocked exactly like the
-  // observation store and page through the same pool.
-  const auto d = GaussianUncertain(24, kLength, 23,
-                                   prob::ErrorKind::kExponential, 0.5);
-  auto resident = query::UncertainEngine::Create(
-                      d, PagedUncertainOptions(1, false, nullptr))
-                      .ValueOrDie();
-  ASSERT_TRUE(resident->BuildProudMomentColumns().ok());
-  const auto probs = resident->ProudGeneralMatchProbabilities(0, 6.0)
-                         .ValueOrDie();
-
-  for (std::size_t threads : kThreadCounts) {
-    auto pool = MakePool(2 * kBlockBytes);
-    auto paged = query::UncertainEngine::Create(
-                     d, PagedUncertainOptions(threads, false, pool))
-                     .ValueOrDie();
-    ASSERT_TRUE(paged->BuildProudMomentColumns().ok());
-    const auto paged_probs = paged->ProudGeneralMatchProbabilities(0, 6.0)
-                                 .ValueOrDie();
-    ASSERT_EQ(probs.size(), paged_probs.size());
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      EXPECT_EQ(probs[i], paged_probs[i]) << i;
-    }
-    EXPECT_GT(pool->stats().faults, 0u);
-  }
-}
-
 TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
   const ts::Dataset exact = GaussianDataset(16, kLength, 24);
   const auto spec =

@@ -347,44 +347,6 @@ TEST(SimdKernelParityTest, ProudMomentWithinTolerance) {
   }
 }
 
-TEST(SimdKernelParityTest, ProudGeneralMomentWithinTolerance) {
-  UTS_REQUIRE_SIMD();
-  const KernelDispatch& simd = ResolveDispatch(SimdMode::kAuto);
-  for (std::size_t len : kLengths) {
-    const std::size_t rows = 13;
-    const ts::SoaStore obs = RandomStore(rows, len, 0x41 + len);
-    // Central moments with realistic signs: m2, m4 > 0; m3 signed.
-    prob::Rng rng(0x42 + len);
-    std::vector<double> m2v(rows * len), m3v(rows * len), m4v(rows * len);
-    for (std::size_t i = 0; i < rows * len; ++i) {
-      const double s = 0.2 + 0.8 * std::fabs(rng.Gaussian());
-      m2v[i] = s * s;
-      m3v[i] = 0.3 * rng.Gaussian() * s * s * s;
-      m4v[i] = 3.0 * s * s * s * s;
-    }
-    const ts::SoaStore m2 =
-        ts::SoaStore::FromPacked(std::move(m2v), len).ValueOrDie();
-    const ts::SoaStore m3 =
-        ts::SoaStore::FromPacked(std::move(m3v), len).ValueOrDie();
-    const ts::SoaStore m4 =
-        ts::SoaStore::FromPacked(std::move(m4v), len).ValueOrDie();
-    const ts::RowBlock obs_b = Block(obs), m2_b = Block(m2), m3_b = Block(m3),
-                       m4_b = Block(m4);
-    std::vector<double> want_mean(rows), want_var(rows), got_mean(rows),
-        got_var(rows);
-    ProudGeneralMomentBatchRange(obs_b.row(0), m2_b.row(0), m3_b.row(0),
-                                 m4_b.row(0), obs_b, m2_b, m3_b, m4_b, 0,
-                                 rows, want_mean, want_var);
-    simd.proud_general_moment_range(obs_b.row(0), m2_b.row(0), m3_b.row(0),
-                                    m4_b.row(0), obs_b, m2_b, m3_b, m4_b, 0,
-                                    rows, got_mean, got_var);
-    for (std::size_t i = 0; i < rows; ++i) {
-      ExpectRelNear(got_mean[i], want_mean[i], "proud-gen-mean", i);
-      ExpectRelNear(got_var[i], want_var[i], "proud-gen-var", i);
-    }
-  }
-}
-
 // --- Dispatch resolution -----------------------------------------------------
 
 TEST(SimdDispatchTest, ForceScalarModePinsScalarTable) {

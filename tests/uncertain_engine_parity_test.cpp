@@ -382,34 +382,6 @@ TEST(UncertainEngineParityTest, ProudKnnByProbabilityMatchesScalar) {
   }
 }
 
-TEST(UncertainEngineParityTest, ProudGeneralMomentsMatchScalar) {
-  // Mixed per-point error models: the moment-column sweep must reproduce
-  // Proud::MatchProbabilityGeneral bit-exactly.
-  auto hi = prob::MakeExponentialError(1.0);
-  auto lo = prob::MakeNormalError(0.4);
-  const auto d = GaussianUncertain(30, 10, 24, [&](std::size_t s,
-                                                   std::size_t t) {
-    return (s + 2 * t) % 4 == 0 ? hi : lo;
-  });
-  const double epsilon = 3.0;
-  for (std::size_t threads : kThreadCounts) {
-    auto engine = UncertainEngine::Create(d, SmallChunkOptions(threads));
-    ASSERT_TRUE(engine.ok());
-    // The moment columns are an explicit setup step (like the DUST tables).
-    EXPECT_FALSE(
-        engine.ValueOrDie()->ProudGeneralMatchProbabilities(2, epsilon).ok());
-    ASSERT_TRUE(engine.ValueOrDie()->BuildProudMomentColumns().ok());
-    const auto got =
-        engine.ValueOrDie()->ProudGeneralMatchProbabilities(2, epsilon);
-    ASSERT_TRUE(got.ok());
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(got.ValueOrDie()[i],
-                measures::Proud::MatchProbabilityGeneral(d[2], d[i], epsilon))
-          << "candidate " << i << " threads=" << threads;
-    }
-  }
-}
-
 // --- MUNICH ------------------------------------------------------------------
 
 struct MunichFixture {

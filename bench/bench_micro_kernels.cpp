@@ -293,7 +293,17 @@ ts::Dataset RandomDataset(std::size_t n_series, std::size_t length,
   return d;
 }
 
-// Packed() stores are resident, so their single block's pin is a plain
+// A resident store of the dataset's rows, packed the way the engines pack.
+ts::SoaStore Pack(const ts::Dataset& d) {
+  return ts::SoaStore::FromRows(
+             d.size(), d[0].size(),
+             [&d](std::size_t r, std::span<double> out) {
+               std::copy(d[r].begin(), d[r].end(), out.begin());
+             })
+      .ValueOrDie();
+}
+
+// Pack()'s stores are resident, so their single block's pin is a plain
 // pointer copy and the returned RowBlock outlives the guard.
 ts::RowBlock Block(const ts::SoaStore& store) {
   const ts::StoreView view(store);
@@ -324,8 +334,7 @@ void BM_ScanEuclideanBatchSoA(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 100);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   std::vector<double> out(n);
   for (auto _ : state) {
@@ -343,8 +352,7 @@ void BM_ScanEuclideanMultiQueryBatchSoA(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 100);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   std::vector<double> out(distance::kQueryBlock * n);
   for (auto _ : state) {
@@ -364,8 +372,7 @@ void BM_ScanEuclideanEarlyAbandonBatchSoA(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 100);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   std::vector<double> full(n);
   distance::SquaredEuclideanBatch(block.row(0), store, full);
@@ -402,8 +409,7 @@ void ScanEuclideanKernel(benchmark::State& state,
   const auto len = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
   const ts::Dataset d = RandomDataset(n, len, 100);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   std::vector<double> out(n);
   for (auto _ : state) {
@@ -445,8 +451,7 @@ void MultiQueryKernel(benchmark::State& state,
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 100);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   std::vector<double> out(distance::kQueryBlock * n);
   for (auto _ : state) {
@@ -476,8 +481,7 @@ void DustClosedFormKernel(benchmark::State& state,
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 101);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   distance::DustLut lut;
   lut.scale = 1.0;  // values == nullptr => closed form, no table loads
@@ -506,8 +510,7 @@ void DustLookupKernel(benchmark::State& state,
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 102);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   const std::size_t cells = 2048;
   std::vector<double> values(cells);
@@ -544,8 +547,7 @@ void ProudMomentKernel(benchmark::State& state,
   const auto len = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 512;
   const ts::Dataset d = RandomDataset(n, len, 103);
-  const auto packed = d.Packed();
-  const ts::SoaStore& store = *packed;
+  const ts::SoaStore store = Pack(d);
   const ts::RowBlock block = Block(store);
   std::vector<double> mean(n), var(n);
   for (auto _ : state) {
@@ -605,7 +607,8 @@ void BM_GroundTruthKnnEngineThreads(benchmark::State& state) {
   const ts::Dataset d = RandomDataset(256, 128, 200);
   query::EngineOptions options;
   options.threads = static_cast<std::size_t>(state.range(0));
-  const query::DistanceMatrixEngine engine(d, options);
+  const auto engine =
+      query::DistanceMatrixEngine::Create(d, options).ValueOrDie();
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
   }
@@ -633,7 +636,8 @@ void BM_GroundTruthKnnEnginePaged(benchmark::State& state) {
   options.threads = 1;
   options.buffer_pool = pool;
   options.block_rows = 32;  // packed dataset is 256 KiB = 8 such blocks
-  const query::DistanceMatrixEngine engine(d, options);
+  const auto engine =
+      query::DistanceMatrixEngine::Create(d, options).ValueOrDie();
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
   }
@@ -672,7 +676,7 @@ ts::Dataset RandomWalkDataset(std::size_t n_series, std::size_t length,
 
 void BM_GroundTruthKnnEngineWalk(benchmark::State& state) {
   const ts::Dataset d = RandomWalkDataset(256, 512, 210);
-  const query::DistanceMatrixEngine engine(d, {});
+  const auto engine = query::DistanceMatrixEngine::Create(d).ValueOrDie();
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
   }
@@ -684,7 +688,8 @@ void BM_GroundTruthKnnEngineWalkIndexed(benchmark::State& state) {
   const ts::Dataset d = RandomWalkDataset(256, 512, 210);
   query::EngineOptions options;
   options.index.enabled = true;
-  const query::DistanceMatrixEngine engine(d, options);
+  const auto engine =
+      query::DistanceMatrixEngine::Create(d, options).ValueOrDie();
   // The cascade is deterministic, so one pre-loop run yields the exact
   // per-iteration work accounting without perturbing the timed loop.
   index::SearchCost cost;
@@ -742,8 +747,9 @@ void BM_DustScanEngineClosedForm(benchmark::State& state) {
   const std::size_t n = 512, len = 290;
   const auto d =
       RandomUncertainDataset(n, len, 300, prob::ErrorKind::kNormal, 0.5);
+  measures::Dust dust;
   auto engine = query::UncertainEngine::Create(d).ValueOrDie();
-  if (!engine->BuildDustTables().ok()) state.SkipWithError("table build");
+  if (!engine->BuildDustTables(dust).ok()) state.SkipWithError("table build");
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine->DustDistances(0));
   }
@@ -772,8 +778,9 @@ void BM_DustScanEngineLookup(benchmark::State& state) {
   const std::size_t n = 512, len = 290;
   const auto d =
       RandomUncertainDataset(n, len, 301, prob::ErrorKind::kUniform, 0.5);
+  measures::Dust dust;
   auto engine = query::UncertainEngine::Create(d).ValueOrDie();
-  if (!engine->BuildDustTables().ok()) state.SkipWithError("table build");
+  if (!engine->BuildDustTables(dust).ok()) state.SkipWithError("table build");
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine->DustDistances(0));
   }

@@ -22,6 +22,7 @@
 #include "core/metrics.hpp"
 #include "distance/lp.hpp"
 #include "prob/rng.hpp"
+#include "query/engine.hpp"
 #include "query/search.hpp"
 #include "ts/filters.hpp"
 #include "ts/normalize.hpp"
@@ -112,9 +113,11 @@ int main() {
                 {"UMA (w=2)", &uma},
                 {"UEMA (w=2, lambda=1)", &uema}};
 
+  const auto truth_engine =
+      query::DistanceMatrixEngine::Create(exact).ValueOrDie();
   for (std::size_t t = 0; t < kTargets; ++t) {
     const std::size_t target = t * 7;  // spread across archetypes
-    const auto truth = query::KNearestEuclidean(exact, target, kWanted);
+    const auto truth = truth_engine.KNearestEuclidean(target, kWanted);
     std::vector<std::size_t> relevant;
     for (const auto& nb : truth) relevant.push_back(nb.index);
 

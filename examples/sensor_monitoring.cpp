@@ -25,7 +25,7 @@
 #include "measures/proud.hpp"
 #include "prob/rng.hpp"
 #include "prob/special.hpp"
-#include "query/search.hpp"
+#include "query/engine.hpp"
 #include "ts/filters.hpp"
 #include "ts/normalize.hpp"
 #include "uncertain/perturb.hpp"
@@ -102,8 +102,9 @@ int main() {
   // Ground truth for reference: who is ACTUALLY similar (exact values)?
   ts::Dataset with_query = history;
   with_query.Add(today_exact);
-  const auto truth =
-      query::KNearestEuclidean(with_query, with_query.size() - 1, 10);
+  const auto truth = query::DistanceMatrixEngine::Create(with_query)
+                         .ValueOrDie()
+                         .KNearestEuclidean(with_query.size() - 1, 10);
 
   // ---------------------------------------------------------------- PROUD
   // Probabilistic range query: episodes within ε with probability >= τ.

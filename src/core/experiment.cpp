@@ -180,21 +180,22 @@ Result<std::vector<MatcherResult>> Evaluate(
   // over the SoA store (parallel over queries), DTW over the pure per-pair
   // callback (parallel over candidates; small grain since one DTW is
   // O(n²)). Repeated runs over the same exact dataset reuse the engine.
-  const query::DistanceMatrixEngine& engine =
-      engines->Certain(exact, options.dtw_ground_truth ? 16 : 0);
+  UTS_ASSIGN_OR_RETURN(
+      const query::DistanceMatrixEngine* engine,
+      engines->Certain(exact, options.dtw_ground_truth ? 16 : 0));
 
   std::vector<std::vector<query::Neighbor>> ground_truth;
   if (options.dtw_ground_truth) {
     ground_truth.resize(num_queries);
     for (std::size_t qi = 0; qi < num_queries; ++qi) {
       ground_truth[qi] =
-          engine.KNearest(exact.size(), qi, k, [&](std::size_t i) {
+          engine->KNearest(exact.size(), qi, k, [&](std::size_t i) {
             return distance::Dtw(exact[qi].values(), exact[i].values(),
                                  gt_dtw_options);
           });
     }
   } else {
-    ground_truth = engine.AllKNearestEuclidean(k, num_queries);
+    ground_truth = engine->AllKNearestEuclidean(k, num_queries);
   }
 
   // One task per query on the run's pool: a query is calibrated, retrieved

@@ -34,35 +34,41 @@ std::vector<MotifPair> BoundedMotifHeap::TakeSorted() {
 
 }  // namespace detail
 
-DistanceMatrixEngine::DistanceMatrixEngine(const ts::Dataset& dataset,
-                                           EngineOptions options)
-    : dataset_(&dataset),
-      options_(options),
-      dispatch_(&distance::ResolveDispatch(options.simd)) {
-  if (options_.grain == 0) options_.grain = 1;
-  if (options_.buffer_pool != nullptr && dataset.size() > 0 &&
-      dataset[0].size() > 0 && dataset.HasUniformLength()) {
-    // Storage-tier mode: pack straight from the dataset into pool-paged
-    // blocks (one block buffer live at a time) instead of the dataset's
-    // resident snapshot. Falls back to the resident mirror if the spill
-    // log cannot be written — results are identical either way.
-    auto paged = ts::SoaStore::FromRows(
-        dataset.size(), dataset[0].size(),
-        [&dataset](std::size_t r, std::span<double> out) {
-          const auto& values = dataset[r].values();
-          std::copy(values.begin(), values.end(), out.begin());
-        },
-        options_.buffer_pool, options_.block_rows);
-    if (paged.ok()) {
-      store_ = std::make_shared<const ts::SoaStore>(
-          std::move(paged).ValueOrDie());
-    }
+Result<DistanceMatrixEngine> DistanceMatrixEngine::Create(
+    const ts::Dataset& dataset, EngineOptions options) {
+  if (dataset.empty()) {
+    return Status::InvalidArgument("certain engine needs a non-empty dataset");
   }
-  if (store_ == nullptr) store_ = dataset.Packed();
-  if (options_.index.enabled && store_ != nullptr && store_->rows() > 0 &&
-      store_->stride() > 0) {
+  const std::size_t stride = dataset[0].size();
+  if (stride == 0) {
+    return Status::InvalidArgument("certain engine needs non-empty series");
+  }
+  if (!dataset.HasUniformLength()) {
+    return Status::InvalidArgument(
+        "certain engine needs series of uniform length");
+  }
+  // With a buffer pool, one block buffer is live at a time while packing.
+  UTS_ASSIGN_OR_RETURN(
+      ts::SoaStore store,
+      ts::SoaStore::FromRows(
+          dataset.size(), stride,
+          [&dataset](std::size_t r, std::span<double> out) {
+            const auto& values = dataset[r].values();
+            std::copy(values.begin(), values.end(), out.begin());
+          },
+          options.buffer_pool, options.block_rows));
+  return DistanceMatrixEngine(std::move(options), std::move(store));
+}
+
+DistanceMatrixEngine::DistanceMatrixEngine(EngineOptions options,
+                                           ts::SoaStore store)
+    : options_(std::move(options)),
+      dispatch_(&distance::ResolveDispatch(options_.simd)),
+      store_(std::move(store)) {
+  if (options_.grain == 0) options_.grain = 1;
+  if (options_.index.enabled) {
     synopsis_index_ = std::make_unique<index::SynopsisIndex>(
-        *store_, options_.index.synopsis_coefficients);
+        store_, options_.index.synopsis_coefficients);
   }
   if (options_.shared_pool != nullptr) {
     pool_ = options_.shared_pool;
@@ -85,7 +91,7 @@ std::size_t DistanceMatrixEngine::threads() const {
 }
 
 detail::ScanTarget DistanceMatrixEngine::Target() const {
-  return {ts::StoreView(*store_), dispatch_, pool_, options_.grain,
+  return {ts::StoreView(store_), dispatch_, pool_, options_.grain,
           synopsis_index_.get()};
 }
 
@@ -97,37 +103,17 @@ std::size_t DistanceMatrixEngine::MotifGrain(std::size_t n) const {
 
 // --- Generic callback paths --------------------------------------------------
 
-namespace {
-
-/// Euclidean distance over the common prefix of two (possibly ragged)
-/// series. Only the un-batched fallback paths can see mixed lengths; the
-/// prefix keeps them deterministic instead of tripping the equal-size
-/// precondition of the raw kernel (an out-of-bounds read with asserts off).
-double PrefixEuclidean(std::span<const double> a, std::span<const double> b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  return distance::Euclidean(a.first(n), b.first(n));
-}
-
-}  // namespace
-
-std::vector<double> DistanceMatrixEngine::ComputeDense(
-    std::size_t n, std::size_t exclude, const DistanceToFn& fn) const {
-  std::vector<double> values(n, 0.0);
-  exec::ParallelFor(pool_, n, options_.grain,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        if (i == exclude) continue;
-                        values[i] = fn(i);
-                      }
-                    });
-  return values;
-}
-
 std::vector<Neighbor> DistanceMatrixEngine::KNearest(
     std::size_t n, std::size_t exclude, std::size_t k,
     const DistanceToFn& distance_to) const {
-  return detail::SelectKSmallest(ComputeDense(n, exclude, distance_to),
-                                 exclude, k);
+  std::vector<double> distances(n, 0.0);
+  exec::ParallelFor(pool_, n, options_.grain,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        if (i != exclude) distances[i] = distance_to(i);
+                      }
+                    });
+  return detail::SelectKSmallest(distances, exclude, k);
 }
 
 std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
@@ -155,21 +141,13 @@ std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
 
 std::vector<Neighbor> DistanceMatrixEngine::KNearestEuclidean(
     std::size_t query_index, std::size_t k, index::SearchCost* cost) const {
-  const std::size_t n = dataset_->size();
-  assert(query_index < n);
-  if (store_ != nullptr) {
-    return detail::KNearestEuclidean(Target(), query_index, k, cost);
-  }
-  detail::ChargeFullScan(cost, n - 1);
-  const ts::TimeSeries& query = (*dataset_)[query_index];
-  return KNearest(n, query_index, k, [&](std::size_t i) {
-    return PrefixEuclidean(query.values(), (*dataset_)[i].values());
-  });
+  assert(query_index < size());
+  return detail::KNearestEuclidean(Target(), query_index, k, cost);
 }
 
 std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
     std::size_t k, std::size_t num_queries, index::SearchCost* cost) const {
-  const std::size_t n = dataset_->size();
+  const std::size_t n = size();
   const std::size_t queries =
       num_queries == 0 ? n : std::min(num_queries, n);
   std::vector<std::vector<Neighbor>> out(queries);
@@ -194,17 +172,13 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
     }
     return out;
   }
-  if (n > 0) detail::ChargeFullScan(cost, queries * (n - 1));
-  if (store_ == nullptr) {
-    for (std::size_t q = 0; q < queries; ++q) out[q] = KNearestEuclidean(q, k);
-    return out;
-  }
+  detail::ChargeFullScan(cost, queries * (n - 1));
   // When every series is a query and the full matrix fits in memory,
   // exploit symmetry: (a-b) is exactly -(b-a) in IEEE arithmetic, so
   // d(q,c)² is bitwise d(c,q)² — compute the upper triangle only and
   // mirror the lower. Halves the distance work of the ground-truth build.
   constexpr std::size_t kMaxMatrixEntries = std::size_t{1} << 24;  // 128 MiB
-  const ts::StoreView view(*store_);
+  const ts::StoreView view(store_);
   if (queries == n && n * n <= kMaxMatrixEntries) {
     std::vector<double> matrix(n * n, 0.0);
     // Phase 1: rows of the upper trapezoid, per query chunk. Block rows are
@@ -300,36 +274,17 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
 
 std::vector<std::size_t> DistanceMatrixEngine::RangeSearchEuclidean(
     std::size_t query_index, double epsilon, index::SearchCost* cost) const {
-  const std::size_t n = dataset_->size();
-  assert(query_index < n);
-  if (store_ != nullptr) {
-    return detail::RangeSearchEuclidean(Target(), query_index, epsilon, cost);
-  }
-  detail::ChargeFullScan(cost, n - 1);
-  const ts::TimeSeries& query = (*dataset_)[query_index];
-  return detail::SelectThreshold(
-      ComputeDense(n, query_index,
-                   [&](std::size_t i) {
-                     return PrefixEuclidean(query.values(),
-                                            (*dataset_)[i].values());
-                   }),
-      query_index, epsilon, detail::Keep::kAtMost);
+  assert(query_index < size());
+  return detail::RangeSearchEuclidean(Target(), query_index, epsilon, cost);
 }
 
 std::vector<MotifPair> DistanceMatrixEngine::TopKMotifsEuclidean(
     std::size_t k) const {
-  const std::size_t n = dataset_->size();
-  if (store_ == nullptr) {
-    return TopKMotifs(n, k, [&](std::size_t a, std::size_t b) {
-      return PrefixEuclidean((*dataset_)[a].values(),
-                             (*dataset_)[b].values());
-    });
-  }
   // Streams rows of the SoA store through the generic chunked heap/merge;
   // each pair is ranked by its final metric value, exactly like the
   // sequential reference. Row pins are taken per pair (free when resident).
-  const ts::StoreView view(*store_);
-  return TopKMotifs(n, k, [view](std::size_t a, std::size_t b) {
+  const ts::StoreView view(store_);
+  return TopKMotifs(size(), k, [view](std::size_t a, std::size_t b) {
     const auto pin_a = ts::PinRowOrAbort(view, a);
     const auto pin_b = ts::PinRowOrAbort(view, b);
     return std::sqrt(distance::SquaredEuclidean(pin_a.row(), pin_b.row()));

@@ -15,12 +15,14 @@
 /// match collection) run after the barrier in ascending index order with
 /// the legacy (distance, index) tie-break.
 ///
-/// Euclidean queries stream the dataset's contiguous SoA mirror
-/// (ts::SoaStore) through the shared store scan of scan.hpp. UncertainEngine
-/// shares that Euclidean measure and the server answers Euclidean requests
-/// from it, so a served dataset needs no engine of this kind; the
-/// evaluation runs this one over exact data for its ground truth. The
-/// callback overloads parallelize arbitrary thread-safe distances (e.g. the
+/// The engine owns its rows: `Create` rejects empty and ragged data and
+/// packs the series once into a ts::SoaStore (resident, or paged through
+/// `EngineOptions::buffer_pool`), and every Euclidean query streams that
+/// store through the shared store scan of scan.hpp. UncertainEngine shares
+/// that Euclidean measure and the server answers Euclidean requests from
+/// it, so a served dataset needs no engine of this kind; the evaluation
+/// runs this one over exact data for its ground truth. The callback
+/// overloads parallelize arbitrary thread-safe distances (e.g. the
 /// exact-DTW ground truth).
 
 #ifndef UTS_QUERY_ENGINE_HPP_
@@ -31,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "common/result.hpp"
 #include "distance/simd.hpp"
 #include "exec/thread_pool.hpp"
 #include "index/cascade.hpp"
@@ -38,6 +41,7 @@
 #include "query/scan.hpp"
 #include "query/search.hpp"
 #include "ts/dataset.hpp"
+#include "ts/soa_store.hpp"
 #include "ts/store_view.hpp"
 
 namespace uts::query {
@@ -52,38 +56,40 @@ struct EngineOptions : ExecOptions {
 };
 
 /// \brief Batched parallel k-NN / RQ / motif execution over one
-/// dataset. The engine borrows the dataset; it must outlive the engine and
-/// not be mutated while the engine is in use.
+/// dataset's rows, which the engine packs at `Create` and owns: the source
+/// dataset may be mutated or destroyed afterwards.
 class DistanceMatrixEngine {
  public:
-  /// Build the engine over `dataset`: packs the SoA snapshot, resolves the
-  /// kernel dispatch and (when enabled) the synopsis index.
-  explicit DistanceMatrixEngine(const ts::Dataset& dataset,
-                                EngineOptions options = {});
+  /// Build the engine over `dataset`: packs its rows once (paged through
+  /// `options.buffer_pool` when set), resolves the kernel dispatch and,
+  /// when enabled, the synopsis index. InvalidArgument for an empty
+  /// dataset, empty series or series of unequal length; a paged store's
+  /// failed spill is returned as well.
+  static Result<DistanceMatrixEngine> Create(const ts::Dataset& dataset,
+                                             EngineOptions options = {});
 
   /// Joins the owned pool, if any.
   ~DistanceMatrixEngine();
+
+  /// Takes over the packed rows, index and pool of `other`.
+  DistanceMatrixEngine(DistanceMatrixEngine&& other) noexcept = default;
 
   DistanceMatrixEngine(const DistanceMatrixEngine&) = delete;  ///< Not copyable.
   DistanceMatrixEngine& operator=(const DistanceMatrixEngine&) =
       delete;  ///< Not copyable.
 
-  /// The dataset queries run against.
-  const ts::Dataset& dataset() const { return *dataset_; }
+  /// Number of series.
+  std::size_t size() const { return store_.rows(); }
 
   /// Resolved worker-thread count (>= 1).
   std::size_t threads() const;
-
-  /// True iff the Euclidean paths run on the contiguous SoA store (uniform
-  /// length); otherwise they fall back to per-series span callbacks.
-  bool batched() const { return store_ != nullptr; }
 
   /// Kernel level the batched paths execute at (resolved once from
   /// EngineOptions::simd at construction).
   distance::SimdLevel simd_level() const { return dispatch_->level; }
 
   /// True iff the prune-before-score index was built (EngineOptions::index
-  /// enabled and the dataset batched).
+  /// enabled).
   bool index_enabled() const { return synopsis_index_ != nullptr; }
 
   /// \name Euclidean queries (batched SoA kernels)
@@ -141,24 +147,18 @@ class DistanceMatrixEngine {
   /// fraction of the total and the pool's FIFO queue can balance the tail.
   std::size_t MotifGrain(std::size_t n) const;
 
-  /// Evaluate fn(i) for every i in [0, n) except `exclude` into a dense
-  /// buffer (slot `exclude` stays 0), in parallel chunks. The single fill
-  /// loop behind every callback query path.
-  std::vector<double> ComputeDense(std::size_t n, std::size_t exclude,
-                                   const DistanceToFn& fn) const;
+  DistanceMatrixEngine(EngineOptions options, ts::SoaStore store);
 
-  /// The scan target over the SoA store (requires batched()).
+  /// The scan target over the packed rows.
   detail::ScanTarget Target() const;
 
-  const ts::Dataset* dataset_;
   EngineOptions options_;
   /// Kernel table resolved from options_.simd at construction; never null.
   const distance::KernelDispatch* dispatch_;
-  /// Co-owned snapshot of the dataset's SoA mirror: stays valid even if
-  /// the dataset is mutated (and re-packed) after engine construction.
-  std::shared_ptr<const ts::SoaStore> store_;
-  /// Prune-before-score synopsis pack over the same snapshot; null unless
-  /// EngineOptions::index.enabled and the dataset is batched.
+  ts::SoaStore store_;  ///< The packed rows.
+  /// Prune-before-score synopsis pack over the rows; null unless
+  /// EngineOptions::index.enabled. It copies what it needs from the rows,
+  /// so it holds no view that a move could invalidate.
   std::unique_ptr<const index::SynopsisIndex> synopsis_index_;
   std::unique_ptr<exec::ThreadPool> owned_pool_;  ///< Null when borrowed/inline.
   exec::ThreadPool* pool_ = nullptr;  ///< Executor view; null = run inline.

@@ -290,16 +290,13 @@ const uncertain::UncertainDataset* EngineContext::ResidentPdf(
   return it == residents_.end() ? nullptr : &it->second.pdf;
 }
 
-const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
-                                                   std::size_t grain) {
+Result<const DistanceMatrixEngine*> EngineContext::Certain(
+    const ts::Dataset& exact, std::size_t grain) {
   const std::uint64_t fingerprint = FingerprintDataset(exact, pool());
-  // Compare the stored key address, never certain_->dataset(): the cached
-  // engine borrows a dataset that may be gone by now (a driver rebuilding
-  // per iteration), and the address alone is safe to compare.
-  if (certain_ != nullptr && fingerprint == certain_fingerprint_ &&
-      grain == certain_key_grain_ && certain_dataset_ == &exact) {
+  if (certain_.has_value() && fingerprint == certain_fingerprint_ &&
+      grain == certain_key_grain_) {
     ++stats_.certain_reuses;
-    return *certain_;
+    return &*certain_;
   }
   EngineOptions options;
   options.threads = threads_;
@@ -309,12 +306,13 @@ const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
   options.index = options_.index;
   options.buffer_pool = buffer_pool();
   options.block_rows = options_.block_rows;
-  certain_ = std::make_unique<DistanceMatrixEngine>(exact, options);
-  certain_dataset_ = &exact;
+  UTS_ASSIGN_OR_RETURN(DistanceMatrixEngine engine,
+                       DistanceMatrixEngine::Create(exact, options));
+  certain_.emplace(std::move(engine));
   certain_fingerprint_ = fingerprint;
   certain_key_grain_ = grain;
   ++stats_.certain_packs;
-  return *certain_;
+  return &*certain_;
 }
 
 UncertainEngine* EngineContext::EnsureUncertain() {
@@ -329,7 +327,6 @@ UncertainEngine* EngineContext::EnsureUncertain() {
   options.block_rows = options_.block_rows;
   options.seed = seed_;
   options.proud_sigma = proud_sigma_;
-  if (dust_cache_ != nullptr) options.dust = dust_cache_->options();
   auto engine = UncertainEngine::Create(pdf_, std::move(options));
   if (!engine.ok()) {
     // Not engine-shaped (e.g. non-uniform lengths): remember, so matchers

@@ -22,9 +22,10 @@
 ///    the MUNICH sample attachment are each built on first use and cached
 ///    for the rest of the run;
 ///  * **one certain engine** — the `DistanceMatrixEngine` driving the
-///    ground-truth sweeps over *exact* data is cached across runs keyed by
-///    the dataset's content, so repeated runs over one dataset (a τ search
-///    and the final run at the tuned τ) pack it once. Residency keeps no
+///    ground-truth sweeps over *exact* data owns its packed rows and is
+///    cached across runs keyed by the dataset's content, so repeated runs
+///    over one dataset (a τ search and the final run at the tuned τ) pack
+///    it once, whichever copy of the data they pass. Residency keeps no
 ///    certain view of the observations.
 ///
 /// Re-binding with bit-identical data (the repeated-run pattern: every run
@@ -171,6 +172,10 @@ class EngineContext {
   const uncertain::MultiSampleDataset* samples() const {
     return bound_ && samples_.has_value() ? &*samples_ : nullptr;
   }
+
+  /// The constant σ reported to PROUD by the bound run (1.0 before the
+  /// first BindData): the value `AcquireProud` serves.
+  double proud_sigma() const { return proud_sigma_; }
   /// \}
 
   /// \name Multi-dataset residency (the server front end)
@@ -228,12 +233,14 @@ class EngineContext {
   /// \{
 
   /// The shared DistanceMatrixEngine over `exact`, scheduled on the shared
-  /// pool. Cached across calls keyed by the dataset's content and `grain`
-  /// (0 = default), so repeated runs over the same exact dataset pack it
-  /// once. `exact` is borrowed and must outlive the context (or the next
-  /// Certain() call with different data).
-  const DistanceMatrixEngine& Certain(const ts::Dataset& exact,
-                                      std::size_t grain = 0);
+  /// pool. Cached across calls keyed by the content fingerprint of `exact`
+  /// and by `grain` (0 = default), so repeated runs over equal data pack it
+  /// once. The engine owns its rows, so `exact` is only read during the
+  /// call. Fails as DistanceMatrixEngine::Create does (empty or ragged
+  /// data, a failed spill); the view stays valid until the next Certain()
+  /// call that packs.
+  Result<const DistanceMatrixEngine*> Certain(const ts::Dataset& exact,
+                                              std::size_t grain = 0);
   /// \}
 
   /// \name Uncertain engine acquisition (one per run, lazily built)
@@ -315,11 +322,8 @@ class EngineContext {
   std::map<std::string, Resident> residents_;
   std::string active_resident_;  ///< Empty when the binding is not a resident.
 
-  // The cached certain engine, keyed by dataset address + content + grain.
-  // The address is kept separately because the borrowed dataset may no
-  // longer be alive when the next Certain() call checks the key.
-  std::unique_ptr<DistanceMatrixEngine> certain_;
-  const ts::Dataset* certain_dataset_ = nullptr;
+  // The cached certain engine, keyed by content fingerprint + grain.
+  std::optional<DistanceMatrixEngine> certain_;
   std::uint64_t certain_fingerprint_ = 0;
   std::size_t certain_key_grain_ = 0;  ///< Certain()'s `grain` argument.
 

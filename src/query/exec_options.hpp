@@ -43,10 +43,10 @@ struct ExecOptions {
   /// query::EngineContext gives every engine of a run one shared pool.
   exec::ThreadPool* shared_pool = nullptr;
 
-  /// Prune-before-score index cascade (default off). When enabled (and the
-  /// dataset is batched), the index-eligible query paths route through a
-  /// Haar-synopsis lower-bound filter + early-abandon stage + exact
-  /// re-scoring; results are bitwise identical to the unindexed scan.
+  /// Prune-before-score index cascade (default off). When enabled, the
+  /// index-eligible query paths route through a Haar-synopsis lower-bound
+  /// filter + early-abandon stage + exact re-scoring; results are bitwise
+  /// identical to the unindexed scan.
   index::IndexOptions index;
 
   /// Storage tier: when non-null, stores the engine packs are split into

@@ -58,25 +58,4 @@ std::vector<MotifPair> TopKMotifs(std::size_t n, std::size_t k,
   return heap.TakeSorted();
 }
 
-// The Euclidean conveniences route through a sequential DistanceMatrixEngine
-// so they use the same batched SoA kernels as the parallel path.
-
-std::vector<Neighbor> KNearestEuclidean(const ts::Dataset& dataset,
-                                        std::size_t query_index,
-                                        std::size_t k) {
-  return DistanceMatrixEngine(dataset).KNearestEuclidean(query_index, k);
-}
-
-std::vector<std::size_t> RangeSearchEuclidean(const ts::Dataset& dataset,
-                                              std::size_t query_index,
-                                              double epsilon) {
-  return DistanceMatrixEngine(dataset).RangeSearchEuclidean(query_index,
-                                                            epsilon);
-}
-
-std::vector<MotifPair> TopKMotifsEuclidean(const ts::Dataset& dataset,
-                                           std::size_t k) {
-  return DistanceMatrixEngine(dataset).TopKMotifsEuclidean(k);
-}
-
 }  // namespace uts::query

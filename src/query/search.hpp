@@ -6,12 +6,12 @@
 /// evaluation methodology builds on — the 10-NN ground-truth sets and the
 /// 10th-nearest-neighbor threshold calibration of Section 4.1.2.
 ///
-/// These free functions are the sequential reference API. The Euclidean
-/// conveniences route through a single-threaded query::DistanceMatrixEngine
-/// (engine.hpp) and therefore use the same batched SoA kernels as the
-/// parallel path; the callback overloads share the engine's selection
+/// These free functions are the sequential reference API, and nothing
+/// else: each one calls its distance callback in ascending index order on
+/// the caller's thread and runs no engine. They share the engines' selection
 /// internals, so engine results are bit-identical to them at any thread
-/// count.
+/// count. Dataset-level queries build an engine with
+/// query::DistanceMatrixEngine::Create (engine.hpp).
 
 #ifndef UTS_QUERY_SEARCH_HPP_
 #define UTS_QUERY_SEARCH_HPP_
@@ -21,8 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "common/result.hpp"
-#include "ts/dataset.hpp"
 
 /// \namespace uts
 /// \brief Root namespace of the uncertain time-series library.
@@ -54,17 +52,6 @@ std::vector<std::size_t> RangeSearch(std::size_t n, std::size_t exclude,
                                      double epsilon,
                                      const DistanceToFn& distance_to);
 
-/// \brief Euclidean k-NN of series `query_index` inside `dataset`
-/// (self-match excluded). Series must share the query's length.
-std::vector<Neighbor> KNearestEuclidean(const ts::Dataset& dataset,
-                                        std::size_t query_index,
-                                        std::size_t k);
-
-/// \brief Euclidean range query RQ(Q, C, ε) (Eq. 1), self-match excluded.
-std::vector<std::size_t> RangeSearchEuclidean(const ts::Dataset& dataset,
-                                              std::size_t query_index,
-                                              double epsilon);
-
 /// \brief Match probability of collection item `i` against an implicit
 /// query (e.g. MUNICH's or PROUD's Pr(distance ≤ ε)).
 using MatchProbabilityFn = std::function<double(std::size_t)>;
@@ -95,10 +82,6 @@ using PairwiseDistanceFn =
 /// for determinism.
 std::vector<MotifPair> TopKMotifs(std::size_t n, std::size_t k,
                                   const PairwiseDistanceFn& distance);
-
-/// \brief Euclidean top-k motifs of a dataset.
-std::vector<MotifPair> TopKMotifsEuclidean(const ts::Dataset& dataset,
-                                           std::size_t k);
 
 }  // namespace uts::query
 

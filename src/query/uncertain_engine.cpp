@@ -136,7 +136,7 @@ std::vector<std::size_t> UncertainEngine::RangeSearchEuclidean(
 
 // --- DUST --------------------------------------------------------------------
 
-Status UncertainEngine::BuildDustTables(measures::Dust& shared_cache) {
+Status UncertainEngine::BuildDustTables(measures::Dust& cache) {
   if (dust_ready_) return Status::OK();
   const std::size_t k = num_classes_;
   dust_luts_.assign(k * k, distance::DustLut{});
@@ -144,7 +144,7 @@ Status UncertainEngine::BuildDustTables(measures::Dust& shared_cache) {
     for (std::size_t b = a; b < k; ++b) {
       // The cache canonicalizes pair order internally (Dust::TableFor), so
       // borrowed tables are bitwise the ones the scalar measure serves.
-      auto table = shared_cache.Table(class_dists_[a], class_dists_[b]);
+      auto table = cache.Table(class_dists_[a], class_dists_[b]);
       if (!table.ok()) return table.status();
       const distance::DustLut lut = table.ValueOrDie()->Lut();
       dust_luts_[a * k + b] = lut;
@@ -157,15 +157,6 @@ Status UncertainEngine::BuildDustTables(measures::Dust& shared_cache) {
   dust_bound_ = index::DustLowerBoundMap::FromLuts(dust_luts_);
   dust_ready_ = true;
   return Status::OK();
-}
-
-Status UncertainEngine::BuildDustTables() {
-  if (dust_ready_) return Status::OK();
-  // Own a private scalar cache and delegate: canonicalization and table
-  // construction live in measures::Dust alone, so privately built and
-  // borrowed engines can never diverge.
-  owned_dust_cache_ = std::make_unique<measures::Dust>(options_.dust);
-  return BuildDustTables(*owned_dust_cache_);
 }
 
 Status UncertainEngine::RequireDustTables() const {

@@ -15,12 +15,13 @@
 ///
 /// Per measure, the engine precomputes at build time:
 ///
-///  * **DUST** — a thread-shared lookup-table cache: one
+///  * **DUST** — a thread-shared lookup-table matrix: one
 ///    `measures::DustTable` per distinct (error-class, error-class) pair,
-///    built once by `BuildDustTables` and immutable afterwards, exposed to
-///    the blocked batch kernels of distance/batch.hpp as borrowed
-///    `distance::DustLut` views. The all-normal-error case takes the closed
-///    form dust(Δ) = Δ / sqrt(2(σx² + σy²)) — no table loads at all.
+///    borrowed once by `BuildDustTables` from the caller's `measures::Dust`
+///    cache and immutable afterwards, exposed to the blocked batch kernels
+///    of distance/batch.hpp as `distance::DustLut` views. The
+///    all-normal-error case takes the closed form
+///    dust(Δ) = Δ / sqrt(2(σx² + σy²)) — no table loads at all.
 ///  * **PROUD** — nothing beyond the observation rows: the paper-faithful
 ///    constant-σ sweep is a single fused pass over them.
 ///  * **MUNICH** — per-series bounding-interval columns (min/max per
@@ -82,9 +83,6 @@ struct UncertainEngineOptions : ExecOptions {
   /// orders of magnitude more per candidate than a Euclidean row.
   std::size_t grain = 64;
 
-  /// DUST table construction parameters.
-  measures::DustOptions dust;
-
   /// MUNICH estimator configuration (τ is *not* consulted by the engine;
   /// PRQ methods take τ explicitly so a τ sweep reuses one engine).
   measures::MunichOptions munich;
@@ -100,9 +98,11 @@ struct UncertainEngineOptions : ExecOptions {
 /// \brief Batched parallel MUNICH / PROUD / DUST query execution over one
 /// pdf-model dataset (plus an optional sample-model dataset for MUNICH).
 ///
-/// The engine borrows both datasets; they must outlive it and not be
-/// mutated while it is in use. All query methods are const and safe to call
-/// concurrently once construction (and `BuildDustTables`, if used) is done.
+/// The engine packs the pdf dataset's observations at `Create` and owns
+/// them; it borrows the sample-model dataset of `AttachSamples` and the
+/// table cache of `BuildDustTables`, which must outlive it. All query
+/// methods are const and safe to call concurrently once construction (and
+/// `BuildDustTables`, if used) is done.
 class UncertainEngine {
  public:
   /// Build the engine: packs the observations into a SoA store and assigns
@@ -162,19 +162,16 @@ class UncertainEngine {
   /// \name DUST
   /// \{
 
-  /// Build the immutable lookup-table cache: one table per unordered pair
-  /// of error classes, canonicalized exactly like measures::Dust's cache.
+  /// Borrow one lookup table per unordered pair of error classes from
+  /// `cache`, the scalar measure's table cache, which builds any it lacks
+  /// (so canonicalization and construction live in measures::Dust alone).
+  /// Re-binding to new data with the same error models then reuses the
+  /// tables already built instead of re-running the numeric integration.
+  /// `cache` must outlive this engine; it is append-only, so borrowed
+  /// table addresses stay valid. The cache's DustOptions decide the tables.
   /// Idempotent; must complete before the DUST queries below. Not
   /// thread-safe against concurrent queries (call during setup).
-  Status BuildDustTables();
-
-  /// Same, but borrow the tables from a persistent scalar cache instead of
-  /// building privately: re-binding to new data with the same error models
-  /// (e.g. one spec across many datasets) then reuses the already-built
-  /// tables instead of re-running the numeric integration. `shared_cache`
-  /// must outlive this engine and use the same DustOptions; its cache is
-  /// append-only, so borrowed table addresses stay valid.
-  Status BuildDustTables(measures::Dust& shared_cache);
+  Status BuildDustTables(measures::Dust& cache);
 
   /// True once BuildDustTables has succeeded.
   bool dust_ready() const { return dust_ready_; }
@@ -298,11 +295,8 @@ class UncertainEngine {
   std::vector<prob::ErrorDistributionPtr> class_dists_;  ///< Representatives.
   std::size_t num_classes_ = 0;
 
-  /// Table storage: the no-arg BuildDustTables owns a private scalar cache
-  /// (so canonicalization lives in measures::Dust alone); the shared-cache
-  /// overload borrows the caller's instead. The K×K lut matrix views
-  /// whichever cache built the tables; immutable after BuildDustTables.
-  std::unique_ptr<measures::Dust> owned_dust_cache_;
+  /// The K×K lut matrix, viewing the tables of the cache BuildDustTables
+  /// borrowed from; immutable afterwards.
   std::vector<distance::DustLut> dust_luts_;
   bool dust_ready_ = false;
 

@@ -132,7 +132,6 @@ Result<BindOkResponse> Service::Bind(const BindDatasetRequest& request,
   UTS_RETURN_NOT_OK(context_.AddResident(request.name, std::move(pdf),
                                          std::move(samples), request.seed,
                                          proud_sigma));
-  meta_[request.name] = ResidentMeta{proud_sigma};
 
   BindOkResponse response;
   response.request_seq = request_seq;
@@ -174,14 +173,10 @@ Result<query::UncertainEngine*> Service::AcquireFor(
     case WireMeasure::kDust:
       engine = context_.AcquireDust(options_.dust);
       break;
-    case WireMeasure::kProud: {
-      auto it = meta_.find(dataset);
-      if (it == meta_.end()) {
-        return Status::NotFound("no resident dataset named '" + dataset + "'");
-      }
-      engine = context_.AcquireProud(it->second.proud_sigma);
+    case WireMeasure::kProud:
+      // Activate bound the resident, so this is the σ its Bind reported.
+      engine = context_.AcquireProud(context_.proud_sigma());
       break;
-    }
     case WireMeasure::kMunich:
       engine = context_.AcquireMunich(options_.munich);
       break;

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <span>
 #include <string>
@@ -143,11 +142,6 @@ class Service {
   Stats stats() const;
 
  private:
-  /// Per-resident parameters the wire layer needs again at query time.
-  struct ResidentMeta {
-    double proud_sigma = 1.0;  ///< σ reported to PROUD at bind time.
-  };
-
   /// Activate `name` and fail with NotFound/InvalidArgument when absent or
   /// the query index is out of range.
   Status Activate(const std::string& name, std::uint32_t query);
@@ -159,7 +153,6 @@ class Service {
 
   ServiceOptions options_;
   query::EngineContext context_;
-  std::map<std::string, ResidentMeta> meta_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

@@ -15,30 +15,6 @@ bool Dataset::HasUniformLength() const {
                      [n](const TimeSeries& s) { return s.size() == n; });
 }
 
-std::shared_ptr<const SoaStore> Dataset::Packed() const {
-  std::lock_guard<std::mutex> lock(packed_mutex_);
-  if (packed_) return packed_;
-  if (packed_unpackable_) return nullptr;  // memoized negative result
-  const std::size_t stride =
-      series_.empty() ? 0 : series_.front().size();
-  if (stride == 0 || !HasUniformLength()) {
-    packed_unpackable_ = true;
-    return nullptr;
-  }
-  std::vector<double> values;
-  values.reserve(series_.size() * stride);
-  for (const auto& s : series_) {
-    values.insert(values.end(), s.begin(), s.end());
-  }
-  auto store = SoaStore::FromPacked(std::move(values), stride);
-  if (!store.ok()) {
-    packed_unpackable_ = true;
-    return nullptr;
-  }
-  packed_ = std::make_shared<const SoaStore>(std::move(store).ValueOrDie());
-  return packed_;
-}
-
 std::map<int, std::size_t> Dataset::ClassHistogram() const {
   std::map<int, std::size_t> hist;
   for (const auto& s : series_) ++hist[s.label()];

@@ -8,16 +8,14 @@
 #ifndef UTS_TS_DATASET_HPP_
 #define UTS_TS_DATASET_HPP_
 
+#include <cassert>
 #include <cstddef>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/result.hpp"
-#include "ts/soa_store.hpp"
 #include "ts/time_series.hpp"
 
 namespace uts::ts {
@@ -36,6 +34,11 @@ struct DatasetInfo {
 };
 
 /// \brief A named, ordered collection of time series.
+///
+/// A plain value type: copies and moves are member-wise, and no derived
+/// state is cached. The query engines pack their own rows from a dataset
+/// (query::DistanceMatrixEngine::Create), so mutating it afterwards never
+/// affects a built engine.
 class Dataset {
  public:
   Dataset() = default;
@@ -43,30 +46,6 @@ class Dataset {
   /// Construct with a name and its member series.
   explicit Dataset(std::string name, std::vector<TimeSeries> series = {})
       : name_(std::move(name)), series_(std::move(series)) {}
-
-  // The packed-store cache is per-instance state, never shared by copies
-  // or moves (holders of a Packed() snapshot keep it alive themselves).
-  Dataset(const Dataset& other)
-      : name_(other.name_), series_(other.series_) {}
-  Dataset& operator=(const Dataset& other) {
-    if (this != &other) {
-      name_ = other.name_;
-      series_ = other.series_;
-      ResetPacked();
-    }
-    return *this;
-  }
-  Dataset(Dataset&& other) noexcept
-      : name_(std::move(other.name_)), series_(std::move(other.series_)) {
-    other.ResetPacked();  // its cache no longer mirrors its (empty) series
-  }
-  Dataset& operator=(Dataset&& other) noexcept {
-    name_ = std::move(other.name_);
-    series_ = std::move(other.series_);
-    ResetPacked();
-    other.ResetPacked();
-    return *this;
-  }
 
   /// Dataset name, e.g. "GunPoint".
   const std::string& name() const { return name_; }
@@ -82,15 +61,9 @@ class Dataset {
     assert(i < series_.size());
     return series_[i];
   }
-  /// Mutable access drops the packed cache (the caller may mutate values
-  /// through the reference), so prefer const access on read paths — e.g.
-  /// std::as_const(d)[i] — when interleaving with Euclidean queries, or
-  /// each query rebuilds the SoA mirror. Mutating through a reference
-  /// retained across a later Packed() rebuild leaves that cache stale;
-  /// re-index after mutating instead of holding references.
+  /// Mutable member series i; precondition i < size().
   TimeSeries& operator[](std::size_t i) {
     assert(i < series_.size());
-    ResetPacked();
     return series_[i];
   }
 
@@ -98,17 +71,7 @@ class Dataset {
   const std::vector<TimeSeries>& series() const { return series_; }
 
   /// Append a series.
-  void Add(TimeSeries series) {
-    ResetPacked();
-    series_.push_back(std::move(series));
-  }
-
-  /// Contiguous SoA mirror of the collection (lazily built, cached, and
-  /// synchronized), or nullptr when the series do not share one length.
-  /// Mutation through `Add` / the non-const `operator[]` drops the cache;
-  /// holders of a previously returned snapshot keep it alive and simply
-  /// stop reflecting the mutated dataset.
-  std::shared_ptr<const SoaStore> Packed() const;
+  void Add(TimeSeries series) { series_.push_back(std::move(series)); }
 
   auto begin() const { return series_.begin(); }
   auto end() const { return series_.end(); }
@@ -136,20 +99,8 @@ class Dataset {
   static Dataset Merge(std::string name, const Dataset& a, const Dataset& b);
 
  private:
-  void ResetPacked() {
-    std::lock_guard<std::mutex> lock(packed_mutex_);
-    packed_.reset();
-    packed_unpackable_ = false;
-  }
-
   std::string name_;
   std::vector<TimeSeries> series_;
-  /// Lazily built SoA mirror; invalidated by mutation, skipped by copies.
-  /// The flag memoizes "cannot pack" (ragged/empty) so repeated Packed()
-  /// calls skip the O(n) uniform-length scan.
-  mutable std::mutex packed_mutex_;
-  mutable std::shared_ptr<const SoaStore> packed_;
-  mutable bool packed_unpackable_ = false;
 };
 
 }  // namespace uts::ts

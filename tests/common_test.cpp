@@ -1,9 +1,11 @@
-// Unit tests for Status / Result (src/common).
+// Unit tests for Status / Result (src/common) and the command-line tools'
+// checked numeric parsing (tools/checked_parse.hpp).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "../tools/checked_parse.hpp"
 #include "common/result.hpp"
 #include "common/status.hpp"
 
@@ -127,6 +129,17 @@ TEST(ResultTest, AssignOrReturnMacro) {
   auto bad = DoubleIt(0);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CheckedParseTest, ParseDoubleRejectsNonFiniteText) {
+  for (const char* text : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    double value = 0.5;
+    EXPECT_FALSE(tools::ParseDouble("--sigma", text, &value)) << text;
+    EXPECT_EQ(value, 0.5) << text;  // untouched on failure
+  }
+  double value = 0.0;
+  ASSERT_TRUE(tools::ParseDouble("--sigma", "-0.25", &value));
+  EXPECT_EQ(value, -0.25);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -181,6 +182,35 @@ TEST(EngineContextTest, TauSweepRebindKeepsEnginesAndCaches) {
   EXPECT_EQ(engines.stats().dust_table_builds, 1u);
 }
 
+TEST(EngineContextTest, CertainEngineIsKeyedByContentNotAddress) {
+  // The certain engine owns its rows, so its cache key is the content: an
+  // equal dataset at another address reuses the engine, which outlives the
+  // copy it was packed from.
+  const ts::Dataset exact = MakeExact(24, 8, 9);
+  EngineContextOptions context_options;
+  context_options.threads = 2;
+  EngineContext engines(context_options);
+
+  auto copy = std::make_unique<ts::Dataset>(exact);
+  const DistanceMatrixEngine* built = engines.Certain(*copy).ValueOrDie();
+  const auto want = built->AllKNearestEuclidean(5);
+  copy.reset();
+
+  const DistanceMatrixEngine* reused = engines.Certain(exact).ValueOrDie();
+  EXPECT_EQ(reused, built);
+  EXPECT_EQ(engines.stats().certain_packs, 1u);
+  EXPECT_EQ(engines.stats().certain_reuses, 1u);
+  const auto got = reused->AllKNearestEuclidean(5);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    ASSERT_EQ(got[q].size(), want[q].size()) << "q=" << q;
+    for (std::size_t i = 0; i < got[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].index, want[q][i].index) << "q=" << q;
+      EXPECT_EQ(got[q][i].distance, want[q][i].distance) << "q=" << q;
+    }
+  }
+}
+
 // --- Cross-matcher reuse parity ----------------------------------------------
 
 TEST(EngineContextTest, SharedContextMatchesSoloRunsBitwiseAtEveryThreads) {
@@ -252,9 +282,11 @@ TEST(EngineContextTest, SharedEngineQueriesMatchFreshEnginesBitwise) {
     fresh_options.seed = seed;
     fresh_options.proud_sigma = proud_sigma;
     fresh_options.munich = Trio::MakeMunichOptions();
+    measures::Dust fresh_dust_cache;
     auto fresh_dust = UncertainEngine::Create(pdf, fresh_options);
     ASSERT_TRUE(fresh_dust.ok());
-    ASSERT_TRUE(fresh_dust.ValueOrDie()->BuildDustTables().ok());
+    ASSERT_TRUE(
+        fresh_dust.ValueOrDie()->BuildDustTables(fresh_dust_cache).ok());
     auto fresh_proud = UncertainEngine::Create(pdf, fresh_options);
     ASSERT_TRUE(fresh_proud.ok());
     auto fresh_munich = UncertainEngine::Create(pdf, fresh_options);

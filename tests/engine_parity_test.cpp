@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -150,8 +149,8 @@ TEST(EngineParityTest, KNearestMatchesReferenceAtEveryThreadCount) {
     const ts::Dataset ties = TieHeavyDataset(60, 8, seed);
     for (const ts::Dataset* d : {&gauss, &ties}) {
       for (std::size_t threads : kThreadCounts) {
-        DistanceMatrixEngine engine(*d, SmallChunkOptions(threads));
-        ASSERT_TRUE(engine.batched());
+        auto engine = DistanceMatrixEngine::Create(
+            *d, SmallChunkOptions(threads)).ValueOrDie();
         for (std::size_t q : {std::size_t{0}, std::size_t{7},
                               std::size_t{59}}) {
           ExpectNeighborsIdentical(engine.KNearestEuclidean(q, 10),
@@ -165,7 +164,8 @@ TEST(EngineParityTest, KNearestMatchesReferenceAtEveryThreadCount) {
 TEST(EngineParityTest, AllKNearestMatchesPerQueryResults) {
   const ts::Dataset d = TieHeavyDataset(50, 8, 3);
   for (std::size_t threads : kThreadCounts) {
-    DistanceMatrixEngine engine(d, SmallChunkOptions(threads));
+    auto engine = DistanceMatrixEngine::Create(
+        d, SmallChunkOptions(threads)).ValueOrDie();
     const auto all = engine.AllKNearestEuclidean(5);
     ASSERT_EQ(all.size(), d.size());
     for (std::size_t q = 0; q < d.size(); ++q) {
@@ -176,7 +176,8 @@ TEST(EngineParityTest, AllKNearestMatchesPerQueryResults) {
 
 TEST(EngineParityTest, AllKNearestHonorsQueryPrefixCap) {
   const ts::Dataset d = GaussianDataset(40, 16, 4);
-  DistanceMatrixEngine engine(d, SmallChunkOptions(8));
+  auto engine =
+      DistanceMatrixEngine::Create(d, SmallChunkOptions(8)).ValueOrDie();
   const auto all = engine.AllKNearestEuclidean(3, 12);
   ASSERT_EQ(all.size(), 12u);
   for (std::size_t q = 0; q < all.size(); ++q) {
@@ -187,7 +188,8 @@ TEST(EngineParityTest, AllKNearestHonorsQueryPrefixCap) {
 TEST(EngineParityTest, KNearestEdgeCases) {
   const ts::Dataset d = GaussianDataset(10, 8, 5);
   for (std::size_t threads : kThreadCounts) {
-    DistanceMatrixEngine engine(d, SmallChunkOptions(threads));
+    auto engine = DistanceMatrixEngine::Create(
+        d, SmallChunkOptions(threads)).ValueOrDie();
     EXPECT_TRUE(engine.KNearestEuclidean(0, 0).empty());
     // k exceeding the candidate count clamps, like the reference.
     ExpectNeighborsIdentical(engine.KNearestEuclidean(3, 100),
@@ -202,7 +204,8 @@ TEST(EngineParityTest, RangeSearchMatchesReferenceIncludingExactBoundary) {
   const ts::Dataset ties = TieHeavyDataset(60, 8, 22);
   for (const ts::Dataset* d : {&gauss, &ties}) {
     for (std::size_t threads : kThreadCounts) {
-      DistanceMatrixEngine engine(*d, SmallChunkOptions(threads));
+      auto engine = DistanceMatrixEngine::Create(
+          *d, SmallChunkOptions(threads)).ValueOrDie();
       for (std::size_t q : {std::size_t{0}, std::size_t{31}}) {
         // epsilon equal to an exact attained distance makes the <= boundary
         // decisive; on the tie-heavy grid many candidates sit exactly on it.
@@ -224,7 +227,8 @@ TEST(EngineParityTest, TopKMotifsMatchesReferenceAtEveryThreadCount) {
   for (const ts::Dataset* d : {&gauss, &ties}) {
     const auto want = ReferenceTopKMotifs(*d, 15);
     for (std::size_t threads : kThreadCounts) {
-      DistanceMatrixEngine engine(*d, SmallChunkOptions(threads));
+      auto engine = DistanceMatrixEngine::Create(
+          *d, SmallChunkOptions(threads)).ValueOrDie();
       ExpectMotifsIdentical(engine.TopKMotifsEuclidean(15), want);
     }
   }
@@ -233,7 +237,8 @@ TEST(EngineParityTest, TopKMotifsMatchesReferenceAtEveryThreadCount) {
 TEST(EngineParityTest, TopKMotifsEdgeCases) {
   const ts::Dataset d = GaussianDataset(12, 8, 33);
   for (std::size_t threads : kThreadCounts) {
-    DistanceMatrixEngine engine(d, SmallChunkOptions(threads));
+    auto engine = DistanceMatrixEngine::Create(
+        d, SmallChunkOptions(threads)).ValueOrDie();
     EXPECT_TRUE(engine.TopKMotifsEuclidean(0).empty());
     // k exceeding the pair count returns all pairs, sorted.
     ExpectMotifsIdentical(engine.TopKMotifsEuclidean(1000),
@@ -244,19 +249,6 @@ TEST(EngineParityTest, TopKMotifsEdgeCases) {
                   .empty());
   EXPECT_TRUE(TopKMotifs(1, 5, [](std::size_t, std::size_t) { return 0.0; })
                   .empty());
-}
-
-TEST(EngineParityTest, SequentialShimsMatchEngine) {
-  // The free functions are documented as the sequential reference path.
-  const ts::Dataset d = TieHeavyDataset(30, 8, 41);
-  ExpectNeighborsIdentical(KNearestEuclidean(d, 4, 6),
-                           ReferenceKNearest(d, 4, 6));
-  ExpectMotifsIdentical(TopKMotifsEuclidean(d, 10),
-                        ReferenceTopKMotifs(d, 10));
-  const double epsilon =
-      distance::Euclidean(d[2].values(), d[17].values());
-  EXPECT_EQ(RangeSearchEuclidean(d, 2, epsilon),
-            ReferenceRangeSearch(d, 2, epsilon));
 }
 
 // --- Generic callback path (exact-DTW ground truth) -------------------------
@@ -270,48 +262,41 @@ TEST(EngineParityTest, CallbackKNearestMatchesFreeFunctionUnderDtw) {
     };
     const auto want = KNearest(d.size(), q, 5, distance_to);
     for (std::size_t threads : kThreadCounts) {
-      DistanceMatrixEngine engine(d, SmallChunkOptions(threads));
+      auto engine = DistanceMatrixEngine::Create(
+          d, SmallChunkOptions(threads)).ValueOrDie();
       ExpectNeighborsIdentical(engine.KNearest(d.size(), q, 5, distance_to),
                                want);
     }
   }
 }
 
-// --- Fallback & degenerate datasets -----------------------------------------
+// --- Construction -----------------------------------------------------------
 
-TEST(EngineParityTest, NonUniformLengthFallsBackToCallbackPath) {
-  ts::Dataset d("ragged");
-  d.Add(ts::TimeSeries({1.0, 2.0, 3.0}));
-  d.Add(ts::TimeSeries({1.0, 2.0}));
-  d.Add(ts::TimeSeries({0.0, 0.0, 0.0, 0.0}));
-  DistanceMatrixEngine engine(d, SmallChunkOptions(8));
-  EXPECT_FALSE(engine.batched());
-  // Length-aware callback queries still run (and in parallel).
-  const auto distance_to = [&](std::size_t i) {
-    return std::fabs(static_cast<double>(i) - 1.0);
-  };
-  const auto want = KNearest(d.size(), 1, 2, distance_to);
-  ExpectNeighborsIdentical(engine.KNearest(d.size(), 1, 2, distance_to),
-                           want);
+TEST(EngineParityTest, CreateRejectsRaggedAndEmptyData) {
+  ts::Dataset ragged("ragged");
+  ragged.Add(ts::TimeSeries({1.0, 2.0, 3.0}));
+  ragged.Add(ts::TimeSeries({1.0, 2.0}));
+  ragged.Add(ts::TimeSeries({0.0, 0.0, 0.0, 0.0}));
+  ts::Dataset empty_series("empty-series");
+  empty_series.Add(ts::TimeSeries(std::vector<double>{}));
+  empty_series.Add(ts::TimeSeries(std::vector<double>{}));
+  for (const ts::Dataset& d : {ragged, ts::Dataset("empty"), empty_series}) {
+    const auto engine = DistanceMatrixEngine::Create(d, SmallChunkOptions(8));
+    ASSERT_FALSE(engine.ok()) << d.name();
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+        << d.name();
+  }
 }
 
 TEST(EngineParityTest, EngineSnapshotSurvivesDatasetMutation) {
-  // The engine co-owns the SoA snapshot taken at construction: mutating
-  // (and thereby re-packing) the dataset afterwards must not invalidate a
-  // live engine, which keeps answering from its snapshot.
+  // The engine owns the rows it packed at Create: mutating the dataset
+  // afterwards must not change a live engine's answers.
   ts::Dataset d = GaussianDataset(20, 8, 91);
   const auto want = ReferenceKNearest(d, 2, 4);
-  DistanceMatrixEngine engine(d, SmallChunkOptions(2));
-  d[0].mutable_values()[0] += 100.0;  // drops the dataset's packed cache
+  auto engine =
+      DistanceMatrixEngine::Create(d, SmallChunkOptions(2)).ValueOrDie();
+  d[0].mutable_values()[0] += 100.0;
   ExpectNeighborsIdentical(engine.KNearestEuclidean(2, 4), want);
-}
-
-TEST(EngineParityTest, EmptyDataset) {
-  const ts::Dataset d("empty");
-  DistanceMatrixEngine engine(d, SmallChunkOptions(8));
-  EXPECT_FALSE(engine.batched());
-  EXPECT_TRUE(engine.AllKNearestEuclidean(5).empty());
-  EXPECT_TRUE(engine.TopKMotifsEuclidean(5).empty());
 }
 
 // --- End-to-end: the evaluation runner --------------------------------------

@@ -115,9 +115,10 @@ std::vector<CertainCase> CertainCases() {
 TEST(IndexParityTest, KnnIndexOnVsOffBitwiseIdentical) {
   for (const CertainCase& c : CertainCases()) {
     for (std::size_t threads : kThreadCounts) {
-      const DistanceMatrixEngine off(c.dataset,
-                                     CertainOptions(threads, false));
-      const DistanceMatrixEngine on(c.dataset, CertainOptions(threads, true));
+      const auto off = DistanceMatrixEngine::Create(
+          c.dataset, CertainOptions(threads, false)).ValueOrDie();
+      const auto on = DistanceMatrixEngine::Create(
+          c.dataset, CertainOptions(threads, true)).ValueOrDie();
       ASSERT_FALSE(off.index_enabled());
       ASSERT_TRUE(on.index_enabled()) << c.name;
       for (std::size_t q = 0; q < c.dataset.size(); ++q) {
@@ -140,10 +141,12 @@ TEST(IndexParityTest, AllKnnIndexOnMatchesPerQueryOff) {
   // engine bit for bit — and its accumulated cost counters must be
   // identical at every thread count (deterministic accounting).
   for (const CertainCase& c : CertainCases()) {
-    const DistanceMatrixEngine off(c.dataset, CertainOptions(1, false));
+    const auto off = DistanceMatrixEngine::Create(
+        c.dataset, CertainOptions(1, false)).ValueOrDie();
     std::vector<index::SearchCost> costs;
     for (std::size_t threads : kThreadCounts) {
-      const DistanceMatrixEngine on(c.dataset, CertainOptions(threads, true));
+      const auto on = DistanceMatrixEngine::Create(
+          c.dataset, CertainOptions(threads, true)).ValueOrDie();
       index::SearchCost cost;
       const auto all = on.AllKNearestEuclidean(7, 0, &cost);
       ASSERT_EQ(all.size(), c.dataset.size());
@@ -169,9 +172,10 @@ TEST(IndexParityTest, RangeIndexOnVsOffBitwiseIdentical) {
     const double epsilon = distance::Euclidean(c.dataset[0].values(),
                                                c.dataset[17].values());
     for (std::size_t threads : kThreadCounts) {
-      const DistanceMatrixEngine off(c.dataset,
-                                     CertainOptions(threads, false));
-      const DistanceMatrixEngine on(c.dataset, CertainOptions(threads, true));
+      const auto off = DistanceMatrixEngine::Create(
+          c.dataset, CertainOptions(threads, false)).ValueOrDie();
+      const auto on = DistanceMatrixEngine::Create(
+          c.dataset, CertainOptions(threads, true)).ValueOrDie();
       for (std::size_t q = 0; q < c.dataset.size(); ++q) {
         index::SearchCost cost;
         EXPECT_EQ(on.RangeSearchEuclidean(q, epsilon, &cost),
@@ -189,26 +193,12 @@ TEST(IndexParityTest, WalkDataActuallyPrunes) {
   // anything; pin that on structured data the cascade touches a strict
   // subset of the candidates.
   const ts::Dataset walk = RandomWalkDataset(64, 64, 104);
-  const DistanceMatrixEngine on(walk, CertainOptions(1, true));
+  const auto on =
+      DistanceMatrixEngine::Create(walk, CertainOptions(1, true)).ValueOrDie();
   index::SearchCost cost;
   on.AllKNearestEuclidean(10, 0, &cost);
   EXPECT_GT(cost.pruned_lower_bound, 0u);
   EXPECT_LT(cost.candidates_touched, cost.candidates_total);
-}
-
-TEST(IndexParityTest, UnbatchedDatasetFallsBackToFullScan) {
-  // Ragged lengths: no SoA store, no index — queries still answer, and the
-  // cost accounting reports the full scan.
-  ts::Dataset ragged("ragged");
-  ragged.Add(ts::TimeSeries(std::vector<double>{1.0, 2.0, 3.0}));
-  ragged.Add(ts::TimeSeries(std::vector<double>{1.5, 2.5}));
-  ragged.Add(ts::TimeSeries(std::vector<double>{0.5, 2.0, 3.5}));
-  const DistanceMatrixEngine on(ragged, CertainOptions(1, true));
-  EXPECT_FALSE(on.index_enabled());
-  index::SearchCost cost;
-  EXPECT_EQ(on.KNearestEuclidean(0, 2, &cost).size(), 2u);
-  EXPECT_EQ(cost.candidates_touched, 2u);
-  EXPECT_EQ(cost.candidates_total, 2u);
 }
 
 // --- DUST --------------------------------------------------------------------
@@ -288,13 +278,14 @@ std::vector<DustCase> DustCases() {
 TEST(IndexParityTest, DustKnnAndRangeIndexOnVsOffBitwiseIdentical) {
   for (DustCase& c : DustCases()) {
     for (std::size_t threads : kThreadCounts) {
+      measures::Dust off_dust, on_dust;
       auto off = UncertainEngine::Create(c.dataset,
                                          UncertainOptions(threads, false));
       auto on = UncertainEngine::Create(c.dataset,
                                         UncertainOptions(threads, true));
       ASSERT_TRUE(off.ok() && on.ok()) << c.name;
-      ASSERT_TRUE(off.ValueOrDie()->BuildDustTables().ok());
-      ASSERT_TRUE(on.ValueOrDie()->BuildDustTables().ok());
+      ASSERT_TRUE(off.ValueOrDie()->BuildDustTables(off_dust).ok());
+      ASSERT_TRUE(on.ValueOrDie()->BuildDustTables(on_dust).ok());
       EXPECT_FALSE(off.ValueOrDie()->dust_index_enabled());
       ASSERT_TRUE(on.ValueOrDie()->dust_index_enabled()) << c.name;
       const double epsilon =
@@ -322,9 +313,10 @@ TEST(IndexParityTest, DustWalkDataPrunes) {
   auto normal = prob::MakeNormalError(0.3);
   auto d = WalkUncertain(48, 32, 114,
                          [&](std::size_t, std::size_t) { return normal; });
+  measures::Dust dust;
   auto on = UncertainEngine::Create(d, UncertainOptions(1, true));
   ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(on.ValueOrDie()->BuildDustTables().ok());
+  ASSERT_TRUE(on.ValueOrDie()->BuildDustTables(dust).ok());
   ASSERT_TRUE(on.ValueOrDie()->dust_index_enabled());
   index::SearchCost cost;
   for (std::size_t q = 0; q < d.size(); ++q) {
@@ -367,7 +359,8 @@ TEST(IndexParityTest, UncertainEngineEuclideanEqualsCertainEngineBitwise) {
             certain_options.block_rows = uncertain_options.block_rows =
                 kBlockRows;
           }
-          const DistanceMatrixEngine certain(observed, certain_options);
+          const auto certain = DistanceMatrixEngine::Create(
+              observed, certain_options).ValueOrDie();
           auto created = UncertainEngine::Create(c.dataset, uncertain_options);
           ASSERT_TRUE(created.ok()) << c.name;
           const UncertainEngine& uncertain = *created.ValueOrDie();

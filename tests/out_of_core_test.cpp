@@ -172,9 +172,8 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
   // cascade scores with. Indexed-vs-unindexed equality is index_parity_test's
   // contract; this suite pins paged-vs-resident only.
   for (bool indexed : {false, true}) {
-    const query::DistanceMatrixEngine resident(
-        d, PagedOptions(1, indexed, nullptr));
-    ASSERT_TRUE(resident.batched());
+    const auto resident = query::DistanceMatrixEngine::Create(
+        d, PagedOptions(1, indexed, nullptr)).ValueOrDie();
     const auto knn = resident.KNearestEuclidean(3, 10);
     const auto all = resident.AllKNearestEuclidean(5);
     const double epsilon = knn[6].distance;  // nonempty, nontrivial range
@@ -185,9 +184,8 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " indexed=" << indexed);
       auto pool = MakePool(2 * kBlockBytes);  // << dataset: real paging
-      const query::DistanceMatrixEngine paged(
-          d, PagedOptions(threads, indexed, pool));
-      ASSERT_TRUE(paged.batched());
+      const auto paged = query::DistanceMatrixEngine::Create(
+          d, PagedOptions(threads, indexed, pool)).ValueOrDie();
       {
         SCOPED_TRACE("knn");
         ExpectSameNeighbors(knn, paged.KNearestEuclidean(3, 10));
@@ -222,8 +220,8 @@ TEST(OutOfCoreCertainTest, PeakResidentStaysWithinBudgetPlusPinnedBlock) {
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 12);
   const std::size_t budget = 2 * kBlockBytes;  // dataset is 6 blocks
   auto pool = MakePool(budget);
-  const query::DistanceMatrixEngine paged(d, PagedOptions(1, false, pool));
-  ASSERT_TRUE(paged.batched());
+  const auto paged = query::DistanceMatrixEngine::Create(
+      d, PagedOptions(1, false, pool)).ValueOrDie();
   for (std::size_t q = 0; q < d.size(); ++q) {
     (void)paged.KNearestEuclidean(q, 10);
   }
@@ -237,11 +235,12 @@ TEST(OutOfCoreCertainTest, ZeroBudgetConcurrentStress) {
   // single mutex from the chunked ParallelFor partitions. TSan/ASan runs
   // of this test are the storage tier's race/leak gate.
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 13);
-  const query::DistanceMatrixEngine resident(d,
-                                             PagedOptions(1, false, nullptr));
+  const auto resident = query::DistanceMatrixEngine::Create(
+      d, PagedOptions(1, false, nullptr)).ValueOrDie();
   const auto expected = resident.AllKNearestEuclidean(5);
   auto pool = MakePool(0);
-  const query::DistanceMatrixEngine paged(d, PagedOptions(8, false, pool));
+  const auto paged = query::DistanceMatrixEngine::Create(
+      d, PagedOptions(8, false, pool)).ValueOrDie();
   const auto got = paged.AllKNearestEuclidean(5);
   ASSERT_EQ(expected.size(), got.size());
   for (std::size_t q = 0; q < expected.size(); ++q) {
@@ -268,10 +267,11 @@ TEST(OutOfCoreUncertainTest, DustPagedBitwiseEqualsResident) {
   // Uniform error: numeric DUST tables, the lookup kernel path.
   const auto d = GaussianUncertain(kSeries, kLength, 21,
                                    prob::ErrorKind::kUniform, 0.5);
+  measures::Dust resident_dust;
   auto resident = query::UncertainEngine::Create(
                       d, PagedUncertainOptions(1, false, nullptr))
                       .ValueOrDie();
-  ASSERT_TRUE(resident->BuildDustTables().ok());
+  ASSERT_TRUE(resident->BuildDustTables(resident_dust).ok());
   const auto distances = resident->DustDistances(2).ValueOrDie();
   const auto knn = resident->KNearestDust(2, 7).ValueOrDie();
   const double epsilon = knn[4].distance;
@@ -280,10 +280,11 @@ TEST(OutOfCoreUncertainTest, DustPagedBitwiseEqualsResident) {
   for (std::size_t threads : kThreadCounts) {
     for (bool indexed : {false, true}) {
       auto pool = MakePool(2 * kBlockBytes);
+      measures::Dust paged_dust;
       auto paged = query::UncertainEngine::Create(
                        d, PagedUncertainOptions(threads, indexed, pool))
                        .ValueOrDie();
-      ASSERT_TRUE(paged->BuildDustTables().ok());
+      ASSERT_TRUE(paged->BuildDustTables(paged_dust).ok());
       const auto paged_distances = paged->DustDistances(2).ValueOrDie();
       ASSERT_EQ(distances.size(), paged_distances.size());
       for (std::size_t i = 0; i < distances.size(); ++i) {
@@ -362,7 +363,7 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
 
 TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 31);
-  const query::DistanceMatrixEngine reference(d, {});
+  const auto reference = query::DistanceMatrixEngine::Create(d).ValueOrDie();
   const auto expected = reference.KNearestEuclidean(0, 10);
 
   query::EngineContextOptions options;
@@ -375,8 +376,8 @@ TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   EXPECT_EQ(context.buffer_pool(), pool);  // cached, not re-created
   EXPECT_EQ(context.stats().buffer_pools_created, 1u);
 
-  const query::DistanceMatrixEngine& certain = context.Certain(d);
-  ExpectSameNeighbors(expected, certain.KNearestEuclidean(0, 10));
+  const query::DistanceMatrixEngine* certain = context.Certain(d).ValueOrDie();
+  ExpectSameNeighbors(expected, certain->KNearestEuclidean(0, 10));
   EXPECT_GT(pool->stats().admits, 0u);
 }
 

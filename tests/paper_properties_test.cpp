@@ -10,6 +10,7 @@
 #include "measures/dust.hpp"
 #include "measures/proud.hpp"
 #include "prob/stats.hpp"
+#include "query/engine.hpp"
 #include "query/search.hpp"
 #include "uncertain/perturb.hpp"
 
@@ -76,8 +77,9 @@ TEST_P(EveryDataset, GroundTruthNeighborsFavorSameClass) {
       Load(std::max<std::size_t>(36, 3 * classes), 64).ZNormalizedCopy();
   const auto hist = d.ClassHistogram();
   double same = 0.0, total = 0.0;
+  const auto engine = query::DistanceMatrixEngine::Create(d).ValueOrDie();
   for (std::size_t qi = 0; qi < 12; ++qi) {
-    const auto nn = query::KNearestEuclidean(d, qi, 3);
+    const auto nn = engine.KNearestEuclidean(qi, 3);
     for (const auto& nb : nn) {
       same += d[nb.index].label() == d[qi].label() ? 1.0 : 0.0;
       total += 1.0;

@@ -6,6 +6,7 @@
 
 #include "distance/lp.hpp"
 #include "prob/rng.hpp"
+#include "query/engine.hpp"
 #include "query/search.hpp"
 
 namespace uts::query {
@@ -61,8 +62,9 @@ TEST(KNearestTest, SortedAscendingDeterministicTies) {
 
 TEST(KNearestEuclideanTest, MatchesBruteForce) {
   const ts::Dataset d = RandomDataset(40, 16, 3);
+  const auto engine = DistanceMatrixEngine::Create(d).ValueOrDie();
   for (std::size_t qi : {0u, 7u, 39u}) {
-    const auto nn = KNearestEuclidean(d, qi, 5);
+    const auto nn = engine.KNearestEuclidean(qi, 5);
     ASSERT_EQ(nn.size(), 5u);
     // Brute force verify: no non-returned item is closer than the 5th.
     const double worst = nn.back().distance;
@@ -99,9 +101,10 @@ TEST(RangeSearchTest, InclusiveThreshold) {
 TEST(RangeSearchEuclideanTest, ConsistentWithKnn) {
   const ts::Dataset d = RandomDataset(30, 12, 5);
   const std::size_t qi = 4;
-  const auto nn = KNearestEuclidean(d, qi, 10);
+  const auto engine = DistanceMatrixEngine::Create(d).ValueOrDie();
+  const auto nn = engine.KNearestEuclidean(qi, 10);
   const double eps = nn.back().distance;
-  const auto range = RangeSearchEuclidean(d, qi, eps);
+  const auto range = engine.RangeSearchEuclidean(qi, eps);
   // The range query at the 10th-NN distance returns at least 10 items
   // (ties can add more), and every k-NN member is inside.
   EXPECT_GE(range.size(), 10u);
@@ -115,7 +118,8 @@ TEST(RangeSearchEuclideanTest, ZeroEpsilonFindsOnlyDuplicates) {
   d.Add(ts::TimeSeries({1.0, 2.0}));
   d.Add(ts::TimeSeries({1.0, 2.0}));
   d.Add(ts::TimeSeries({9.0, 9.0}));
-  const auto matches = RangeSearchEuclidean(d, 0, 0.0);
+  const auto matches =
+      DistanceMatrixEngine::Create(d).ValueOrDie().RangeSearchEuclidean(0, 0.0);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0], 1u);
 }
@@ -184,7 +188,8 @@ TEST(TopKMotifsTest, EuclideanVariantFindsPlantedMotif) {
   auto clone = d[4];
   clone.mutable_values()[0] += 0.01;
   d[19] = clone;
-  const auto motifs = TopKMotifsEuclidean(d, 1);
+  const auto motifs =
+      DistanceMatrixEngine::Create(d).ValueOrDie().TopKMotifsEuclidean(1);
   ASSERT_EQ(motifs.size(), 1u);
   EXPECT_EQ(motifs[0].a, 4u);
   EXPECT_EQ(motifs[0].b, 19u);

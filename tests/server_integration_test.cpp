@@ -777,7 +777,8 @@ TEST(ServerIntegration, ServiceServesEveryMeasureFromOnePack) {
   for (const auto& series : pdf.series) observed.Add(series.AsTimeSeries());
   query::EngineOptions engine_options;
   engine_options.index.enabled = true;
-  const query::DistanceMatrixEngine reference(observed, engine_options);
+  const auto reference = query::DistanceMatrixEngine::Create(
+      observed, engine_options).ValueOrDie();
   index::SearchCost knn_cost, range_cost;
   ExpectSameNeighbors(knn.ValueOrDie().neighbors,
                       reference.KNearestEuclidean(3, 4, &knn_cost));

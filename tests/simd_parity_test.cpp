@@ -416,10 +416,10 @@ TEST(SimdEngineParityTest, EuclideanQueriesMatchScalarEngine) {
   for (const ts::Dataset& d :
        {GaussianDataset(60, 33, 0x51), TieHeavyDataset(60, 16, 0x52)}) {
     for (std::size_t threads : kThreadCounts) {
-      const query::DistanceMatrixEngine scalar(
-          d, EngineOpts(threads, SimdMode::kForceScalar));
-      const query::DistanceMatrixEngine simd(
-          d, EngineOpts(threads, SimdMode::kAuto));
+      const auto scalar = query::DistanceMatrixEngine::Create(
+          d, EngineOpts(threads, SimdMode::kForceScalar)).ValueOrDie();
+      const auto simd = query::DistanceMatrixEngine::Create(
+          d, EngineOpts(threads, SimdMode::kAuto)).ValueOrDie();
       ASSERT_EQ(simd.simd_level(), SimdLevel::kAvx2);
       ASSERT_EQ(scalar.simd_level(), SimdLevel::kScalar);
 
@@ -488,6 +488,7 @@ TEST(SimdEngineParityTest, DustAndProudQueriesMatchScalarEngine) {
   UTS_REQUIRE_SIMD();
   const uncertain::UncertainDataset d = MixedClassUncertain(40, 33, 0x61);
   for (std::size_t threads : kThreadCounts) {
+    measures::Dust scalar_dust, simd_dust;
     auto scalar_r =
         query::UncertainEngine::Create(d, UncertainOpts(threads,
                                                         SimdMode::kForceScalar));
@@ -498,8 +499,8 @@ TEST(SimdEngineParityTest, DustAndProudQueriesMatchScalarEngine) {
     auto& scalar = *scalar_r.ValueOrDie();
     auto& simd = *simd_r.ValueOrDie();
     ASSERT_EQ(simd.simd_level(), SimdLevel::kAvx2);
-    ASSERT_TRUE(scalar.BuildDustTables().ok());
-    ASSERT_TRUE(simd.BuildDustTables().ok());
+    ASSERT_TRUE(scalar.BuildDustTables(scalar_dust).ok());
+    ASSERT_TRUE(simd.BuildDustTables(simd_dust).ok());
 
     for (std::size_t q : {std::size_t{0}, std::size_t{13}}) {
       // DUST is bitwise: distances, ranks and tie order all EXPECT_EQ.

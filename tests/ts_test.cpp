@@ -233,49 +233,6 @@ TEST(DatasetTest, TruncatedValidation) {
   EXPECT_FALSE(MakeToyDataset().Truncated(2, 0).ok());
 }
 
-TEST(DatasetTest, PackedCacheLifecycle) {
-  Dataset d("p");
-  d.Add(TimeSeries({1.0, 2.0}));
-  d.Add(TimeSeries({3.0, 4.0}));
-  const auto p1 = d.Packed();
-  ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(p1->rows(), 2u);
-  EXPECT_EQ(p1->stride(), 2u);
-  EXPECT_EQ(p1->resident_row(1)[0], 3.0);
-  // Same snapshot until mutation.
-  EXPECT_EQ(d.Packed(), p1);
-
-  // Mutation drops the cache; earlier snapshots stay alive and unchanged.
-  d.Add(TimeSeries({5.0, 6.0}));
-  const auto p2 = d.Packed();
-  ASSERT_NE(p2, nullptr);
-  EXPECT_NE(p2, p1);
-  EXPECT_EQ(p2->rows(), 3u);
-  EXPECT_EQ(p1->rows(), 2u);
-
-  // Non-uniform collections have no packed mirror.
-  d.Add(TimeSeries({7.0}));
-  EXPECT_EQ(d.Packed(), nullptr);
-}
-
-TEST(DatasetTest, MoveResetsSourcePackedCache) {
-  Dataset d("m");
-  d.Add(TimeSeries({1.0, 2.0}));
-  d.Add(TimeSeries({3.0, 4.0}));
-  ASSERT_NE(d.Packed(), nullptr);
-
-  Dataset moved(std::move(d));
-  // The moved-from dataset must not serve its stale pre-move mirror.
-  EXPECT_EQ(d.Packed(), nullptr);  // NOLINT(bugprone-use-after-move)
-  ASSERT_NE(moved.Packed(), nullptr);
-  EXPECT_EQ(moved.Packed()->rows(), 2u);
-
-  Dataset target("t");
-  target = std::move(moved);
-  EXPECT_EQ(moved.Packed(), nullptr);  // NOLINT(bugprone-use-after-move)
-  ASSERT_NE(target.Packed(), nullptr);
-}
-
 TEST(DatasetTest, MergeConcatenates) {
   const Dataset a = MakeToyDataset();
   const Dataset b = MakeToyDataset();

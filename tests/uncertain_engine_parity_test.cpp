@@ -180,10 +180,11 @@ TEST(UncertainEngineParityTest, DustSweepMatchesScalarAtEveryThreadCount) {
     const auto reference = ReferenceDustDistances(c.dataset, 0,
                                                   measures::DustOptions{});
     for (std::size_t threads : kThreadCounts) {
+      measures::Dust dust;
       auto engine =
           UncertainEngine::Create(c.dataset, SmallChunkOptions(threads));
       ASSERT_TRUE(engine.ok()) << c.name << ": " << engine.status();
-      ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables().ok()) << c.name;
+      ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables(dust).ok()) << c.name;
       auto distances = engine.ValueOrDie()->DustDistances(0);
       ASSERT_TRUE(distances.ok()) << c.name;
       ASSERT_EQ(distances.ValueOrDie().size(), reference.size());
@@ -208,10 +209,11 @@ TEST(UncertainEngineParityTest, DustKnnAndRangeMatchScalarWithTies) {
       if (i != 5 && reference[i] <= epsilon) want_rq.push_back(i);
     }
     for (std::size_t threads : kThreadCounts) {
+      measures::Dust dust;
       auto engine =
           UncertainEngine::Create(c.dataset, SmallChunkOptions(threads));
       ASSERT_TRUE(engine.ok());
-      ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables().ok());
+      ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables(dust).ok());
       ExpectNeighborsIdentical(
           engine.ValueOrDie()->KNearestDust(5, 10).ValueOrDie(), want_knn);
       EXPECT_EQ(engine.ValueOrDie()->RangeSearchDust(5, epsilon).ValueOrDie(),
@@ -226,28 +228,30 @@ TEST(UncertainEngineParityTest, DustQueriesRequireBuiltTables) {
   const auto d = GaussianUncertain(6, 4, 14, [&](std::size_t, std::size_t) {
     return normal;
   });
+  measures::Dust dust;
   auto engine = UncertainEngine::Create(d, SmallChunkOptions(1));
   ASSERT_TRUE(engine.ok());
   EXPECT_FALSE(engine.ValueOrDie()->dust_ready());
   EXPECT_FALSE(engine.ValueOrDie()->DustDistances(0).ok());
-  ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables().ok());
+  ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables(dust).ok());
   EXPECT_TRUE(engine.ValueOrDie()->dust_ready());
   EXPECT_TRUE(engine.ValueOrDie()->DustDistances(0).ok());
 }
 
 TEST(UncertainEngineParityTest, DustTablesBorrowedFromSharedCacheMatch) {
   // The matcher path hands the engine a persistent measures::Dust cache so
-  // rebuilds across datasets reuse tables. Borrowed tables must produce
-  // bitwise the same sweeps as privately built ones, and a second engine
-  // over the same cache must not rebuild anything.
+  // rebuilds across datasets reuse tables. Tables borrowed from a shared
+  // cache must produce bitwise the same sweeps as ones from a cache of the
+  // engine's own, and a second engine over the same cache must not rebuild
+  // anything.
   auto uniform = prob::MakeUniformError(0.5);
   const auto d = GaussianUncertain(20, 8, 15, [&](std::size_t, std::size_t) {
     return uniform;
   });
-  measures::Dust cache;
+  measures::Dust cache, own_cache;
   auto own = UncertainEngine::Create(d, SmallChunkOptions(2));
   ASSERT_TRUE(own.ok());
-  ASSERT_TRUE(own.ValueOrDie()->BuildDustTables().ok());
+  ASSERT_TRUE(own.ValueOrDie()->BuildDustTables(own_cache).ok());
   auto borrowed = UncertainEngine::Create(d, SmallChunkOptions(2));
   ASSERT_TRUE(borrowed.ok());
   ASSERT_TRUE(borrowed.ValueOrDie()->BuildDustTables(cache).ok());

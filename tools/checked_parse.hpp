@@ -15,6 +15,7 @@
 #define UTS_TOOLS_CHECKED_PARSE_HPP_
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -85,7 +86,8 @@ inline bool ParsePort(const char* flag, const char* text, std::uint16_t* out) {
 }
 
 /// Parse `text` as a finite double. The whole string must parse; overflow
-/// (ERANGE) and trailing junk are rejected with a stderr diagnostic.
+/// (ERANGE), NaN and infinity spellings ("nan", "inf", "infinity") and
+/// trailing junk are rejected with a stderr diagnostic.
 inline bool ParseDouble(const char* flag, const char* text, double* out) {
   if (text == nullptr || *text == '\0') {
     std::fprintf(stderr, "%s: expected a number, got ''\n", flag);
@@ -94,7 +96,8 @@ inline bool ParseDouble(const char* flag, const char* text, double* out) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0') {
+  if (errno == ERANGE || end == text || *end != '\0' ||
+      !std::isfinite(value)) {
     std::fprintf(stderr, "%s: expected a finite number, got '%s'\n", flag,
                  text);
     return false;

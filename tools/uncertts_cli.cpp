@@ -97,6 +97,17 @@ class Args {
     return value;
   }
 
+  /// --sigma, the reported per-point error std: finite and > 0, the rule
+  /// the server's Bind applies.
+  double GetSigma() const {
+    const double sigma = GetDouble("sigma", 0.5);
+    if (!(sigma > 0.0)) {
+      std::fprintf(stderr, "--sigma: must be > 0, got %g\n", sigma);
+      std::exit(2);
+    }
+    return sigma;
+  }
+
   std::string Require(const std::string& key) const {
     if (!Has(key) || Get(key).empty()) {
       std::fprintf(stderr, "missing required --%s\n", key.c_str());
@@ -160,7 +171,7 @@ Result<uncertain::ErrorSpec> SpecFromArgs(const Args& args) {
     return Status::InvalidArgument("unknown --error '" + kind_name +
                                    "' (normal|uniform|exponential)");
   }
-  const double sigma = args.GetDouble("sigma", 0.5);
+  const double sigma = args.GetSigma();
   if (args.Has("mixed")) {
     return uncertain::ErrorSpec::MixedSigma(kind, 0.2, 1.0, 0.4);
   }
@@ -210,7 +221,7 @@ int CmdMatch(const Args& args) {
     return 1;
   }
   const std::string measure = args.Get("measure", "euclid");
-  const double sigma = args.GetDouble("sigma", 0.5);
+  const double sigma = args.GetSigma();
 
   // Build the reported-error view used by the uncertainty-aware measures.
   std::vector<uncertain::UncertainSeries> uncertain_view;
@@ -245,15 +256,23 @@ int CmdMatch(const Args& args) {
     ts::FilterOptions options;
     options.half_window = args.GetSize("window", 2);
     options.lambda = measure == "uema" ? args.GetDouble("lambda", 1.0) : 0.0;
+    if (options.lambda < 0.0) {
+      std::fprintf(stderr, "--lambda: must be >= 0, got %g\n",
+                   options.lambda);
+      return 2;
+    }
     for (const auto& s : uncertain_view) {
-      filtered.push_back(ts::UncertainMovingAverage(
-                             s.observations(), s.Stddevs(), options)
-                             .ValueOrDie());
-      if (measure == "uema") {
-        filtered.back() = ts::UncertainExponentialMovingAverage(
-                              s.observations(), s.Stddevs(), options)
-                              .ValueOrDie();
+      auto smoothed =
+          measure == "uema"
+              ? ts::UncertainExponentialMovingAverage(s.observations(),
+                                                      s.Stddevs(), options)
+              : ts::UncertainMovingAverage(s.observations(), s.Stddevs(),
+                                           options);
+      if (!smoothed.ok()) {
+        std::fprintf(stderr, "%s\n", smoothed.status().ToString().c_str());
+        return 1;
       }
+      filtered.push_back(std::move(smoothed).ValueOrDie());
     }
     distance_to = [&](std::size_t i) {
       return distance::Euclidean(filtered[query], filtered[i]);
@@ -286,12 +305,12 @@ int CmdMatch(const Args& args) {
                      pool.status().ToString().c_str());
       }
     }
-    const query::DistanceMatrixEngine engine(dataset, eopts);
-    if (args.Has("index") && !engine.index_enabled()) {
-      std::fprintf(stderr,
-                   "--index needs uniform-length series; running unindexed\n");
+    auto engine = query::DistanceMatrixEngine::Create(dataset, eopts);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+      return 1;
     }
-    neighbors = engine.KNearestEuclidean(query, k, &cost);
+    neighbors = engine.ValueOrDie().KNearestEuclidean(query, k, &cost);
     report_cost = args.Has("index");
   } else {
     if (args.Has("index")) {
@@ -331,8 +350,13 @@ int CmdMotifs(const Args& args) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
+  auto engine = query::DistanceMatrixEngine::Create(loaded.ValueOrDie());
+  if (!engine.ok()) {
+    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+    return 1;
+  }
   const auto motifs =
-      query::TopKMotifsEuclidean(loaded.ValueOrDie(), args.GetSize("k", 5));
+      engine.ValueOrDie().TopKMotifsEuclidean(args.GetSize("k", 5));
   core::TextTable table({"rank", "a", "b", "distance"});
   for (std::size_t r = 0; r < motifs.size(); ++r) {
     table.AddRow({std::to_string(r + 1), std::to_string(motifs[r].a),

@@ -66,12 +66,18 @@ std::uint64_t PairSeed(const EvalContext& context, std::size_t qi,
 Status EuclideanMatcher::Bind(const EvalContext& context) {
   UTS_RETURN_NOT_OK(RequirePdf(context));
   ctx_ = &context;
+  // Borrow the run's shared engine, so that ε and the range scan come from
+  // one kernel (the AVX2 Euclidean kernel is not bitwise the scalar one).
+  // Declined (a non-engine-shaped dataset) means the scalar path below.
+  engine_ = context.engines != nullptr ? context.engines->AcquireEuclidean()
+                                       : nullptr;
   return Status::OK();
 }
 
 Result<double> EuclideanMatcher::CalibrationDistance(std::size_t qi,
                                                      std::size_t ci) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "Euclidean"));
+  if (engine_ != nullptr) return engine_->EuclideanDistance(qi, ci);
   return distance::Euclidean((*ctx_->pdf)[qi].observations(),
                              (*ctx_->pdf)[ci].observations());
 }
@@ -81,6 +87,16 @@ Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
   auto d = CalibrationDistance(qi, ci);
   if (!d.ok()) return d.status();
   return d.ValueOrDie() <= epsilon;
+}
+
+Result<std::vector<std::size_t>> EuclideanMatcher::Retrieve(std::size_t qi,
+                                                            std::size_t n,
+                                                            double epsilon) {
+  UTS_RETURN_NOT_OK(RequireBound(ctx_, "Euclidean"));
+  if (engine_ == nullptr || n != engine_->size()) {
+    return Matcher::Retrieve(qi, n, epsilon);
+  }
+  return engine_->RangeSearchEuclidean(qi, epsilon);
 }
 
 // -------------------------------------------------------------------- PROUD

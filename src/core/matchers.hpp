@@ -35,6 +35,10 @@
 namespace uts::core {
 
 /// \brief Baseline: Euclidean distance on the raw observations.
+///
+/// On the run's shared engine, calibration (and so `Matches`) and
+/// `Retrieve` score through one kernel, so the calibration candidate always
+/// lands exactly on the ε boundary.
 class EuclideanMatcher final : public Matcher {
  public:
   std::string name() const override { return "Euclidean"; }
@@ -42,8 +46,15 @@ class EuclideanMatcher final : public Matcher {
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
+  /// Range scan on the run's shared UncertainEngine (bit-identical to the
+  /// Matches loop over the same engine at any thread count).
+  Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
+                                            double epsilon) override;
 
  private:
+  /// Borrowed view of the context's shared engine (EvalContext::engines);
+  /// null = sequential scalar path. Re-acquired at every Bind.
+  query::UncertainEngine* engine_ = nullptr;
   const EvalContext* ctx_ = nullptr;
 };
 

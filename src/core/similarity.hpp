@@ -58,8 +58,10 @@ struct EvalContext {
   /// The run-wide shared engine context (one thread pool, one SoA pack,
   /// one uncertain engine for every matcher of the run). Engine-aware
   /// matchers acquire borrowed engine views from it at Bind; when null
-  /// they keep their sequential scalar paths, which are bit-identical.
-  /// The runner (RunSimilarityMatching) always provides one.
+  /// they keep their sequential scalar paths, which are bit-identical to
+  /// the engine's scalar kernels (the AVX2 Euclidean kernel is within a
+  /// pinned tolerance of them, see distance/simd.hpp). The runner
+  /// (RunSimilarityMatching) always provides one.
   query::EngineContext* engines = nullptr;
 };
 
@@ -98,9 +100,9 @@ class Matcher {
   /// Retrieve every matching candidate of query `qi` among indices [0, n)
   /// (self excluded, ascending) under threshold `epsilon` — the retrieval
   /// step of the evaluation loop. The default is the sequential reference:
-  /// one `Matches` call per candidate. Engine-aware matchers (DUST, PROUD,
-  /// MUNICH) override it with batched engine sweeps whose results are
-  /// bit-identical to the default at every thread count.
+  /// one `Matches` call per candidate. Engine-aware matchers (Euclidean,
+  /// DUST, PROUD, MUNICH) override it with batched engine sweeps whose
+  /// results are bit-identical to the default at every thread count.
   virtual Result<std::vector<std::size_t>> Retrieve(std::size_t qi,
                                                     std::size_t n,
                                                     double epsilon);

@@ -46,17 +46,23 @@
 ///
 /// *Bitwise kernels.* The DUST kernels feed parity tests that pin engine
 /// results bit-identical to the scalar measure (measures::Dust), so their
-/// AVX2 forms never reassociate the per-pair sum: each point's
-/// dust(Δ)² is computed elementwise in vector lanes — |Δ| (sign mask),
-/// the table position Δ/step (IEEE division), the two gathered cells and
-/// the lerp mul/add are all lane-exact matches of DustLut::Eval — and the
-/// per-pair accumulation then runs in the scalar's ascending-timestamp
-/// order over the lane results. SIMD buys the gather/interpolation
-/// arithmetic, not the sum. The classed kernel additionally splits each row
-/// into maximal constant-(lut) runs, so the per-series-constant error
-/// models of the paper's mixed experiments vectorize like the single-lut
-/// path while per-point-varying models degrade gracefully to scalar
-/// evaluation — bitwise either way.
+/// AVX2 forms never reassociate the per-pair sum. The lookup-table and
+/// classed kernels compute each point's dust(Δ)² elementwise in vector
+/// lanes — |Δ| (sign mask), the table position Δ/step (IEEE division), the
+/// two gathered cells and the lerp mul/add are all lane-exact matches of
+/// DustLut::Eval — and the per-pair accumulation then runs in the scalar's
+/// ascending-timestamp order over the lane results: SIMD buys the
+/// gather/interpolation arithmetic, not the sum. The closed form has no
+/// such arithmetic to buy (|Δ|·scale is two ops), so it vectorizes the sum
+/// instead, across rows: a 4×4 tile of four rows is transposed so that
+/// each lane holds one row, and each lane then runs that row's own
+/// ascending-timestamp add chain with the scalar's operations (multiply
+/// and add kept separate). Eight rows, two independent chains, go per
+/// pass; leftover timestamps and rows finish in scalar. The classed kernel
+/// additionally splits each row into maximal constant-(lut) runs, so the
+/// per-series-constant error models of the paper's mixed experiments
+/// vectorize like the single-lut path while per-point-varying models
+/// degrade gracefully to scalar evaluation — bitwise either way.
 ///
 /// *Early abandon.* The scalar reference checks the running sum against the
 /// threshold after every element; the AVX2 kernel checks once per

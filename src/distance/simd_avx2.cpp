@@ -8,9 +8,11 @@
 ///
 /// Numeric policy (documented in simd.hpp): the Euclidean and PROUD kernels
 /// split per-pair sums across lanes and contract into FMAs — pinned
-/// tolerance vs the scalar reference; the DUST kernels evaluate dust(Δ)²
-/// elementwise in lanes with exactly DustLut::Eval's operations and then
-/// accumulate in the scalar's ascending-timestamp order — bitwise.
+/// tolerance vs the scalar reference. The DUST kernels are bitwise: the
+/// lookup-table and classed kernels evaluate dust(Δ)² elementwise in lanes
+/// with exactly DustLut::Eval's operations and then accumulate in the
+/// scalar's ascending-timestamp order; the closed-form kernel puts one row
+/// per lane, so each lane runs the scalar's own add chain for its row.
 
 #include "distance/simd.hpp"
 
@@ -229,6 +231,13 @@ void SquaredEuclideanEarlyAbandonRangeAvx2(std::span<const double> query,
 /// ascending-timestamp order.
 constexpr std::size_t kDustChunk = 256;
 
+/// One closed-form point's dust(Δ)², in DustBatchRange's exact operations:
+/// |q − x|, times the scale, squared.
+inline double ClosedFormPoint(double q, double x, double scale) {
+  const double d = std::fabs(q - x) * scale;
+  return d * d;
+}
+
 /// dust(Δ)² for `count` (<= kDustChunk) closed-form points into `d2`,
 /// lane-exact with DustLut::Eval: |Δ| via sign mask, then two IEEE
 /// multiplies — elementwise operations round identically in SIMD and
@@ -243,10 +252,80 @@ inline void ClosedFormChunk(const double* q, const double* row,
     const __m256d d = _mm256_mul_pd(delta, vscale);
     _mm256_storeu_pd(d2 + t, _mm256_mul_pd(d, d));
   }
-  for (; t < count; ++t) {
-    const double d = std::fabs(q[t] - row[t]) * scale;
-    d2[t] = d * d;
+  for (; t < count; ++t) d2[t] = ClosedFormPoint(q[t], row[t], scale);
+}
+
+/// Rows per pass of the closed-form kernel: two vectors of four rows, two
+/// independent add chains. Sixteen rows measured slower (register
+/// pressure).
+constexpr std::size_t kClosedFormRows = 8;
+
+/// Adds dust(Δ)² of timestamps [t, t + 4) of the four rows starting at
+/// `row0` (`stride` apart) to `acc`, one row per lane. The 4×4 tile is
+/// transposed so that each vector holds one timestamp of the four rows;
+/// each lane then adds its row's four terms in ascending timestamp order,
+/// with DustBatchRange's operations (`qt[k]` broadcasts q[t + k]).
+inline __m256d ClosedFormRowsStep(const double* row0, std::size_t stride,
+                                  std::size_t t, const __m256d qt[4],
+                                  __m256d vscale, __m256d acc) {
+  const __m256d a0 = _mm256_loadu_pd(row0 + t);
+  const __m256d a1 = _mm256_loadu_pd(row0 + stride + t);
+  const __m256d a2 = _mm256_loadu_pd(row0 + 2 * stride + t);
+  const __m256d a3 = _mm256_loadu_pd(row0 + 3 * stride + t);
+  const __m256d lo01 = _mm256_unpacklo_pd(a0, a1);  // r0[0] r1[0] r0[2] r1[2]
+  const __m256d hi01 = _mm256_unpackhi_pd(a0, a1);  // r0[1] r1[1] r0[3] r1[3]
+  const __m256d lo23 = _mm256_unpacklo_pd(a2, a3);  // r2[0] r3[0] r2[2] r3[2]
+  const __m256d hi23 = _mm256_unpackhi_pd(a2, a3);  // r2[1] r3[1] r2[3] r3[3]
+  const __m256d at[4] = {
+      _mm256_permute2f128_pd(lo01, lo23, 0x20),  // timestamp t
+      _mm256_permute2f128_pd(hi01, hi23, 0x20),  // t + 1
+      _mm256_permute2f128_pd(lo01, lo23, 0x31),  // t + 2
+      _mm256_permute2f128_pd(hi01, hi23, 0x31),  // t + 3
+  };
+  for (std::size_t k = 0; k < 4; ++k) {
+    const __m256d d = _mm256_mul_pd(Abs(_mm256_sub_pd(qt[k], at[k])), vscale);
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
   }
+  return acc;
+}
+
+/// Closed-form DUST of rows [row_begin, row_end) in passes of eight rows
+/// across lanes: whole 4-timestamp tiles in lanes, then each row's
+/// timestamps past the last multiple of 4 in scalar. Every row's sum runs
+/// from 0 in ascending timestamp order with the scalar kernel's operations,
+/// so out is bitwise DustBatchRange's. Returns the first row not scored;
+/// fewer than eight rows are left.
+std::size_t DustClosedFormPassesAvx2(const double* q, std::size_t n,
+                                     const double* base, std::size_t stride,
+                                     double scale, std::size_t row_begin,
+                                     std::size_t row_end, double* out) {
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const std::size_t tiled = n - n % 4;
+  std::size_t r = row_begin;
+  for (; r + kClosedFormRows <= row_end; r += kClosedFormRows) {
+    const double* rows = base + r * stride;
+    __m256d acc_lo = _mm256_setzero_pd();  // rows r .. r + 3
+    __m256d acc_hi = _mm256_setzero_pd();  // rows r + 4 .. r + 7
+    for (std::size_t t = 0; t < tiled; t += 4) {
+      const __m256d qt[4] = {_mm256_set1_pd(q[t]), _mm256_set1_pd(q[t + 1]),
+                             _mm256_set1_pd(q[t + 2]),
+                             _mm256_set1_pd(q[t + 3])};
+      acc_lo = ClosedFormRowsStep(rows, stride, t, qt, vscale, acc_lo);
+      acc_hi = ClosedFormRowsStep(rows + 4 * stride, stride, t, qt, vscale,
+                                  acc_hi);
+    }
+    double sums[kClosedFormRows];
+    _mm256_storeu_pd(sums, acc_lo);
+    _mm256_storeu_pd(sums + 4, acc_hi);
+    for (std::size_t i = 0; i < kClosedFormRows; ++i) {
+      const double* row = rows + i * stride;
+      for (std::size_t t = tiled; t < n; ++t) {
+        sums[i] += ClosedFormPoint(q[t], row[t], scale);
+      }
+      out[r - row_begin + i] = std::sqrt(sums[i]);
+    }
+  }
+  return r;
 }
 
 /// dust(Δ)² for `count` (<= kDustChunk) table-lookup points into `d2`.
@@ -302,19 +381,16 @@ inline void LutChunk(const double* q, const double* row, std::size_t count,
   }
 }
 
-/// Accumulate one row's dust(Δ)² values through `lut` into `sum`, chunked
-/// through the lane evaluators; the accumulation order is the scalar's.
-inline double DustRowAvx2(const double* q, const double* row, std::size_t n,
-                          const DustLut& lut) {
+/// Accumulate one row's dust(Δ)² values through the table `lut` into `sum`,
+/// chunked through the lane evaluator; the accumulation order is the
+/// scalar's.
+inline double LutRowAvx2(const double* q, const double* row, std::size_t n,
+                         const DustLut& lut) {
   double d2[kDustChunk];
   double sum = 0.0;
   for (std::size_t t = 0; t < n; t += kDustChunk) {
     const std::size_t count = std::min(kDustChunk, n - t);
-    if (lut.values == nullptr) {
-      ClosedFormChunk(q + t, row + t, count, lut.scale, d2);
-    } else {
-      LutChunk(q + t, row + t, count, lut, d2);
-    }
+    LutChunk(q + t, row + t, count, lut, d2);
     for (std::size_t i = 0; i < count; ++i) sum += d2[i];
   }
   return sum;
@@ -323,16 +399,6 @@ inline double DustRowAvx2(const double* q, const double* row, std::size_t n,
 void DustRangeAvx2(std::span<const double> query, const ts::RowBlock& block,
                    const DustLut& lut, std::size_t row_begin,
                    std::size_t row_end, std::span<double> out) {
-  // Closed form: dust(Δ) = |Δ|·scale is two cheap ops per element, so the
-  // row cost is the scalar-order Σ d² addition chain that bitwise identity
-  // pins — which is exactly the scalar kernel. The buffered lane pass only
-  // adds overhead there (measured ~20% slower); delegating is both the
-  // fastest bitwise-identical implementation and trivially exact. Table
-  // lookups are expensive enough that the lane evaluator wins (~1.3x).
-  if (lut.values == nullptr) {
-    DustBatchRange(query, block, lut, row_begin, row_end, out);
-    return;
-  }
   assert(query.size() == block.stride());
   assert(row_begin <= row_end && row_end <= block.rows());
   assert(out.size() == row_end - row_begin);
@@ -340,8 +406,20 @@ void DustRangeAvx2(std::span<const double> query, const ts::RowBlock& block,
   const std::size_t stride = block.stride();
   const double* q = query.data();
   const double* base = block.data();
+  // Closed form: dust(Δ) = |Δ|·scale is two cheap ops per element, so a
+  // row's cost is its ordered Σ d² add chain. Splitting that chain would
+  // break bitwise identity; running eight rows' chains side by side in
+  // lanes does not. The rows left over go to the scalar kernel. Table
+  // lookups instead vectorize the gather and lerp within one row.
+  if (lut.values == nullptr) {
+    const std::size_t rest = DustClosedFormPassesAvx2(
+        q, n, base, stride, lut.scale, row_begin, row_end, out.data());
+    DustBatchRange(query, block, lut, rest, row_end,
+                   out.subspan(rest - row_begin));
+    return;
+  }
   for (std::size_t r = row_begin; r < row_end; ++r) {
-    out[r - row_begin] = std::sqrt(DustRowAvx2(q, base + r * stride, n, lut));
+    out[r - row_begin] = std::sqrt(LutRowAvx2(q, base + r * stride, n, lut));
   }
 }
 

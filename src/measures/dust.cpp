@@ -219,6 +219,12 @@ Result<const DustTable*> Dust::Table(const prob::ErrorDistributionPtr& ex,
   return TableForFast(ex, ey);
 }
 
+Result<const DustTable*> Dust::TableByKey(const prob::ErrorDistribution& ex,
+                                          const prob::ErrorDistribution& ey) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return TableFor(ex, ey);
+}
+
 std::size_t Dust::CacheSize() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cache_.size();

@@ -172,11 +172,18 @@ class Dust {
 
   /// The cached table of an error pair (building it on first use). The
   /// returned pointer is heap-pinned and stays valid for this instance's
-  /// lifetime — the cache only ever grows — which lets a
-  /// query::UncertainEngine borrow tables from a persistent Dust instance
-  /// instead of re-running the numeric integration on every rebuild.
+  /// lifetime — the cache only ever grows. The pair is memoized by model
+  /// pointer, which keeps both models alive for this instance's lifetime.
   Result<const DustTable*> Table(const prob::ErrorDistributionPtr& ex,
                                  const prob::ErrorDistributionPtr& ey);
+
+  /// `Table` looked up by the models' `Key()`s alone: it keeps no model
+  /// alive, so a persistent Dust instance serving dataset after dataset
+  /// (query::UncertainEngine::BuildDustTables borrows its tables this way)
+  /// holds their tables, not their models. Same tables, same pointer
+  /// lifetime.
+  Result<const DustTable*> TableByKey(const prob::ErrorDistribution& ex,
+                                      const prob::ErrorDistribution& ey);
 
   /// Number of distinct tables currently cached.
   std::size_t CacheSize() const;

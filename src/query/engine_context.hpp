@@ -106,8 +106,10 @@ class EngineContext {
     std::size_t data_binds = 0;        ///< BindData calls that replaced data.
     std::size_t data_rebind_hits = 0;  ///< BindData calls that kept data.
     std::size_t certain_reuses = 0;    ///< Certain() calls served from cache.
-    std::size_t dust_table_builds = 0;     ///< EnsureDustTables misses.
-    std::size_t sample_attaches = 0;       ///< EnsureSamples misses.
+    std::size_t dust_table_builds = 0;  ///< AcquireDust calls that added
+                                       ///< tables to the DUST cache.
+    std::size_t sample_attaches = 0;   ///< AcquireMunich calls that
+                                       ///< attached the sample dataset.
     std::size_t acquires_served = 0;   ///< Acquire* calls that returned the
                                        ///< shared engine.
     std::size_t acquires_declined = 0; ///< Acquire* calls that returned null.

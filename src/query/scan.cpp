@@ -180,4 +180,11 @@ std::vector<std::size_t> RangeSearchEuclidean(const ScanTarget& target,
       Keep::kAtMost);
 }
 
+double EuclideanDistance(const ScanTarget& target, std::size_t query,
+                         std::size_t row) {
+  const auto query_pin = ts::PinRowOrAbort(target.view, query);
+  return ScoreRow(target.view, row,
+                  EuclideanScorer(target.dispatch, query_pin.row()));
+}
+
 }  // namespace uts::query::detail

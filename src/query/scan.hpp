@@ -107,6 +107,12 @@ std::vector<std::size_t> RangeSearchEuclidean(const ScanTarget& target,
                                               double epsilon,
                                               index::SearchCost* cost);
 
+/// Euclidean distance between rows `query` and `row`: the scan's scorer on
+/// one row, so bitwise the value KNearestEuclidean and RangeSearchEuclidean
+/// compare for `row`.
+double EuclideanDistance(const ScanTarget& target, std::size_t query,
+                         std::size_t row);
+
 }  // namespace uts::query::detail
 
 #endif  // UTS_QUERY_SCAN_HPP_

@@ -134,6 +134,12 @@ std::vector<std::size_t> UncertainEngine::RangeSearchEuclidean(
   return detail::RangeSearchEuclidean(Target(), query, epsilon, cost);
 }
 
+double UncertainEngine::EuclideanDistance(std::size_t query,
+                                          std::size_t candidate) const {
+  assert(query < size() && candidate < size());
+  return detail::EuclideanDistance(Target(), query, candidate);
+}
+
 // --- DUST --------------------------------------------------------------------
 
 Status UncertainEngine::BuildDustTables(measures::Dust& cache) {
@@ -143,8 +149,10 @@ Status UncertainEngine::BuildDustTables(measures::Dust& cache) {
   for (std::size_t a = 0; a < k; ++a) {
     for (std::size_t b = a; b < k; ++b) {
       // The cache canonicalizes pair order internally (Dust::TableFor), so
-      // borrowed tables are bitwise the ones the scalar measure serves.
-      auto table = cache.Table(class_dists_[a], class_dists_[b]);
+      // borrowed tables are bitwise the ones the scalar measure serves. The
+      // lookup is by key: a persistent cache must not keep the models of
+      // every dataset it ever served alive.
+      auto table = cache.TableByKey(*class_dists_[a], *class_dists_[b]);
       if (!table.ok()) return table.status();
       const distance::DustLut lut = table.ValueOrDie()->Lut();
       dust_luts_[a * k + b] = lut;

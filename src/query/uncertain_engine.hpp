@@ -159,6 +159,11 @@ class UncertainEngine {
       std::size_t query, double epsilon,
       index::SearchCost* cost = nullptr) const;
 
+  /// Euclidean distance of one pair over the observations, through the
+  /// scan's kernel: bitwise the value the two queries above compare for
+  /// `candidate`, so an ε taken from it keeps `candidate` in range.
+  double EuclideanDistance(std::size_t query, std::size_t candidate) const;
+
   /// \name DUST
   /// \{
 
@@ -167,6 +172,8 @@ class UncertainEngine {
   /// (so canonicalization and construction live in measures::Dust alone).
   /// Re-binding to new data with the same error models then reuses the
   /// tables already built instead of re-running the numeric integration.
+  /// Tables are looked up by model key (`Dust::TableByKey`), so the cache
+  /// keeps none of this dataset's error models alive.
   /// `cache` must outlive this engine; it is append-only, so borrowed
   /// table addresses stay valid. The cache's DustOptions decide the tables.
   /// Idempotent; must complete before the DUST queries below. Not

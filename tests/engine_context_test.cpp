@@ -25,8 +25,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,6 +37,8 @@
 
 #include "core/experiment.hpp"
 #include "core/matchers.hpp"
+#include "core/metrics.hpp"
+#include "distance/lp.hpp"
 #include "exec/thread_pool.hpp"
 #include "prob/distribution.hpp"
 #include "prob/rng.hpp"
@@ -700,6 +705,195 @@ TEST(EngineContextTest, BindDecisionsAreTheSameAtEveryThreadCount) {
     }
     EXPECT_EQ(hits, expected_hits);
   }
+}
+
+// --- Euclidean on the shared engine -----------------------------------------
+
+/// Random walks: cumulative sums of Gaussian steps.
+ts::Dataset RandomWalks(std::size_t n, std::size_t len, std::uint64_t seed) {
+  prob::Rng rng(seed);
+  ts::Dataset d("ctx-walks");
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> values(len);
+    double level = 0.0;
+    for (double& v : values) v = level += rng.Gaussian();
+    d.Add(ts::TimeSeries(std::move(values), static_cast<int>(i % 2)));
+  }
+  return d;
+}
+
+/// Ties everywhere: series on a {0, 1, 2} grid, every third one a copy of
+/// its predecessor, and the last four constant (two of them equal).
+ts::Dataset TieHeavy(std::size_t n, std::size_t len, std::uint64_t seed) {
+  prob::Rng rng(seed);
+  ts::Dataset d("ctx-ties");
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> values(len);
+    if (i + 4 >= n) {
+      std::fill(values.begin(), values.end(),
+                static_cast<double>(std::min<std::size_t>(i + 4 - n, 2)));
+    } else if (i % 3 == 2) {
+      const auto previous = d[i - 1].values();
+      values.assign(previous.begin(), previous.end());
+    } else {
+      for (double& v : values) v = static_cast<double>(rng.Next() % 3);
+    }
+    d.Add(ts::TimeSeries(std::move(values), static_cast<int>(i % 2)));
+  }
+  return d;
+}
+
+/// Per-query F1, precision and recall bits of an EuclideanMatcher bound to
+/// `pdf` through `engines` (null = no engine), scored like the runner: ε is
+/// the calibration distance to the k-th exact neighbour, then Retrieve.
+/// Also checks, per query, that the calibration candidate is retrieved and
+/// that Retrieve equals the Matches loop.
+std::vector<std::uint64_t> EuclideanScoreBits(
+    const ts::Dataset& exact, const uncertain::UncertainDataset& pdf,
+    EngineContext* engines) {
+  constexpr std::size_t kNeighbours = 4;
+  core::EvalContext context;
+  context.exact = &exact;
+  context.pdf = &pdf;
+  context.engines = engines;
+  if (engines != nullptr) {
+    EXPECT_TRUE(engines->BindData(pdf, std::nullopt, 1, 0.5).ok());
+    context.pdf = engines->pdf();
+  }
+  core::EuclideanMatcher matcher;
+  EXPECT_TRUE(matcher.Bind(context).ok());
+  const std::size_t n = exact.size();
+  std::vector<std::uint64_t> bits;
+  for (std::size_t qi = 0; qi < n; ++qi) {
+    std::vector<Neighbor> truth;
+    for (std::size_t ci = 0; ci < n; ++ci) {
+      if (ci == qi) continue;
+      truth.push_back(
+          {ci, distance::Euclidean(exact[qi].values(), exact[ci].values())});
+    }
+    std::sort(truth.begin(), truth.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                return a.distance != b.distance ? a.distance < b.distance
+                                                : a.index < b.index;
+              });
+    truth.resize(kNeighbours);
+    std::vector<std::size_t> relevant;
+    for (const Neighbor& nb : truth) relevant.push_back(nb.index);
+    const std::size_t calibration = relevant.back();
+
+    const double eps = matcher.CalibrationDistance(qi, calibration).ValueOrDie();
+    const std::vector<std::size_t> retrieved =
+        matcher.Retrieve(qi, n, eps).ValueOrDie();
+    EXPECT_TRUE(std::binary_search(retrieved.begin(), retrieved.end(),
+                                   calibration))
+        << "qi=" << qi;
+    EXPECT_EQ(retrieved, matcher.core::Matcher::Retrieve(qi, n, eps)
+                             .ValueOrDie())
+        << "qi=" << qi;
+    const core::SetMetrics m = core::ComputeSetMetrics(retrieved, relevant);
+    for (double v : {m.f1, m.precision, m.recall}) {
+      bits.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  return bits;
+}
+
+TEST(EngineContextTest, EuclideanMatcherScoresEqualOnAndOffTheEngine) {
+  // The matcher's scalar path (no engine) against the shared engine at 1, 2
+  // and 8 threads and under forced scalar kernels, on exact ties and on
+  // perturbed random walks.
+  const ts::Dataset ties = TieHeavy(30, 12, 41);
+  const ts::Dataset walks = RandomWalks(30, 24, 42).ZNormalizedCopy();
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  const std::pair<const ts::Dataset*, uncertain::UncertainDataset> cases[] = {
+      {&ties, NormalPdf(ties, 0.5, true)},
+      {&walks, uncertain::PerturbDataset(walks, spec, 43)},
+  };
+  for (const auto& [exact, pdf] : cases) {
+    SCOPED_TRACE(exact->name());
+    const std::vector<std::uint64_t> want =
+        EuclideanScoreBits(*exact, pdf, nullptr);
+    for (std::size_t threads : kThreadCounts) {
+      for (auto simd : {distance::SimdMode::kAuto,
+                        distance::SimdMode::kForceScalar}) {
+        SCOPED_TRACE(testing::Message()
+                     << "threads=" << threads << " forced scalar="
+                     << (simd == distance::SimdMode::kForceScalar));
+        EngineContextOptions options;
+        options.threads = threads;
+        options.simd = simd;
+        EngineContext engines(options);
+        EXPECT_EQ(EuclideanScoreBits(*exact, pdf, &engines), want);
+        EXPECT_EQ(engines.stats().acquires_served, 1u);
+        EXPECT_EQ(engines.stats().pdf_packs, 1u);
+      }
+    }
+  }
+}
+
+TEST(EngineContextTest, EuclideanProudDustRunSharesOneEngine) {
+  const ts::Dataset exact = MakeExact(24, 8, 5);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  EngineContextOptions context_options;
+  context_options.threads = 2;
+  EngineContext engines(context_options);
+  core::EuclideanMatcher euclid;
+  core::ProudMatcher proud(0.5);
+  core::DustMatcher dust;
+  core::Matcher* matchers[] = {&euclid, &proud, &dust};
+  core::RunOptions options = QuickRunOptions(2);
+  options.engine_context = &engines;
+  auto run = core::RunSimilarityMatching(exact, spec, matchers, options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(engines.stats().acquires_served, 3u);
+  EXPECT_EQ(engines.stats().acquires_declined, 0u);
+  EXPECT_EQ(engines.stats().pdf_packs, 1u);
+}
+
+// --- DUST table cache --------------------------------------------------------
+
+TEST(EngineContextTest, DustTableCacheKeepsNoBoundDatasetsModels) {
+  // The context's DUST table cache outlives every binding, as a server
+  // shard does its rebinds: it may keep tables, not the error models of
+  // every dataset it served.
+  const ts::Dataset exact = MakeExact(12, 6, 51);
+  const auto spec = uncertain::ErrorSpec::MixedSigma(ErrorKind::kNormal);
+  EngineContext engines{EngineContextOptions{}};
+  std::vector<std::weak_ptr<const prob::ErrorDistribution>> models;
+  std::vector<std::string> names;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    uncertain::UncertainDataset pdf = uncertain::PerturbDataset(exact, spec,
+                                                                seed);
+    for (const auto& series : pdf.series) {
+      for (std::size_t t = 0; t < series.size(); ++t) {
+        models.push_back(series.error(t));
+      }
+    }
+    names.push_back(std::to_string(seed));
+    ASSERT_TRUE(engines
+                    .AddResident(names.back(), std::move(pdf), std::nullopt,
+                                 seed, 0.5)
+                    .ok());
+    ASSERT_TRUE(engines.ActivateResident(names.back()).ok());
+    ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+  }
+  // Rebind an earlier resident, then drop them all and bind fresh data.
+  ASSERT_TRUE(engines.ActivateResident(names[1]).ok());
+  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+  for (const std::string& name : names) {
+    ASSERT_TRUE(engines.DropResident(name).ok());
+  }
+  ASSERT_TRUE(engines
+                  .BindData(uncertain::PerturbDataset(exact, spec, 99),
+                            std::nullopt, 99, 0.5)
+                  .ok());
+  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+
+  std::size_t alive = 0;
+  for (const auto& model : models) alive += model.expired() ? 0 : 1;
+  EXPECT_EQ(alive, 0u) << "of " << models.size() << " models";
+  // The tables themselves were built once and served every bind.
+  EXPECT_EQ(engines.stats().dust_table_builds, 1u);
 }
 
 TEST(EngineContextTest, SessionAttachReplaysOnlyFramesPastPartialAck) {

@@ -531,7 +531,7 @@ TEST(ServerIntegration, MultiDatasetResidencyOverTheWire) {
 QueryRequest MakeQuery(WireMeasure measure, std::uint32_t k, double epsilon,
                        double tau) {
   QueryRequest query;
-  query.dataset = "v";
+  query.dataset = std::string("v");
   query.measure = measure;
   query.query = 1;
   query.k = k;

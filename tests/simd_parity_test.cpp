@@ -3,7 +3,10 @@
 //
 //  * DUST (closed-form, lookup-table, classed) — **bitwise** (EXPECT_EQ):
 //    the AVX2 kernels evaluate dust(Δ)² lane-exactly and accumulate in the
-//    scalar's ascending-timestamp order.
+//    scalar's ascending-timestamp order. The closed form puts one row per
+//    lane, so it is also checked at every row count 1–17 and 64, sub-range
+//    start and length modulo 4, on ±0, subnormals, ~1e150 and identical
+//    rows, and at engine level against measures::Dust::Distance.
 //  * Euclidean and PROUD — pinned relative tolerance kRelTol = 1e-12: the
 //    AVX2 kernels reassociate the per-pair sum across lanes and contract
 //    into FMAs.
@@ -16,7 +19,8 @@
 // exact multiples of the unroll widths, the benchmark length, and a
 // non-multiple-of-8 tail — and engine-level kNN / PRQ results (ranks and
 // tie order) must agree between SimdMode::kAuto and kForceScalar at 1, 2
-// and 8 threads.
+// and 8 threads. The engine's one-pair Euclidean distance must be bitwise
+// the value its scans compare.
 //
 // On hardware without AVX2 (or with UNCERTTS_DISABLE_AVX2 builds) the two
 // dispatch tables coincide; the SIMD-specific assertions are skipped.
@@ -24,16 +28,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "distance/batch.hpp"
 #include "distance/simd.hpp"
+#include "measures/dust.hpp"
 #include "prob/distribution.hpp"
 #include "prob/rng.hpp"
 #include "query/engine.hpp"
 #include "query/uncertain_engine.hpp"
+#include "ts/buffer_pool.hpp"
 #include "ts/dataset.hpp"
 #include "ts/soa_store.hpp"
 #include "ts/store_view.hpp"
@@ -203,20 +212,82 @@ TEST(SimdKernelParityTest, EarlyAbandonDecisionsAgreeAtTileBoundaries) {
 
 // --- DUST (bitwise) ----------------------------------------------------------
 
+/// Values in the shapes that could break a rows-across-lanes sum: ±0,
+/// subnormals, values near 1e150 (single rows only, so their sums stay
+/// finite) and rows identical to their predecessor, over Gaussian
+/// background.
+std::vector<double> ClosedFormAdversarialRows(std::size_t rows,
+                                              std::size_t len,
+                                              std::uint64_t seed) {
+  prob::Rng rng(seed);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values(rows * len);
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* row = values.data() + r * len;
+    if (r % 5 == 4) {  // a copy of the previous row
+      std::copy(row - len, row, row);
+      continue;
+    }
+    for (std::size_t t = 0; t < len; ++t) {
+      double v = rng.Gaussian();
+      switch ((r + t) % 6) {
+        case 0:
+          v = 0.0;
+          break;
+        case 1:
+          v = -0.0;
+          break;
+        case 2:
+          v = tiny * static_cast<double>(1 + rng.Next() % 4096);
+          break;
+        case 3:
+          if (r % 5 == 2) v *= 1e150;
+          break;
+        default:
+          break;
+      }
+      row[t] = v;
+    }
+  }
+  return values;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(SimdKernelParityTest, DustClosedFormBitwise) {
+  // The closed-form kernel scores eight rows per pass, one per lane, over
+  // whole 4-timestamp tiles, and finishes leftover timestamps and leftover
+  // rows in scalar: every row count, sub-range start, and length modulo 4
+  // around those splits must reproduce the scalar kernel bit for bit.
   UTS_REQUIRE_SIMD();
   const KernelDispatch& simd = ResolveDispatch(SimdMode::kAuto);
   DustLut lut;
   lut.scale = 1.0 / std::sqrt(2.0 * (0.25 + 0.49));
-  for (std::size_t len : kLengths) {
-    const ts::SoaStore store = RandomStore(19, len, 0xd0 + len);
-    const ts::RowBlock block = Block(store);
-    const std::vector<double> query = RandomQuery(len, 0xd1 + len);
-    std::vector<double> want(store.rows()), got(store.rows());
-    DustBatchRange(query, block, lut, 0, store.rows(), want);
-    simd.dust_range(query, block, lut, 0, store.rows(), got);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "len=" << len << " row " << i;
+  std::vector<std::size_t> row_counts;
+  for (std::size_t rows = 1; rows <= 17; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(64);
+  for (std::size_t len : {1, 3, 4, 5, 7, 8, 63, 64, 1024, 1027}) {
+    // The query shares the rows' shapes, so Δ is ±0 − ±0, subnormal −
+    // subnormal and so on at the same timestamps.
+    const std::vector<double> query =
+        ClosedFormAdversarialRows(1, len, 0xc1 + len);
+    for (std::size_t rows : row_counts) {
+      const ts::SoaStore store = ts::SoaStore::FromPacked(
+          ClosedFormAdversarialRows(rows, len, 0xc0 + rows * len), len)
+                                     .ValueOrDie();
+      const ts::RowBlock block = Block(store);
+      for (std::size_t begin : {0, 1, 3, 5}) {
+        for (std::size_t end = begin + 1; end <= rows; ++end) {
+          std::vector<double> want(end - begin), got(end - begin);
+          DustBatchRange(query, block, lut, begin, end, want);
+          simd.dust_range(query, block, lut, begin, end, got);
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+                << "len=" << len << " rows=" << rows << " [" << begin << ", "
+                << end << ") row " << begin + i;
+          }
+        }
+      }
     }
   }
 }
@@ -543,6 +614,113 @@ TEST(SimdEngineParityTest, DustAndProudQueriesMatchScalarEngine) {
       ASSERT_EQ(got_p.size(), want_p.size());
       for (std::size_t i = 0; i < got_p.size(); ++i) {
         ExpectRelNear(got_p[i], want_p[i], "proud-prob", i);
+      }
+    }
+  }
+}
+
+/// Engine options for the closed-form and Euclidean engine checks below:
+/// `grain` rows per chunk, and, when `paged`, blocks of 12 rows paged
+/// through a pool that holds two of them.
+query::UncertainEngineOptions ChunkedOpts(std::size_t threads,
+                                          std::size_t grain, bool paged,
+                                          std::size_t len) {
+  query::UncertainEngineOptions options;
+  options.threads = threads;
+  options.grain = grain;
+  options.simd = SimdMode::kAuto;
+  if (paged) {
+    constexpr std::size_t kBlockRows = 12;
+    ts::BufferPool::Options pool_options;
+    pool_options.budget_bytes = 2 * kBlockRows * len * sizeof(double);
+    options.buffer_pool = ts::BufferPool::Create(pool_options).ValueOrDie();
+    options.block_rows = kBlockRows;
+  }
+  return options;
+}
+
+/// Gaussian observations under one constant normal error model (DUST's
+/// closed form), with every fifth series a copy of its predecessor.
+uncertain::UncertainDataset ConstantNormalUncertain(std::size_t n,
+                                                    std::size_t len,
+                                                    std::uint64_t seed) {
+  prob::Rng rng(seed);
+  const auto err = prob::MakeNormalError(0.5);
+  uncertain::UncertainDataset d;
+  d.name = "simd-closed-form";
+  for (std::size_t s = 0; s < n; ++s) {
+    std::vector<double> obs(len);
+    for (double& v : obs) v = rng.Gaussian();
+    if (s % 5 == 4) obs = d.series.back().observations();
+    d.series.emplace_back(std::move(obs),
+                          std::vector<prob::ErrorDistributionPtr>(len, err));
+  }
+  return d;
+}
+
+TEST(SimdEngineParityTest, DustClosedFormSweepMatchesScalarMeasureBitwise) {
+  // Grains 3 and 5 hand the kernel chunks shorter than one 8-row pass;
+  // grain 64 hands it whole passes plus leftovers (clipped at 12-row blocks
+  // when paged).
+  const std::size_t len = 37;
+  const uncertain::UncertainDataset d = ConstantNormalUncertain(41, len, 0x71);
+  measures::Dust reference;
+  for (std::size_t q : {std::size_t{0}, std::size_t{13}}) {
+    std::vector<std::uint64_t> want;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      want.push_back(Bits(reference.Distance(d[q], d[i]).ValueOrDie()));
+    }
+    for (std::size_t grain : {3, 5, 64}) {
+      for (bool paged : {false, true}) {
+        for (std::size_t threads : kThreadCounts) {
+          SCOPED_TRACE(testing::Message() << "q=" << q << " grain=" << grain
+                                          << " paged=" << paged
+                                          << " threads=" << threads);
+          auto engine = query::UncertainEngine::Create(
+                            d, ChunkedOpts(threads, grain, paged, len))
+                            .ValueOrDie();
+          if (SimdAvailable()) {
+            ASSERT_EQ(engine->simd_level(), SimdLevel::kAvx2);
+          }
+          measures::Dust cache;
+          ASSERT_TRUE(engine->BuildDustTables(cache).ok());
+          const std::vector<double> got =
+              engine->DustDistances(q).ValueOrDie();
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(Bits(got[i]), want[i]) << "candidate " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdEngineParityTest, EuclideanDistanceIsTheScanValueBitwise) {
+  // The Euclidean matcher calibrates ε with EuclideanDistance and retrieves
+  // with the range scan; the two must be one kernel's values, at any chunk
+  // shape and paged, so the calibration candidate is always in range.
+  const std::size_t len = 37;
+  const uncertain::UncertainDataset d = ConstantNormalUncertain(41, len, 0x72);
+  for (std::size_t grain : {3, 5}) {
+    for (bool paged : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "grain=" << grain
+                                      << " paged=" << paged);
+      auto engine = query::UncertainEngine::Create(
+                        d, ChunkedOpts(2, grain, paged, len))
+                        .ValueOrDie();
+      for (std::size_t q : {std::size_t{0}, std::size_t{13}, std::size_t{40}}) {
+        // Every other row, with the scan's distance.
+        for (const query::Neighbor& nb :
+             engine->KNearestEuclidean(q, d.size())) {
+          const double got = engine->EuclideanDistance(q, nb.index);
+          EXPECT_EQ(Bits(got), Bits(nb.distance))
+              << "q=" << q << " c=" << nb.index;
+          const auto in_range = engine->RangeSearchEuclidean(q, got);
+          EXPECT_TRUE(std::binary_search(in_range.begin(), in_range.end(),
+                                         nb.index))
+              << "q=" << q << " c=" << nb.index;
+        }
       }
     }
   }

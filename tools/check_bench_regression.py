@@ -15,11 +15,12 @@ the committed ``BENCH_uncertain_baseline.json`` and fails (exit 1) when:
   absolute times: CI runners and the baseline machine differ in absolute
   speed, but a genuine regression (say, an accidental per-sweep repack)
   moves the ratio on any machine;
-* the AVX2 kernel's speedup over the scalar reference fell below the
-  per-pair floor (the ISSUE 6 acceptance gate: >=3x on the blocked
-  Euclidean 1-vs-all at length 1024, L2-resident candidate block). Skipped
-  with a warning when the current run reports ``uts_simd_level`` other
-  than ``avx2`` (hardware without AVX2+FMA cannot measure the pair);
+* an AVX2 kernel's speedup over the scalar reference fell below its
+  per-pair floor (>=3x on the blocked Euclidean 1-vs-all at length 1024,
+  L2-resident candidate block; >=1.5x on the closed-form DUST 1-vs-all at
+  length 1024). Skipped with a warning when the current run reports
+  ``uts_simd_level`` other than ``avx2`` (hardware without AVX2+FMA cannot
+  measure the pair);
 * a kernel's ``peak_fraction`` bandwidth counter (achieved GB/s divided by
   the in-binary STREAM-triad peak, so machine-normalized) dropped more
   than ``--max-regression`` below the baseline's. Applied to every
@@ -84,6 +85,12 @@ SIMD_SPEEDUPS = [
      "BM_ScanEuclideanBatchSoA_Scalar/1024/128",
      "BM_ScanEuclideanBatchSoA_Avx2/1024/128",
      3.0),
+    # Eight rows' ordered add chains side by side in lanes (~2x); a kernel
+    # that hands its rows back to the scalar chain measures ~1.0x.
+    ("DUST closed-form 1-vs-all @1024, rows across lanes",
+     "BM_DustKernelClosedForm_Scalar/1024",
+     "BM_DustKernelClosedForm_Avx2/1024",
+     1.5),
 ]
 
 

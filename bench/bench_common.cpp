@@ -25,18 +25,22 @@ core::RunOptions BenchConfig::MakeRunOptions() const {
   return options;
 }
 
+query::EngineContextOptions BenchConfig::MakeContextOptions() const {
+  query::EngineContextOptions options;
+  options.threads = threads;
+  if (force_scalar) options.simd = distance::SimdMode::kForceScalar;
+  return options;
+}
+
 namespace {
 
-/// The supplied run-wide engine context, or a local one in `local` sized
-/// to `threads` when the caller did not pass any.
+/// The supplied run-wide engine context, or a local one in `local` built
+/// from `config` when the caller did not pass any.
 query::EngineContext* EnsureEngines(
-    std::optional<query::EngineContext>& local, std::size_t threads,
-    bool force_scalar, query::EngineContext* supplied) {
+    std::optional<query::EngineContext>& local, const BenchConfig& config,
+    query::EngineContext* supplied) {
   if (supplied != nullptr) return supplied;
-  query::EngineContextOptions engine_options;
-  engine_options.threads = threads;
-  if (force_scalar) engine_options.simd = distance::SimdMode::kForceScalar;
-  local.emplace(engine_options);
+  local.emplace(config.MakeContextOptions());
   return &*local;
 }
 
@@ -222,9 +226,7 @@ Result<std::vector<core::MatcherResult>> RunPooled(
   // point and matcher; one SoA pack per distinct perturbed dataset (τ
   // sweeps rebind to bit-identical data and reuse it).
   std::optional<query::EngineContext> local_engines;
-  options.engine_context = EnsureEngines(local_engines, options.threads,
-                                         options.force_scalar,
-                                         engines);
+  options.engine_context = EnsureEngines(local_engines, config, engines);
 
   std::vector<std::vector<core::MatcherResult>> parts;
   for (const auto& dataset : datasets) {
@@ -262,9 +264,7 @@ Result<std::vector<PerDatasetRow>> RunPerDataset(
 
   // One shared engine context per harness call (see RunPooled).
   std::optional<query::EngineContext> local_engines;
-  options.engine_context = EnsureEngines(local_engines, options.threads,
-                                         options.force_scalar,
-                                         engines);
+  options.engine_context = EnsureEngines(local_engines, config, engines);
 
   std::vector<PerDatasetRow> rows;
   for (const auto& dataset : datasets) {

@@ -30,6 +30,7 @@
 
 namespace uts::query {
 class EngineContext;
+struct EngineContextOptions;
 }  // namespace uts::query
 
 namespace uts::bench {
@@ -54,6 +55,10 @@ struct BenchConfig {
 
   /// Runner options for one dataset under this config.
   core::RunOptions MakeRunOptions() const;
+
+  /// Options of an engine context the runs of MakeRunOptions() accept:
+  /// the same thread count and SIMD mode.
+  query::EngineContextOptions MakeContextOptions() const;
 };
 
 /// \brief Parse harness arguments; prints usage and exits on --help.

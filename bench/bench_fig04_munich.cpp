@@ -69,9 +69,7 @@ int Run(int argc, char** argv) {
   // grid point, τ tuning run and matcher shares one pool; within one (d, σ)
   // configuration the τ searches and the final run rebind to bit-identical
   // data and reuse the packed engines.
-  query::EngineContextOptions engine_options;
-  engine_options.threads = run_config.threads;
-  query::EngineContext engines(engine_options);
+  query::EngineContext engines(run_config.MakeContextOptions());
 
   for (int d = 0; d < 3; ++d) {
     core::TextTable table({"sigma", "MUNICH", "PROUD", "DUST", "Euclidean"});

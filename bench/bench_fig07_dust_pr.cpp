@@ -27,7 +27,8 @@ int Run(int argc, char** argv) {
   io::CsvWriter csv(
       {"error_distribution", "sigma", "precision", "recall", "f1"});
 
-  core::DustMatcher dust;  // persistent: table cache shared across sigmas
+  // The lookup tables live in the engine context of each RunPooled call.
+  core::DustMatcher dust;
 
   core::TextTable precision_table(
       {"sigma", "uniform", "normal", "exponential"});

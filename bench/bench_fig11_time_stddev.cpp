@@ -32,9 +32,7 @@ int Run(int argc, char** argv) {
   core::TextTable table({"sigma", "PROUD (ms)", "DUST (ms)", "Euclidean (ms)"});
 
   // One engine context (one thread pool) for the whole σ sweep.
-  query::EngineContextOptions engine_options;
-  engine_options.threads = config.threads;
-  query::EngineContext engines(engine_options);
+  query::EngineContext engines(config.MakeContextOptions());
 
   for (double sigma : SigmaGrid()) {
     const auto spec =

@@ -48,9 +48,7 @@ int Run(int argc, char** argv) {
       {"length", "PROUD (ms)", "DUST (ms)", "Euclidean (ms)"});
 
   // One engine context (one thread pool) for the whole length sweep.
-  query::EngineContextOptions engine_options;
-  engine_options.threads = config.threads;
-  query::EngineContext engines(engine_options);
+  query::EngineContext engines(config.MakeContextOptions());
 
   for (std::size_t length : lengths) {
     std::vector<ts::Dataset> resampled;

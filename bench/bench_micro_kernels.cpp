@@ -839,7 +839,8 @@ void BM_MunichBoundsFromColumns(benchmark::State& state) {
   auto engine = query::UncertainEngine::Create(pdf, options).ValueOrDie();
   if (!engine->AttachSamples(samples).ok()) state.SkipWithError("attach");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->MunichMatchProbabilities(0, 0.0));
+    benchmark::DoNotOptimize(
+        engine->MunichMatchProbabilities(0, 0.0, measures::MunichOptions{}));
   }
   state.SetItemsProcessed(state.iterations() * n * len);
 }

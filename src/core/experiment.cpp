@@ -61,7 +61,7 @@ Status ScoreQuery(std::span<Matcher* const> matchers,
 
     // Retrieval through the matcher's batched sweep (engine-aware matchers
     // run it on query::UncertainEngine, inline on this worker; the default
-    // is the sequential Matches loop). Results are bit-identical either way.
+    // is the sequential Matches loop).
     Stopwatch watch;
     if (tau_grid.empty()) {
       UTS_ASSIGN_OR_RETURN(const auto retrieved,
@@ -123,6 +123,11 @@ Result<std::vector<MatcherResult>> Evaluate(
       return Status::InvalidArgument(
           "engine_context thread count does not match RunOptions::threads");
     }
+    if ((engines->simd() == distance::SimdMode::kForceScalar) !=
+        options.force_scalar) {
+      return Status::InvalidArgument(
+          "engine_context SIMD mode does not match RunOptions::force_scalar");
+    }
   }
 
   // --- Perturb -------------------------------------------------------------
@@ -145,17 +150,9 @@ Result<std::vector<MatcherResult>> Evaluate(
                                     : spec.RepresentativeSigma();
   UTS_RETURN_NOT_OK(engines->BindData(std::move(pdf), std::move(samples),
                                       options.seed, reported_sigma));
-
-  EvalContext context;
-  context.exact = &exact;
-  context.pdf = engines->pdf();
-  context.samples = engines->samples();
-  context.reported_sigma = reported_sigma;
-  context.seed = options.seed;
-  context.engines = engines;
-
+  // Matchers see only the perturbed data; `exact` stays ground truth.
   for (Matcher* matcher : matchers) {
-    UTS_RETURN_NOT_OK(matcher->Bind(context));
+    UTS_RETURN_NOT_OK(matcher->Bind(*engines));
   }
 
   // --- Evaluate ------------------------------------------------------------

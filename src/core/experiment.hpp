@@ -65,9 +65,8 @@ struct RunOptions {
 
   /// Pin every engine of the run to the scalar reference kernels instead
   /// of the runtime-dispatched SIMD level (see distance/simd.hpp for the
-  /// per-kernel numeric policy). Only consulted when the run creates a
-  /// private engine context; an external `engine_context` carries its own
-  /// EngineContextOptions::simd.
+  /// per-kernel numeric policy). An external `engine_context` must have
+  /// been built with the matching EngineContextOptions::simd.
   bool force_scalar = false;
 
   /// Build the repeated-observations dataset too (required iff a MUNICH
@@ -89,7 +88,8 @@ struct RunOptions {
   /// Run-wide shared engine context (query::EngineContext): one thread
   /// pool, one SoA pack per dataset and one uncertain engine serve every
   /// matcher of the evaluation. Borrowed — it must outlive the run and be
-  /// configured with the same thread count as `threads`. Passing one
+  /// configured with the same thread count as `threads` and the SIMD mode
+  /// `force_scalar` asks for (InvalidArgument otherwise). Passing one
   /// context across repeated runs (a τ search and its final run,
   /// per-dataset loops) reuses the pool and, when the perturbed data is
   /// bit-identical, the packed engines too. When null the run creates a
@@ -117,7 +117,7 @@ struct MatcherResult {
 /// one exact dataset under one perturbation spec.
 ///
 /// The exact dataset must be z-normalized and of uniform length; matchers
-/// are bound to the perturbed context inside. Queries then run
+/// are bound to the engine context holding its perturbation inside. Queries then run
 /// concurrently on the run's pool, so a matcher must honour the per-query
 /// contract of `Matcher`. Results preserve the matcher order and are
 /// bitwise equal at every thread count.

@@ -1,37 +1,58 @@
 #include "core/matchers.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <string>
 
 #include "distance/lp.hpp"
 #include "prob/rng.hpp"
-#include "prob/special.hpp"
 #include "query/engine_context.hpp"
 
 namespace uts::core {
 
 namespace {
 
-Status RequirePdf(const EvalContext& context) {
-  if (context.pdf == nullptr) {
-    return Status::InvalidArgument("context has no pdf-model dataset");
+/// The pdf-model dataset bound in `engines`; InvalidArgument before its
+/// first BindData.
+Result<const uncertain::UncertainDataset*> BoundPdf(
+    const query::EngineContext& engines) {
+  if (engines.pdf() == nullptr) {
+    return Status::InvalidArgument(
+        "engine context has no bound dataset; call BindData first");
   }
-  return Status::OK();
+  return engines.pdf();
 }
 
-/// Unbound-matcher guard: every public query method is UB-free by
-/// returning a Status instead of dereferencing never-bound state.
-Status RequireBound(const EvalContext* ctx, const char* name) {
-  if (ctx == nullptr) {
+/// Guard of every query method: InvalidArgument unless the matcher `name`
+/// is bound (`bound`, its bound dataset or engine, is non-null) and `qi`
+/// and `ci` index two of its series.
+template <typename Bound>
+Status RequirePair(const Bound* bound, std::size_t qi, std::size_t ci,
+                   const char* name) {
+  if (bound == nullptr) {
     return Status::InvalidArgument(std::string(name) +
                                    " matcher is not bound; call Bind first");
   }
-  return Status::OK();
+  if (qi < bound->size() && ci < bound->size()) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(name) + ": series index " + std::to_string(std::max(qi, ci)) +
+      " out of range (" + std::to_string(bound->size()) + " bound series)");
+}
+
+/// `RequirePair` for an engine retrieval of query `qi` among candidates
+/// [0, n): an engine sweep scores every bound series, so `n` must be the
+/// bound size.
+Status RequireSweep(const query::UncertainEngine* engine, std::size_t qi,
+                    std::size_t n, const char* name) {
+  UTS_RETURN_NOT_OK(RequirePair(engine, qi, qi, name));
+  if (n == engine->size()) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(name) + ": retrieval covers all " +
+      std::to_string(engine->size()) + " bound series, not " +
+      std::to_string(n));
 }
 
 /// PROUD decides against Φ⁻¹(τ), which is ∓inf at τ = 0 and 1: every pair
@@ -41,45 +62,33 @@ Status RequireProudTau(double tau) {
   return Status::InvalidArgument("PROUD requires tau in (0, 1)");
 }
 
-Status RequireSamples(const EvalContext& context) {
-  if (context.samples == nullptr) {
-    return Status::InvalidArgument(
-        "context has no repeated-observations dataset (required by MUNICH)");
-  }
-  return Status::OK();
-}
-
-/// Deterministic per-pair stream for Monte Carlo estimators (the shared
-/// counter-based derivation — see prob::PairStreamSeed — so engine sweeps
-/// and sequential loops draw identical materializations).
-std::uint64_t PairSeed(const EvalContext& context, std::size_t qi,
-                       std::size_t ci) {
-  const std::size_t n = context.pdf != nullptr ? context.pdf->size()
-                                               : context.samples->size();
-  return prob::PairStreamSeed(context.seed, qi, ci, n);
+/// ε for PROUD and MUNICH is a Euclidean threshold on the single-value
+/// observations (Section 4.1.2: "Since the distances in MUNICH and PROUD
+/// are based on the Euclidean distance, we will use the same threshold for
+/// both methods, ε_eucl"); it matches the noise scale of the materialized
+/// distances MUNICH thresholds against, where sample means would deflate ε
+/// by ~sqrt(s) in the noise term and starve the matcher.
+double ObservationDistance(const uncertain::UncertainDataset& pdf,
+                           std::size_t qi, std::size_t ci) {
+  return distance::Euclidean(pdf[qi].observations(), pdf[ci].observations());
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------- Euclidean
 
-Status EuclideanMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
-  // Borrow the run's shared engine, so that ε and the range scan come from
-  // one kernel (the AVX2 Euclidean kernel is not bitwise the scalar one).
-  // Declined (a non-engine-shaped dataset) means the scalar path below.
-  engine_ = context.engines != nullptr ? context.engines->AcquireEuclidean()
-                                       : nullptr;
+Status EuclideanMatcher::Bind(query::EngineContext& engines) {
+  // The run's shared engine: ε and the range scan come from one kernel (the
+  // AVX2 Euclidean kernel is not bitwise the scalar one).
+  engine_ = nullptr;  // unbound unless the acquisition succeeds
+  UTS_ASSIGN_OR_RETURN(engine_, engines.AcquireEuclidean());
   return Status::OK();
 }
 
 Result<double> EuclideanMatcher::CalibrationDistance(std::size_t qi,
                                                      std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "Euclidean"));
-  if (engine_ != nullptr) return engine_->EuclideanDistance(qi, ci);
-  return distance::Euclidean((*ctx_->pdf)[qi].observations(),
-                             (*ctx_->pdf)[ci].observations());
+  UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "Euclidean"));
+  return engine_->EuclideanDistance(qi, ci);
 }
 
 Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -92,29 +101,25 @@ Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
 Result<std::vector<std::size_t>> EuclideanMatcher::Retrieve(std::size_t qi,
                                                             std::size_t n,
                                                             double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "Euclidean"));
-  if (engine_ == nullptr || n != engine_->size()) {
-    return Matcher::Retrieve(qi, n, epsilon);
-  }
+  UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "Euclidean"));
   return engine_->RangeSearchEuclidean(qi, epsilon);
 }
 
 // -------------------------------------------------------------------- PROUD
 
-Status ProudMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
+Status ProudMatcher::Bind(query::EngineContext& engines) {
+  engine_ = nullptr;  // unbound unless this Bind succeeds
   UTS_RETURN_NOT_OK(RequireProudTau(tau_));
-  ctx_ = &context;
+  // Constant-σ PROUD needs no measure state: the shared engine's kernels
+  // run at the bound run's σ, the one this matcher is told.
+  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
+                       engines.AcquireEuclidean());
   measures::ProudOptions options;
   options.tau = tau_;
-  options.sigma = sigma_override_.value_or(context.reported_sigma);
+  options.sigma = engines.proud_sigma();
   proud_ = std::make_unique<measures::Proud>(options);
-  // Borrow the run's shared engine; declined (e.g. a σ override differing
-  // from the run-level σ, or a non-engine-shaped dataset) means the
-  // sequential scalar path below — bit-identical either way.
-  engine_ = context.engines != nullptr
-                ? context.engines->AcquireProud(options.sigma)
-                : nullptr;
+  pdf_ = engines.pdf();
+  engine_ = engine;
   return Status::OK();
 }
 
@@ -130,57 +135,32 @@ void ProudMatcher::set_tau(double tau) {
 
 Result<double> ProudMatcher::CalibrationDistance(std::size_t qi,
                                                  std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
-  // ε for PROUD is a Euclidean threshold (Section 4.1.2: "Since the
-  // distances in MUNICH and PROUD are based on the Euclidean distance, we
-  // will use the same threshold for both methods, ε_eucl").
-  return distance::Euclidean((*ctx_->pdf)[qi].observations(),
-                             (*ctx_->pdf)[ci].observations());
+  UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "PROUD"));
+  return ObservationDistance(*pdf_, qi, ci);
 }
 
 Result<bool> ProudMatcher::Matches(std::size_t qi, std::size_t ci,
                                    double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "PROUD"));
   UTS_RETURN_NOT_OK(RequireProudTau(tau_));
-  return proud_->Matches((*ctx_->pdf)[qi].observations(),
-                         (*ctx_->pdf)[ci].observations(), epsilon);
+  return proud_->Matches((*pdf_)[qi].observations(),
+                         (*pdf_)[ci].observations(), epsilon);
 }
 
 Result<std::vector<std::size_t>> ProudMatcher::Retrieve(std::size_t qi,
                                                         std::size_t n,
                                                         double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "PROUD"));
   UTS_RETURN_NOT_OK(RequireProudTau(tau_));
-  if (engine_ == nullptr || n != engine_->size()) {
-    return Matcher::Retrieve(qi, n, epsilon);
-  }
   return engine_->ProbabilisticRangeSearchProud(qi, epsilon, tau_);
 }
 
 Result<std::vector<std::vector<std::size_t>>> ProudMatcher::RetrieveEachTau(
     std::size_t qi, std::size_t n, double epsilon,
     std::span<const double> taus) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD"));
+  UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "PROUD"));
   for (double tau : taus) UTS_RETURN_NOT_OK(RequireProudTau(tau));
-  if (engine_ != nullptr && n == engine_->size()) {
-    return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
-  }
-  // Matches at τ is MarginFromStats(...).Decide(Φ⁻¹(τ)); the margin does
-  // not depend on τ.
-  std::vector<double> limits;
-  limits.reserve(taus.size());
-  for (double tau : taus) limits.push_back(prob::NormalQuantile(tau));
-  const auto q = (*ctx_->pdf)[qi].observations();
-  return CollectEachTau(
-      qi, n, taus.size(),
-      [&](std::size_t ci) -> Result<measures::ProudMargin> {
-        return measures::Proud::MarginFromStats(
-            proud_->DistanceStats(q, (*ctx_->pdf)[ci].observations()),
-            epsilon);
-      },
-      [&](const measures::ProudMargin& margin, std::size_t t) {
-        return margin.Decide(limits[t]);
-      });
+  return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
 }
 
 // ----------------------------------------------------------- PROUD-wavelet
@@ -201,19 +181,19 @@ Result<wavelet::ProudSynopsisMatcher> ProudSynopsisMatcherAdapter::MatcherAt(
 Result<bool> ProudSynopsisMatcherAdapter::Decide(
     const wavelet::ProudSynopsisMatcher& matcher, std::size_t qi,
     std::size_t ci, double epsilon) const {
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "PROUD-wavelet"));
   return matcher.Matches(synopses_[qi], synopses_[ci],
-                         (*ctx_->pdf)[qi].observations(),
-                         (*ctx_->pdf)[ci].observations(), epsilon);
+                         (*pdf_)[qi].observations(),
+                         (*pdf_)[ci].observations(), epsilon);
 }
 
-Status ProudSynopsisMatcherAdapter::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
-  sigma_ = sigma_override_.value_or(context.reported_sigma);
+Status ProudSynopsisMatcherAdapter::Bind(query::EngineContext& engines) {
+  UTS_ASSIGN_OR_RETURN(pdf_, BoundPdf(engines));
+  sigma_ = engines.proud_sigma();
   // Synopses depend on neither τ nor σ, so a later set_tau keeps them.
   synopses_.clear();
-  synopses_.reserve(context.pdf->size());
-  for (const auto& series : context.pdf->series) {
+  synopses_.reserve(pdf_->size());
+  for (const auto& series : pdf_->series) {
     synopses_.push_back(
         wavelet::BuildSynopsis(series.observations(), synopsis_size_));
   }
@@ -223,20 +203,18 @@ Status ProudSynopsisMatcherAdapter::Bind(const EvalContext& context) {
 
 void ProudSynopsisMatcherAdapter::set_tau(double tau) {
   tau_ = tau;
-  if (ctx_ != nullptr) matcher_ = MatcherAt(tau_);
+  if (pdf_ != nullptr) matcher_ = MatcherAt(tau_);
 }
 
 Result<double> ProudSynopsisMatcherAdapter::CalibrationDistance(
     std::size_t qi, std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD-wavelet"));
-  return distance::Euclidean((*ctx_->pdf)[qi].observations(),
-                             (*ctx_->pdf)[ci].observations());
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "PROUD-wavelet"));
+  return ObservationDistance(*pdf_, qi, ci);
 }
 
 Result<bool> ProudSynopsisMatcherAdapter::Matches(std::size_t qi,
                                                   std::size_t ci,
                                                   double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD-wavelet"));
   UTS_RETURN_NOT_OK(matcher_.status());
   return Decide(matcher_.ValueOrDie(), qi, ci, epsilon);
 }
@@ -245,7 +223,7 @@ Result<std::vector<std::vector<std::size_t>>>
 ProudSynopsisMatcherAdapter::RetrieveEachTau(std::size_t qi, std::size_t n,
                                              double epsilon,
                                              std::span<const double> taus) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "PROUD-wavelet"));
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, qi, "PROUD-wavelet"));
   std::vector<std::vector<std::size_t>> each;
   each.reserve(taus.size());
   for (double tau : taus) {
@@ -261,42 +239,23 @@ ProudSynopsisMatcherAdapter::RetrieveEachTau(std::size_t qi, std::size_t n,
 
 // --------------------------------------------------------------------- DUST
 
-Status DustMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
-  // Borrow the run's shared engine with the lookup tables for every
-  // distinct error pair built up front, so that query timing (Figures
-  // 11/12) measures matching, not lazy table construction. The original
-  // DUST builds its tables the same way. The tables live in the context's
+Status DustMatcher::Bind(query::EngineContext& engines) {
+  // The run's shared engine with the lookup tables for every distinct
+  // error pair built up front, so that query timing (Figures 11/12)
+  // measures matching, not lazy table construction. The original DUST
+  // builds its tables the same way. The tables live in the context's
   // persistent cache, so re-binding across datasets under one error spec
   // reuses them instead of re-running the numeric integration, and they
   // are immutable afterwards — thread-shared by the parallel sweeps.
-  engine_ = context.engines != nullptr
-                ? context.engines->AcquireDust(dust_.options())
-                : nullptr;
-  if (engine_ != nullptr) return Status::OK();
-  // Engine-less fallback (non-uniform lengths): prewarm the scalar cache.
-  std::map<std::string, prob::ErrorDistributionPtr> distinct;
-  for (const auto& series : context.pdf->series) {
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      const auto& err = series.error(i);
-      distinct.emplace(err->Key(), err);
-    }
-  }
-  for (const auto& [ka, ea] : distinct) {
-    for (const auto& [kb, eb] : distinct) {
-      if (ka > kb) continue;  // tables are canonicalized by key order
-      UTS_RETURN_NOT_OK(dust_.Prewarm(ea, eb));
-    }
-  }
+  engine_ = nullptr;  // unbound unless the acquisition succeeds
+  UTS_ASSIGN_OR_RETURN(engine_, engines.AcquireDust());
   return Status::OK();
 }
 
 Result<double> DustMatcher::CalibrationDistance(std::size_t qi,
                                                 std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "DUST"));
-  if (engine_ != nullptr) return engine_->DustDistance(qi, ci);
-  return dust_.Distance((*ctx_->pdf)[qi], (*ctx_->pdf)[ci]);
+  UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "DUST"));
+  return engine_->DustDistance(qi, ci);
 }
 
 Result<bool> DustMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -309,25 +268,21 @@ Result<bool> DustMatcher::Matches(std::size_t qi, std::size_t ci,
 Result<std::vector<std::size_t>> DustMatcher::Retrieve(std::size_t qi,
                                                        std::size_t n,
                                                        double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "DUST"));
-  if (engine_ == nullptr || n != engine_->size()) {
-    return Matcher::Retrieve(qi, n, epsilon);
-  }
+  UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "DUST"));
   return engine_->RangeSearchDust(qi, epsilon);
 }
 
 // ----------------------------------------------------------------- DUST-DTW
 
-Status DustDtwMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
+Status DustDtwMatcher::Bind(query::EngineContext& engines) {
+  UTS_ASSIGN_OR_RETURN(pdf_, BoundPdf(engines));
   return Status::OK();
 }
 
 Result<double> DustDtwMatcher::CalibrationDistance(std::size_t qi,
                                                    std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "DUST-DTW"));
-  return dust_.DtwDistance((*ctx_->pdf)[qi], (*ctx_->pdf)[ci], dtw_options_);
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "DUST-DTW"));
+  return dust_.DtwDistance((*pdf_)[qi], (*pdf_)[ci], dtw_options_);
 }
 
 Result<bool> DustDtwMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -339,47 +294,21 @@ Result<bool> DustDtwMatcher::Matches(std::size_t qi, std::size_t ci,
 
 // ------------------------------------------------------------------- MUNICH
 
-namespace {
-
-/// FNV-1a fingerprint of the sample-model data a MunichMatcher is bound to:
-/// the seed, the series count and every sample. Used to keep the
-/// probability rows across re-binds to *identical* data (the final run
-/// after a τ search perturbs to the same samples; probabilities do not
-/// depend on τ).
-std::uint64_t FingerprintSamples(const EvalContext& context) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(context.seed);
-  mix(context.samples->size());
-  for (const auto& series : context.samples->series) {
-    mix(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      mix(series.samples(i).size());
-      for (double v : series.samples(i)) mix(std::bit_cast<std::uint64_t>(v));
-    }
-  }
-  return h;
-}
-
-}  // namespace
-
-Status MunichMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequireSamples(context));
-  ctx_ = &context;
-  // Borrow the run's shared engine with the sample dataset attached;
-  // declined (pdf/sample shape mismatch, conflicting estimator config of
-  // an earlier MUNICH matcher) means the sequential path — bit-identical.
-  engine_ = context.engines != nullptr
-                ? context.engines->AcquireMunich(munich_.options())
-                : nullptr;
-  const std::uint64_t fingerprint = FingerprintSamples(context);
-  if (fingerprint != bound_fingerprint_ ||
-      rows_.size() != context.samples->size()) {
-    rows_.assign(context.samples->size(), Row{});
-    bound_fingerprint_ = fingerprint;
+Status MunichMatcher::Bind(query::EngineContext& engines) {
+  engine_ = nullptr;  // unbound unless the acquisition succeeds
+  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
+                       engines.AcquireMunich());
+  engine_ = engine;
+  pdf_ = engines.pdf();
+  samples_ = engines.samples();
+  seed_ = engines.seed();
+  // Probabilities depend on neither τ nor anything outside the bound data,
+  // so rows survive a re-bind to identical data (the final run after a τ
+  // search perturbs to the same samples).
+  if (engines.data_fingerprint() != bound_fingerprint_ ||
+      rows_.size() != engine->size()) {
+    rows_.assign(engine->size(), Row{});
+    bound_fingerprint_ = engines.data_fingerprint();
   }
   return Status::OK();
 }
@@ -392,27 +321,11 @@ void MunichMatcher::set_tau(double tau) {
 
 Result<double> MunichMatcher::CalibrationDistance(std::size_t qi,
                                                   std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH"));
-  // "We will use the same threshold for both methods, ε_eucl" (Section
-  // 4.1.2): the threshold is the Euclidean distance on the single-value
-  // observations, which matches the noise scale of the materialized
-  // distances MUNICH thresholds against. Sample means would deflate ε by
-  // ~sqrt(s) in the noise term and starve the matcher.
-  if (ctx_->pdf != nullptr) {
-    return distance::Euclidean((*ctx_->pdf)[qi].observations(),
-                               (*ctx_->pdf)[ci].observations());
-  }
-  const auto q = (*ctx_->samples)[qi].SampleMeans();
-  const auto c = (*ctx_->samples)[ci].SampleMeans();
-  return distance::Euclidean(q.values(), c.values());
+  UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "MUNICH"));
+  return ObservationDistance(*pdf_, qi, ci);
 }
 
-Result<MunichMatcher::Row*> MunichMatcher::RowAt(std::size_t qi,
-                                                 double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH"));
-  if (qi >= rows_.size()) {
-    return Status::InvalidArgument("MUNICH query index out of range");
-  }
+MunichMatcher::Row& MunichMatcher::RowAt(std::size_t qi, double epsilon) {
   Row& row = rows_[qi];
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(epsilon);
   if (row.probabilities.empty() || row.epsilon_bits != bits) {
@@ -420,58 +333,40 @@ Result<MunichMatcher::Row*> MunichMatcher::RowAt(std::size_t qi,
     row.probabilities.assign(rows_.size(),
                              std::numeric_limits<double>::quiet_NaN());
   }
-  return &row;
-}
-
-Result<double> MunichMatcher::ProbabilityFor(Row& row, std::size_t qi,
-                                             std::size_t ci, double epsilon) {
-  if (ci >= row.probabilities.size()) {
-    return Status::InvalidArgument("MUNICH candidate index out of range");
-  }
-  // A NaN estimate (none of the estimators yields one for a valid pair)
-  // would only be recomputed, to the same value.
-  double& p = row.probabilities[ci];
-  if (std::isnan(p)) {
-    UTS_ASSIGN_OR_RETURN(p, munich_.MatchProbability((*ctx_->samples)[qi],
-                                                     (*ctx_->samples)[ci],
-                                                     epsilon,
-                                                     PairSeed(*ctx_, qi, ci)));
-  }
-  return p;
+  return row;
 }
 
 Result<bool> MunichMatcher::Matches(std::size_t qi, std::size_t ci,
                                     double epsilon) {
-  UTS_ASSIGN_OR_RETURN(Row* row, RowAt(qi, epsilon));
-  UTS_ASSIGN_OR_RETURN(const double p,
-                       ProbabilityFor(*row, qi, ci, epsilon));
+  UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "MUNICH"));
+  // A NaN estimate (none of the estimators yields one for a valid pair)
+  // would only be recomputed, to the same value. The pair stream is the
+  // one the engine sweep draws (prob::PairStreamSeed).
+  double& p = RowAt(qi, epsilon).probabilities[ci];
+  if (std::isnan(p)) {
+    UTS_ASSIGN_OR_RETURN(
+        p, munich_.MatchProbability(
+               (*samples_)[qi], (*samples_)[ci], epsilon,
+               prob::PairStreamSeed(seed_, qi, ci, rows_.size())));
+  }
   return p >= munich_.options().tau;
 }
 
 Result<const std::vector<double>*> MunichMatcher::Probabilities(
     std::size_t qi, std::size_t n, double epsilon) {
-  UTS_ASSIGN_OR_RETURN(Row* row, RowAt(qi, epsilon));
-  std::vector<double>& p = row->probabilities;
-  if (n > p.size()) {
-    return Status::InvalidArgument("MUNICH candidate index out of range");
-  }
+  UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "MUNICH"));
+  std::vector<double>& p = RowAt(qi, epsilon).probabilities;
   bool complete = true;
   for (std::size_t ci = 0; ci < n && complete; ++ci) {
     complete = ci == qi || !std::isnan(p[ci]);
   }
   if (complete) return &p;
-  if (engine_ == nullptr || n != engine_->size()) {
-    for (std::size_t ci = 0; ci < n; ++ci) {
-      if (ci == qi) continue;
-      UTS_RETURN_NOT_OK(ProbabilityFor(*row, qi, ci, epsilon).status());
-    }
-    return &p;
-  }
   // One estimator sweep fills the whole row; per-pair counter seeds make
-  // it bit-identical to the sequential estimates, so entries already
-  // present are overwritten with the same values.
-  UTS_ASSIGN_OR_RETURN(const std::vector<double> swept,
-                       engine_->MunichMatchProbabilities(qi, epsilon));
+  // it bit-identical to the Matches estimates, so entries already present
+  // are overwritten with the same values.
+  UTS_ASSIGN_OR_RETURN(
+      const std::vector<double> swept,
+      engine_->MunichMatchProbabilities(qi, epsilon, munich_.options()));
   for (std::size_t ci = 0; ci < n; ++ci) {
     if (ci != qi) p[ci] = swept[ci];
   }
@@ -500,56 +395,59 @@ Result<std::vector<std::vector<std::size_t>>> MunichMatcher::RetrieveEachTau(
 
 // --------------------------------------------------------------- MUNICH-DTW
 
-Status MunichDtwMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequireSamples(context));
-  ctx_ = &context;
+Status MunichDtwMatcher::Bind(query::EngineContext& engines) {
+  UTS_ASSIGN_OR_RETURN(const uncertain::UncertainDataset* pdf,
+                       BoundPdf(engines));
+  if (engines.samples() == nullptr) {
+    return Status::NotSupported(
+        "the bound dataset has no sample model (required by MUNICH-DTW)");
+  }
+  pdf_ = pdf;
+  samples_ = engines.samples();
+  seed_ = engines.seed();
   return Status::OK();
 }
 
 Result<double> MunichDtwMatcher::CalibrationDistance(std::size_t qi,
                                                      std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH-DTW"));
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "MUNICH-DTW"));
   // Single-observation view for ε, matching the materialization noise
-  // scale (see MunichMatcher::CalibrationDistance).
-  if (ctx_->pdf != nullptr) {
-    return distance::Dtw((*ctx_->pdf)[qi].observations(),
-                         (*ctx_->pdf)[ci].observations(), dtw_options_);
-  }
-  const auto q = (*ctx_->samples)[qi].SampleMeans();
-  const auto c = (*ctx_->samples)[ci].SampleMeans();
-  return distance::Dtw(q.values(), c.values(), dtw_options_);
+  // scale (see ObservationDistance).
+  return distance::Dtw((*pdf_)[qi].observations(),
+                       (*pdf_)[ci].observations(), dtw_options_);
 }
 
-MunichDtwMatcher::Verdict MunichDtwMatcher::Score(std::size_t qi,
-                                                 std::size_t ci,
-                                                 double epsilon) const {
-  const auto& x = (*ctx_->samples)[qi];
-  const auto& y = (*ctx_->samples)[ci];
+Result<MunichDtwMatcher::Verdict> MunichDtwMatcher::Score(
+    std::size_t qi, std::size_t ci, double epsilon) const {
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "MUNICH-DTW"));
+  const auto& x = (*samples_)[qi];
+  const auto& y = (*samples_)[ci];
   // Bounds filter first (certain accept / certain reject), then Monte Carlo.
   const measures::DistanceBounds bounds =
       measures::Munich::DtwBounds(x, y, dtw_options_);
-  if (bounds.upper <= epsilon) return {true, 0.0};
-  if (bounds.lower > epsilon) return {false, 0.0};
-  return {std::nullopt,
-          measures::Munich::MonteCarloDtwMatchProbability(
-              x, y, epsilon, options_.mc_samples, PairSeed(*ctx_, qi, ci),
-              dtw_options_)};
+  if (bounds.upper <= epsilon) return Verdict{true, 0.0};
+  if (bounds.lower > epsilon) return Verdict{false, 0.0};
+  return Verdict{std::nullopt,
+                 measures::Munich::MonteCarloDtwMatchProbability(
+                     x, y, epsilon, options_.mc_samples,
+                     prob::PairStreamSeed(seed_, qi, ci, pdf_->size()),
+                     dtw_options_)};
 }
 
 Result<bool> MunichDtwMatcher::Matches(std::size_t qi, std::size_t ci,
                                        double epsilon) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH-DTW"));
-  return Score(qi, ci, epsilon).At(options_.tau);
+  UTS_ASSIGN_OR_RETURN(const Verdict verdict, Score(qi, ci, epsilon));
+  return verdict.At(options_.tau);
 }
 
 Result<std::vector<std::vector<std::size_t>>>
 MunichDtwMatcher::RetrieveEachTau(std::size_t qi, std::size_t n,
                                   double epsilon,
                                   std::span<const double> taus) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "MUNICH-DTW"));
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, qi, "MUNICH-DTW"));
   return CollectEachTau(
       qi, n, taus.size(),
-      [&](std::size_t ci) -> Result<Verdict> { return Score(qi, ci, epsilon); },
+      [&](std::size_t ci) { return Score(qi, ci, epsilon); },
       [&](const Verdict& verdict, std::size_t t) {
         return verdict.At(taus[t]);
       });
@@ -564,17 +462,16 @@ std::string DtwMatcher::name() const {
   return buf;
 }
 
-Status DtwMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
+Status DtwMatcher::Bind(query::EngineContext& engines) {
+  UTS_ASSIGN_OR_RETURN(pdf_, BoundPdf(engines));
   return Status::OK();
 }
 
 Result<double> DtwMatcher::CalibrationDistance(std::size_t qi,
                                                std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "DTW"));
-  return distance::Dtw((*ctx_->pdf)[qi].observations(),
-                       (*ctx_->pdf)[ci].observations(), options_);
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "DTW"));
+  return distance::Dtw((*pdf_)[qi].observations(),
+                       (*pdf_)[ci].observations(), options_);
 }
 
 Result<bool> DtwMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -593,24 +490,25 @@ std::string Ar1SmootherMatcher::name() const {
   return buf;
 }
 
-Status Ar1SmootherMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
+Status Ar1SmootherMatcher::Bind(query::EngineContext& engines) {
+  UTS_ASSIGN_OR_RETURN(const uncertain::UncertainDataset* pdf,
+                       BoundPdf(engines));
+  pdf_ = nullptr;  // until every series is smoothed
   smoothed_.clear();
-  smoothed_.reserve(context.pdf->size());
-  for (const auto& series : context.pdf->series) {
-    auto result = ts::Ar1KalmanSmooth(series.observations(), series.Stddevs(),
-                                      options_);
-    if (!result.ok()) return result.status();
-    smoothed_.push_back(std::move(result).ValueOrDie());
+  smoothed_.reserve(pdf->size());
+  for (const auto& series : pdf->series) {
+    UTS_ASSIGN_OR_RETURN(auto smoothed,
+                         ts::Ar1KalmanSmooth(series.observations(),
+                                             series.Stddevs(), options_));
+    smoothed_.push_back(std::move(smoothed));
   }
+  pdf_ = pdf;
   return Status::OK();
 }
 
 Result<double> Ar1SmootherMatcher::CalibrationDistance(std::size_t qi,
                                                        std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "AR1-smoother"));
-  assert(qi < smoothed_.size() && ci < smoothed_.size());
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "AR1-smoother"));
   return distance::Euclidean(smoothed_[qi], smoothed_[ci]);
 }
 
@@ -647,12 +545,13 @@ std::string FilteredMatcher::name() const {
   return buf;
 }
 
-Status FilteredMatcher::Bind(const EvalContext& context) {
-  UTS_RETURN_NOT_OK(RequirePdf(context));
-  ctx_ = &context;
+Status FilteredMatcher::Bind(query::EngineContext& engines) {
+  UTS_ASSIGN_OR_RETURN(const uncertain::UncertainDataset* pdf,
+                       BoundPdf(engines));
+  pdf_ = nullptr;  // until every series is filtered
   filtered_.clear();
-  filtered_.reserve(context.pdf->size());
-  for (const auto& series : context.pdf->series) {
+  filtered_.reserve(pdf->size());
+  for (const auto& series : pdf->series) {
     switch (kind_) {
       case FilterKind::kMovingAverage:
         filtered_.push_back(ts::MovingAverage(series.observations(), options_));
@@ -677,13 +576,13 @@ Status FilteredMatcher::Bind(const EvalContext& context) {
       }
     }
   }
+  pdf_ = pdf;
   return Status::OK();
 }
 
 Result<double> FilteredMatcher::CalibrationDistance(std::size_t qi,
                                                     std::size_t ci) {
-  UTS_RETURN_NOT_OK(RequireBound(ctx_, "filtered"));
-  assert(qi < filtered_.size() && ci < filtered_.size());
+  UTS_RETURN_NOT_OK(RequirePair(pdf_, qi, ci, "filtered"));
   return distance::Euclidean(filtered_[qi], filtered_[ci]);
 }
 

@@ -13,6 +13,16 @@
 /// | MovingAverageMatcher   | 5 (MA/EMA)    | Euclidean on filtered |
 /// | UmaMatcher             | 5 (Eq. 17)    | Euclidean on filtered |
 /// | UemaMatcher            | 5 (Eq. 18)    | Euclidean on filtered |
+///
+/// Every matcher binds to the run's query::EngineContext and reads the
+/// bound data from it. The four engine matchers (Euclidean, PROUD, DUST,
+/// MUNICH) acquire the context's one shared query::UncertainEngine at Bind
+/// and retrieve only through it, so a run packs its observations once and
+/// scores every technique with the same kernels. Calibration keeps the
+/// kernels it has always used: the engine's for Euclidean and DUST, the
+/// scalar Euclidean distance on the observations for PROUD and MUNICH. The
+/// per-pair `Matches` of PROUD and MUNICH run the scalar measures, which
+/// the engine sweeps equal bit for bit.
 
 #ifndef UTS_CORE_MATCHERS_HPP_
 #define UTS_CORE_MATCHERS_HPP_
@@ -30,6 +40,7 @@
 #include "query/uncertain_engine.hpp"
 #include "ts/filters.hpp"
 #include "ts/smoother.hpp"
+#include "uncertain/uncertain_series.hpp"
 #include "wavelet/proud_synopsis.hpp"
 
 namespace uts::core {
@@ -42,7 +53,7 @@ namespace uts::core {
 class EuclideanMatcher final : public Matcher {
  public:
   std::string name() const override { return "Euclidean"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -52,28 +63,23 @@ class EuclideanMatcher final : public Matcher {
                                             double epsilon) override;
 
  private:
-  /// Borrowed view of the context's shared engine (EvalContext::engines);
-  /// null = sequential scalar path. Re-acquired at every Bind.
+  /// Borrowed view of the context's shared engine; null until Bind.
   query::UncertainEngine* engine_ = nullptr;
-  const EvalContext* ctx_ = nullptr;
 };
 
-/// \brief PROUD with the paper's constant-σ model.
+/// \brief PROUD with the paper's constant-σ model, told the run's σ
+/// (`EngineContext::proud_sigma`).
 ///
 /// A τ outside (0, 1), NaN included, fails `Bind`; set after Bind, it makes
 /// every later decision (`Matches`, `Retrieve`) return the error until a
 /// valid τ is set. `RetrieveEachTau` fails at any such τ of its list.
 class ProudMatcher final : public Matcher {
  public:
-  /// \param tau            probability threshold τ
-  /// \param sigma_override σ told to PROUD; when unset, the context's
-  ///                       `reported_sigma` is used at Bind time
-  explicit ProudMatcher(double tau = 0.9,
-                        std::optional<double> sigma_override = std::nullopt)
-      : tau_(tau), sigma_override_(sigma_override) {}
+  /// \param tau probability threshold τ
+  explicit ProudMatcher(double tau = 0.9) : tau_(tau) {}
 
   std::string name() const override { return "PROUD"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -82,8 +88,7 @@ class ProudMatcher final : public Matcher {
   Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
                                             double epsilon) override;
   /// One moment pass on the shared engine decides every τ (bit-identical
-  /// to a Retrieve per τ); without an engine, one scalar ε_norm per
-  /// candidate decides every τ.
+  /// to a Retrieve per τ).
   Result<std::vector<std::vector<std::size_t>>> RetrieveEachTau(
       std::size_t qi, std::size_t n, double epsilon,
       std::span<const double> taus) override;
@@ -93,15 +98,14 @@ class ProudMatcher final : public Matcher {
 
  private:
   double tau_;
-  std::optional<double> sigma_override_;
   std::unique_ptr<measures::Proud> proud_;
-  /// Borrowed view of the context's shared engine (EvalContext::engines);
-  /// null = sequential scalar path. Re-acquired at every Bind.
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
+  /// Borrowed view of the context's shared engine; null until Bind.
   query::UncertainEngine* engine_ = nullptr;
-  const EvalContext* ctx_ = nullptr;
 };
 
-/// \brief PROUD accelerated by the Haar-synopsis filter (Section 4.3).
+/// \brief PROUD accelerated by the Haar-synopsis filter (Section 4.3),
+/// told the run's σ like ProudMatcher.
 ///
 /// The prune is only sound for τ >= 0.5. A τ outside [0.5, 1) fails `Bind`;
 /// set after Bind, it makes every later decision (`Matches`, `Retrieve`)
@@ -109,15 +113,12 @@ class ProudMatcher final : public Matcher {
 /// first such τ of its list.
 class ProudSynopsisMatcherAdapter final : public Matcher {
  public:
-  explicit ProudSynopsisMatcherAdapter(
-      double tau = 0.9, std::size_t synopsis_size = 16,
-      std::optional<double> sigma_override = std::nullopt)
-      : tau_(tau),
-        synopsis_size_(synopsis_size),
-        sigma_override_(sigma_override) {}
+  explicit ProudSynopsisMatcherAdapter(double tau = 0.9,
+                                       std::size_t synopsis_size = 16)
+      : tau_(tau), synopsis_size_(synopsis_size) {}
 
   std::string name() const override { return "PROUD-wavelet"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -141,23 +142,20 @@ class ProudSynopsisMatcherAdapter final : public Matcher {
 
   double tau_;
   std::size_t synopsis_size_;
-  std::optional<double> sigma_override_;
-  double sigma_ = 1.0;  ///< σ told to PROUD, resolved at Bind.
+  double sigma_ = 1.0;  ///< σ told to PROUD, read at Bind.
   /// The matcher at `tau_`, or why there is none.
   Result<wavelet::ProudSynopsisMatcher> matcher_ =
       Status::InvalidArgument("PROUD-wavelet matcher is not bound");
   std::vector<wavelet::HaarSynopsis> synopses_;
-  const EvalContext* ctx_ = nullptr;
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
 };
 
-/// \brief DUST distance matcher.
+/// \brief DUST distance matcher, on the lookup tables of the run's shared
+/// engine (built with the default measures::DustOptions).
 class DustMatcher final : public Matcher {
  public:
-  explicit DustMatcher(measures::DustOptions options = {})
-      : dust_(options) {}
-
   std::string name() const override { return "DUST"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -166,16 +164,9 @@ class DustMatcher final : public Matcher {
   Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
                                             double epsilon) override;
 
-  /// The underlying scalar distance (the engine-less fallback path), for
-  /// diagnostics.
-  measures::Dust& dust() { return dust_; }
-
  private:
-  measures::Dust dust_;
-  /// Borrowed view of the context's shared engine (EvalContext::engines);
-  /// null = sequential scalar path. Re-acquired at every Bind.
+  /// Borrowed view of the context's shared engine; null until Bind.
   query::UncertainEngine* engine_ = nullptr;
-  const EvalContext* ctx_ = nullptr;
 };
 
 /// \brief DUST with DTW alignment (Section 3.2).
@@ -186,7 +177,7 @@ class DustDtwMatcher final : public Matcher {
       : dust_(options), dtw_options_(dtw_options) {}
 
   std::string name() const override { return "DUST-DTW"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -194,7 +185,7 @@ class DustDtwMatcher final : public Matcher {
  private:
   measures::Dust dust_;
   distance::DtwOptions dtw_options_;
-  const EvalContext* ctx_ = nullptr;
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
 };
 
 /// \brief MUNICH over the repeated-observations model (Euclidean flavor).
@@ -204,24 +195,24 @@ class DustDtwMatcher final : public Matcher {
 /// each row once and thresholds it per τ. The rows also survive a re-bind
 /// to identical data, so the final run at the tuned τ reuses the
 /// probabilities the tune run computed instead of re-running the
-/// exact/Monte-Carlo estimator. They reset at a Bind to data that differs
-/// in any sample, the seed or the series count. Only query `qi`'s calls
-/// touch row `qi`, so distinct queries may run concurrently.
+/// exact/Monte-Carlo estimator. They reset at a Bind to data whose
+/// `EngineContext::data_fingerprint` differs (any changed observation,
+/// error model, sample, seed or σ). Only query `qi`'s calls touch row `qi`,
+/// so distinct queries may run concurrently.
 class MunichMatcher final : public Matcher {
  public:
   explicit MunichMatcher(measures::MunichOptions options = {})
       : munich_(options) {}
 
   std::string name() const override { return "MUNICH"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
   /// Batched estimator sweep on the run's shared UncertainEngine. Per-pair
-  /// Monte Carlo streams are counter-seeded exactly like the sequential
-  /// path, so results are bit-identical at any thread count; computed
-  /// probabilities land in the query's row, which the sequential path uses
-  /// too.
+  /// Monte Carlo streams are counter-seeded exactly like `Matches`, so
+  /// results are bit-identical at any thread count; computed probabilities
+  /// land in the query's row, which `Matches` uses too.
   Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
                                             double epsilon) override;
   /// One probability row, thresholded at every τ.
@@ -240,23 +231,21 @@ class MunichMatcher final : public Matcher {
     std::vector<double> probabilities;
   };
 
-  /// Row `qi` keyed to `epsilon` (emptied when its ε differs).
-  Result<Row*> RowAt(std::size_t qi, double epsilon);
+  /// Row `qi` keyed to `epsilon` (emptied when its ε differs); `qi` must
+  /// be a bound series.
+  Row& RowAt(std::size_t qi, double epsilon);
 
-  /// Probabilities of every candidate [0, n) of `qi` (self slot unused).
+  /// Probabilities of every bound candidate of `qi` (self slot unused).
   Result<const std::vector<double>*> Probabilities(std::size_t qi,
                                                    std::size_t n,
                                                    double epsilon);
 
-  /// Cached probability of (qi, ci) at ε, or the freshly computed one.
-  Result<double> ProbabilityFor(Row& row, std::size_t qi, std::size_t ci,
-                                double epsilon);
-
   measures::Munich munich_;
-  /// Borrowed view of the context's shared engine (EvalContext::engines);
-  /// null = sequential scalar path. Re-acquired at every Bind.
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
+  const uncertain::MultiSampleDataset* samples_ = nullptr;  ///< Bound.
+  std::uint64_t seed_ = 0;  ///< The bound run's seed.
+  /// Borrowed view of the context's shared engine; null until Bind.
   query::UncertainEngine* engine_ = nullptr;
-  const EvalContext* ctx_ = nullptr;
   std::uint64_t bound_fingerprint_ = 0;
   std::vector<Row> rows_;  ///< One per series, sized at Bind.
 };
@@ -269,7 +258,7 @@ class MunichDtwMatcher final : public Matcher {
       : options_(options), dtw_options_(dtw_options) {}
 
   std::string name() const override { return "MUNICH-DTW"; }
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -292,11 +281,13 @@ class MunichDtwMatcher final : public Matcher {
       return certain.has_value() ? *certain : probability >= tau;
     }
   };
-  Verdict Score(std::size_t qi, std::size_t ci, double epsilon) const;
+  Result<Verdict> Score(std::size_t qi, std::size_t ci, double epsilon) const;
 
   measures::MunichOptions options_;
   distance::DtwOptions dtw_options_;
-  const EvalContext* ctx_ = nullptr;
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
+  const uncertain::MultiSampleDataset* samples_ = nullptr;  ///< Bound.
+  std::uint64_t seed_ = 0;  ///< The bound run's seed.
 };
 
 /// \brief Which moving-average filter a filtered matcher applies.
@@ -314,7 +305,7 @@ class FilteredMatcher final : public Matcher {
   FilteredMatcher(FilterKind kind, ts::FilterOptions options);
 
   std::string name() const override;
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -323,7 +314,7 @@ class FilteredMatcher final : public Matcher {
   FilterKind kind_;
   ts::FilterOptions options_;
   std::vector<std::vector<double>> filtered_;
-  const EvalContext* ctx_ = nullptr;
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
 };
 
 /// \brief Plain DTW over the raw observations (the certain-series DTW that
@@ -334,14 +325,14 @@ class DtwMatcher final : public Matcher {
       : options_(options) {}
 
   std::string name() const override;
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
 
  private:
   distance::DtwOptions options_;
-  const EvalContext* ctx_ = nullptr;
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
 };
 
 /// \brief Correlation-aware measure: Euclidean over AR(1) Kalman/RTS
@@ -355,7 +346,7 @@ class Ar1SmootherMatcher final : public Matcher {
       : options_(options) {}
 
   std::string name() const override;
-  Status Bind(const EvalContext& context) override;
+  Status Bind(query::EngineContext& engines) override;
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
@@ -363,7 +354,7 @@ class Ar1SmootherMatcher final : public Matcher {
  private:
   ts::Ar1SmootherOptions options_;
   std::vector<std::vector<double>> smoothed_;
-  const EvalContext* ctx_ = nullptr;
+  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
 };
 
 /// \name Factory helpers with the paper's default parameters

@@ -15,55 +15,27 @@
 ///  3. decide whether a candidate matches a query under that threshold —
 ///     a plain distance comparison for exact measures, a
 ///     Pr(distance ≤ ε) ≥ τ test for the probabilistic ones.
+///
+/// The "same task" is one perturbed dataset per run, held by the run's
+/// query::EngineContext: matchers bind to that context, read the bound
+/// data and run parameters from it, and the engine-backed ones (Euclidean,
+/// PROUD, DUST, MUNICH) retrieve only through its one shared engine.
 
 #ifndef UTS_CORE_SIMILARITY_HPP_
 #define UTS_CORE_SIMILARITY_HPP_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.hpp"
-#include "ts/dataset.hpp"
-#include "uncertain/uncertain_series.hpp"
 
 namespace uts::query {
 class EngineContext;
 }  // namespace uts::query
 
 namespace uts::core {
-
-/// \brief Everything a matcher may look at for one experiment run.
-struct EvalContext {
-  /// Exact (unperturbed, z-normalized) series — used ONLY for ground truth,
-  /// never visible to matchers.
-  const ts::Dataset* exact = nullptr;
-
-  /// Perturbed series in the pdf model (observations + reported errors).
-  const uncertain::UncertainDataset* pdf = nullptr;
-
-  /// Perturbed series in the repeated-observations model (for MUNICH);
-  /// may be null when no sample-based matcher participates.
-  const uncertain::MultiSampleDataset* samples = nullptr;
-
-  /// The constant σ PROUD is told (its "a priori knowledge").
-  double reported_sigma = 1.0;
-
-  /// Base seed of this run; matchers with stochastic estimators derive
-  /// per-pair seeds from it.
-  std::uint64_t seed = 0;
-
-  /// The run-wide shared engine context (one thread pool, one SoA pack,
-  /// one uncertain engine for every matcher of the run). Engine-aware
-  /// matchers acquire borrowed engine views from it at Bind; when null
-  /// they keep their sequential scalar paths, which are bit-identical to
-  /// the engine's scalar kernels (the AVX2 Euclidean kernel is within a
-  /// pinned tolerance of them, see distance/simd.hpp). The runner
-  /// (RunSimilarityMatching) always provides one.
-  query::EngineContext* engines = nullptr;
-};
 
 /// \brief A similarity-matching technique under evaluation.
 ///
@@ -81,14 +53,18 @@ class Matcher {
   /// Display name, e.g. "PROUD" or "UEMA(w=2,lambda=1)".
   virtual std::string name() const = 0;
 
-  /// Attach to a run; precompute caches. Must be called before the other
-  /// methods. Re-binding to a new context is allowed.
-  virtual Status Bind(const EvalContext& context) = 0;
+  /// Attach to the data bound in `engines` (its pdf model, sample model,
+  /// seed and PROUD σ); precompute caches and acquire engine views. Must be
+  /// called before the other methods, and again after every
+  /// `EngineContext::BindData`; `engines` must outlive the binding. Fails
+  /// when the context has no bound data, or lacks what the matcher needs.
+  virtual Status Bind(query::EngineContext& engines) = 0;
 
   /// Distance between bound series `qi` and `ci` in the measure's own
   /// space, used for threshold calibration. For probabilistic matchers this
   /// is the Euclidean distance on the observations (ε is always a Euclidean
-  /// threshold for MUNICH and PROUD, Section 4.1.2).
+  /// threshold for MUNICH and PROUD, Section 4.1.2). Every query method
+  /// fails with InvalidArgument for an index outside the bound series.
   virtual Result<double> CalibrationDistance(std::size_t qi,
                                              std::size_t ci) = 0;
 
@@ -102,7 +78,9 @@ class Matcher {
   /// step of the evaluation loop. The default is the sequential reference:
   /// one `Matches` call per candidate. Engine-aware matchers (Euclidean,
   /// DUST, PROUD, MUNICH) override it with batched engine sweeps whose
-  /// results are bit-identical to the default at every thread count.
+  /// results are bit-identical to the default at every thread count; an
+  /// engine sweep covers every bound series, so they require `n` to be the
+  /// bound size.
   virtual Result<std::vector<std::size_t>> Retrieve(std::size_t qi,
                                                     std::size_t n,
                                                     double epsilon);

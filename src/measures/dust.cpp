@@ -304,11 +304,4 @@ Result<double> Dust::DtwDistance(const uncertain::UncertainSeries& x,
   return std::sqrt(total);
 }
 
-Status Dust::Prewarm(const prob::ErrorDistributionPtr& ex,
-                     const prob::ErrorDistributionPtr& ey) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto table = TableFor(*ex, *ey);
-  return table.ok() ? Status::OK() : table.status();
-}
-
 }  // namespace uts::measures

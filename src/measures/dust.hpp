@@ -166,10 +166,6 @@ class Dust {
                              const uncertain::UncertainSeries& y,
                              const distance::DtwOptions& dtw_options = {});
 
-  /// Build (and cache) the table for an error pair ahead of time.
-  Status Prewarm(const prob::ErrorDistributionPtr& ex,
-                 const prob::ErrorDistributionPtr& ey);
-
   /// The cached table of an error pair (building it on first use). The
   /// returned pointer is heap-pinned and stays valid for this instance's
   /// lifetime — the cache only ever grows. The pair is memoized by model

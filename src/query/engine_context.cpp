@@ -134,24 +134,6 @@ std::uint64_t FingerprintDataset(const ts::Dataset& dataset,
   return f.h;
 }
 
-bool SameDustConfig(const measures::DustOptions& a,
-                    const measures::DustOptions& b) {
-  return a.table_delta_max == b.table_delta_max &&
-         a.table_size == b.table_size && a.phi_floor == b.phi_floor &&
-         a.use_closed_form_normal == b.use_closed_form_normal &&
-         a.integration_sigmas == b.integration_sigmas &&
-         a.value_prior_half_range == b.value_prior_half_range;
-}
-
-/// τ excluded: the engine never reads it (PRQ methods take τ explicitly),
-/// so matchers sweeping τ share one engine.
-bool SameMunichConfig(const measures::MunichOptions& a,
-                      const measures::MunichOptions& b) {
-  return a.estimator == b.estimator && a.mc_samples == b.mc_samples &&
-         a.exact_half_limit == b.exact_half_limit &&
-         a.use_bounds_filter == b.use_bounds_filter;
-}
-
 }  // namespace
 
 EngineContext::EngineContext(EngineContextOptions options)
@@ -179,23 +161,21 @@ exec::ThreadPool* EngineContext::pool() {
 }
 
 std::shared_ptr<ts::BufferPool> EngineContext::buffer_pool() {
+  auto pool = StoragePool();
+  return pool.ok() ? std::move(pool).ValueOrDie() : nullptr;
+}
+
+Result<std::shared_ptr<ts::BufferPool>> EngineContext::StoragePool() {
   if (options_.buffer_pool != nullptr) return options_.buffer_pool;
-  if (options_.memory_budget_bytes == 0 || buffer_pool_failed_) {
+  if (options_.memory_budget_bytes == 0 || owned_buffer_pool_ != nullptr) {
     return owned_buffer_pool_;  // null unless already created
   }
-  if (owned_buffer_pool_ == nullptr) {
-    ts::BufferPool::Options pool_options;
-    pool_options.budget_bytes = options_.memory_budget_bytes;
-    pool_options.spill_dir = options_.spill_dir;
-    auto pool = ts::BufferPool::Create(pool_options);
-    if (!pool.ok()) {
-      // Unwritable spill dir: remember, stay resident (results identical).
-      buffer_pool_failed_ = true;
-      return nullptr;
-    }
-    owned_buffer_pool_ = std::move(pool).ValueOrDie();
-    ++stats_.buffer_pools_created;
-  }
+  ts::BufferPool::Options pool_options;
+  pool_options.budget_bytes = options_.memory_budget_bytes;
+  pool_options.spill_dir = options_.spill_dir;
+  UTS_ASSIGN_OR_RETURN(owned_buffer_pool_,
+                       ts::BufferPool::Create(pool_options));
+  ++stats_.buffer_pools_created;
   return owned_buffer_pool_;
 }
 
@@ -203,10 +183,7 @@ Status EngineContext::BindData(
     uncertain::UncertainDataset pdf,
     std::optional<uncertain::MultiSampleDataset> samples, std::uint64_t seed,
     double proud_sigma) {
-  if (pdf.size() == 0) {
-    return Status::InvalidArgument("engine context needs a non-empty "
-                                   "pdf-model dataset");
-  }
+  UTS_RETURN_NOT_OK(UncertainEngine::CheckShape(pdf));
   const std::uint64_t fingerprint =
       FingerprintRunData(pdf, samples, seed, proud_sigma, pool());
   if (bound_ && fingerprint == data_fingerprint_) {
@@ -227,8 +204,6 @@ Status EngineContext::BindData(
   // table cache survives on purpose — tables depend only on the error
   // models, not the observations.
   uncertain_.reset();
-  uncertain_unusable_ = false;
-  munich_configured_ = false;
   ++stats_.data_binds;
   return Status::OK();
 }
@@ -237,10 +212,7 @@ Status EngineContext::AddResident(
     const std::string& name, uncertain::UncertainDataset pdf,
     std::optional<uncertain::MultiSampleDataset> samples, std::uint64_t seed,
     double proud_sigma) {
-  if (pdf.size() == 0) {
-    return Status::InvalidArgument("resident '" + name +
-                                   "' needs a non-empty pdf-model dataset");
-  }
+  UTS_RETURN_NOT_OK(UncertainEngine::CheckShape(pdf));
   Resident resident;
   resident.pdf = std::move(pdf);
   resident.samples = std::move(samples);
@@ -304,7 +276,7 @@ Result<const DistanceMatrixEngine*> EngineContext::Certain(
   options.simd = options_.simd;
   if (grain != 0) options.grain = grain;
   options.index = options_.index;
-  options.buffer_pool = buffer_pool();
+  UTS_ASSIGN_OR_RETURN(options.buffer_pool, StoragePool());
   options.block_rows = options_.block_rows;
   UTS_ASSIGN_OR_RETURN(DistanceMatrixEngine engine,
                        DistanceMatrixEngine::Create(exact, options));
@@ -315,97 +287,61 @@ Result<const DistanceMatrixEngine*> EngineContext::Certain(
   return &*certain_;
 }
 
-UncertainEngine* EngineContext::EnsureUncertain() {
-  if (!bound_ || uncertain_unusable_) return nullptr;
+Result<UncertainEngine*> EngineContext::EnsureUncertain() {
+  if (!bound_) {
+    return Status::InvalidArgument("engine context has no bound dataset; "
+                                   "call BindData first");
+  }
   if (uncertain_ != nullptr) return uncertain_.get();
   UncertainEngineOptions options;
   options.threads = threads_;
   options.shared_pool = pool();
   options.simd = options_.simd;
   options.index = options_.index;
-  options.buffer_pool = buffer_pool();
+  UTS_ASSIGN_OR_RETURN(options.buffer_pool, StoragePool());
   options.block_rows = options_.block_rows;
   options.seed = seed_;
   options.proud_sigma = proud_sigma_;
-  auto engine = UncertainEngine::Create(pdf_, std::move(options));
-  if (!engine.ok()) {
-    // Not engine-shaped (e.g. non-uniform lengths): remember, so matchers
-    // keep their sequential scalar paths without re-trying every Bind.
-    uncertain_unusable_ = true;
-    return nullptr;
-  }
-  uncertain_ = std::move(engine).ValueOrDie();
+  UTS_ASSIGN_OR_RETURN(uncertain_,
+                       UncertainEngine::Create(pdf_, std::move(options)));
   ++stats_.pdf_packs;
   return uncertain_.get();
 }
 
-UncertainEngine* EngineContext::AcquireEuclidean() {
-  UncertainEngine* engine = EnsureUncertain();
-  ++(engine == nullptr ? stats_.acquires_declined : stats_.acquires_served);
+Result<UncertainEngine*> EngineContext::Count(Result<UncertainEngine*> engine) {
+  ++(engine.ok() ? stats_.acquires_served : stats_.acquires_declined);
   return engine;
 }
 
-UncertainEngine* EngineContext::AcquireDust(
-    const measures::DustOptions& dust) {
-  UncertainEngine* engine = EnsureUncertain();
-  if (engine == nullptr) {
-    ++stats_.acquires_declined;
-    return nullptr;
-  }
-  if (dust_cache_ == nullptr) {
-    dust_cache_ = std::make_unique<measures::Dust>(dust);
-  } else if (!SameDustConfig(dust, dust_cache_->options())) {
-    ++stats_.acquires_declined;
-    return nullptr;
-  }
-  if (!engine->dust_ready()) {
-    const std::size_t tables_before = dust_cache_->CacheSize();
-    if (!engine->BuildDustTables(*dust_cache_).ok()) {
-      ++stats_.acquires_declined;
-      return nullptr;
+Result<UncertainEngine*> EngineContext::AcquireEuclidean() {
+  return Count(EnsureUncertain());
+}
+
+Result<UncertainEngine*> EngineContext::AcquireDust() {
+  return Count([this]() -> Result<UncertainEngine*> {
+    UTS_ASSIGN_OR_RETURN(UncertainEngine * engine, EnsureUncertain());
+    if (!engine->dust_ready()) {
+      const std::size_t tables_before = dust_cache_.CacheSize();
+      UTS_RETURN_NOT_OK(engine->BuildDustTables(dust_cache_));
+      if (dust_cache_.CacheSize() != tables_before) ++stats_.dust_table_builds;
     }
-    if (dust_cache_->CacheSize() != tables_before) ++stats_.dust_table_builds;
-  }
-  ++stats_.acquires_served;
-  return engine;
+    return engine;
+  }());
 }
 
-UncertainEngine* EngineContext::AcquireProud(double sigma) {
-  UncertainEngine* engine = EnsureUncertain();
-  if (engine == nullptr || sigma != proud_sigma_) {
-    ++stats_.acquires_declined;
-    return nullptr;
-  }
-  ++stats_.acquires_served;
-  return engine;
-}
-
-UncertainEngine* EngineContext::AcquireMunich(
-    const measures::MunichOptions& munich) {
-  UncertainEngine* engine = EnsureUncertain();
-  if (engine == nullptr || !samples_.has_value()) {
-    ++stats_.acquires_declined;
-    return nullptr;
-  }
-  if (!munich_configured_) {
-    engine->set_munich_options(munich);
-    munich_config_ = munich;
-    munich_configured_ = true;
-  } else if (!SameMunichConfig(munich, munich_config_)) {
-    ++stats_.acquires_declined;
-    return nullptr;
-  }
-  if (!engine->has_samples()) {
-    if (!engine->AttachSamples(*samples_).ok()) {
-      // Shape mismatch between the pdf and sample models: the sequential
-      // path can still serve sample-only matchers.
-      ++stats_.acquires_declined;
-      return nullptr;
+Result<UncertainEngine*> EngineContext::AcquireMunich() {
+  return Count([this]() -> Result<UncertainEngine*> {
+    UTS_ASSIGN_OR_RETURN(UncertainEngine * engine, EnsureUncertain());
+    if (!samples_.has_value()) {
+      return Status::NotSupported(
+          "the bound dataset has no sample model (required by MUNICH)");
     }
-    ++stats_.sample_attaches;
-  }
-  ++stats_.acquires_served;
-  return engine;
+    if (!engine->has_samples()) {
+      UTS_RETURN_NOT_OK(engine->AttachSamples(*samples_));
+      ++stats_.sample_attaches;
+    }
+    return engine;
+  }());
 }
 
 }  // namespace uts::query

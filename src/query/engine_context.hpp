@@ -6,7 +6,8 @@
 /// uncertain dataset, yet a naive binding builds one `UncertainEngine` per
 /// matcher — packing the identical pdf observations into SoA three times
 /// and holding three thread pools per run. `EngineContext` is the single
-/// resource root the matchers of a run share instead:
+/// resource root the matchers of a run share instead, and the binding every
+/// matcher reads its data from (`core::Matcher::Bind`):
 ///
 ///  * **one executor** — a lazily created `exec::ThreadPool` every engine
 ///    of the run borrows (`EngineOptions::shared_pool`), so a full
@@ -14,13 +15,13 @@
 ///    `threads <= 1`; everything runs inline on the caller);
 ///  * **one pdf pack** — `BindData` takes ownership of the perturbed
 ///    datasets of the evaluation; the shared `UncertainEngine` over them is
-///    built lazily on the first matcher acquisition and reused by every
-///    subsequent one, Euclidean included (`AcquireEuclidean`);
+///    built lazily on the first acquisition and reused by every subsequent
+///    one, whatever the measure;
 ///  * **lazy, cached measure state** — DUST lookup tables (built through a
-///    context-persistent `measures::Dust` cache, so re-binding across
-///    datasets under one error spec reuses already-integrated tables) and
-///    the MUNICH sample attachment are each built on first use and cached
-///    for the rest of the run;
+///    context-persistent `measures::Dust` cache with the default options,
+///    so re-binding across datasets under one error spec reuses
+///    already-integrated tables) and the MUNICH sample attachment are each
+///    built on first use and cached for the rest of the run;
 ///  * **one certain engine** — the `DistanceMatrixEngine` driving the
 ///    ground-truth sweeps over *exact* data owns its packed rows and is
 ///    cached across runs keyed by the dataset's content, so repeated runs
@@ -33,8 +34,8 @@
 /// content fingerprint and keeps all engines and caches.
 ///
 /// Determinism: the context only changes *where* resources live, never what
-/// is computed — all engine results remain bit-identical to per-matcher
-/// engines and to the sequential scalar paths at every thread count.
+/// is computed — all engine results remain bit-identical to fresh
+/// per-measure engines at every thread count.
 ///
 /// Thread-safety: the context is a setup-time object mutated by `Bind`
 /// calls; it is not thread-safe itself. The engines it hands out follow
@@ -54,7 +55,6 @@
 #include "common/result.hpp"
 #include "exec/thread_pool.hpp"
 #include "measures/dust.hpp"
-#include "measures/munich.hpp"
 #include "query/engine.hpp"
 #include "query/uncertain_engine.hpp"
 #include "ts/dataset.hpp"
@@ -88,13 +88,13 @@ struct EngineContextOptions : ExecOptions {
 /// thread pool, the perturbed datasets, the packed engines and their lazy
 /// measure-specific caches.
 ///
-/// Matchers acquire borrowed engine views at Bind time (`AcquireDust`,
-/// `AcquireProud`, `AcquireMunich`); an acquisition returns null when the
-/// bound dataset is not engine-shaped or the requested measure
-/// configuration is incompatible with what the shared engine was already
-/// given — callers then keep their sequential scalar path, which is
-/// bit-identical anyway. Views are invalidated by the next `BindData` that
-/// actually replaces the data; matchers must re-acquire at every Bind.
+/// Matchers acquire borrowed engine views at Bind time (`AcquireEuclidean`,
+/// `AcquireDust`, `AcquireMunich`). Every acquisition of a bound context
+/// serves the one shared engine; it fails only when the engine or its
+/// measure state cannot be built (no sample model for MUNICH, a failed
+/// pack, spill or table build). Views are invalidated by the next
+/// `BindData` that actually replaces the data; matchers must re-acquire at
+/// every Bind.
 class EngineContext {
  public:
   /// Resource-lifecycle counters, asserted by the context tests and useful
@@ -112,7 +112,7 @@ class EngineContext {
                                        ///< attached the sample dataset.
     std::size_t acquires_served = 0;   ///< Acquire* calls that returned the
                                        ///< shared engine.
-    std::size_t acquires_declined = 0; ///< Acquire* calls that returned null.
+    std::size_t acquires_declined = 0; ///< Acquire* calls that failed.
     std::size_t resident_adds = 0;     ///< AddResident calls that stored or
                                        ///< replaced an entry.
     std::size_t resident_activations = 0;  ///< ActivateResident calls that
@@ -133,6 +133,9 @@ class EngineContext {
   /// Resolved worker-thread count (>= 1).
   std::size_t threads() const { return threads_; }
 
+  /// Kernel selection every engine of this context is built with.
+  distance::SimdMode simd() const { return options_.simd; }
+
   /// The shared executor, created lazily on first request; null when
   /// `threads() == 1` (all engines then run inline).
   exec::ThreadPool* pool();
@@ -140,9 +143,9 @@ class EngineContext {
   /// The storage-tier buffer pool every engine of this context pages its
   /// stores through: the explicit `ExecOptions::buffer_pool` when set, a
   /// lazily created pool when `memory_budget_bytes > 0`, null otherwise
-  /// (fully-resident stores). When pool creation fails (unwritable spill
-  /// dir) the context falls back to resident stores — results are identical
-  /// either way.
+  /// (fully-resident stores). Also null while the pool cannot be created
+  /// (an unwritable spill dir); `Certain` and the acquisitions then fail
+  /// with that error instead of dropping the budget.
   std::shared_ptr<ts::BufferPool> buffer_pool();
 
   /// \name Run data
@@ -150,7 +153,9 @@ class EngineContext {
 
   /// Take ownership of this evaluation's perturbed datasets plus the
   /// run-level parameters baked into engine state (`seed` feeds the MUNICH
-  /// pair streams, `proud_sigma` the constant-σ PROUD kernels). When the
+  /// pair streams, `proud_sigma` the constant-σ PROUD kernels).
+  /// InvalidArgument for data the engines cannot pack
+  /// (UncertainEngine::CheckShape). When the
   /// incoming data and parameters fingerprint identically to what is
   /// already bound, the call is a no-op that keeps every engine and cache
   /// (the repeated-run fast path); otherwise the uncertain engine and its
@@ -175,9 +180,17 @@ class EngineContext {
     return bound_ && samples_.has_value() ? &*samples_ : nullptr;
   }
 
+  /// The base seed of the bound run (0 before the first BindData): the
+  /// seed of the MUNICH pair streams.
+  std::uint64_t seed() const { return seed_; }
+
   /// The constant σ reported to PROUD by the bound run (1.0 before the
-  /// first BindData): the value `AcquireProud` serves.
+  /// first BindData): the σ of the shared engine's PROUD kernels.
   double proud_sigma() const { return proud_sigma_; }
+
+  /// Content fingerprint of the bound data and run parameters (0 before
+  /// the first BindData): equal across binds of bit-identical data.
+  std::uint64_t data_fingerprint() const { return data_fingerprint_; }
   /// \}
 
   /// \name Multi-dataset residency (the server front end)
@@ -195,7 +208,8 @@ class EngineContext {
 
   /// Store (or replace) a resident dataset under `name`. The data is copied
   /// into the residency table — the context does not borrow — and the
-  /// active binding is untouched until `ActivateResident(name)`.
+  /// active binding is untouched until `ActivateResident(name)`. Rejects
+  /// the shapes `BindData` rejects.
   Status AddResident(const std::string& name, uncertain::UncertainDataset pdf,
                      std::optional<uncertain::MultiSampleDataset> samples,
                      std::uint64_t seed, double proud_sigma);
@@ -246,34 +260,28 @@ class EngineContext {
   /// \}
 
   /// \name Uncertain engine acquisition (one per run, lazily built)
-  /// All four return the same underlying engine — plus its
-  /// measure-specific state built on first use — or null when the bound
-  /// dataset is not engine-shaped (empty / non-uniform lengths) or the
-  /// requested configuration conflicts with state already built for an
-  /// earlier matcher of the run.
+  /// All three return the same underlying engine, plus the measure state
+  /// they name, built on first use. They fail with InvalidArgument before
+  /// the first BindData, and with the error of whatever could not be built
+  /// (the engine's pack or spill, the DUST tables, the MUNICH sample
+  /// attachment).
   /// \{
 
-  /// Euclidean over the observations: the engine alone, no measure state.
-  /// Declined only when the bound dataset is not engine-shaped.
-  UncertainEngine* AcquireEuclidean();
+  /// The engine alone: Euclidean over the observations and constant-σ
+  /// PROUD at `proud_sigma()` need no measure state.
+  Result<UncertainEngine*> AcquireEuclidean();
 
   /// DUST: engine + lookup tables for every distinct error-class pair.
   /// Tables are built through the context's persistent `measures::Dust`
-  /// cache, so a later BindData under the same error models reuses them
-  /// instead of re-running the numeric integration. Declined when `dust`
-  /// differs from the options that cache was created with.
-  UncertainEngine* AcquireDust(const measures::DustOptions& dust);
+  /// cache (default `measures::DustOptions`), so a later BindData under
+  /// the same error models reuses them instead of re-running the numeric
+  /// integration.
+  Result<UncertainEngine*> AcquireDust();
 
-  /// PROUD (constant-σ model): declined when `sigma` differs from the
-  /// bound run-level σ (a matcher overriding the run's reported σ keeps
-  /// its scalar path).
-  UncertainEngine* AcquireProud(double sigma);
-
-  /// MUNICH: engine + attached sample dataset + estimator configuration.
-  /// The first acquisition fixes the estimator config (τ excluded — the
-  /// engine never reads it); later acquisitions with a conflicting config
-  /// are declined.
-  UncertainEngine* AcquireMunich(const measures::MunichOptions& munich);
+  /// MUNICH: engine + attached sample dataset. NotSupported when the bound
+  /// run has no sample model. The estimator configuration is an argument
+  /// of each MUNICH query, not engine state.
+  Result<UncertainEngine*> AcquireMunich();
   /// \}
 
   /// The lifecycle counters (see Stats).
@@ -289,9 +297,15 @@ class EngineContext {
     double proud_sigma = 1.0;  ///< Constant σ reported to PROUD.
   };
 
-  /// Build the shared UncertainEngine over the bound pdf dataset if not
-  /// done yet; returns null when unbound or not engine-shaped.
-  UncertainEngine* EnsureUncertain();
+  /// The shared UncertainEngine over the bound pdf dataset, built if not
+  /// done yet; the error when unbound or when the build fails.
+  Result<UncertainEngine*> EnsureUncertain();
+
+  /// `engine` counted as a served or failed acquisition.
+  Result<UncertainEngine*> Count(Result<UncertainEngine*> engine);
+
+  /// `buffer_pool()`'s pool, or the error that keeps it from being created.
+  Result<std::shared_ptr<ts::BufferPool>> StoragePool();
 
   EngineContextOptions options_;
   std::size_t threads_ = 1;
@@ -301,7 +315,6 @@ class EngineContext {
   /// and their stores hold it by shared_ptr, so destruction order is safe:
   /// a store drops its pages before releasing its pool reference.
   std::shared_ptr<ts::BufferPool> owned_buffer_pool_;
-  bool buffer_pool_failed_ = false;  ///< Create failed; stay resident.
 
   // Bound run data (owned) + its content fingerprint.
   bool bound_ = false;
@@ -313,12 +326,8 @@ class EngineContext {
 
   // The shared uncertain engine + its lazy measure state.
   std::unique_ptr<UncertainEngine> uncertain_;
-  bool uncertain_unusable_ = false;  ///< Create failed for the bound data.
-  /// Persistent DUST table cache (survives rebinds); created with the first
-  /// acquirer's options.
-  std::unique_ptr<measures::Dust> dust_cache_;
-  bool munich_configured_ = false;
-  measures::MunichOptions munich_config_;
+  /// Persistent DUST table cache (survives rebinds).
+  measures::Dust dust_cache_;
 
   // Residency table of the server front end.
   std::map<std::string, Resident> residents_;

@@ -45,23 +45,29 @@ detail::ScanTarget UncertainEngine::Target() const {
           synopsis_index_.get()};
 }
 
-Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
-    const uncertain::UncertainDataset& pdf, UncertainEngineOptions options) {
+Status UncertainEngine::CheckShape(const uncertain::UncertainDataset& pdf) {
   if (pdf.size() == 0) {
     return Status::InvalidArgument("uncertain engine needs a non-empty "
                                    "dataset");
   }
-  const std::size_t n = pdf.size();
   const std::size_t len = pdf[0].size();
   if (len == 0) {
     return Status::InvalidArgument("uncertain engine needs non-empty series");
   }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (pdf[s].size() != len) {
+  for (const uncertain::UncertainSeries& series : pdf.series) {
+    if (series.size() != len) {
       return Status::InvalidArgument(
           "uncertain engine needs series of uniform length");
     }
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
+    const uncertain::UncertainDataset& pdf, UncertainEngineOptions options) {
+  UTS_RETURN_NOT_OK(CheckShape(pdf));
+  const std::size_t n = pdf.size();
+  const std::size_t len = pdf[0].size();
 
   std::unique_ptr<UncertainEngine> engine(
       new UncertainEngine(std::move(options)));
@@ -387,12 +393,12 @@ Status UncertainEngine::AttachSamples(
   return Status::OK();
 }
 
-Result<double> UncertainEngine::MunichPairProbability(std::size_t qi,
-                                                      std::size_t ci,
-                                                      double epsilon) const {
+Result<double> UncertainEngine::MunichPairProbability(
+    std::size_t qi, std::size_t ci, double epsilon,
+    const measures::MunichOptions& munich) const {
   const uncertain::MultiSampleSeries& x = (*samples_)[qi];
   const uncertain::MultiSampleSeries& y = (*samples_)[ci];
-  measures::MunichOptions options = options_.munich;
+  measures::MunichOptions options = munich;
   if (options.use_bounds_filter) {
     const ts::StoreView lo_view(sample_lo_), hi_view(sample_hi_);
     const auto qlo = ts::PinRowOrAbort(lo_view, qi);
@@ -416,7 +422,8 @@ Result<double> UncertainEngine::MunichPairProbability(std::size_t qi,
 }
 
 Result<std::vector<double>> UncertainEngine::MunichMatchProbabilities(
-    std::size_t query, double epsilon) const {
+    std::size_t query, double epsilon,
+    const measures::MunichOptions& munich) const {
   assert(query < size());
   if (samples_ == nullptr) {
     return Status::InvalidArgument(
@@ -431,7 +438,8 @@ Result<std::vector<double>> UncertainEngine::MunichMatchProbabilities(
                       Status& status = statuses[begin / options_.grain];
                       for (std::size_t i = begin; i < end; ++i) {
                         if (i == query) continue;
-                        auto p = MunichPairProbability(query, i, epsilon);
+                        auto p =
+                            MunichPairProbability(query, i, epsilon, munich);
                         if (!p.ok()) {
                           status = p.status();
                           return;
@@ -446,16 +454,18 @@ Result<std::vector<double>> UncertainEngine::MunichMatchProbabilities(
 }
 
 Result<std::vector<std::size_t>> UncertainEngine::ProbabilisticRangeSearchMunich(
-    std::size_t query, double epsilon, double tau) const {
-  auto probs = MunichMatchProbabilities(query, epsilon);
+    std::size_t query, double epsilon, double tau,
+    const measures::MunichOptions& munich) const {
+  auto probs = MunichMatchProbabilities(query, epsilon, munich);
   if (!probs.ok()) return probs.status();
   return detail::SelectThreshold(probs.ValueOrDie(), query, tau,
                                  detail::Keep::kAtLeast);
 }
 
 Result<std::vector<Neighbor>> UncertainEngine::KNearestMunich(
-    std::size_t query, double epsilon, std::size_t k) const {
-  auto probs = MunichMatchProbabilities(query, epsilon);
+    std::size_t query, double epsilon, std::size_t k,
+    const measures::MunichOptions& munich) const {
+  auto probs = MunichMatchProbabilities(query, epsilon, munich);
   if (!probs.ok()) return probs.status();
   return detail::SelectKLargest(probs.ValueOrDie(), query, k);
 }

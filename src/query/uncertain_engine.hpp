@@ -29,7 +29,14 @@
 ///    deterministic *counter-based* RNG seeding: the Monte Carlo stream of
 ///    pair (q, c) is seeded by the pure function
 ///    `DeriveSeed(seed, q·n + c + 0x9a1)` of the pair counter alone, so
-///    parallel and sequential runs draw identical materializations.
+///    parallel and sequential runs draw identical materializations. The
+///    estimator configuration is an argument of each query, so every
+///    MUNICH caller of a run shares the one engine.
+///
+/// A run's matchers (core/matchers.hpp) borrow this engine from the run's
+/// query::EngineContext and have no retrieval path besides it; the scalar
+/// measure APIs named below stay as the references the tests compare it
+/// against.
 ///
 /// Determinism guarantee: results are bit-identical to the scalar measure
 /// APIs (measures::Dust::Distance, measures::Proud::Matches,
@@ -83,10 +90,6 @@ struct UncertainEngineOptions : ExecOptions {
   /// orders of magnitude more per candidate than a Euclidean row.
   std::size_t grain = 64;
 
-  /// MUNICH estimator configuration (τ is *not* consulted by the engine;
-  /// PRQ methods take τ explicitly so a τ sweep reuses one engine).
-  measures::MunichOptions munich;
-
   /// The constant per-point σ PROUD is told (its "a priori knowledge").
   double proud_sigma = 1.0;
 
@@ -106,13 +109,17 @@ struct UncertainEngineOptions : ExecOptions {
 class UncertainEngine {
  public:
   /// Build the engine: packs the observations into a SoA store and assigns
-  /// error-class ids. Requires a non-empty dataset of uniform length.
+  /// error-class ids. Fails as `CheckShape` does on data of another shape.
   /// Measure-specific precomputations are explicit setup steps so callers
   /// only pay for what they query: `BuildDustTables` before the DUST
   /// queries (PROUD needs none; MUNICH needs `AttachSamples`).
   static Result<std::unique_ptr<UncertainEngine>> Create(
       const uncertain::UncertainDataset& pdf,
       UncertainEngineOptions options = {});
+
+  /// The shape `Create` requires: InvalidArgument for an empty dataset, an
+  /// empty series or series of different lengths.
+  static Status CheckShape(const uncertain::UncertainDataset& pdf);
 
   /// Joins the owned pool, if any.
   ~UncertainEngine();
@@ -130,21 +137,12 @@ class UncertainEngine {
   /// Resolved worker-thread count (>= 1).
   std::size_t threads() const;
 
-  /// The options the engine was created with (munich possibly replaced via
-  /// set_munich_options).
+  /// The options the engine was created with.
   const UncertainEngineOptions& options() const { return options_; }
 
   /// Kernel level the DUST/PROUD sweeps execute at (resolved once from
   /// UncertainEngineOptions::simd at construction).
   distance::SimdLevel simd_level() const { return dispatch_->level; }
-
-  /// Replace the MUNICH estimator configuration after construction (τ is
-  /// still ignored — PRQ methods take it explicitly). Setup-time only: not
-  /// thread-safe against concurrent queries. Lets a shared engine created
-  /// for another measure adopt the first MUNICH user's configuration.
-  void set_munich_options(const measures::MunichOptions& munich) {
-    options_.munich = munich;
-  }
 
   /// Euclidean k nearest neighbors of `query` over the observations, self
   /// excluded, ascending: bitwise DistanceMatrixEngine's answer over the
@@ -239,6 +237,9 @@ class UncertainEngine {
   /// \}
 
   /// \name MUNICH (requires AttachSamples)
+  /// Each query takes the estimator configuration `munich` it runs (its τ
+  /// is never read: PRQ takes τ explicitly), so matchers with different
+  /// estimators share one engine.
   /// \{
 
   /// Attach the repeated-observations dataset and precompute its
@@ -249,22 +250,25 @@ class UncertainEngine {
   /// True once a sample-model dataset is attached.
   bool has_samples() const { return samples_ != nullptr; }
 
-  /// Dense Pr(distance(query, ·) ≤ ε) sweep via the configured estimator
+  /// Dense Pr(distance(query, ·) ≤ ε) sweep via the estimator of `munich`
   /// with the interval-bounds filter applied first (when enabled). The self
   /// slot is 0 (never evaluated). Bit-identical to
-  /// measures::Munich::MatchProbability with prob::PairStreamSeed per pair.
-  Result<std::vector<double>> MunichMatchProbabilities(std::size_t query,
-                                                       double epsilon) const;
+  /// measures::Munich(munich).MatchProbability with prob::PairStreamSeed
+  /// per pair.
+  Result<std::vector<double>> MunichMatchProbabilities(
+      std::size_t query, double epsilon,
+      const measures::MunichOptions& munich) const;
 
   /// PRQ(Q, C, ε, τ): probability ≥ τ, self excluded, ascending.
   Result<std::vector<std::size_t>> ProbabilisticRangeSearchMunich(
-      std::size_t query, double epsilon, double tau) const;
+      std::size_t query, double epsilon, double tau,
+      const measures::MunichOptions& munich) const;
 
   /// k candidates with the highest MUNICH match probability at ε, self
   /// excluded; descending probability, ties by index.
-  Result<std::vector<Neighbor>> KNearestMunich(std::size_t query,
-                                               double epsilon,
-                                               std::size_t k) const;
+  Result<std::vector<Neighbor>> KNearestMunich(
+      std::size_t query, double epsilon, std::size_t k,
+      const measures::MunichOptions& munich) const;
   /// \}
 
  private:
@@ -272,8 +276,9 @@ class UncertainEngine {
 
   /// MUNICH probability of one pair (bounds filter + estimator), reading
   /// the precomputed interval columns.
-  Result<double> MunichPairProbability(std::size_t qi, std::size_t ci,
-                                       double epsilon) const;
+  Result<double> MunichPairProbability(
+      std::size_t qi, std::size_t ci, double epsilon,
+      const measures::MunichOptions& munich) const;
 
   /// The scan target over the observation store.
   detail::ScanTarget Target() const;

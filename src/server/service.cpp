@@ -163,33 +163,20 @@ Status Service::Activate(const std::string& name, std::uint32_t query) {
   return Status::OK();
 }
 
-Result<query::UncertainEngine*> Service::AcquireFor(
-    WireMeasure measure, const std::string& dataset) {
-  query::UncertainEngine* engine = nullptr;
+Result<query::UncertainEngine*> Service::AcquireFor(WireMeasure measure) {
   switch (measure) {
     case WireMeasure::kEuclid:
-      engine = context_.AcquireEuclidean();
-      break;
-    case WireMeasure::kDust:
-      engine = context_.AcquireDust(options_.dust);
-      break;
     case WireMeasure::kProud:
-      // Activate bound the resident, so this is the σ its Bind reported.
-      engine = context_.AcquireProud(context_.proud_sigma());
-      break;
+      // Activate bound the resident, so the engine's PROUD kernels run at
+      // the σ its Bind reported.
+      return context_.AcquireEuclidean();
+    case WireMeasure::kDust:
+      return context_.AcquireDust();
     case WireMeasure::kMunich:
-      engine = context_.AcquireMunich(options_.munich);
-      break;
+      return context_.AcquireMunich();
     default:
       return Status::InvalidArgument("unknown measure");
   }
-  if (engine == nullptr) {
-    return Status::NotSupported(
-        "dataset '" + dataset +
-        "' cannot serve this measure with the shared engine (missing "
-        "sample model, non-uniform shape, or conflicting configuration)");
-  }
-  return engine;
 }
 
 Result<KnnResponse> Service::Knn(const QueryRequest& request,
@@ -203,7 +190,7 @@ Result<KnnResponse> Service::Knn(const QueryRequest& request,
   response.request_seq = request_seq;
   response.query = request.query;
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure, request.dataset));
+                       AcquireFor(request.measure));
   index::SearchCost cost;
   switch (request.measure) {
     case WireMeasure::kEuclid:
@@ -223,7 +210,8 @@ Result<KnnResponse> Service::Knn(const QueryRequest& request,
     case WireMeasure::kMunich: {
       UTS_ASSIGN_OR_RETURN(response.neighbors,
                            engine->KNearestMunich(request.query,
-                                                  request.epsilon, request.k));
+                                                  request.epsilon, request.k,
+                                                  options_.munich));
       break;
     }
     default:
@@ -248,7 +236,7 @@ Result<IndexListResponse> Service::Range(const QueryRequest& request,
   IndexListResponse response;
   response.request_seq = request_seq;
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure, request.dataset));
+                       AcquireFor(request.measure));
   index::SearchCost cost;
   std::vector<std::size_t> matches;
   if (request.measure == WireMeasure::kEuclid) {
@@ -281,7 +269,7 @@ Result<IndexListResponse> Service::Prq(const QueryRequest& request,
   }
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure, request.dataset));
+                       AcquireFor(request.measure));
   IndexListResponse response;
   response.request_seq = request_seq;
   std::vector<std::size_t> matches;
@@ -291,7 +279,7 @@ Result<IndexListResponse> Service::Prq(const QueryRequest& request,
   } else {
     UTS_ASSIGN_OR_RETURN(matches, engine->ProbabilisticRangeSearchMunich(
                                       request.query, request.epsilon,
-                                      request.tau));
+                                      request.tau, options_.munich));
   }
   response.indices.assign(matches.begin(), matches.end());
   {
@@ -313,7 +301,7 @@ Result<SweepResponse> Service::MeasureSweep(const QueryRequest& request,
   }
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure, request.dataset));
+                       AcquireFor(request.measure));
   SweepResponse response;
   response.request_seq = request_seq;
   switch (request.measure) {
@@ -327,9 +315,10 @@ Result<SweepResponse> Service::MeasureSweep(const QueryRequest& request,
           engine->ProudMatchProbabilities(request.query, request.epsilon);
       break;
     case WireMeasure::kMunich: {
-      UTS_ASSIGN_OR_RETURN(response.values,
-                           engine->MunichMatchProbabilities(request.query,
-                                                            request.epsilon));
+      UTS_ASSIGN_OR_RETURN(
+          response.values,
+          engine->MunichMatchProbabilities(request.query, request.epsilon,
+                                           options_.munich));
       break;
     }
     default:

@@ -25,7 +25,6 @@
 #include <string>
 
 #include "common/result.hpp"
-#include "measures/dust.hpp"
 #include "measures/munich.hpp"
 #include "query/engine_context.hpp"
 #include "server/wire.hpp"
@@ -44,10 +43,8 @@ struct ServiceOptions {
   /// Prune-before-score index cascade shared by every engine.
   index::IndexOptions index;
 
-  /// DUST table construction parameters used for every resident.
-  measures::DustOptions dust;
-
-  /// MUNICH estimator configuration used for every resident.
+  /// MUNICH estimator configuration of every MUNICH request (τ excluded:
+  /// PRQ requests carry their own).
   measures::MunichOptions munich;
 
   /// Borrowed executor handed through to the context
@@ -146,10 +143,10 @@ class Service {
   /// the query index is out of range.
   Status Activate(const std::string& name, std::uint32_t query);
 
-  /// The shared uncertain engine for `measure` (Euclidean included), or a
-  /// Status explaining why the dataset cannot serve it.
-  Result<query::UncertainEngine*> AcquireFor(WireMeasure measure,
-                                             const std::string& dataset);
+  /// The shared uncertain engine with the state `measure` needs, or the
+  /// context's error (NotSupported, so kUnavailable on the wire, for
+  /// MUNICH on a dataset bound without a sample model).
+  Result<query::UncertainEngine*> AcquireFor(WireMeasure measure);
 
   ServiceOptions options_;
   query::EngineContext context_;

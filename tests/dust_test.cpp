@@ -328,14 +328,6 @@ TEST(DustDistanceTest, MixedErrorSeriesBuildsOneTablePerPair) {
   EXPECT_EQ(dust.CacheSize(), 3u);
 }
 
-TEST(DustDistanceTest, PrewarmPopulatesCache) {
-  Dust dust;
-  auto e1 = prob::MakeUniformError(0.5);
-  auto e2 = prob::MakeNormalError(0.5);
-  ASSERT_TRUE(dust.Prewarm(e1, e2).ok());
-  EXPECT_EQ(dust.CacheSize(), 1u);
-}
-
 TEST(DustDistanceTest, PointDustMatchesTableLookup) {
   Dust dust;
   auto err = prob::MakeNormalError(0.5);

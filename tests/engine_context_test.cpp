@@ -11,8 +11,9 @@
 //    fresh per-matcher engines, and bit-identical evaluation scores to
 //    solo per-matcher runs, at 1, 2 and 8 threads;
 //  * lazy caches — τ-sweep style rebinds to bit-identical data keep the
-//    packed engines; incompatible measure configurations are declined and
-//    fall back to the sequential scalar path;
+//    packed engines; data the engines cannot pack is refused at bind, and
+//    what can still fail (no sample model, an unusable spill dir) fails the
+//    acquisition instead of falling back;
 //  * bind fingerprint — equal content rebinds whatever the model objects,
 //    one changed point misses, and the decisions are the same at 1, 2 and
 //    8 threads;
@@ -286,7 +287,6 @@ TEST(EngineContextTest, SharedEngineQueriesMatchFreshEnginesBitwise) {
     fresh_options.threads = threads;
     fresh_options.seed = seed;
     fresh_options.proud_sigma = proud_sigma;
-    fresh_options.munich = Trio::MakeMunichOptions();
     measures::Dust fresh_dust_cache;
     auto fresh_dust = UncertainEngine::Create(pdf, fresh_options);
     ASSERT_TRUE(fresh_dust.ok());
@@ -303,11 +303,11 @@ TEST(EngineContextTest, SharedEngineQueriesMatchFreshEnginesBitwise) {
     context_options.threads = threads;
     EngineContext engines(context_options);
     ASSERT_TRUE(engines.BindData(pdf, samples, seed, proud_sigma).ok());
-    UncertainEngine* shared = engines.AcquireProud(proud_sigma);
-    ASSERT_NE(shared, nullptr);
-    ASSERT_EQ(engines.AcquireDust(measures::DustOptions{}), shared);
-    ASSERT_EQ(engines.AcquireMunich(Trio::MakeMunichOptions()), shared);
+    UncertainEngine* shared = engines.AcquireEuclidean().ValueOrDie();
+    ASSERT_EQ(engines.AcquireDust().ValueOrDie(), shared);
+    ASSERT_EQ(engines.AcquireMunich().ValueOrDie(), shared);
     EXPECT_EQ(engines.stats().pdf_packs, 1u);
+    const measures::MunichOptions munich = Trio::MakeMunichOptions();
 
     for (std::size_t q : {std::size_t{0}, std::size_t{7}}) {
       // DUST: dense sweep + RQ + k-NN.
@@ -337,76 +337,73 @@ TEST(EngineContextTest, SharedEngineQueriesMatchFreshEnginesBitwise) {
 
       // MUNICH: dense sweep + PRQ (counter-based pair seeds make the
       // Monte Carlo streams identical).
-      EXPECT_EQ(shared->MunichMatchProbabilities(q, epsilon).ValueOrDie(),
-                fresh_munich.ValueOrDie()
-                    ->MunichMatchProbabilities(q, epsilon)
-                    .ValueOrDie());
       EXPECT_EQ(
-          shared->ProbabilisticRangeSearchMunich(q, epsilon, tau)
+          shared->MunichMatchProbabilities(q, epsilon, munich).ValueOrDie(),
+          fresh_munich.ValueOrDie()
+              ->MunichMatchProbabilities(q, epsilon, munich)
+              .ValueOrDie());
+      EXPECT_EQ(
+          shared->ProbabilisticRangeSearchMunich(q, epsilon, tau, munich)
               .ValueOrDie(),
           fresh_munich.ValueOrDie()
-              ->ProbabilisticRangeSearchMunich(q, epsilon, tau)
+              ->ProbabilisticRangeSearchMunich(q, epsilon, tau, munich)
               .ValueOrDie());
     }
   }
 }
 
-// --- Declines and fallbacks --------------------------------------------------
+// --- Refusals ----------------------------------------------------------------
 
-TEST(EngineContextTest, IncompatibleMeasureConfigsAreDeclined) {
-  const ts::Dataset exact = MakeExact(12, 5, 13);
-  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
-  uncertain::UncertainDataset pdf = uncertain::PerturbDataset(exact, spec, 3);
-  uncertain::MultiSampleDataset samples = uncertain::PerturbDatasetMultiSample(
-      exact, spec, 3, 4);
+TEST(EngineContextTest, RaggedOrEmptySeriesDataIsRefusedAtBind) {
+  // The engines pack one row length: data they cannot pack is refused where
+  // it enters the context, and an unbound context serves no acquisition.
+  auto err = prob::MakeNormalError(0.5);
+  auto series = [&err](std::size_t length) {
+    return uncertain::UncertainSeries(
+        std::vector<double>(length, 1.0),
+        std::vector<prob::ErrorDistributionPtr>(length, err));
+  };
+  uncertain::UncertainDataset ragged, empty_series, empty;
+  ragged.series = {series(2), series(1)};
+  empty_series.series = {series(0), series(0)};
 
   EngineContext engines;
-  ASSERT_TRUE(engines.BindData(pdf, samples, 3, 0.5).ok());
-
-  // PROUD: a σ override differing from the bound run-level σ is declined.
-  EXPECT_NE(engines.AcquireProud(0.5), nullptr);
-  EXPECT_EQ(engines.AcquireProud(0.7), nullptr);
-
-  // DUST: a second configuration conflicting with the context's persistent
-  // table cache is declined.
-  EXPECT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
-  measures::DustOptions coarse;
-  coarse.table_size = 64;
-  EXPECT_EQ(engines.AcquireDust(coarse), nullptr);
-
-  // MUNICH: the first acquisition fixes the estimator config; τ may vary,
-  // anything else may not.
-  measures::MunichOptions first;
-  first.mc_samples = 200;
-  first.tau = 0.3;
-  EXPECT_NE(engines.AcquireMunich(first), nullptr);
-  measures::MunichOptions tau_only = first;
-  tau_only.tau = 0.9;
-  EXPECT_NE(engines.AcquireMunich(tau_only), nullptr);
-  measures::MunichOptions conflicting = first;
-  conflicting.mc_samples = 5000;
-  EXPECT_EQ(engines.AcquireMunich(conflicting), nullptr);
-
+  for (const auto* pdf : {&ragged, &empty_series, &empty}) {
+    EXPECT_EQ(engines.BindData(*pdf, std::nullopt, 1, 1.0).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engines.AddResident("r", *pdf, std::nullopt, 1, 1.0).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(engines.HasResident("r"));
+  EXPECT_EQ(engines.pdf(), nullptr);
+  EXPECT_EQ(engines.AcquireEuclidean().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engines.AcquireDust().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engines.AcquireMunich().status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(engines.stats().acquires_declined, 3u);
-  EXPECT_EQ(engines.stats().pdf_packs, 1u);
+  EXPECT_EQ(engines.stats().pdf_packs, 0u);
 }
 
-TEST(EngineContextTest, NonEngineShapedDataDeclinesWithoutCrashing) {
-  auto err = prob::MakeNormalError(0.5);
-  uncertain::UncertainDataset ragged;
-  ragged.series.emplace_back(
-      std::vector<double>{1.0, 2.0},
-      std::vector<prob::ErrorDistributionPtr>(2, err));
-  ragged.series.emplace_back(
-      std::vector<double>{1.0},
-      std::vector<prob::ErrorDistributionPtr>(1, err));
-
+TEST(EngineContextTest, MunichWithoutASampleModelIsNotSupported) {
+  const ts::Dataset exact = MakeExact(12, 5, 13);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
   EngineContext engines;
-  ASSERT_TRUE(engines.BindData(std::move(ragged), std::nullopt, 1, 1.0).ok());
-  EXPECT_EQ(engines.AcquireProud(1.0), nullptr);
-  EXPECT_EQ(engines.AcquireDust(measures::DustOptions{}), nullptr);
-  EXPECT_EQ(engines.AcquireMunich(measures::MunichOptions{}), nullptr);
-  EXPECT_EQ(engines.stats().pdf_packs, 0u);
+  ASSERT_TRUE(engines
+                  .BindData(uncertain::PerturbDataset(exact, spec, 3),
+                            std::nullopt, 3, 0.5)
+                  .ok());
+  EXPECT_EQ(engines.AcquireMunich().status().code(),
+            StatusCode::kNotSupported);
+  core::MunichMatcher munich;
+  EXPECT_EQ(munich.Bind(engines).code(), StatusCode::kNotSupported);
+  EXPECT_EQ(munich.Retrieve(0, 12, 1.0).status().code(),
+            StatusCode::kInvalidArgument);  // left unbound
+  // The other measures are served from the same engine.
+  EXPECT_TRUE(engines.AcquireDust().ok());
+  EXPECT_EQ(engines.stats().acquires_declined, 2u);
+  EXPECT_EQ(engines.stats().acquires_served, 1u);
 }
 
 // --- Unbound matcher regression ---------------------------------------------
@@ -451,13 +448,11 @@ TEST(EngineContextTest, ResidencyTableActivatesAndQueriesMultipleDatasets) {
   ASSERT_TRUE(engines.ActivateResident("a").ok());
   ASSERT_NE(engines.active_resident(), nullptr);
   EXPECT_EQ(*engines.active_resident(), "a");
-  UncertainEngine* dust_a = engines.AcquireDust(measures::DustOptions{});
-  ASSERT_NE(dust_a, nullptr);
+  UncertainEngine* dust_a = engines.AcquireDust().ValueOrDie();
   EXPECT_EQ(dust_a->DustDistances(0).ValueOrDie().size(), 10u);
 
   ASSERT_TRUE(engines.ActivateResident("b").ok());
-  UncertainEngine* dust_b = engines.AcquireDust(measures::DustOptions{});
-  ASSERT_NE(dust_b, nullptr);
+  UncertainEngine* dust_b = engines.AcquireDust().ValueOrDie();
   EXPECT_EQ(dust_b->DustDistances(0).ValueOrDie().size(), 6u);
 
   // Re-activating the already-active resident is dedup'd by the content
@@ -486,14 +481,12 @@ TEST(EngineContextTest, ResidentActivationMatchesDirectBindBitwise) {
 
   EngineContext direct{EngineContextOptions{}};
   ASSERT_TRUE(direct.BindData(pdf, std::nullopt, 9, 0.5).ok());
-  UncertainEngine* want = direct.AcquireDust(measures::DustOptions{});
-  ASSERT_NE(want, nullptr);
+  UncertainEngine* want = direct.AcquireDust().ValueOrDie();
 
   EngineContext resident{EngineContextOptions{}};
   ASSERT_TRUE(resident.AddResident("r", pdf, std::nullopt, 9, 0.5).ok());
   ASSERT_TRUE(resident.ActivateResident("r").ok());
-  UncertainEngine* got = resident.AcquireDust(measures::DustOptions{});
-  ASSERT_NE(got, nullptr);
+  UncertainEngine* got = resident.AcquireDust().ValueOrDie();
 
   for (std::size_t q = 0; q < 3; ++q) {
     const auto a = want->DustDistances(q);
@@ -517,8 +510,7 @@ TEST(EngineContextTest, DropActiveResidentClearsLabelButKeepsEnginesUsable) {
                                std::nullopt, 1, 0.4)
                   .ok());
   ASSERT_TRUE(engines.ActivateResident("live").ok());
-  UncertainEngine* dust = engines.AcquireDust(measures::DustOptions{});
-  ASSERT_NE(dust, nullptr);
+  UncertainEngine* dust = engines.AcquireDust().ValueOrDie();
   const auto before = dust->DustDistances(0);
   ASSERT_TRUE(before.ok());
 
@@ -527,7 +519,7 @@ TEST(EngineContextTest, DropActiveResidentClearsLabelButKeepsEnginesUsable) {
   EXPECT_FALSE(engines.HasResident("live"));
 
   // The bound engine outlives the table entry: same pointer, same answers.
-  EXPECT_EQ(engines.AcquireDust(measures::DustOptions{}), dust);
+  EXPECT_EQ(engines.AcquireDust().ValueOrDie(), dust);
   const auto after = dust->DustDistances(0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.ValueOrDie(), before.ValueOrDie());
@@ -546,7 +538,7 @@ TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
                                std::nullopt, 5, 0.5)
                   .ok());
   ASSERT_TRUE(engines.ActivateResident("r").ok());
-  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+  ASSERT_TRUE(engines.AcquireDust().ok());
   EXPECT_EQ(engines.stats().data_binds, 1u);
   EXPECT_EQ(engines.stats().pdf_packs, 1u);
 
@@ -568,7 +560,7 @@ TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
                                std::nullopt, 6, 0.5)
                   .ok());
   ASSERT_TRUE(engines.ActivateResident("r").ok());
-  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+  ASSERT_TRUE(engines.AcquireDust().ok());
   EXPECT_EQ(engines.stats().data_binds, 2u);
   EXPECT_EQ(engines.stats().data_rebind_hits, 1u);
   EXPECT_EQ(engines.stats().pdf_packs, 2u);
@@ -621,7 +613,7 @@ TEST(EngineContextTest, EqualContentRebindsWhateverTheModelObjects) {
   ASSERT_TRUE(
       engines.BindData(NormalPdf(exact, 0.5, true), std::nullopt, 3, 0.5)
           .ok());
-  ASSERT_NE(engines.AcquireProud(0.5), nullptr);
+  ASSERT_TRUE(engines.AcquireEuclidean().ok());
   ASSERT_EQ(engines.stats().pdf_packs, 1u);
 
   // Same observations and models by Key(), one model object per series.
@@ -630,7 +622,7 @@ TEST(EngineContextTest, EqualContentRebindsWhateverTheModelObjects) {
           .ok());
   EXPECT_EQ(engines.stats().data_rebind_hits, 1u);
   EXPECT_EQ(engines.stats().data_binds, 1u);
-  ASSERT_NE(engines.AcquireProud(0.5), nullptr);
+  ASSERT_TRUE(engines.AcquireEuclidean().ok());
   EXPECT_EQ(engines.stats().pdf_packs, 1u);
 }
 
@@ -743,44 +735,76 @@ ts::Dataset TieHeavy(std::size_t n, std::size_t len, std::uint64_t seed) {
   return d;
 }
 
-/// Per-query F1, precision and recall bits of an EuclideanMatcher bound to
-/// `pdf` through `engines` (null = no engine), scored like the runner: ε is
-/// the calibration distance to the k-th exact neighbour, then Retrieve.
-/// Also checks, per query, that the calibration candidate is retrieved and
-/// that Retrieve equals the Matches loop.
+constexpr std::size_t kNeighbours = 4;
+
+/// The kNeighbours nearest exact neighbours of `qi`, nearest first, ties by
+/// index: the runner's ground truth, whose last entry calibrates ε.
+std::vector<std::size_t> ExactNeighbours(const ts::Dataset& exact,
+                                         std::size_t qi) {
+  std::vector<Neighbor> truth;
+  for (std::size_t ci = 0; ci < exact.size(); ++ci) {
+    if (ci == qi) continue;
+    truth.push_back(
+        {ci, distance::Euclidean(exact[qi].values(), exact[ci].values())});
+  }
+  std::sort(truth.begin(), truth.end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              return a.distance != b.distance ? a.distance < b.distance
+                                              : a.index < b.index;
+            });
+  truth.resize(kNeighbours);
+  std::vector<std::size_t> relevant;
+  for (const Neighbor& nb : truth) relevant.push_back(nb.index);
+  return relevant;
+}
+
+/// Appends the F1, precision and recall bits of `retrieved`.
+void AppendScoreBits(const std::vector<std::size_t>& retrieved,
+                     const std::vector<std::size_t>& relevant,
+                     std::vector<std::uint64_t>& bits) {
+  const core::SetMetrics m = core::ComputeSetMetrics(retrieved, relevant);
+  for (double v : {m.f1, m.precision, m.recall}) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+}
+
+/// Per-query score bits of the scalar reference: ε is distance::Euclidean
+/// on the observations to the calibration neighbour, and a candidate
+/// matches when its distance is at most ε.
+std::vector<std::uint64_t> ReferenceScoreBits(
+    const ts::Dataset& exact, const uncertain::UncertainDataset& pdf) {
+  auto distance = [&pdf](std::size_t a, std::size_t b) {
+    return distance::Euclidean(pdf[a].observations(), pdf[b].observations());
+  };
+  std::vector<std::uint64_t> bits;
+  for (std::size_t qi = 0; qi < exact.size(); ++qi) {
+    const std::vector<std::size_t> relevant = ExactNeighbours(exact, qi);
+    const double eps = distance(qi, relevant.back());
+    std::vector<std::size_t> retrieved;
+    for (std::size_t ci = 0; ci < exact.size(); ++ci) {
+      if (ci != qi && distance(qi, ci) <= eps) retrieved.push_back(ci);
+    }
+    AppendScoreBits(retrieved, relevant, bits);
+  }
+  return bits;
+}
+
+/// The same bits from an EuclideanMatcher bound to `pdf` through
+/// `engines`, scored like the runner: ε is the calibration distance to the
+/// calibration neighbour, then Retrieve. Also checks, per query, that the
+/// calibration candidate is retrieved and that Retrieve equals the Matches
+/// loop.
 std::vector<std::uint64_t> EuclideanScoreBits(
     const ts::Dataset& exact, const uncertain::UncertainDataset& pdf,
-    EngineContext* engines) {
-  constexpr std::size_t kNeighbours = 4;
-  core::EvalContext context;
-  context.exact = &exact;
-  context.pdf = &pdf;
-  context.engines = engines;
-  if (engines != nullptr) {
-    EXPECT_TRUE(engines->BindData(pdf, std::nullopt, 1, 0.5).ok());
-    context.pdf = engines->pdf();
-  }
+    EngineContext& engines) {
+  EXPECT_TRUE(engines.BindData(pdf, std::nullopt, 1, 0.5).ok());
   core::EuclideanMatcher matcher;
-  EXPECT_TRUE(matcher.Bind(context).ok());
+  EXPECT_TRUE(matcher.Bind(engines).ok());
   const std::size_t n = exact.size();
   std::vector<std::uint64_t> bits;
   for (std::size_t qi = 0; qi < n; ++qi) {
-    std::vector<Neighbor> truth;
-    for (std::size_t ci = 0; ci < n; ++ci) {
-      if (ci == qi) continue;
-      truth.push_back(
-          {ci, distance::Euclidean(exact[qi].values(), exact[ci].values())});
-    }
-    std::sort(truth.begin(), truth.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.distance != b.distance ? a.distance < b.distance
-                                                : a.index < b.index;
-              });
-    truth.resize(kNeighbours);
-    std::vector<std::size_t> relevant;
-    for (const Neighbor& nb : truth) relevant.push_back(nb.index);
+    const std::vector<std::size_t> relevant = ExactNeighbours(exact, qi);
     const std::size_t calibration = relevant.back();
-
     const double eps = matcher.CalibrationDistance(qi, calibration).ValueOrDie();
     const std::vector<std::size_t> retrieved =
         matcher.Retrieve(qi, n, eps).ValueOrDie();
@@ -790,18 +814,16 @@ std::vector<std::uint64_t> EuclideanScoreBits(
     EXPECT_EQ(retrieved, matcher.core::Matcher::Retrieve(qi, n, eps)
                              .ValueOrDie())
         << "qi=" << qi;
-    const core::SetMetrics m = core::ComputeSetMetrics(retrieved, relevant);
-    for (double v : {m.f1, m.precision, m.recall}) {
-      bits.push_back(std::bit_cast<std::uint64_t>(v));
-    }
+    AppendScoreBits(retrieved, relevant, bits);
   }
   return bits;
 }
 
 TEST(EngineContextTest, EuclideanMatcherScoresEqualOnAndOffTheEngine) {
-  // The matcher's scalar path (no engine) against the shared engine at 1, 2
-  // and 8 threads and under forced scalar kernels, on exact ties and on
-  // perturbed random walks.
+  // The scalar reference (distance::Euclidean and the ε comparison)
+  // against the matcher on the shared engine at 1, 2 and 8 threads and
+  // under forced scalar kernels, on exact ties and on perturbed random
+  // walks.
   const ts::Dataset ties = TieHeavy(30, 12, 41);
   const ts::Dataset walks = RandomWalks(30, 24, 42).ZNormalizedCopy();
   const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
@@ -811,8 +833,7 @@ TEST(EngineContextTest, EuclideanMatcherScoresEqualOnAndOffTheEngine) {
   };
   for (const auto& [exact, pdf] : cases) {
     SCOPED_TRACE(exact->name());
-    const std::vector<std::uint64_t> want =
-        EuclideanScoreBits(*exact, pdf, nullptr);
+    const std::vector<std::uint64_t> want = ReferenceScoreBits(*exact, pdf);
     for (std::size_t threads : kThreadCounts) {
       for (auto simd : {distance::SimdMode::kAuto,
                         distance::SimdMode::kForceScalar}) {
@@ -823,7 +844,7 @@ TEST(EngineContextTest, EuclideanMatcherScoresEqualOnAndOffTheEngine) {
         options.threads = threads;
         options.simd = simd;
         EngineContext engines(options);
-        EXPECT_EQ(EuclideanScoreBits(*exact, pdf, &engines), want);
+        EXPECT_EQ(EuclideanScoreBits(*exact, pdf, engines), want);
         EXPECT_EQ(engines.stats().acquires_served, 1u);
         EXPECT_EQ(engines.stats().pdf_packs, 1u);
       }
@@ -875,11 +896,11 @@ TEST(EngineContextTest, DustTableCacheKeepsNoBoundDatasetsModels) {
                                  seed, 0.5)
                     .ok());
     ASSERT_TRUE(engines.ActivateResident(names.back()).ok());
-    ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+    ASSERT_TRUE(engines.AcquireDust().ok());
   }
   // Rebind an earlier resident, then drop them all and bind fresh data.
   ASSERT_TRUE(engines.ActivateResident(names[1]).ok());
-  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+  ASSERT_TRUE(engines.AcquireDust().ok());
   for (const std::string& name : names) {
     ASSERT_TRUE(engines.DropResident(name).ok());
   }
@@ -887,7 +908,7 @@ TEST(EngineContextTest, DustTableCacheKeepsNoBoundDatasetsModels) {
                   .BindData(uncertain::PerturbDataset(exact, spec, 99),
                             std::nullopt, 99, 0.5)
                   .ok());
-  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+  ASSERT_TRUE(engines.AcquireDust().ok());
 
   std::size_t alive = 0;
   for (const auto& model : models) alive += model.expired() ? 0 : 1;

@@ -171,6 +171,42 @@ TEST(RunSimilarityMatchingTest, ProudSigmaOverride) {
   ASSERT_TRUE(results.ok());
 }
 
+TEST(RunSimilarityMatchingTest, SuppliedContextMustMatchForceScalar) {
+  // A supplied context runs the kernels it was built with, so a run must
+  // not take one built for another SIMD mode than it asks for.
+  const ts::Dataset d = SmallDataset();
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.6);
+  for (const bool force_scalar : {true, false}) {
+    SCOPED_TRACE(force_scalar ? "force_scalar" : "native");
+    const distance::SimdMode asked = force_scalar
+                                         ? distance::SimdMode::kForceScalar
+                                         : distance::SimdMode::kAuto;
+    const distance::SimdMode other = force_scalar
+                                         ? distance::SimdMode::kAuto
+                                         : distance::SimdMode::kForceScalar;
+    RunOptions options = QuickOptions();
+    options.force_scalar = force_scalar;
+    EuclideanMatcher euclid;
+    Matcher* matchers[] = {&euclid};
+
+    query::EngineContextOptions mismatched_options;
+    mismatched_options.simd = other;
+    query::EngineContext mismatched(mismatched_options);
+    options.engine_context = &mismatched;
+    auto refused = RunSimilarityMatching(d, spec, matchers, options);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(mismatched.stats().data_binds, 0u);
+
+    query::EngineContextOptions matching_options;
+    matching_options.simd = asked;
+    query::EngineContext matching(matching_options);
+    options.engine_context = &matching;
+    auto run = RunSimilarityMatching(d, spec, matchers, options);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(matching.stats().data_binds, 1u);
+  }
+}
+
 // ------------------------------------------------------------------- sweep
 
 TEST(SweepTauTest, FindsBestTauOnGrid) {
@@ -282,22 +318,6 @@ TEST(SweepTauTest, ScoreOnceEqualsPerTauLoopOnTheProudEngine) {
   }
 }
 
-TEST(SweepTauTest, ScoreOnceEqualsPerTauLoopWhenTheEngineDeclines) {
-  // PROUD told σ = 0.7 while the run's σ is 0.6: the shared engine is
-  // declined and the matcher decides through the scalar path.
-  const ts::Dataset d = SmallDataset();
-  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.6);
-  query::EngineContextOptions context_options;
-  context_options.threads = 2;
-  query::EngineContext context(context_options);
-  RunOptions options = QuickOptions();
-  options.threads = 2;
-  options.engine_context = &context;
-  ProudMatcher fast(0.5, 0.7), slow(0.5, 0.7);
-  ExpectSweepEqualsReference(d, spec, fast, slow, options, DefaultTauGrid());
-  EXPECT_GT(context.stats().acquires_declined, 0u);
-}
-
 TEST(SweepTauTest, ScoreOnceEqualsPerTauLoopForMunich) {
   const ts::Dataset d = SmallDataset().Truncated(12, 6).ValueOrDie();
   const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
@@ -403,9 +423,9 @@ TEST(MatcherTest, TauAccessors) {
 }
 
 TEST(MatcherTest, MatchersRequireBinding) {
-  // Calling Bind with an incomplete context fails cleanly.
+  // Binding to a context without bound data fails cleanly.
+  query::EngineContext empty;
   EuclideanMatcher euclid;
-  EvalContext empty;
   EXPECT_FALSE(euclid.Bind(empty).ok());
   MunichMatcher munich;
   EXPECT_FALSE(munich.Bind(empty).ok());
@@ -433,11 +453,8 @@ TEST(MatcherTest, ProudWaveletTauBelowHalfIsAnErrorNotAStaleTau) {
   const ts::Dataset d = SmallDataset();
   const uncertain::UncertainDataset pdf = uncertain::PerturbDataset(
       d, ErrorSpec::Constant(ErrorKind::kNormal, 0.5), 3);
-  EvalContext context;
-  context.exact = &d;
-  context.pdf = &pdf;
-  context.reported_sigma = 0.5;
-  context.seed = 3;
+  query::EngineContext context;
+  ASSERT_TRUE(context.BindData(pdf, std::nullopt, 3, 0.5).ok());
 
   ProudSynopsisMatcherAdapter too_low(0.3, 8);
   EXPECT_EQ(too_low.Bind(context).code(), StatusCode::kInvalidArgument);
@@ -480,43 +497,34 @@ TEST(MatcherTest, ProudTauOutsideTheOpenUnitIntervalIsAnError) {
       d, ErrorSpec::Constant(ErrorKind::kNormal, 0.5), 3);
   query::EngineContext engines;
   ASSERT_TRUE(engines.BindData(pdf, std::nullopt, 3, 0.5).ok());
-  for (const bool use_engine : {false, true}) {
-    EvalContext context;
-    context.exact = &d;
-    context.pdf = use_engine ? engines.pdf() : &pdf;
-    context.reported_sigma = 0.5;
-    context.seed = 3;
-    context.engines = use_engine ? &engines : nullptr;
 
-    for (const double tau :
-         {0.0, 1.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
-      ProudMatcher bad(tau);
-      EXPECT_EQ(bad.Bind(context).code(), StatusCode::kInvalidArgument)
-          << tau;
-    }
-
-    ProudMatcher proud(0.8);
-    ASSERT_TRUE(proud.Bind(context).ok());
-    const double eps = proud.CalibrationDistance(0, 5).ValueOrDie();
-    const std::size_t n = pdf.size();
-    const auto at_08 = proud.Retrieve(0, n, eps).ValueOrDie();
-    const bool match_08 = proud.Matches(0, 1, eps).ValueOrDie();
-
-    proud.set_tau(1.0);
-    EXPECT_EQ(proud.tau(), 1.0);
-    EXPECT_EQ(proud.Matches(0, 1, eps).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(proud.Retrieve(0, n, eps).status().code(),
-              StatusCode::kInvalidArgument);
-    const std::vector<double> taus = {0.8, 1.0};
-    EXPECT_EQ(proud.RetrieveEachTau(0, n, eps, taus).status().code(),
-              StatusCode::kInvalidArgument);
-
-    // A valid τ restores the original answer.
-    proud.set_tau(0.8);
-    EXPECT_EQ(proud.Retrieve(0, n, eps).ValueOrDie(), at_08);
-    EXPECT_EQ(proud.Matches(0, 1, eps).ValueOrDie(), match_08);
+  for (const double tau :
+       {0.0, 1.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    ProudMatcher bad(tau);
+    EXPECT_EQ(bad.Bind(engines).code(), StatusCode::kInvalidArgument) << tau;
   }
+
+  ProudMatcher proud(0.8);
+  ASSERT_TRUE(proud.Bind(engines).ok());
+  const double eps = proud.CalibrationDistance(0, 5).ValueOrDie();
+  const std::size_t n = pdf.size();
+  const auto at_08 = proud.Retrieve(0, n, eps).ValueOrDie();
+  const bool match_08 = proud.Matches(0, 1, eps).ValueOrDie();
+
+  proud.set_tau(1.0);
+  EXPECT_EQ(proud.tau(), 1.0);
+  EXPECT_EQ(proud.Matches(0, 1, eps).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(proud.Retrieve(0, n, eps).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<double> taus = {0.8, 1.0};
+  EXPECT_EQ(proud.RetrieveEachTau(0, n, eps, taus).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A valid τ restores the original answer.
+  proud.set_tau(0.8);
+  EXPECT_EQ(proud.Retrieve(0, n, eps).ValueOrDie(), at_08);
+  EXPECT_EQ(proud.Matches(0, 1, eps).ValueOrDie(), match_08);
   EXPECT_GT(engines.stats().acquires_served, 0u);
 }
 
@@ -670,50 +678,99 @@ void Add(MatcherSet& set, Args&&... args) {
   set.push_back(std::make_unique<T>(std::forward<Args>(args)...));
 }
 
+TEST(MatcherTest, IndicesOutsideTheBindingAreInvalidArgument) {
+  // 30 bound series: index 30 lies past the packed rows. Every matcher
+  // refuses it instead of reading past its data, and the engine matchers,
+  // whose sweeps cover every bound series, refuse any other candidate
+  // count.
+  const ts::Dataset d = SmallDataset().Truncated(30, 8).ValueOrDie();
+  const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  query::EngineContext engines;
+  ASSERT_TRUE(engines
+                  .BindData(uncertain::PerturbDataset(d, spec, 3),
+                            uncertain::PerturbDatasetMultiSample(d, spec, 3, 4),
+                            3, 0.5)
+                  .ok());
+  MatcherSet on_engine;
+  Add<EuclideanMatcher>(on_engine);
+  Add<ProudMatcher>(on_engine, 0.8);
+  Add<DustMatcher>(on_engine);
+  Add<MunichMatcher>(on_engine);
+  MatcherSet others;
+  Add<ProudSynopsisMatcherAdapter>(others, 0.8, 8);
+  Add<DustDtwMatcher>(others);
+  Add<MunichDtwMatcher>(others);
+  others.push_back(MakeUmaMatcher());
+  Add<DtwMatcher>(others);
+  Add<Ar1SmootherMatcher>(others);
+
+  const std::size_t n = 30;
+  const double eps = 1e9;
+  const std::vector<double> taus = {0.5};
+  auto code = [](const auto& result) { return result.status().code(); };
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+  for (const MatcherSet* set : {&on_engine, &others}) {
+    for (const auto& matcher : *set) {
+      SCOPED_TRACE(matcher->name());
+      ASSERT_TRUE(matcher->Bind(engines).ok());
+      EXPECT_EQ(code(matcher->CalibrationDistance(0, n)), kInvalid);
+      EXPECT_EQ(code(matcher->CalibrationDistance(n, 0)), kInvalid);
+      EXPECT_EQ(code(matcher->Matches(0, n, eps)), kInvalid);
+      EXPECT_EQ(code(matcher->Matches(n, 0, eps)), kInvalid);
+      EXPECT_EQ(code(matcher->Retrieve(0, n + 1, eps)), kInvalid);
+      EXPECT_EQ(code(matcher->Retrieve(n, n, eps)), kInvalid);
+      if (matcher->has_tau()) {
+        EXPECT_EQ(code(matcher->RetrieveEachTau(0, n + 1, eps, taus)),
+                  kInvalid);
+        EXPECT_EQ(code(matcher->RetrieveEachTau(n, n, eps, taus)), kInvalid);
+      }
+      if (set == &on_engine) {
+        EXPECT_EQ(code(matcher->Retrieve(0, n - 1, eps)), kInvalid);
+      }
+      EXPECT_TRUE(matcher->Retrieve(0, n, eps).ok());
+    }
+  }
+}
+
 TEST(RunnerThreadParityTest, EuclideanProudAndDust) {
   const ts::Dataset d = SmallDataset();
   RunOptions options = QuickOptions();
   options.max_queries = 0;
-  measures::DustOptions other_dust;
-  other_dust.table_size = 1024;
   const std::size_t declined = ExpectRunParity(
       d, ErrorSpec::Constant(ErrorKind::kNormal, 0.6), options, [&] {
         MatcherSet set;
         Add<EuclideanMatcher>(set);
         Add<ProudMatcher>(set, 0.5);
-        Add<ProudMatcher>(set, 0.5, 0.7);  // σ override: engine declined
         Add<ProudSynopsisMatcherAdapter>(set, 0.8, 8);
         Add<DustMatcher>(set);
-        Add<DustMatcher>(set, other_dust);  // second config: declined
         return set;
       });
-  EXPECT_EQ(declined, 2u);
+  EXPECT_EQ(declined, 0u);
 }
 
 TEST(RunnerThreadParityTest, DustScalarPathsShareOneTableCache) {
-  // Several error classes and numerically integrated tables: the declined
-  // DUST matcher and DUST-DTW look tables up (DUST-DTW builds them) from
-  // every worker through one measures::Dust cache each.
+  // Several error classes and numerically integrated tables: DUST-DTW
+  // looks tables up (and builds them) from every worker through its one
+  // measures::Dust cache, beside DUST on the shared engine's tables.
   const ts::Dataset d = SmallDataset().Truncated(16, 24).ValueOrDie();
   RunOptions options = QuickOptions();
   options.ground_truth_k = 3;
   options.max_queries = 0;
   measures::DustOptions dust;
   dust.table_size = 128;
-  measures::DustOptions other_dust = dust;
-  other_dust.table_size = 96;
   const std::size_t declined = ExpectRunParity(
       d, ErrorSpec::MixedSigma(ErrorKind::kUniform), options, [&] {
         MatcherSet set;
-        Add<DustMatcher>(set, dust);
-        Add<DustMatcher>(set, other_dust);
+        Add<DustMatcher>(set);
         Add<DustDtwMatcher>(set, dust);
         return set;
       });
-  EXPECT_EQ(declined, 1u);
+  EXPECT_EQ(declined, 0u);
 }
 
 TEST(RunnerThreadParityTest, MunichAndMunichDtw) {
+  // Two MUNICH estimator configurations share the one engine: each query
+  // runs the estimator of the matcher that asks.
   const ts::Dataset d = SmallDataset().Truncated(12, 6).ValueOrDie();
   RunOptions options = QuickOptions();
   options.ground_truth_k = 3;
@@ -725,11 +782,11 @@ TEST(RunnerThreadParityTest, MunichAndMunichDtw) {
       d, ErrorSpec::Constant(ErrorKind::kNormal, 0.5), options, [&] {
         MatcherSet set;
         Add<MunichMatcher>(set);
-        Add<MunichMatcher>(set, cheap);  // second config: declined
+        Add<MunichMatcher>(set, cheap);
         Add<MunichDtwMatcher>(set, cheap);
         return set;
       });
-  EXPECT_EQ(declined, 1u);
+  EXPECT_EQ(declined, 0u);
 }
 
 TEST(RunnerThreadParityTest, FilteredSmoothedAndDtw) {
@@ -780,16 +837,17 @@ TEST(RunnerThreadParityTest, SweepTauProudAndWavelet) {
   ExpectSweepParity(
       d, spec, options, [] { return std::make_unique<ProudMatcher>(0.5); },
       DefaultTauGrid());
+  // PROUD told a σ other than the data's.
+  RunOptions told = options;
+  told.proud_sigma = 0.7;
   ExpectSweepParity(
-      d, spec, options,
-      [] { return std::make_unique<ProudMatcher>(0.5, 0.7); },
+      d, spec, told, [] { return std::make_unique<ProudMatcher>(0.5); },
       DefaultTauGrid());
   // Told a small σ, so the τ >= 0.5 grid the prune allows discriminates.
+  told.proud_sigma = 0.1;
   ExpectSweepParity(
-      d, spec, options,
-      [] {
-        return std::make_unique<ProudSynopsisMatcherAdapter>(0.8, 8, 0.1);
-      },
+      d, spec, told,
+      [] { return std::make_unique<ProudSynopsisMatcherAdapter>(0.8, 8); },
       {0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999});
 }
 
@@ -819,8 +877,8 @@ class FailingMatcher final : public Matcher {
       : name_(std::move(name)), fail_from_(fail_from) {}
 
   std::string name() const override { return name_; }
-  Status Bind(const EvalContext& context) override {
-    return inner_.Bind(context);
+  Status Bind(query::EngineContext& engines) override {
+    return inner_.Bind(engines);
   }
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override {
     {

@@ -342,7 +342,9 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
                       pdf, PagedUncertainOptions(1, false, nullptr))
                       .ValueOrDie();
   ASSERT_TRUE(resident->AttachSamples(samples).ok());
-  const auto probs = resident->MunichMatchProbabilities(0, 4.0).ValueOrDie();
+  const measures::MunichOptions munich{};
+  const auto probs =
+      resident->MunichMatchProbabilities(0, 4.0, munich).ValueOrDie();
 
   for (std::size_t threads : kThreadCounts) {
     auto pool = MakePool(2 * kBlockBytes);
@@ -350,7 +352,7 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
                      pdf, PagedUncertainOptions(threads, false, pool))
                      .ValueOrDie();
     ASSERT_TRUE(paged->AttachSamples(samples).ok());
-    const auto paged_probs = paged->MunichMatchProbabilities(0, 4.0)
+    const auto paged_probs = paged->MunichMatchProbabilities(0, 4.0, munich)
                                  .ValueOrDie();
     ASSERT_EQ(probs.size(), paged_probs.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
@@ -379,6 +381,32 @@ TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   const query::DistanceMatrixEngine* certain = context.Certain(d).ValueOrDie();
   ExpectSameNeighbors(expected, certain->KNearestEuclidean(0, 10));
   EXPECT_GT(pool->stats().admits, 0u);
+}
+
+TEST(OutOfCoreContextTest, UnusableSpillDirFailsInsteadOfDroppingTheBudget) {
+  // A budget whose spill log cannot be created must not quietly turn into
+  // fully-resident stores: the certain engine and the acquisitions fail
+  // with the spill log's error, and nothing is packed.
+  const ts::Dataset d = GaussianDataset(kSeries, kLength, 32);
+  query::EngineContextOptions options;
+  options.memory_budget_bytes = 64 * 1024;
+  options.spill_dir = "/nonexistent/spill";
+  query::EngineContext context(options);
+  EXPECT_EQ(context.buffer_pool(), nullptr);
+  EXPECT_EQ(context.Certain(d).status().code(), StatusCode::kIOError);
+
+  const auto spec =
+      uncertain::ErrorSpec::Constant(prob::ErrorKind::kNormal, 0.5);
+  ASSERT_TRUE(context
+                  .BindData(uncertain::PerturbDataset(d, spec, 33),
+                            std::nullopt, 33, 0.5)
+                  .ok());
+  EXPECT_EQ(context.AcquireEuclidean().status().code(), StatusCode::kIOError);
+  EXPECT_EQ(context.AcquireDust().status().code(), StatusCode::kIOError);
+  EXPECT_EQ(context.stats().buffer_pools_created, 0u);
+  EXPECT_EQ(context.stats().certain_packs, 0u);
+  EXPECT_EQ(context.stats().pdf_packs, 0u);
+  EXPECT_EQ(context.stats().acquires_declined, 2u);
 }
 
 }  // namespace

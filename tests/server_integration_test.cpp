@@ -656,6 +656,42 @@ TEST(ServerIntegration, MalformedBindsAndQueriesFailOverTheWire) {
   server->Stop();
 }
 
+TEST(ServerIntegration, MunichWithoutSampleModelIsUnavailableOverTheWire) {
+  // A dataset bound with samples_per_point = 0 has no sample model, so
+  // every MUNICH request on it answers kUnavailable, while the other
+  // measures keep serving it over the same connection.
+  ServerOptions options;
+  options.unix_socket_path = SocketPath("unavailable");
+  options.service = MakeServiceOptions(1);
+  auto server_or = Server::Start(options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).ValueOrDie();
+
+  Client::Options copts;
+  copts.unix_socket_path = options.unix_socket_path;
+  copts.token = 10;
+  auto client_or = Client::Connect(copts);
+  ASSERT_TRUE(client_or.ok());
+  auto client = std::move(client_or).ValueOrDie();
+  ASSERT_TRUE(client->Bind(MakeBind("v", MakeExact(12, 16, 6), 0)).ok());
+
+  auto expect_unavailable = [&](const Status& status, const char* what) {
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_EQ(client->last_error().code, WireError::kUnavailable) << what;
+    EXPECT_NE(client->last_error().message.find("sample model"),
+              std::string::npos)
+        << client->last_error().message;
+  };
+  const QueryRequest munich = MakeQuery(WireMeasure::kMunich, 3, 1.0, 0.5);
+  expect_unavailable(client->Knn(munich).status(), "knn");
+  expect_unavailable(client->Prq(munich).status(), "prq");
+  expect_unavailable(client->MeasureSweep(munich).status(), "sweep");
+
+  auto proud = client->Prq(MakeQuery(WireMeasure::kProud, 3, 1.0, 0.5));
+  ASSERT_TRUE(proud.ok()) << proud.status().ToString();
+  server->Stop();
+}
+
 TEST(ServerIntegration, ServiceRejectsMalformedBinds) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();

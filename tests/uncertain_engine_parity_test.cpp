@@ -440,12 +440,11 @@ TEST(UncertainEngineParityTest, MunichSweepMatchesScalarCounterSeeds) {
         ReferenceMunichProbabilities(f, mopts, 0xfeed, 4, 2.5);
     for (std::size_t threads : kThreadCounts) {
       UncertainEngineOptions options = SmallChunkOptions(threads);
-      options.munich = mopts;
       options.seed = 0xfeed;
       auto engine = UncertainEngine::Create(f.pdf, options);
       ASSERT_TRUE(engine.ok());
       ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
-      auto got = engine.ValueOrDie()->MunichMatchProbabilities(4, 2.5);
+      auto got = engine.ValueOrDie()->MunichMatchProbabilities(4, 2.5, mopts);
       ASSERT_TRUE(got.ok());
       for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got.ValueOrDie()[i], want[i])  // bitwise
@@ -470,17 +469,16 @@ TEST(UncertainEngineParityTest, MunichPrqAndKnnMatchReference) {
   const auto want_knn = ReferenceKNearestDescending(probs, 0, 8);
   for (std::size_t threads : kThreadCounts) {
     UncertainEngineOptions options = SmallChunkOptions(threads);
-    options.munich = mopts;
     auto engine = UncertainEngine::Create(f.pdf, options);
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
     EXPECT_EQ(engine.ValueOrDie()
-                  ->ProbabilisticRangeSearchMunich(0, epsilon, tau)
+                  ->ProbabilisticRangeSearchMunich(0, epsilon, tau, mopts)
                   .ValueOrDie(),
               want_prq)
         << "threads=" << threads;
     ExpectNeighborsIdentical(
-        engine.ValueOrDie()->KNearestMunich(0, epsilon, 8).ValueOrDie(),
+        engine.ValueOrDie()->KNearestMunich(0, epsilon, 8, mopts).ValueOrDie(),
         want_knn);
   }
 }
@@ -495,7 +493,8 @@ TEST(UncertainEngineParityTest, MunichDegenerateSamplesDecideByBounds) {
     auto engine = UncertainEngine::Create(f.pdf, options);
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
-    auto probs = engine.ValueOrDie()->MunichMatchProbabilities(1, 1.5);
+    auto probs = engine.ValueOrDie()->MunichMatchProbabilities(
+        1, 1.5, measures::MunichOptions{});
     ASSERT_TRUE(probs.ok());
     const auto want = ReferenceMunichProbabilities(
         f, measures::MunichOptions{}, 0x5eed, 1, 1.5);

@@ -750,8 +750,10 @@ void BM_DustScanEngineClosedForm(benchmark::State& state) {
   measures::Dust dust;
   auto engine = query::UncertainEngine::Create(d).ValueOrDie();
   if (!engine->BuildDustTables(dust).ok()) state.SkipWithError("table build");
+  const query::Query sweep{.measure = query::Measure::kDust,
+                           .kind = query::QueryKind::kSweep};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->DustDistances(0));
+    benchmark::DoNotOptimize(engine->Answer(sweep));
   }
   state.SetItemsProcessed(state.iterations() * n * len);
 }
@@ -781,8 +783,10 @@ void BM_DustScanEngineLookup(benchmark::State& state) {
   measures::Dust dust;
   auto engine = query::UncertainEngine::Create(d).ValueOrDie();
   if (!engine->BuildDustTables(dust).ok()) state.SkipWithError("table build");
+  const query::Query sweep{.measure = query::Measure::kDust,
+                           .kind = query::QueryKind::kSweep};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->DustDistances(0));
+    benchmark::DoNotOptimize(engine->Answer(sweep));
   }
   state.SetItemsProcessed(state.iterations() * n * len);
 }
@@ -813,8 +817,11 @@ void BM_ProudScanEngineMomentBatch(benchmark::State& state) {
   query::UncertainEngineOptions options;
   options.proud_sigma = 0.5;
   auto engine = query::UncertainEngine::Create(d, options).ValueOrDie();
+  const query::Query sweep{.measure = query::Measure::kProud,
+                           .kind = query::QueryKind::kSweep,
+                           .epsilon = 8.0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->ProudMatchProbabilities(0, 8.0));
+    benchmark::DoNotOptimize(engine->Answer(sweep));
   }
   state.SetItemsProcessed(state.iterations() * n * len);
 }
@@ -838,9 +845,10 @@ void BM_MunichBoundsFromColumns(benchmark::State& state) {
   // filter alone (certain-reject for all candidates).
   auto engine = query::UncertainEngine::Create(pdf, options).ValueOrDie();
   if (!engine->AttachSamples(samples).ok()) state.SkipWithError("attach");
+  const query::Query sweep{.measure = query::Measure::kMunich,
+                           .kind = query::QueryKind::kSweep};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine->MunichMatchProbabilities(0, 0.0, measures::MunichOptions{}));
+    benchmark::DoNotOptimize(engine->Answer(sweep));
   }
   state.SetItemsProcessed(state.iterations() * n * len);
 }

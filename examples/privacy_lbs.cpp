@@ -118,8 +118,12 @@ int main() {
   for (std::size_t t = 0; t < kTargets; ++t) {
     const std::size_t target = t * 7;  // spread across archetypes
     const auto truth = truth_engine.KNearestEuclidean(target, kWanted);
+    if (!truth.ok()) {
+      std::fprintf(stderr, "%s\n", truth.status().ToString().c_str());
+      return 1;
+    }
     std::vector<std::size_t> relevant;
-    for (const auto& nb : truth) relevant.push_back(nb.index);
+    for (const auto& nb : truth.ValueOrDie()) relevant.push_back(nb.index);
 
     for (Row& row : rows) {
       const auto& view = *row.view;

@@ -102,9 +102,14 @@ int main() {
   // Ground truth for reference: who is ACTUALLY similar (exact values)?
   ts::Dataset with_query = history;
   with_query.Add(today_exact);
-  const auto truth = query::DistanceMatrixEngine::Create(with_query)
-                         .ValueOrDie()
-                         .KNearestEuclidean(with_query.size() - 1, 10);
+  auto nearest = query::DistanceMatrixEngine::Create(with_query)
+                     .ValueOrDie()
+                     .KNearestEuclidean(with_query.size() - 1, 10);
+  if (!nearest.ok()) {
+    std::fprintf(stderr, "%s\n", nearest.status().ToString().c_str());
+    return 1;
+  }
+  const auto truth = std::move(nearest).ValueOrDie();
 
   // ---------------------------------------------------------------- PROUD
   // Probabilistic range query: episodes within ε with probability >= τ.

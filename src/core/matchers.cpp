@@ -73,6 +73,19 @@ double ObservationDistance(const uncertain::UncertainDataset& pdf,
   return distance::Euclidean(pdf[qi].observations(), pdf[ci].observations());
 }
 
+/// The engine's `measure` score of the pair (qi, ci): the value its scans
+/// compare, so an ε taken from it keeps `ci` in range.
+Result<double> EngineScore(const query::UncertainEngine& engine,
+                           query::Measure measure, std::size_t qi,
+                           std::size_t ci) {
+  UTS_ASSIGN_OR_RETURN(const query::QueryAnswer answer,
+                       engine.Answer({.measure = measure,
+                                      .kind = query::QueryKind::kScore,
+                                      .query = qi,
+                                      .candidate = ci}));
+  return answer.scores.front();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Euclidean
@@ -81,14 +94,14 @@ Status EuclideanMatcher::Bind(query::EngineContext& engines) {
   // The run's shared engine: ε and the range scan come from one kernel (the
   // AVX2 Euclidean kernel is not bitwise the scalar one).
   engine_ = nullptr;  // unbound unless the acquisition succeeds
-  UTS_ASSIGN_OR_RETURN(engine_, engines.AcquireEuclidean());
+  UTS_ASSIGN_OR_RETURN(engine_, engines.Acquire(query::Measure::kEuclidean));
   return Status::OK();
 }
 
 Result<double> EuclideanMatcher::CalibrationDistance(std::size_t qi,
                                                      std::size_t ci) {
   UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "Euclidean"));
-  return engine_->EuclideanDistance(qi, ci);
+  return EngineScore(*engine_, query::Measure::kEuclidean, qi, ci);
 }
 
 Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -102,7 +115,12 @@ Result<std::vector<std::size_t>> EuclideanMatcher::Retrieve(std::size_t qi,
                                                             std::size_t n,
                                                             double epsilon) {
   UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "Euclidean"));
-  return engine_->RangeSearchEuclidean(qi, epsilon);
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       engine_->Answer({.measure = query::Measure::kEuclidean,
+                                        .kind = query::QueryKind::kRange,
+                                        .query = qi,
+                                        .epsilon = epsilon}));
+  return std::move(answer.matches.front());
 }
 
 // -------------------------------------------------------------------- PROUD
@@ -113,7 +131,7 @@ Status ProudMatcher::Bind(query::EngineContext& engines) {
   // Constant-σ PROUD needs no measure state: the shared engine's kernels
   // run at the bound run's σ, the one this matcher is told.
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       engines.AcquireEuclidean());
+                       engines.Acquire(query::Measure::kProud));
   measures::ProudOptions options;
   options.tau = tau_;
   options.sigma = engines.proud_sigma();
@@ -150,17 +168,23 @@ Result<bool> ProudMatcher::Matches(std::size_t qi, std::size_t ci,
 Result<std::vector<std::size_t>> ProudMatcher::Retrieve(std::size_t qi,
                                                         std::size_t n,
                                                         double epsilon) {
-  UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "PROUD"));
-  UTS_RETURN_NOT_OK(RequireProudTau(tau_));
-  return engine_->ProbabilisticRangeSearchProud(qi, epsilon, tau_);
+  UTS_ASSIGN_OR_RETURN(auto each,
+                       RetrieveEachTau(qi, n, epsilon, std::span(&tau_, 1)));
+  return std::move(each.front());
 }
 
 Result<std::vector<std::vector<std::size_t>>> ProudMatcher::RetrieveEachTau(
     std::size_t qi, std::size_t n, double epsilon,
     std::span<const double> taus) {
   UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "PROUD"));
-  for (double tau : taus) UTS_RETURN_NOT_OK(RequireProudTau(tau));
-  return engine_->ProbabilisticRangeSearchProud(qi, epsilon, taus);
+  UTS_ASSIGN_OR_RETURN(
+      query::QueryAnswer answer,
+      engine_->Answer({.measure = query::Measure::kProud,
+                       .kind = query::QueryKind::kPrq,
+                       .query = qi,
+                       .epsilon = epsilon,
+                       .taus = std::vector<double>(taus.begin(), taus.end())}));
+  return std::move(answer.matches);
 }
 
 // ----------------------------------------------------------- PROUD-wavelet
@@ -248,14 +272,14 @@ Status DustMatcher::Bind(query::EngineContext& engines) {
   // reuses them instead of re-running the numeric integration, and they
   // are immutable afterwards — thread-shared by the parallel sweeps.
   engine_ = nullptr;  // unbound unless the acquisition succeeds
-  UTS_ASSIGN_OR_RETURN(engine_, engines.AcquireDust());
+  UTS_ASSIGN_OR_RETURN(engine_, engines.Acquire(query::Measure::kDust));
   return Status::OK();
 }
 
 Result<double> DustMatcher::CalibrationDistance(std::size_t qi,
                                                 std::size_t ci) {
   UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "DUST"));
-  return engine_->DustDistance(qi, ci);
+  return EngineScore(*engine_, query::Measure::kDust, qi, ci);
 }
 
 Result<bool> DustMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -269,7 +293,12 @@ Result<std::vector<std::size_t>> DustMatcher::Retrieve(std::size_t qi,
                                                        std::size_t n,
                                                        double epsilon) {
   UTS_RETURN_NOT_OK(RequireSweep(engine_, qi, n, "DUST"));
-  return engine_->RangeSearchDust(qi, epsilon);
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       engine_->Answer({.measure = query::Measure::kDust,
+                                        .kind = query::QueryKind::kRange,
+                                        .query = qi,
+                                        .epsilon = epsilon}));
+  return std::move(answer.matches.front());
 }
 
 // ----------------------------------------------------------------- DUST-DTW
@@ -297,7 +326,7 @@ Result<bool> DustDtwMatcher::Matches(std::size_t qi, std::size_t ci,
 Status MunichMatcher::Bind(query::EngineContext& engines) {
   engine_ = nullptr;  // unbound unless the acquisition succeeds
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       engines.AcquireMunich());
+                       engines.Acquire(query::Measure::kMunich));
   engine_ = engine;
   pdf_ = engines.pdf();
   samples_ = engines.samples();
@@ -364,11 +393,14 @@ Result<const std::vector<double>*> MunichMatcher::Probabilities(
   // One estimator sweep fills the whole row; per-pair counter seeds make
   // it bit-identical to the Matches estimates, so entries already present
   // are overwritten with the same values.
-  UTS_ASSIGN_OR_RETURN(
-      const std::vector<double> swept,
-      engine_->MunichMatchProbabilities(qi, epsilon, munich_.options()));
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer swept,
+                       engine_->Answer({.measure = query::Measure::kMunich,
+                                        .kind = query::QueryKind::kSweep,
+                                        .query = qi,
+                                        .epsilon = epsilon,
+                                        .munich = munich_.options()}));
   for (std::size_t ci = 0; ci < n; ++ci) {
-    if (ci != qi) p[ci] = swept[ci];
+    if (ci != qi) p[ci] = swept.scores[ci];
   }
   return &p;
 }

@@ -18,7 +18,7 @@ bool NeighborLess(const query::Neighbor& a, const query::Neighbor& b) {
 
 }  // namespace
 
-std::vector<query::Neighbor> CascadeKNearest(
+Result<std::vector<query::Neighbor>> CascadeKNearest(
     std::span<const double> lower_bounds, std::size_t exclude, std::size_t k,
     const ExactScorer& score, SearchCost* cost) {
   const std::size_t n = lower_bounds.size();
@@ -33,7 +33,7 @@ std::vector<query::Neighbor> CascadeKNearest(
   const std::size_t take = std::min(k, total);
   if (take == 0) {
     if (cost != nullptr) cost->pruned_lower_bound += total;
-    return {};
+    return std::vector<query::Neighbor>{};
   }
   // Lazy ascending traversal: a min-heap over (bound, index) popped until
   // the stop condition, instead of fully sorting all n bounds — the sort
@@ -58,7 +58,8 @@ std::vector<query::Neighbor> CascadeKNearest(
     }
     const double tau = heap.size() == take ? heap.front().distance : kInf;
     ++touched;
-    const query::Neighbor candidate{row, score(row, tau)};
+    UTS_ASSIGN_OR_RETURN(const double distance, score(row, tau));
+    const query::Neighbor candidate{row, distance};
     if (heap.size() < take) {
       heap.push_back(candidate);
       std::push_heap(heap.begin(), heap.end(), NeighborLess);
@@ -76,7 +77,7 @@ std::vector<query::Neighbor> CascadeKNearest(
   return heap;
 }
 
-std::vector<std::size_t> CascadeRangeSearch(
+Result<std::vector<std::size_t>> CascadeRangeSearch(
     std::span<const double> lower_bounds, std::size_t exclude, double epsilon,
     const ExactScorer& score, SearchCost* cost) {
   const std::size_t n = lower_bounds.size();
@@ -90,7 +91,8 @@ std::vector<std::size_t> CascadeRangeSearch(
     // d >= lb > ε, so the full scan's `d <= ε` excludes it too.
     if (lower_bounds[i] > epsilon) continue;
     ++touched;
-    if (score(i, epsilon) <= epsilon) matches.push_back(i);
+    UTS_ASSIGN_OR_RETURN(const double distance, score(i, epsilon));
+    if (distance <= epsilon) matches.push_back(i);
   }
   if (cost != nullptr) {
     cost->candidates_total += total;

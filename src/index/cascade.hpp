@@ -28,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "common/result.hpp"
 #include "index/synopsis_index.hpp"
 #include "query/search.hpp"
 
@@ -40,8 +41,9 @@ namespace uts::index {
 /// same row — or +infinity after *proving* the distance exceeds `tau`
 /// (e.g. via the early-abandon kernel with a rounding-inflated threshold).
 /// `tau` is the caller's current pruning threshold and may be +infinity,
-/// in which case the scorer must return the exact distance.
-using ExactScorer = std::function<double(std::size_t row, double tau)>;
+/// in which case the scorer must return the exact distance. A failure (a
+/// row that cannot be pinned) ends the cascade with that status.
+using ExactScorer = std::function<Result<double>(std::size_t row, double tau)>;
 
 /// \brief k nearest candidates by exact distance, ascending (distance,
 /// index) — bitwise identical to selecting over a full scan.
@@ -49,14 +51,14 @@ using ExactScorer = std::function<double(std::size_t row, double tau)>;
 /// `lower_bounds` has one admissible bound per row (slot `exclude` is
 /// ignored; pass exclude >= lower_bounds.size() to exclude nothing).
 /// `cost`, when non-null, is incremented (not reset) with this query's
-/// accounting.
-std::vector<query::Neighbor> CascadeKNearest(
+/// accounting. Fails with the scorer's first failure.
+Result<std::vector<query::Neighbor>> CascadeKNearest(
     std::span<const double> lower_bounds, std::size_t exclude, std::size_t k,
     const ExactScorer& score, SearchCost* cost);
 
 /// \brief Indices with exact distance <= epsilon, ascending — bitwise
-/// identical to filtering a full scan.
-std::vector<std::size_t> CascadeRangeSearch(
+/// identical to filtering a full scan. Fails like CascadeKNearest.
+Result<std::vector<std::size_t>> CascadeRangeSearch(
     std::span<const double> lower_bounds, std::size_t exclude, double epsilon,
     const ExactScorer& score, SearchCost* cost);
 

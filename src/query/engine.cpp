@@ -1,8 +1,10 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "distance/batch.hpp"
@@ -95,6 +97,16 @@ detail::ScanTarget DistanceMatrixEngine::Target() const {
           synopsis_index_.get()};
 }
 
+Result<detail::MeasureScan> DistanceMatrixEngine::Scan(
+    std::size_t query_index, index::SearchCost* cost) const {
+  if (query_index >= size()) {
+    return Status::InvalidArgument(
+        "query index " + std::to_string(query_index) + " out of range (" +
+        std::to_string(size()) + " series)");
+  }
+  return detail::EuclideanScan(Target(), query_index, cost);
+}
+
 std::size_t DistanceMatrixEngine::MotifGrain(std::size_t n) const {
   const std::size_t t = threads();
   if (t <= 1) return options_.grain;
@@ -139,10 +151,11 @@ std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
 
 // --- Euclidean batched paths -------------------------------------------------
 
-std::vector<Neighbor> DistanceMatrixEngine::KNearestEuclidean(
+Result<std::vector<Neighbor>> DistanceMatrixEngine::KNearestEuclidean(
     std::size_t query_index, std::size_t k, index::SearchCost* cost) const {
-  assert(query_index < size());
-  return detail::KNearestEuclidean(Target(), query_index, k, cost);
+  UTS_ASSIGN_OR_RETURN(const detail::MeasureScan scan,
+                       Scan(query_index, cost));
+  return detail::KBest(scan, query_index, k, cost);
 }
 
 std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
@@ -156,13 +169,17 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
     // per-query work uneven; a cascade itself never forks). Each query's
     // cost lands in its own record; the fold below is index-ordered, so the
     // counters are deterministic at every thread count.
-    const detail::ScanTarget target = Target();
     std::vector<index::SearchCost> per_query(queries);
     exec::ParallelFor(pool_, queries, /*grain=*/1,
                       [&](std::size_t begin, std::size_t end) {
                         for (std::size_t q = begin; q < end; ++q) {
-                          out[q] = detail::KNearestEuclidean(target, q, k,
-                                                             &per_query[q]);
+                          auto knn = KNearestEuclidean(q, k, &per_query[q]);
+                          if (!knn.ok()) {
+                            std::fprintf(stderr, "uncertts: %s\n",
+                                         knn.status().ToString().c_str());
+                            std::abort();
+                          }
+                          out[q] = std::move(knn).ValueOrDie();
                         }
                       });
     if (cost != nullptr) {
@@ -272,10 +289,11 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
   return out;
 }
 
-std::vector<std::size_t> DistanceMatrixEngine::RangeSearchEuclidean(
+Result<std::vector<std::size_t>> DistanceMatrixEngine::RangeSearchEuclidean(
     std::size_t query_index, double epsilon, index::SearchCost* cost) const {
-  assert(query_index < size());
-  return detail::RangeSearchEuclidean(Target(), query_index, epsilon, cost);
+  UTS_ASSIGN_OR_RETURN(const detail::MeasureScan scan,
+                       Scan(query_index, cost));
+  return detail::WithinRange(scan, query_index, epsilon, cost);
 }
 
 std::vector<MotifPair> DistanceMatrixEngine::TopKMotifsEuclidean(

@@ -95,31 +95,34 @@ class DistanceMatrixEngine {
   /// \name Euclidean queries (batched SoA kernels)
   /// When `cost` is non-null it is *incremented* with the query's work
   /// accounting (candidates touched vs pruned); an unindexed scan reports
-  /// every eligible candidate as touched.
+  /// every eligible candidate as touched. The single-query calls fail with
+  /// InvalidArgument for a query index past the rows, and with the error
+  /// of a block that cannot be pinned.
   /// \{
 
   /// k nearest neighbors of series `query_index`, self-match excluded;
   /// sorted ascending by distance, ties by index.
-  std::vector<Neighbor> KNearestEuclidean(
+  Result<std::vector<Neighbor>> KNearestEuclidean(
       std::size_t query_index, std::size_t k,
       index::SearchCost* cost = nullptr) const;
 
   /// k-NN lists of the first `num_queries` series (0 = every series) — the
   /// paper's ground-truth build, parallelized over queries.
   /// out[q] == KNearestEuclidean(q, k); candidates always span the whole
-  /// dataset.
+  /// dataset. Aborts on an unreadable spill log.
   std::vector<std::vector<Neighbor>> AllKNearestEuclidean(
       std::size_t k, std::size_t num_queries = 0,
       index::SearchCost* cost = nullptr) const;
 
   /// RQ(Q, C, ε): indices with distance <= epsilon, self-match excluded,
   /// ascending.
-  std::vector<std::size_t> RangeSearchEuclidean(
+  Result<std::vector<std::size_t>> RangeSearchEuclidean(
       std::size_t query_index, double epsilon,
       index::SearchCost* cost = nullptr) const;
 
   /// Top-k closest pairs under Euclidean distance; bounded-memory (k-sized
   /// heap per worker chunk), sorted ascending with (a, b) tie-breaks.
+  /// Aborts on an unreadable spill log.
   std::vector<MotifPair> TopKMotifsEuclidean(std::size_t k) const;
   /// \}
 
@@ -151,6 +154,11 @@ class DistanceMatrixEngine {
 
   /// The scan target over the packed rows.
   detail::ScanTarget Target() const;
+
+  /// The Euclidean measure of row `query_index`; InvalidArgument past the
+  /// rows.
+  Result<detail::MeasureScan> Scan(std::size_t query_index,
+                                   index::SearchCost* cost) const;
 
   EngineOptions options_;
   /// Kernel table resolved from options_.simd at construction; never null.

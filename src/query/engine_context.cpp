@@ -308,40 +308,26 @@ Result<UncertainEngine*> EngineContext::EnsureUncertain() {
   return uncertain_.get();
 }
 
-Result<UncertainEngine*> EngineContext::Count(Result<UncertainEngine*> engine) {
-  ++(engine.ok() ? stats_.acquires_served : stats_.acquires_declined);
-  return engine;
-}
-
-Result<UncertainEngine*> EngineContext::AcquireEuclidean() {
-  return Count(EnsureUncertain());
-}
-
-Result<UncertainEngine*> EngineContext::AcquireDust() {
-  return Count([this]() -> Result<UncertainEngine*> {
-    UTS_ASSIGN_OR_RETURN(UncertainEngine * engine, EnsureUncertain());
-    if (!engine->dust_ready()) {
+Result<UncertainEngine*> EngineContext::Acquire(Measure measure) {
+  Result<UncertainEngine*> engine = [&]() -> Result<UncertainEngine*> {
+    UTS_ASSIGN_OR_RETURN(UncertainEngine * shared, EnsureUncertain());
+    if (measure == Measure::kDust && !shared->dust_ready()) {
       const std::size_t tables_before = dust_cache_.CacheSize();
-      UTS_RETURN_NOT_OK(engine->BuildDustTables(dust_cache_));
+      UTS_RETURN_NOT_OK(shared->BuildDustTables(dust_cache_));
       if (dust_cache_.CacheSize() != tables_before) ++stats_.dust_table_builds;
     }
-    return engine;
-  }());
-}
-
-Result<UncertainEngine*> EngineContext::AcquireMunich() {
-  return Count([this]() -> Result<UncertainEngine*> {
-    UTS_ASSIGN_OR_RETURN(UncertainEngine * engine, EnsureUncertain());
-    if (!samples_.has_value()) {
-      return Status::NotSupported(
-          "the bound dataset has no sample model (required by MUNICH)");
-    }
-    if (!engine->has_samples()) {
-      UTS_RETURN_NOT_OK(engine->AttachSamples(*samples_));
+    if (measure == Measure::kMunich && !shared->has_samples()) {
+      if (!samples_.has_value()) {
+        return Status::NotSupported(
+            "the bound dataset has no sample model (required by MUNICH)");
+      }
+      UTS_RETURN_NOT_OK(shared->AttachSamples(*samples_));
       ++stats_.sample_attaches;
     }
-    return engine;
-  }());
+    return shared;
+  }();
+  ++(engine.ok() ? stats_.acquires_served : stats_.acquires_declined);
+  return engine;
 }
 
 }  // namespace uts::query

@@ -15,8 +15,9 @@
 ///    `threads <= 1`; everything runs inline on the caller);
 ///  * **one pdf pack** — `BindData` takes ownership of the perturbed
 ///    datasets of the evaluation; the shared `UncertainEngine` over them is
-///    built lazily on the first acquisition and reused by every subsequent
-///    one, whatever the measure;
+///    built lazily on the first `Acquire(measure)` and reused by every
+///    subsequent one, whatever the measure, and every query then goes
+///    through its one entry point, `UncertainEngine::Answer`;
 ///  * **lazy, cached measure state** — DUST lookup tables (built through a
 ///    context-persistent `measures::Dust` cache with the default options,
 ///    so re-binding across datasets under one error spec reuses
@@ -88,13 +89,12 @@ struct EngineContextOptions : ExecOptions {
 /// thread pool, the perturbed datasets, the packed engines and their lazy
 /// measure-specific caches.
 ///
-/// Matchers acquire borrowed engine views at Bind time (`AcquireEuclidean`,
-/// `AcquireDust`, `AcquireMunich`). Every acquisition of a bound context
-/// serves the one shared engine; it fails only when the engine or its
-/// measure state cannot be built (no sample model for MUNICH, a failed
-/// pack, spill or table build). Views are invalidated by the next
-/// `BindData` that actually replaces the data; matchers must re-acquire at
-/// every Bind.
+/// Matchers acquire borrowed engine views at Bind time (`Acquire`). Every
+/// acquisition of a bound context serves the one shared engine; it fails
+/// only when the engine or its measure state cannot be built (no sample
+/// model for MUNICH, a failed pack, spill or table build). Views are
+/// invalidated by the next `BindData` that actually replaces the data;
+/// matchers must re-acquire at every Bind.
 class EngineContext {
  public:
   /// Resource-lifecycle counters, asserted by the context tests and useful
@@ -106,13 +106,13 @@ class EngineContext {
     std::size_t data_binds = 0;        ///< BindData calls that replaced data.
     std::size_t data_rebind_hits = 0;  ///< BindData calls that kept data.
     std::size_t certain_reuses = 0;    ///< Certain() calls served from cache.
-    std::size_t dust_table_builds = 0;  ///< AcquireDust calls that added
+    std::size_t dust_table_builds = 0;  ///< DUST acquisitions that added
                                        ///< tables to the DUST cache.
-    std::size_t sample_attaches = 0;   ///< AcquireMunich calls that
+    std::size_t sample_attaches = 0;   ///< MUNICH acquisitions that
                                        ///< attached the sample dataset.
-    std::size_t acquires_served = 0;   ///< Acquire* calls that returned the
+    std::size_t acquires_served = 0;   ///< Acquire calls that returned the
                                        ///< shared engine.
-    std::size_t acquires_declined = 0; ///< Acquire* calls that failed.
+    std::size_t acquires_declined = 0; ///< Acquire calls that failed.
     std::size_t resident_adds = 0;     ///< AddResident calls that stored or
                                        ///< replaced an entry.
     std::size_t resident_activations = 0;  ///< ActivateResident calls that
@@ -259,30 +259,18 @@ class EngineContext {
                                               std::size_t grain = 0);
   /// \}
 
-  /// \name Uncertain engine acquisition (one per run, lazily built)
-  /// All three return the same underlying engine, plus the measure state
-  /// they name, built on first use. They fail with InvalidArgument before
-  /// the first BindData, and with the error of whatever could not be built
-  /// (the engine's pack or spill, the DUST tables, the MUNICH sample
-  /// attachment).
-  /// \{
-
-  /// The engine alone: Euclidean over the observations and constant-σ
-  /// PROUD at `proud_sigma()` need no measure state.
-  Result<UncertainEngine*> AcquireEuclidean();
-
-  /// DUST: engine + lookup tables for every distinct error-class pair.
-  /// Tables are built through the context's persistent `measures::Dust`
-  /// cache (default `measures::DustOptions`), so a later BindData under
-  /// the same error models reuses them instead of re-running the numeric
-  /// integration.
-  Result<UncertainEngine*> AcquireDust();
-
-  /// MUNICH: engine + attached sample dataset. NotSupported when the bound
-  /// run has no sample model. The estimator configuration is an argument
-  /// of each MUNICH query, not engine state.
-  Result<UncertainEngine*> AcquireMunich();
-  /// \}
+  /// The shared UncertainEngine (one per run, lazily built) with the
+  /// state `measure` needs, built on first use and cached: the DUST
+  /// lookup tables for every distinct error-class pair, or the MUNICH
+  /// sample attachment (Euclidean and constant-σ PROUD at `proud_sigma()`
+  /// need none). DUST tables come from the context's persistent
+  /// `measures::Dust` cache (default `measures::DustOptions`), so a later
+  /// BindData under the same error models reuses them instead of
+  /// re-running the numeric integration. Fails with InvalidArgument before
+  /// the first BindData, NotSupported for MUNICH when the bound run has no
+  /// sample model, and with the error of whatever could not be built (the
+  /// engine's pack or spill, the DUST tables, the sample attachment).
+  Result<UncertainEngine*> Acquire(Measure measure);
 
   /// The lifecycle counters (see Stats).
   const Stats& stats() const { return stats_; }
@@ -300,9 +288,6 @@ class EngineContext {
   /// The shared UncertainEngine over the bound pdf dataset, built if not
   /// done yet; the error when unbound or when the build fails.
   Result<UncertainEngine*> EnsureUncertain();
-
-  /// `engine` counted as a served or failed acquisition.
-  Result<UncertainEngine*> Count(Result<UncertainEngine*> engine);
 
   /// `buffer_pool()`'s pool, or the error that keeps it from being created.
   Result<std::shared_ptr<ts::BufferPool>> StoragePool();

@@ -8,19 +8,25 @@
 
 namespace uts::query::detail {
 
-std::vector<double> ScanRows(const ScanTarget& target,
-                             const ChunkScorer& score) {
+Result<std::vector<double>> ScanRows(const ScanTarget& target,
+                                     const ChunkScorer& score) {
   std::vector<double> out(target.view.rows(), 0.0);
   const auto chunks = ts::PartitionRows(target.view, target.grain);
-  exec::ParallelFor(target.pool, chunks.size(), /*grain=*/1,
-                    [&](std::size_t first, std::size_t last) {
-                      for (const ts::RowChunk& chunk :
-                           std::span(chunks).subspan(first, last - first)) {
-                        score(chunk, ts::PinOrAbort(target.view, chunk.block),
-                              std::span<double>(out).subspan(
-                                  chunk.begin, chunk.end - chunk.begin));
-                      }
-                    });
+  std::vector<Status> failures(chunks.size());
+  exec::ParallelFor(
+      target.pool, chunks.size(), /*grain=*/1,
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t c = first; c < last; ++c) {
+          const ts::RowChunk& chunk = chunks[c];
+          auto pin = target.view.Pin(chunk.block);
+          failures[c] =
+              pin.ok() ? score(chunk, pin.ValueOrDie(),
+                               std::span<double>(out).subspan(
+                                   chunk.begin, chunk.end - chunk.begin))
+                       : pin.status();
+        }
+      });
+  for (const Status& failure : failures) UTS_RETURN_NOT_OK(failure);
   return out;
 }
 
@@ -55,6 +61,14 @@ std::vector<Neighbor> SelectK(std::span<const double> scores,
   return all;
 }
 
+/// The cascade's exact stage of `scan`.
+index::ExactScorer ExactStage(const MeasureScan& scan) {
+  if (scan.exact) return scan.exact;
+  return [&scan](std::size_t row, double) {
+    return ScoreRow(scan.target.view, row, scan.score);
+  };
+}
+
 }  // namespace
 
 std::vector<Neighbor> SelectKSmallest(std::span<const double> scores,
@@ -81,6 +95,34 @@ std::vector<std::size_t> SelectThreshold(std::span<const double> scores,
   return matches;
 }
 
+Result<std::vector<Neighbor>> KBest(const MeasureScan& scan,
+                                    std::size_t query, std::size_t k,
+                                    index::SearchCost* cost) {
+  if (scan.lower_bounds) {
+    return index::CascadeKNearest(scan.lower_bounds(), query, k,
+                                  ExactStage(scan), cost);
+  }
+  ChargeFullScan(cost, scan.target.view.rows() - 1);
+  UTS_ASSIGN_OR_RETURN(const std::vector<double> scores,
+                       ScanRows(scan.target, scan.score));
+  return scan.descending ? SelectKLargest(scores, query, k)
+                         : SelectKSmallest(scores, query, k);
+}
+
+Result<std::vector<std::size_t>> WithinRange(const MeasureScan& scan,
+                                             std::size_t query,
+                                             double epsilon,
+                                             index::SearchCost* cost) {
+  if (scan.lower_bounds) {
+    return index::CascadeRangeSearch(scan.lower_bounds(), query, epsilon,
+                                     ExactStage(scan), cost);
+  }
+  ChargeFullScan(cost, scan.target.view.rows() - 1);
+  UTS_ASSIGN_OR_RETURN(const std::vector<double> scores,
+                       ScanRows(scan.target, scan.score));
+  return SelectThreshold(scores, query, epsilon, Keep::kAtMost);
+}
+
 // --- Euclidean ---------------------------------------------------------------
 
 namespace {
@@ -104,6 +146,7 @@ auto EuclideanScorer(const distance::KernelDispatch* dispatch,
     dispatch->squared_euclidean_range(query, pin.block(), begin,
                                       begin + out.size(), out);
     for (double& v : out) v = std::sqrt(v);
+    return Status::OK();
   };
 }
 
@@ -126,65 +169,36 @@ index::ExactScorer EuclideanCascadeScorer(const ScanTarget& target,
         if (out[0] > threshold_sq) {
           if (cost != nullptr) ++cost->abandoned_early;
           out[0] = std::numeric_limits<double>::infinity();
-          return;
+          return Status::OK();
         }
       }
       // The reported value always comes from the full scan's kernel (the
       // abandon kernel's completed sums accumulate in a different order
       // under AVX2 and are *not* bitwise comparable).
-      EuclideanScorer(dispatch, query)(chunk, pin, out);
+      return EuclideanScorer(dispatch, query)(chunk, pin, out);
     });
   };
 }
 
-/// Stage-1 bounds of the Euclidean cascade for `query`.
-std::vector<double> EuclideanLowerBounds(const ScanTarget& target,
-                                         std::span<const double> query) {
-  std::vector<double> bounds(target.view.rows(), 0.0);
-  target.synopsis->EuclideanLowerBounds(target.synopsis->Synopsize(query),
-                                        bounds);
-  return bounds;
-}
-
 }  // namespace
 
-std::vector<Neighbor> KNearestEuclidean(const ScanTarget& target,
-                                        std::size_t query, std::size_t k,
-                                        index::SearchCost* cost) {
-  const auto query_pin = ts::PinRowOrAbort(target.view, query);
-  const std::span<const double> row = query_pin.row();
+Result<MeasureScan> EuclideanScan(const ScanTarget& target, std::size_t query,
+                                  index::SearchCost* cost) {
+  MeasureScan scan{target};
+  UTS_ASSIGN_OR_RETURN(ts::StoreView::PinnedRow pin,
+                       target.view.PinRow(query));
+  const std::span<const double> row = pin.row();
+  scan.pins.push_back(std::move(pin));
+  scan.score = EuclideanScorer(target.dispatch, row);
   if (target.synopsis != nullptr) {
-    return index::CascadeKNearest(EuclideanLowerBounds(target, row), query, k,
-                                  EuclideanCascadeScorer(target, row, cost),
-                                  cost);
+    scan.lower_bounds = [synopsis = target.synopsis, row] {
+      std::vector<double> bounds(synopsis->rows(), 0.0);
+      synopsis->EuclideanLowerBounds(synopsis->Synopsize(row), bounds);
+      return bounds;
+    };
+    scan.exact = EuclideanCascadeScorer(target, row, cost);
   }
-  ChargeFullScan(cost, target.view.rows() - 1);
-  return SelectKSmallest(
-      ScanRows(target, EuclideanScorer(target.dispatch, row)), query, k);
-}
-
-std::vector<std::size_t> RangeSearchEuclidean(const ScanTarget& target,
-                                              std::size_t query,
-                                              double epsilon,
-                                              index::SearchCost* cost) {
-  const auto query_pin = ts::PinRowOrAbort(target.view, query);
-  const std::span<const double> row = query_pin.row();
-  if (target.synopsis != nullptr) {
-    return index::CascadeRangeSearch(
-        EuclideanLowerBounds(target, row), query, epsilon,
-        EuclideanCascadeScorer(target, row, cost), cost);
-  }
-  ChargeFullScan(cost, target.view.rows() - 1);
-  return SelectThreshold(
-      ScanRows(target, EuclideanScorer(target.dispatch, row)), query, epsilon,
-      Keep::kAtMost);
-}
-
-double EuclideanDistance(const ScanTarget& target, std::size_t query,
-                         std::size_t row) {
-  const auto query_pin = ts::PinRowOrAbort(target.view, query);
-  return ScoreRow(target.view, row,
-                  EuclideanScorer(target.dispatch, query_pin.row()));
+  return scan;
 }
 
 }  // namespace uts::query::detail

@@ -1,15 +1,25 @@
 /// \file scan.hpp
-/// \brief The one store scan of both query engines, the selections
-/// that reduce its output, and the Euclidean measure both engines share.
+/// \brief The one store scan of both query engines, the drivers and
+/// selections that reduce its output, and the Euclidean measure both
+/// engines share.
 ///
 /// Every 1-vs-all store query is one scan (or one index cascade) plus one
-/// selection. `ScanRows` cuts the store into grain-sized chunks clipped at
-/// block boundaries, pins each chunk's block and hands it, with the chunk's
-/// own output slots, to a measure's `ChunkScorer` on the pool; `ScoreRow`
-/// runs a scorer on one row for the cascade's exact stage. The selections
-/// run after the scan's barrier in ascending index order. This is where
-/// rules 1–3 of the determinism contract (docs/ARCHITECTURE.md §3) are
-/// enforced for store scans, so a measure supplies only its kernel call.
+/// selection. A measure describes its query as a `MeasureScan`: a
+/// `ChunkScorer` over a `ScanTarget`, its order, and the cascade's lower
+/// bounds when it has them. `ScanRows` cuts the store into grain-sized
+/// chunks clipped at block boundaries, pins each chunk's block and hands
+/// it, with the chunk's own output slots, to the scorer on the pool;
+/// `ScoreRow` runs a scorer on one row for the cascade's exact stage and
+/// for one-pair scores. `KBest` and `WithinRange` pick the cascade or the
+/// scan. The selections run after the scan's barrier in ascending index
+/// order. This is where rules 1–3 of the determinism contract
+/// (docs/ARCHITECTURE.md §3) are enforced for store scans, so a measure
+/// supplies only its kernel call.
+///
+/// Failure channel: a failed pin or a failed scorer comes back as a
+/// `Status`, never as a partial answer. `ScanRows` returns the failure of
+/// the lowest-indexed failing chunk, so the error is the same at every
+/// pool width.
 
 #ifndef UTS_QUERY_SCAN_HPP_
 #define UTS_QUERY_SCAN_HPP_
@@ -19,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "common/result.hpp"
 #include "distance/simd.hpp"
 #include "exec/thread_pool.hpp"
 #include "index/cascade.hpp"
@@ -42,27 +53,46 @@ struct ScanTarget {
 /// the pinned block into `out` (out[i] is row chunk.begin + i; block-local
 /// rows start at chunk.begin - pin.first_row()). Runs concurrently for
 /// distinct chunks, so it writes only `out` and caller-owned per-row state.
+/// A non-OK return fails the whole scan.
 using ChunkScorer =
-    std::function<void(const ts::RowChunk& chunk,
-                       const ts::StoreView::PinnedBlock& pin,
-                       std::span<double> out)>;
+    std::function<Status(const ts::RowChunk& chunk,
+                         const ts::StoreView::PinnedBlock& pin,
+                         std::span<double> out)>;
+
+/// \brief One measure's query as the scan drivers run it.
+struct MeasureScan {
+  ScanTarget target;         ///< The rows the scorer reads.
+  ChunkScorer score{};       ///< Scores candidates against the query.
+  /// Scores are match probabilities, best first when largest; false for
+  /// distances, best first when smallest.
+  bool descending = false;
+  /// Stage 1 of the index cascade: one admissible lower bound per row.
+  /// Null = no cascade, the drivers scan every row.
+  std::function<std::vector<double>()> lower_bounds{};
+  /// The cascade's exact stage; null = ScoreRow with `score`.
+  index::ExactScorer exact{};
+  /// The query rows the scorers read, pinned for the scan's lifetime.
+  std::vector<ts::StoreView::PinnedRow> pins{};
+};
 
 /// One score per row of the target's store, chunk by chunk on the pool:
 /// each row is scored once, no chunk crosses a block, and the output is the
-/// same at every pool width.
-std::vector<double> ScanRows(const ScanTarget& target,
-                             const ChunkScorer& score);
+/// same at every pool width. A failed pin or scorer returns the status of
+/// the lowest-indexed failing chunk and no scores.
+Result<std::vector<double>> ScanRows(const ScanTarget& target,
+                                     const ChunkScorer& score);
 
 /// Score row `row` with a ChunkScorer-shaped callable as a one-row chunk,
 /// pinning its block once; bitwise the value ScanRows gives the row (the
-/// kernels are per-row deterministic).
+/// kernels are per-row deterministic). Fails as the pin or scorer does.
 template <typename Scorer>
-double ScoreRow(const ts::StoreView& view, std::size_t row,
-                const Scorer& score) {
+Result<double> ScoreRow(const ts::StoreView& view, std::size_t row,
+                        const Scorer& score) {
   const std::size_t block = view.block_of(row);
-  const auto pin = ts::PinOrAbort(view, block);
+  UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedBlock pin, view.Pin(block));
   double value = 0.0;
-  score(ts::RowChunk{block, row, row + 1}, pin, std::span<double>(&value, 1));
+  UTS_RETURN_NOT_OK(score(ts::RowChunk{block, row, row + 1}, pin,
+                          std::span<double>(&value, 1)));
   return value;
 }
 
@@ -92,26 +122,27 @@ std::vector<std::size_t> SelectThreshold(std::span<const double> scores,
                                          std::size_t exclude,
                                          double threshold, Keep keep);
 
-/// k nearest rows of row `query` by Euclidean distance, self excluded,
-/// ascending, ties by index: the index cascade when `target.synopsis` is
-/// set, else a full scan, bitwise equal either way. A non-null `cost` is
-/// incremented with the query's work accounting.
-std::vector<Neighbor> KNearestEuclidean(const ScanTarget& target,
-                                        std::size_t query, std::size_t k,
-                                        index::SearchCost* cost);
+/// The k best rows for row `query`, self excluded, in the scan's order with
+/// ties by index: the index cascade when the scan has lower bounds, else a
+/// full scan, bitwise equal either way. A non-null `cost` is incremented
+/// with the query's work accounting.
+Result<std::vector<Neighbor>> KBest(const MeasureScan& scan,
+                                    std::size_t query, std::size_t k,
+                                    index::SearchCost* cost);
 
-/// RQ(Q, C, ε) by Euclidean distance, self excluded, ascending; indexed and
-/// accounted like KNearestEuclidean.
-std::vector<std::size_t> RangeSearchEuclidean(const ScanTarget& target,
-                                              std::size_t query,
-                                              double epsilon,
-                                              index::SearchCost* cost);
+/// RQ(Q, C, ε) of a distance scan: rows with score <= ε, self excluded,
+/// ascending; cascaded and accounted like KBest.
+Result<std::vector<std::size_t>> WithinRange(const MeasureScan& scan,
+                                             std::size_t query,
+                                             double epsilon,
+                                             index::SearchCost* cost);
 
-/// Euclidean distance between rows `query` and `row`: the scan's scorer on
-/// one row, so bitwise the value KNearestEuclidean and RangeSearchEuclidean
-/// compare for `row`.
-double EuclideanDistance(const ScanTarget& target, std::size_t query,
-                         std::size_t row);
+/// The Euclidean measure of row `query`: the scan's kernel plus, when
+/// `target.synopsis` is set, the synopsis lower bounds and an early-abandon
+/// exact stage (which counts its abandons in a non-null `cost`). Fails when
+/// the query row cannot be pinned.
+Result<MeasureScan> EuclideanScan(const ScanTarget& target, std::size_t query,
+                                  index::SearchCost* cost);
 
 }  // namespace uts::query::detail
 

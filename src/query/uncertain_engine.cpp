@@ -1,15 +1,14 @@
 #include "query/uncertain_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
 
-#include "exec/parallel_for.hpp"
-#include "index/cascade.hpp"
 #include "prob/rng.hpp"
 #include "prob/special.hpp"
 
@@ -38,11 +37,6 @@ UncertainEngine::~UncertainEngine() = default;
 
 std::size_t UncertainEngine::threads() const {
   return pool_ ? pool_->size() : 1;
-}
-
-detail::ScanTarget UncertainEngine::Target() const {
-  return {ts::StoreView(store_), dispatch_, pool_, options_.grain,
-          synopsis_index_.get()};
 }
 
 Status UncertainEngine::CheckShape(const uncertain::UncertainDataset& pdf) {
@@ -126,27 +120,7 @@ Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
   return engine;
 }
 
-// --- Euclidean ---------------------------------------------------------------
-
-std::vector<Neighbor> UncertainEngine::KNearestEuclidean(
-    std::size_t query, std::size_t k, index::SearchCost* cost) const {
-  assert(query < size());
-  return detail::KNearestEuclidean(Target(), query, k, cost);
-}
-
-std::vector<std::size_t> UncertainEngine::RangeSearchEuclidean(
-    std::size_t query, double epsilon, index::SearchCost* cost) const {
-  assert(query < size());
-  return detail::RangeSearchEuclidean(Target(), query, epsilon, cost);
-}
-
-double UncertainEngine::EuclideanDistance(std::size_t query,
-                                          std::size_t candidate) const {
-  assert(query < size() && candidate < size());
-  return detail::EuclideanDistance(Target(), query, candidate);
-}
-
-// --- DUST --------------------------------------------------------------------
+// --- Measure state -----------------------------------------------------------
 
 Status UncertainEngine::BuildDustTables(measures::Dust& cache) {
   if (dust_ready_) return Status::OK();
@@ -173,190 +147,6 @@ Status UncertainEngine::BuildDustTables(measures::Dust& cache) {
   return Status::OK();
 }
 
-Status UncertainEngine::RequireDustTables() const {
-  if (dust_ready_) return Status::OK();
-  return Status::InvalidArgument(
-      "DUST tables not built; call BuildDustTables first");
-}
-
-detail::ChunkScorer UncertainEngine::DustScorer(
-    std::size_t query, std::span<const double> qrow) const {
-  if (num_classes_ == 1) {
-    const distance::DustLut* lut = &dust_luts_.front();
-    return [this, qrow, lut](const ts::RowChunk& chunk,
-                             const ts::StoreView::PinnedBlock& pin,
-                             std::span<double> out) {
-      const std::size_t begin = chunk.begin - pin.first_row();
-      dispatch_->dust_range(qrow, pin.block(), *lut, begin,
-                            begin + out.size(), out);
-    };
-  }
-  // Row t: the K luts pairing the query's class at t with each class.
-  const std::size_t len = length();
-  std::vector<const distance::DustLut*> qluts(len);
-  for (std::size_t t = 0; t < len; ++t) {
-    qluts[t] = &dust_luts_[class_ids_[query * len + t] * num_classes_];
-  }
-  return [this, qrow, len, qluts = std::move(qluts)](
-             const ts::RowChunk& chunk, const ts::StoreView::PinnedBlock& pin,
-             std::span<double> out) {
-    const std::size_t begin = chunk.begin - pin.first_row();
-    const std::span<const std::uint16_t> block_ids =
-        std::span<const std::uint16_t>(class_ids_)
-            .subspan(pin.first_row() * len, pin.block().rows() * len);
-    dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids, begin,
-                                  begin + out.size(), out);
-  };
-}
-
-Result<std::vector<double>> UncertainEngine::DustDistances(
-    std::size_t query) const {
-  assert(query < size());
-  UTS_RETURN_NOT_OK(RequireDustTables());
-  const auto query_pin = ts::PinRowOrAbort(ts::StoreView(store_), query);
-  return detail::ScanRows(Target(), DustScorer(query, query_pin.row()));
-}
-
-Result<double> UncertainEngine::DustDistance(std::size_t query,
-                                             std::size_t candidate) const {
-  assert(query < size() && candidate < size());
-  UTS_RETURN_NOT_OK(RequireDustTables());
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  return detail::ScoreRow(view, candidate, DustScorer(query, query_pin.row()));
-}
-
-std::vector<double> UncertainEngine::DustCascadeLowerBounds(
-    std::span<const double> qrow) const {
-  // Stage-1 bounds: Haar-synopsis Euclidean lower bounds on the observation
-  // rows, mapped through the table minorant into the DUST metric.
-  std::vector<double> bounds(size(), 0.0);
-  synopsis_index_->EuclideanLowerBounds(synopsis_index_->Synopsize(qrow),
-                                        bounds);
-  for (double& b : bounds) b = dust_bound_(b);
-  return bounds;
-}
-
-Result<std::vector<Neighbor>> UncertainEngine::KNearestDust(
-    std::size_t query, std::size_t k, index::SearchCost* cost) const {
-  UTS_RETURN_NOT_OK(RequireDustTables());
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  const detail::ChunkScorer score = DustScorer(query, query_pin.row());
-  if (dust_index_enabled()) {
-    return index::CascadeKNearest(
-        DustCascadeLowerBounds(query_pin.row()), query, k,
-        [&](std::size_t row, double) {
-          return detail::ScoreRow(view, row, score);
-        },
-        cost);
-  }
-  detail::ChargeFullScan(cost, size() - 1);
-  return detail::SelectKSmallest(detail::ScanRows(Target(), score), query, k);
-}
-
-Result<std::vector<std::size_t>> UncertainEngine::RangeSearchDust(
-    std::size_t query, double epsilon, index::SearchCost* cost) const {
-  UTS_RETURN_NOT_OK(RequireDustTables());
-  const ts::StoreView view(store_);
-  const auto query_pin = ts::PinRowOrAbort(view, query);
-  const detail::ChunkScorer score = DustScorer(query, query_pin.row());
-  if (dust_index_enabled()) {
-    return index::CascadeRangeSearch(
-        DustCascadeLowerBounds(query_pin.row()), query, epsilon,
-        [&](std::size_t row, double) {
-          return detail::ScoreRow(view, row, score);
-        },
-        cost);
-  }
-  detail::ChargeFullScan(cost, size() - 1);
-  return detail::SelectThreshold(detail::ScanRows(Target(), score), query,
-                                 epsilon, detail::Keep::kAtMost);
-}
-
-// --- PROUD -------------------------------------------------------------------
-
-namespace {
-
-/// Constant-σ PROUD chunk scorer of row `qrow` (pinned by the caller): each
-/// candidate's distance mean goes to its scan slot, its variance to `var`.
-auto ProudMomentScorer(const distance::KernelDispatch* dispatch, double v,
-                       std::span<const double> qrow,
-                       std::vector<double>& var) {
-  return [dispatch, v, qrow, &var](const ts::RowChunk& chunk,
-                                   const ts::StoreView::PinnedBlock& pin,
-                                   std::span<double> out) {
-    const std::size_t begin = chunk.begin - pin.first_row();
-    dispatch->proud_moment_range(
-        qrow, pin.block(), v, begin, begin + out.size(), out,
-        std::span<double>(var).subspan(chunk.begin, out.size()));
-  };
-}
-
-}  // namespace
-
-std::vector<double> UncertainEngine::ProudMatchProbabilities(
-    std::size_t query, double epsilon) const {
-  assert(query < size());
-  std::vector<double> var(size(), 0.0);
-  const auto query_pin = ts::PinRowOrAbort(ts::StoreView(store_), query);
-  const auto moments =
-      ProudMomentScorer(dispatch_, proud_v_, query_pin.row(), var);
-  return detail::ScanRows(
-      Target(), [&](const ts::RowChunk& chunk,
-                    const ts::StoreView::PinnedBlock& pin,
-                    std::span<double> out) {
-        moments(chunk, pin, out);
-        // The chunk's distance means become match probabilities at ε.
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          out[i] = measures::Proud::ProbabilityFromStats(
-              {out[i], var[chunk.begin + i]}, epsilon);
-        }
-      });
-}
-
-std::vector<std::size_t> UncertainEngine::ProbabilisticRangeSearchProud(
-    std::size_t query, double epsilon, double tau) const {
-  return std::move(ProbabilisticRangeSearchProud(
-      query, epsilon, std::span<const double>(&tau, 1)).front());
-}
-
-std::vector<std::vector<std::size_t>>
-UncertainEngine::ProbabilisticRangeSearchProud(
-    std::size_t query, double epsilon, std::span<const double> taus) const {
-  assert(query < size());
-  const std::size_t n = size();
-  std::vector<double> var(n, 0.0);
-  const auto query_pin = ts::PinRowOrAbort(ts::StoreView(store_), query);
-  const std::vector<double> mean = detail::ScanRows(
-      Target(), ProudMomentScorer(dispatch_, proud_v_, query_pin.row(), var));
-  // ε_limit = Φ⁻¹(τ) once per τ; each candidate's margin is scored once and
-  // decided against every limit, in ascending candidate order.
-  std::vector<double> limits(taus.size());
-  for (std::size_t t = 0; t < taus.size(); ++t) {
-    limits[t] = prob::NormalQuantile(taus[t]);
-  }
-  std::vector<std::vector<std::size_t>> matches(taus.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == query) continue;
-    const measures::ProudMargin margin =
-        measures::Proud::MarginFromStats({mean[i], var[i]}, epsilon);
-    for (std::size_t t = 0; t < limits.size(); ++t) {
-      if (margin.Decide(limits[t])) matches[t].push_back(i);
-    }
-  }
-  return matches;
-}
-
-std::vector<Neighbor> UncertainEngine::KNearestProud(std::size_t query,
-                                                     double epsilon,
-                                                     std::size_t k) const {
-  return detail::SelectKLargest(ProudMatchProbabilities(query, epsilon),
-                                query, k);
-}
-
-// --- MUNICH ------------------------------------------------------------------
-
 Status UncertainEngine::AttachSamples(
     const uncertain::MultiSampleDataset& samples) {
   if (samples.size() != size()) {
@@ -379,6 +169,8 @@ Status UncertainEngine::AttachSamples(
       std::tie(lo[s * len + t], hi[s * len + t]) = series.BoundingInterval(t);
     }
   }
+  // Same stride and block rows as the observation store, so the interval
+  // columns block exactly like the rows a scan partitions.
   auto lo_store = ts::SoaStore::FromPacked(std::move(lo), len,
                                            options_.buffer_pool,
                                            options_.block_rows);
@@ -393,81 +185,280 @@ Status UncertainEngine::AttachSamples(
   return Status::OK();
 }
 
-Result<double> UncertainEngine::MunichPairProbability(
-    std::size_t qi, std::size_t ci, double epsilon,
-    const measures::MunichOptions& munich) const {
-  const uncertain::MultiSampleSeries& x = (*samples_)[qi];
-  const uncertain::MultiSampleSeries& y = (*samples_)[ci];
-  measures::MunichOptions options = munich;
-  if (options.use_bounds_filter) {
-    const ts::StoreView lo_view(sample_lo_), hi_view(sample_hi_);
-    const auto qlo = ts::PinRowOrAbort(lo_view, qi);
-    const auto qhi = ts::PinRowOrAbort(hi_view, qi);
-    const auto clo = ts::PinRowOrAbort(lo_view, ci);
-    const auto chi = ts::PinRowOrAbort(hi_view, ci);
-    const measures::DistanceBounds bounds =
-        measures::Munich::EuclideanBoundsFromIntervals(
-            qlo.row(), qhi.row(), clo.row(), chi.row());
-    if (bounds.upper <= epsilon) return 1.0;
-    if (bounds.lower > epsilon) return 0.0;
-    // The filter did not decide; hand the estimator a filter-free matcher
-    // so the bounds are not recomputed from the raw samples.
-    options.use_bounds_filter = false;
+// --- Measure plug-ins --------------------------------------------------------
+
+detail::ChunkScorer UncertainEngine::DustScorer(
+    std::size_t query, std::span<const double> qrow) const {
+  if (num_classes_ == 1) {
+    const distance::DustLut* lut = &dust_luts_.front();
+    return [this, qrow, lut](const ts::RowChunk& chunk,
+                             const ts::StoreView::PinnedBlock& pin,
+                             std::span<double> out) {
+      const std::size_t begin = chunk.begin - pin.first_row();
+      dispatch_->dust_range(qrow, pin.block(), *lut, begin,
+                            begin + out.size(), out);
+      return Status::OK();
+    };
   }
-  // Counter-based: the stream of pair (qi, ci) depends only on the pair
-  // counter and the engine seed — never on evaluation order or thread
-  // placement — and the evaluation matchers derive it the same way.
-  return measures::Munich(options).MatchProbability(
-      x, y, epsilon, prob::PairStreamSeed(options_.seed, qi, ci, size()));
+  // Row t: the K luts pairing the query's class at t with each class.
+  const std::size_t len = length();
+  std::vector<const distance::DustLut*> qluts(len);
+  for (std::size_t t = 0; t < len; ++t) {
+    qluts[t] = &dust_luts_[class_ids_[query * len + t] * num_classes_];
+  }
+  return [this, qrow, len, qluts = std::move(qluts)](
+             const ts::RowChunk& chunk, const ts::StoreView::PinnedBlock& pin,
+             std::span<double> out) {
+    const std::size_t begin = chunk.begin - pin.first_row();
+    const std::span<const std::uint16_t> block_ids =
+        std::span<const std::uint16_t>(class_ids_)
+            .subspan(pin.first_row() * len, pin.block().rows() * len);
+    dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids, begin,
+                                  begin + out.size(), out);
+    return Status::OK();
+  };
 }
 
-Result<std::vector<double>> UncertainEngine::MunichMatchProbabilities(
-    std::size_t query, double epsilon,
-    const measures::MunichOptions& munich) const {
-  assert(query < size());
-  if (samples_ == nullptr) {
-    return Status::InvalidArgument(
-        "no sample-model dataset attached (required by MUNICH)");
-  }
-  const std::size_t n = size();
-  std::vector<double> probs(n, 0.0);
-  std::vector<Status> statuses(exec::NumChunks(n, options_.grain),
-                               Status::OK());
-  exec::ParallelFor(pool_, n, options_.grain,
-                    [&](std::size_t begin, std::size_t end) {
-                      Status& status = statuses[begin / options_.grain];
-                      for (std::size_t i = begin; i < end; ++i) {
-                        if (i == query) continue;
-                        auto p =
-                            MunichPairProbability(query, i, epsilon, munich);
-                        if (!p.ok()) {
-                          status = p.status();
-                          return;
-                        }
-                        probs[i] = p.ValueOrDie();
-                      }
-                    });
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return probs;
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Constant-σ PROUD chunk scorer of row `qrow` (pinned by the caller): each
+/// candidate's Pr(distance <= ε), or with `margin` its ε_norm — ±∞ for a
+/// degenerate (σ = 0) pair, so `ε_norm >= Φ⁻¹(τ)` is ProudMargin::Decide
+/// for every τ in (0, 1).
+detail::ChunkScorer ProudScorer(const distance::KernelDispatch* dispatch,
+                                double v, std::span<const double> qrow,
+                                double epsilon, bool margin) {
+  return [=](const ts::RowChunk& chunk, const ts::StoreView::PinnedBlock& pin,
+             std::span<double> out) {
+    std::vector<double> var(out.size());
+    const std::size_t begin = chunk.begin - pin.first_row();
+    dispatch->proud_moment_range(qrow, pin.block(), v, begin,
+                                 begin + out.size(), out, var);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const measures::ProudStats stats{out[i], var[i]};
+      if (!margin) {
+        out[i] = measures::Proud::ProbabilityFromStats(stats, epsilon);
+        continue;
+      }
+      const measures::ProudMargin m =
+          measures::Proud::MarginFromStats(stats, epsilon);
+      out[i] = !m.degenerate ? m.eps_norm : m.within ? kInf : -kInf;
+    }
+    return Status::OK();
+  };
 }
 
-Result<std::vector<std::size_t>> UncertainEngine::ProbabilisticRangeSearchMunich(
-    std::size_t query, double epsilon, double tau,
-    const measures::MunichOptions& munich) const {
-  auto probs = MunichMatchProbabilities(query, epsilon, munich);
-  if (!probs.ok()) return probs.status();
-  return detail::SelectThreshold(probs.ValueOrDie(), query, tau,
-                                 detail::Keep::kAtLeast);
+/// MUNICH chunk scorer of series `query` over the lower interval column's
+/// blocks: the bounds filter from the interval rows (the query's are
+/// `qlo`/`qhi`, pinned by the caller), then the estimator on the samples.
+/// The self slot stays 0. A refused pair fails the chunk.
+detail::ChunkScorer MunichScorer(const uncertain::MultiSampleDataset& samples,
+                                 ts::StoreView hi_column,
+                                 std::span<const double> qlo,
+                                 std::span<const double> qhi,
+                                 std::size_t query, double epsilon,
+                                 const measures::MunichOptions& munich,
+                                 std::uint64_t seed) {
+  // Pairs the filter leaves undecided go to a filter-free estimator, so
+  // the bounds are not recomputed from the raw samples.
+  measures::MunichOptions unfiltered = munich;
+  unfiltered.use_bounds_filter = false;
+  return [&samples, hi_column, qlo, qhi, query, epsilon,
+          filter = munich.use_bounds_filter,
+          estimator = measures::Munich(unfiltered),
+          seed](const ts::RowChunk& chunk,
+                const ts::StoreView::PinnedBlock& lo_pin,
+                std::span<double> out) -> Status {
+    UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedBlock hi_pin,
+                         hi_column.Pin(chunk.block));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::size_t c = chunk.begin + i;
+      if (c == query) continue;
+      if (filter) {
+        const std::size_t local = c - lo_pin.first_row();
+        const measures::DistanceBounds bounds =
+            measures::Munich::EuclideanBoundsFromIntervals(
+                qlo, qhi, lo_pin.block().row(local),
+                hi_pin.block().row(local));
+        if (bounds.upper <= epsilon) {
+          out[i] = 1.0;
+          continue;
+        }
+        if (bounds.lower > epsilon) {
+          out[i] = 0.0;
+          continue;
+        }
+      }
+      // Counter-based: the stream of pair (query, c) depends only on the
+      // pair counter and the engine seed — never on evaluation order or
+      // thread placement — and the evaluation matchers derive it the same
+      // way.
+      UTS_ASSIGN_OR_RETURN(
+          out[i], estimator.MatchProbability(
+                      samples[query], samples[c], epsilon,
+                      prob::PairStreamSeed(seed, query, c, samples.size())));
+    }
+    return Status::OK();
+  };
 }
 
-Result<std::vector<Neighbor>> UncertainEngine::KNearestMunich(
-    std::size_t query, double epsilon, std::size_t k,
-    const measures::MunichOptions& munich) const {
-  auto probs = MunichMatchProbabilities(query, epsilon, munich);
-  if (!probs.ok()) return probs.status();
-  return detail::SelectKLargest(probs.ValueOrDie(), query, k);
+const char* KindName(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kKnn: return "knn";
+    case QueryKind::kRange: return "range";
+    case QueryKind::kPrq: return "prq";
+    case QueryKind::kSweep: return "sweep";
+    case QueryKind::kScore: return "score";
+  }
+  return "query";
+}
+
+bool ScoresProbability(Measure measure) {
+  return measure == Measure::kProud || measure == Measure::kMunich;
+}
+
+}  // namespace
+
+detail::ScanTarget UncertainEngine::Target() const {
+  return {ts::StoreView(store_), dispatch_, pool_, options_.grain};
+}
+
+Result<detail::MeasureScan> UncertainEngine::Scan(
+    const Query& q, index::SearchCost* cost) const {
+  // Only kNN and range select through the index cascade.
+  const bool cascade = q.kind == QueryKind::kKnn || q.kind == QueryKind::kRange;
+  if (q.measure == Measure::kEuclidean) {
+    detail::ScanTarget target = Target();
+    if (cascade) target.synopsis = synopsis_index_.get();
+    return detail::EuclideanScan(target, q.query, cost);
+  }
+  detail::MeasureScan scan{Target()};
+  scan.descending = ScoresProbability(q.measure);
+  if (q.measure == Measure::kMunich) {
+    scan.target.view = ts::StoreView(sample_lo_);
+    for (const ts::SoaStore* column : {&sample_lo_, &sample_hi_}) {
+      UTS_ASSIGN_OR_RETURN(ts::StoreView::PinnedRow pin,
+                           ts::StoreView(*column).PinRow(q.query));
+      scan.pins.push_back(std::move(pin));
+    }
+    scan.score = MunichScorer(*samples_, ts::StoreView(sample_hi_),
+                              scan.pins[0].row(), scan.pins[1].row(), q.query,
+                              q.epsilon, q.munich, options_.seed);
+    return scan;
+  }
+  UTS_ASSIGN_OR_RETURN(ts::StoreView::PinnedRow pin,
+                       scan.target.view.PinRow(q.query));
+  const std::span<const double> qrow = pin.row();
+  scan.pins.push_back(std::move(pin));
+  if (q.measure == Measure::kProud) {
+    scan.score = ProudScorer(dispatch_, proud_v_, qrow, q.epsilon,
+                             q.kind == QueryKind::kPrq);
+    return scan;
+  }
+  scan.score = DustScorer(q.query, qrow);
+  if (cascade && dust_index_enabled()) {
+    // Stage-1 bounds: Haar-synopsis Euclidean lower bounds on the
+    // observation rows, mapped through the table minorant into the DUST
+    // metric.
+    scan.lower_bounds = [this, qrow] {
+      std::vector<double> bounds(size(), 0.0);
+      synopsis_index_->EuclideanLowerBounds(synopsis_index_->Synopsize(qrow),
+                                            bounds);
+      for (double& b : bounds) b = dust_bound_(b);
+      return bounds;
+    };
+  }
+  return scan;
+}
+
+Status UncertainEngine::Check(const Query& q) const {
+  const bool probability = ScoresProbability(q.measure);
+  const auto invalid = [&q](const std::string& what) {
+    return Status::InvalidArgument(std::string(KindName(q.kind)) + ": " +
+                                   what);
+  };
+  if (q.kind == QueryKind::kRange && probability) {
+    return invalid("PROUD/MUNICH are probabilistic — use PRQ");
+  }
+  if (q.kind == QueryKind::kPrq && !probability) {
+    return invalid(
+        "only the probabilistic measures (PROUD, MUNICH) answer PRQ");
+  }
+  const std::size_t last =
+      q.kind == QueryKind::kScore ? std::max(q.query, q.candidate) : q.query;
+  if (last >= size()) {
+    return invalid("series index " + std::to_string(last) +
+                   " out of range (" + std::to_string(size()) + " series)");
+  }
+  if (q.kind == QueryKind::kKnn && q.k == 0) return invalid("k must be >= 1");
+  if ((probability || q.kind == QueryKind::kRange) &&
+      !(std::isfinite(q.epsilon) && q.epsilon >= 0.0)) {
+    return invalid("epsilon must be finite and >= 0");
+  }
+  if (q.kind == QueryKind::kPrq) {
+    // Φ⁻¹(τ) is ∓inf at 0 and 1: every candidate would match, or none.
+    for (const double tau : q.taus) {
+      if (!(tau > 0.0 && tau < 1.0)) return invalid("tau must lie in (0, 1)");
+    }
+  }
+  if (q.measure == Measure::kDust && !dust_ready_) {
+    return invalid("DUST tables not built; call BuildDustTables first");
+  }
+  if (q.measure == Measure::kMunich && samples_ == nullptr) {
+    return invalid("no sample-model dataset attached (required by MUNICH)");
+  }
+  return Status::OK();
+}
+
+Result<QueryAnswer> UncertainEngine::Answer(const Query& q) const {
+  UTS_RETURN_NOT_OK(Check(q));
+  QueryAnswer answer;
+  // Only the distance measures report work accounting.
+  index::SearchCost* cost =
+      ScoresProbability(q.measure) ? nullptr : &answer.cost;
+  UTS_ASSIGN_OR_RETURN(const detail::MeasureScan scan, Scan(q, cost));
+  switch (q.kind) {
+    case QueryKind::kKnn: {
+      UTS_ASSIGN_OR_RETURN(answer.neighbors,
+                           detail::KBest(scan, q.query, q.k, cost));
+      break;
+    }
+    case QueryKind::kRange: {
+      UTS_ASSIGN_OR_RETURN(
+          std::vector<std::size_t> matches,
+          detail::WithinRange(scan, q.query, q.epsilon, cost));
+      answer.matches.push_back(std::move(matches));
+      break;
+    }
+    case QueryKind::kPrq: {
+      // One scan decides every τ: PROUD scores ε_norm against Φ⁻¹(τ)
+      // (Eq. 10), MUNICH its probability against τ.
+      UTS_ASSIGN_OR_RETURN(const std::vector<double> scores,
+                           detail::ScanRows(scan.target, scan.score));
+      for (const double tau : q.taus) {
+        const double limit =
+            q.measure == Measure::kProud ? prob::NormalQuantile(tau) : tau;
+        answer.matches.push_back(detail::SelectThreshold(
+            scores, q.query, limit, detail::Keep::kAtLeast));
+      }
+      break;
+    }
+    case QueryKind::kSweep: {
+      UTS_ASSIGN_OR_RETURN(answer.scores,
+                           detail::ScanRows(scan.target, scan.score));
+      break;
+    }
+    case QueryKind::kScore: {
+      UTS_ASSIGN_OR_RETURN(
+          const double score,
+          detail::ScoreRow(scan.target.view, q.candidate, scan.score));
+      answer.scores.push_back(score);
+      break;
+    }
+  }
+  return answer;
 }
 
 }  // namespace uts::query

@@ -1,17 +1,25 @@
 /// \file uncertain_engine.hpp
 /// \brief The batched, multi-threaded query engine for the *uncertain*
 /// measures — MUNICH, PROUD and DUST — the techniques every reported figure
-/// of the paper (Fig. 4–17) is driven by.
+/// of the paper (Fig. 4–17) is driven by, plus Euclidean over their
+/// observations.
 ///
-/// `UncertainEngine` is the uncertain-measure sibling of
-/// `DistanceMatrixEngine` (engine.hpp): it answers 1-vs-all sweeps — dense
-/// distance/probability vectors, k-NN lists, range queries RQ and
-/// probabilistic range queries PRQ(Q,C,ε,τ) (Eq. 2) — over parallel blocks
-/// of candidates scheduled on an `exec::ThreadPool`, streaming contiguous
-/// `ts::SoaStore` snapshots instead of per-series heap allocations. Each
-/// sweep is a chunk scorer on the shared store scan (scan.hpp). Euclidean
-/// queries over the observations run scan.hpp's Euclidean measure, so one
-/// engine serves all four measures and no certain-dataset copy is kept.
+/// `UncertainEngine` answers every query through one entry point,
+/// `Answer(const Query&)`: a measure (Euclidean, DUST, PROUD, MUNICH) and a
+/// kind — k-NN lists, range queries RQ (Eq. 1), probabilistic range queries
+/// PRQ(Q,C,ε,τ) (Eq. 2) over a list of τ, dense 1-vs-all sweeps, and the
+/// score of one pair for calibration. `Answer` checks the whole query in
+/// one place — indices, k, ε where the query reads it, every τ, a supported
+/// (measure, kind) pair and the measure's state — and returns every failure
+/// as a `Status`: a bad parameter, a block that cannot be pinned, an
+/// estimator that refuses a pair. It never returns a partial answer.
+///
+/// Each measure plugs into the shared store scan (scan.hpp) as a chunk
+/// scorer, an optional lower-bound map for the index cascade, and its order
+/// (ascending distance or descending probability); the kind picks the
+/// selection. The scans stream contiguous `ts::SoaStore` blocks over
+/// parallel chunks of candidates on an `exec::ThreadPool`, so one engine
+/// serves all four measures and no certain-dataset copy is kept.
 ///
 /// Per measure, the engine precomputes at build time:
 ///
@@ -23,15 +31,16 @@
 ///    all-normal-error case takes the closed form
 ///    dust(Δ) = Δ / sqrt(2(σx² + σy²)) — no table loads at all.
 ///  * **PROUD** — nothing beyond the observation rows: the paper-faithful
-///    constant-σ sweep is a single fused pass over them.
+///    constant-σ sweep is a single fused pass over them. Its PRQ thresholds
+///    ε_norm at Φ⁻¹(τ) (Eq. 10); a degenerate σ = 0 margin scores ±∞.
 ///  * **MUNICH** — per-series bounding-interval columns (min/max per
-///    timestamp) for the certain-accept / certain-reject filter, plus
-///    deterministic *counter-based* RNG seeding: the Monte Carlo stream of
-///    pair (q, c) is seeded by the pure function
-///    `DeriveSeed(seed, q·n + c + 0x9a1)` of the pair counter alone, so
-///    parallel and sequential runs draw identical materializations. The
-///    estimator configuration is an argument of each query, so every
-///    MUNICH caller of a run shares the one engine.
+///    timestamp) for the certain-accept / certain-reject filter, which the
+///    scan reads block by block, plus deterministic *counter-based* RNG
+///    seeding: the Monte Carlo stream of pair (q, c) is seeded by the pure
+///    function `DeriveSeed(seed, q·n + c + 0x9a1)` of the pair counter
+///    alone, so parallel and sequential runs draw identical
+///    materializations. The estimator configuration is a field of each
+///    query, so every MUNICH caller of a run shares the one engine.
 ///
 /// A run's matchers (core/matchers.hpp) borrow this engine from the run's
 /// query::EngineContext and have no retrieval path besides it; the scalar
@@ -46,7 +55,7 @@
 /// measure's operation order (distance/batch.hpp documents each identity),
 /// and the scalar measures themselves evaluate through the very code the
 /// kernels use (DustTable::Dust == DustLut::Eval; Proud decisions go through
-/// Proud::DecideFromStats; MUNICH bounds go through
+/// Proud::MarginFromStats; MUNICH bounds go through
 /// Munich::EuclideanBoundsFromIntervals).
 
 #ifndef UTS_QUERY_UNCERTAIN_ENGINE_HPP_
@@ -75,6 +84,55 @@
 
 namespace uts::query {
 
+/// \brief The measure a Query scores with.
+enum class Measure {
+  kEuclidean,  ///< Euclidean distance over the observations.
+  kDust,       ///< DUST distance; needs the DUST tables.
+  kProud,      ///< PROUD Pr(distance <= ε) under the constant-σ model.
+  kMunich,     ///< MUNICH Pr(distance <= ε); needs the sample model.
+};
+
+/// \brief What a Query selects from its measure's scores. Euclidean and
+/// DUST score distances, PROUD and MUNICH match probabilities at ε.
+enum class QueryKind {
+  kKnn,    ///< The k best candidates: nearest, or most probable.
+  kRange,  ///< RQ (Eq. 1): distance <= ε. Distance measures only.
+  kPrq,    ///< PRQ (Eq. 2) at every τ of the list. Probability measures only.
+  kSweep,  ///< Every series' score, the self slot included.
+  kScore,  ///< One candidate's score (ε calibration).
+};
+
+/// \brief One engine query. A field the kind does not read is ignored and
+/// not checked.
+struct Query {
+  Measure measure = Measure::kEuclidean;  ///< The scoring measure.
+  QueryKind kind = QueryKind::kKnn;       ///< The selection.
+  std::size_t query = 0;                  ///< The query series.
+  std::size_t candidate = 0;              ///< The candidate of kScore.
+  std::size_t k = 0;                      ///< Neighbours of kKnn (>= 1).
+  /// The range threshold of kRange, and the ε of every PROUD and MUNICH
+  /// probability; finite and >= 0 where read.
+  double epsilon = 0.0;
+  std::vector<double> taus{};  ///< The PRQ thresholds, each in (0, 1).
+  /// The estimator of MUNICH queries; its τ is never read.
+  measures::MunichOptions munich{};
+};
+
+/// \brief What Answer returns. Only the fields of the query's kind are
+/// filled; self is excluded from every selection.
+struct QueryAnswer {
+  /// kKnn: best first (ascending distance, descending probability), ties
+  /// by index. `Neighbor::distance` carries the score.
+  std::vector<Neighbor> neighbors;
+  /// kRange: one list; kPrq: one list per τ, in order. Indices ascend.
+  std::vector<std::vector<std::size_t>> matches;
+  /// kSweep: one score per series (MUNICH's self slot is 0); kScore: one.
+  std::vector<double> scores;
+  /// Work accounting of Euclidean and DUST kNN and range queries: an
+  /// unindexed scan reports every eligible candidate as touched.
+  index::SearchCost cost;
+};
+
 /// \brief Execution + measure configuration of an UncertainEngine. The
 /// shared execution fields (`threads`, `simd`, `shared_pool`, `index`,
 /// `buffer_pool`, `block_rows`) live in the inherited query::ExecOptions —
@@ -98,13 +156,14 @@ struct UncertainEngineOptions : ExecOptions {
   std::uint64_t seed = 0x5eed;
 };
 
-/// \brief Batched parallel MUNICH / PROUD / DUST query execution over one
-/// pdf-model dataset (plus an optional sample-model dataset for MUNICH).
+/// \brief Batched parallel Euclidean / DUST / PROUD / MUNICH query
+/// execution over one pdf-model dataset (plus an optional sample-model
+/// dataset for MUNICH).
 ///
 /// The engine packs the pdf dataset's observations at `Create` and owns
 /// them; it borrows the sample-model dataset of `AttachSamples` and the
-/// table cache of `BuildDustTables`, which must outlive it. All query
-/// methods are const and safe to call concurrently once construction (and
+/// table cache of `BuildDustTables`, which must outlive it. `Answer` is
+/// const and safe to call concurrently once construction (and
 /// `BuildDustTables`, if used) is done.
 class UncertainEngine {
  public:
@@ -140,30 +199,9 @@ class UncertainEngine {
   /// The options the engine was created with.
   const UncertainEngineOptions& options() const { return options_; }
 
-  /// Kernel level the DUST/PROUD sweeps execute at (resolved once from
-  /// UncertainEngineOptions::simd at construction).
+  /// Kernel level the Euclidean/DUST/PROUD scans execute at (resolved once
+  /// from UncertainEngineOptions::simd at construction).
   distance::SimdLevel simd_level() const { return dispatch_->level; }
-
-  /// Euclidean k nearest neighbors of `query` over the observations, self
-  /// excluded, ascending: bitwise DistanceMatrixEngine's answer over the
-  /// same observations, `cost` (incremented when non-null) included.
-  std::vector<Neighbor> KNearestEuclidean(
-      std::size_t query, std::size_t k,
-      index::SearchCost* cost = nullptr) const;
-
-  /// Euclidean RQ(Q, C, ε) over the observations, self excluded, ascending;
-  /// bitwise DistanceMatrixEngine's answer, like KNearestEuclidean.
-  std::vector<std::size_t> RangeSearchEuclidean(
-      std::size_t query, double epsilon,
-      index::SearchCost* cost = nullptr) const;
-
-  /// Euclidean distance of one pair over the observations, through the
-  /// scan's kernel: bitwise the value the two queries above compare for
-  /// `candidate`, so an ε taken from it keeps `candidate` in range.
-  double EuclideanDistance(std::size_t query, std::size_t candidate) const;
-
-  /// \name DUST
-  /// \{
 
   /// Borrow one lookup table per unordered pair of error classes from
   /// `cache`, the scalar measure's table cache, which builds any it lacks
@@ -174,127 +212,57 @@ class UncertainEngine {
   /// keeps none of this dataset's error models alive.
   /// `cache` must outlive this engine; it is append-only, so borrowed
   /// table addresses stay valid. The cache's DustOptions decide the tables.
-  /// Idempotent; must complete before the DUST queries below. Not
-  /// thread-safe against concurrent queries (call during setup).
+  /// Idempotent; must complete before DUST queries. Not thread-safe
+  /// against concurrent queries (call during setup).
   Status BuildDustTables(measures::Dust& cache);
 
   /// True once BuildDustTables has succeeded.
   bool dust_ready() const { return dust_ready_; }
 
-  /// True iff the DUST k-NN / range paths will route through the cascade:
+  /// True iff the DUST k-NN / range queries route through the cascade:
   /// the synopsis index was built (UncertainEngineOptions::index enabled)
   /// AND the built tables admit a positive distance minorant.
   bool dust_index_enabled() const {
     return synopsis_index_ != nullptr && dust_ready_ && dust_bound_.valid;
   }
 
-  /// Dense DUST(query, ·) sweep over every series (self slot included).
-  Result<std::vector<double>> DustDistances(std::size_t query) const;
-
-  /// DUST distance of one pair, through the same tables/kernels.
-  Result<double> DustDistance(std::size_t query, std::size_t candidate) const;
-
-  /// k nearest neighbors under DUST, self excluded; ascending distance,
-  /// ties by index (the legacy comparator). `cost`, when non-null, is
-  /// incremented with the query's work accounting (an unindexed sweep
-  /// reports every eligible candidate as touched).
-  Result<std::vector<Neighbor>> KNearestDust(
-      std::size_t query, std::size_t k,
-      index::SearchCost* cost = nullptr) const;
-
-  /// RQ(Q, C, ε) under DUST: indices with distance <= epsilon, self
-  /// excluded, ascending.
-  Result<std::vector<std::size_t>> RangeSearchDust(
-      std::size_t query, double epsilon,
-      index::SearchCost* cost = nullptr) const;
-  /// \}
-
-  /// \name PROUD (paper-faithful constant-σ model)
-  /// \{
-
-  /// Dense Pr(distance(query, ·) ≤ ε) sweep (self slot included).
-  std::vector<double> ProudMatchProbabilities(std::size_t query,
-                                              double epsilon) const;
-
-  /// PRQ(Q, C, ε, τ) via the ε_norm ≥ Φ⁻¹(τ) test — bit-identical to
-  /// measures::Proud::Matches per candidate. Self excluded, ascending. The
-  /// one-τ case of the multi-τ scan below.
-  std::vector<std::size_t> ProbabilisticRangeSearchProud(std::size_t query,
-                                                         double epsilon,
-                                                         double tau) const;
-
-  /// PRQ(Q, C, ε, τ) for every τ of `taus` from one moment pass: each
-  /// candidate's ε_norm is scored once and Φ⁻¹(τ) is evaluated once per τ.
-  /// `result[i]` is bit-identical to the single-τ call at `taus[i]`.
-  std::vector<std::vector<std::size_t>> ProbabilisticRangeSearchProud(
-      std::size_t query, double epsilon, std::span<const double> taus) const;
-
-  /// k candidates with the highest match probability at ε, self excluded;
-  /// descending probability, ties by index. `Neighbor::distance` carries
-  /// the probability.
-  std::vector<Neighbor> KNearestProud(std::size_t query, double epsilon,
-                                      std::size_t k) const;
-  /// \}
-
-  /// \name MUNICH (requires AttachSamples)
-  /// Each query takes the estimator configuration `munich` it runs (its τ
-  /// is never read: PRQ takes τ explicitly), so matchers with different
-  /// estimators share one engine.
-  /// \{
-
-  /// Attach the repeated-observations dataset and precompute its
-  /// bounding-interval columns. Series count and lengths must match the
-  /// pdf dataset.
+  /// Attach the repeated-observations dataset MUNICH queries read and
+  /// precompute its bounding-interval columns. Series count and lengths
+  /// must match the pdf dataset.
   Status AttachSamples(const uncertain::MultiSampleDataset& samples);
 
   /// True once a sample-model dataset is attached.
   bool has_samples() const { return samples_ != nullptr; }
 
-  /// Dense Pr(distance(query, ·) ≤ ε) sweep via the estimator of `munich`
-  /// with the interval-bounds filter applied first (when enabled). The self
-  /// slot is 0 (never evaluated). Bit-identical to
-  /// measures::Munich(munich).MatchProbability with prob::PairStreamSeed
-  /// per pair.
-  Result<std::vector<double>> MunichMatchProbabilities(
-      std::size_t query, double epsilon,
-      const measures::MunichOptions& munich) const;
-
-  /// PRQ(Q, C, ε, τ): probability ≥ τ, self excluded, ascending.
-  Result<std::vector<std::size_t>> ProbabilisticRangeSearchMunich(
-      std::size_t query, double epsilon, double tau,
-      const measures::MunichOptions& munich) const;
-
-  /// k candidates with the highest MUNICH match probability at ε, self
-  /// excluded; descending probability, ties by index.
-  Result<std::vector<Neighbor>> KNearestMunich(
-      std::size_t query, double epsilon, std::size_t k,
-      const measures::MunichOptions& munich) const;
-  /// \}
+  /// Answer `query`. InvalidArgument, naming the kind ("knn: k must be
+  /// >= 1"), for: a query index (or kScore candidate) past the rows; k = 0
+  /// on kNN; a non-finite or negative ε where the query reads it (range,
+  /// and every PROUD and MUNICH query); a τ outside (0, 1) on PRQ; range on
+  /// PROUD or MUNICH; PRQ on Euclidean or DUST; DUST before
+  /// BuildDustTables; MUNICH before AttachSamples. A block that cannot be
+  /// pinned or a MUNICH estimator that refuses a pair fails with that
+  /// status (the lowest failing chunk's at every thread count).
+  Result<QueryAnswer> Answer(const Query& query) const;
 
  private:
   explicit UncertainEngine(UncertainEngineOptions options);
 
-  /// MUNICH probability of one pair (bounds filter + estimator), reading
-  /// the precomputed interval columns.
-  Result<double> MunichPairProbability(
-      std::size_t qi, std::size_t ci, double epsilon,
-      const measures::MunichOptions& munich) const;
+  /// Answer's validation: OK or the InvalidArgument it documents.
+  Status Check(const Query& query) const;
+
+  /// The measure of `query` as a scan: its chunk scorer, order and, for the
+  /// indexed Euclidean and DUST kNN and range, the cascade's inputs. A
+  /// non-null `cost` receives the cascade's abandon counts.
+  Result<detail::MeasureScan> Scan(const Query& query,
+                                   index::SearchCost* cost) const;
 
   /// The scan target over the observation store.
   detail::ScanTarget Target() const;
-
-  /// InvalidArgument until BuildDustTables has succeeded.
-  Status RequireDustTables() const;
 
   /// DUST chunk scorer of series `query` (row `qrow`, pinned by the caller
   /// for the scorer's lifetime): single-lut or classed kernel.
   detail::ChunkScorer DustScorer(std::size_t query,
                                  std::span<const double> qrow) const;
-
-  /// Stage-1 bounds of the DUST cascade: synopsis Euclidean bounds of
-  /// `qrow` mapped through dust_bound_. Requires dust_index_enabled().
-  std::vector<double> DustCascadeLowerBounds(
-      std::span<const double> qrow) const;
 
   UncertainEngineOptions options_;
   /// Kernel table resolved from options_.simd at construction; never null.
@@ -319,7 +287,8 @@ class UncertainEngine {
   index::DustLowerBoundMap dust_bound_;
 
   const uncertain::MultiSampleDataset* samples_ = nullptr;  ///< Borrowed.
-  ts::SoaStore sample_lo_, sample_hi_;  ///< Bounding-interval columns.
+  /// Bounding-interval columns, blocked like the observation store.
+  ts::SoaStore sample_lo_, sample_hi_;
 
   std::unique_ptr<exec::ThreadPool> owned_pool_;  ///< Null when borrowed/inline.
   exec::ThreadPool* pool_ = nullptr;  ///< Executor view; null = run inline.

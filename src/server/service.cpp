@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "ts/time_series.hpp"
 #include "uncertain/error_spec.hpp"
@@ -25,17 +24,18 @@ prob::ErrorKind ToErrorKind(WireErrorKind kind) {
   }
 }
 
-/// ε as a range, PRQ or probability-measure query reads it: a distance
-/// threshold, so finite and non-negative (NaN fails).
-Status CheckEpsilon(const char* what, double epsilon) {
-  if (std::isfinite(epsilon) && epsilon >= 0.0) return Status::OK();
-  return Status::InvalidArgument(std::string(what) +
-                                 ": epsilon must be finite and >= 0");
-}
-
-/// The measures whose kNN and sweeps rank by match probability at ε.
-bool ReadsEpsilon(WireMeasure measure) {
-  return measure == WireMeasure::kProud || measure == WireMeasure::kMunich;
+query::Measure ToMeasure(WireMeasure measure) {
+  switch (measure) {
+    case WireMeasure::kDust:
+      return query::Measure::kDust;
+    case WireMeasure::kProud:
+      return query::Measure::kProud;
+    case WireMeasure::kMunich:
+      return query::Measure::kMunich;
+    case WireMeasure::kEuclid:
+    default:
+      return query::Measure::kEuclidean;
+  }
 }
 
 }  // namespace
@@ -163,129 +163,61 @@ Status Service::Activate(const std::string& name, std::uint32_t query) {
   return Status::OK();
 }
 
-Result<query::UncertainEngine*> Service::AcquireFor(WireMeasure measure) {
-  switch (measure) {
-    case WireMeasure::kEuclid:
-    case WireMeasure::kProud:
-      // Activate bound the resident, so the engine's PROUD kernels run at
-      // the σ its Bind reported.
-      return context_.AcquireEuclidean();
-    case WireMeasure::kDust:
-      return context_.AcquireDust();
-    case WireMeasure::kMunich:
-      return context_.AcquireMunich();
-    default:
-      return Status::InvalidArgument("unknown measure");
-  }
-}
-
-Result<KnnResponse> Service::Knn(const QueryRequest& request,
-                                 std::uint64_t request_seq) {
-  if (request.k == 0) return Status::InvalidArgument("knn: k must be >= 1");
-  if (ReadsEpsilon(request.measure)) {
-    UTS_RETURN_NOT_OK(CheckEpsilon("knn", request.epsilon));
-  }
+Result<query::QueryAnswer> Service::Answer(const QueryRequest& request,
+                                           query::QueryKind kind) {
   UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
-  KnnResponse response;
-  response.request_seq = request_seq;
-  response.query = request.query;
+  const query::Measure measure = ToMeasure(request.measure);
+  // Activate bound the resident, so the engine's PROUD kernels run at the
+  // σ its Bind reported.
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure));
-  index::SearchCost cost;
-  switch (request.measure) {
-    case WireMeasure::kEuclid:
-      response.neighbors =
-          engine->KNearestEuclidean(request.query, request.k, &cost);
-      break;
-    case WireMeasure::kDust: {
-      UTS_ASSIGN_OR_RETURN(
-          response.neighbors,
-          engine->KNearestDust(request.query, request.k, &cost));
-      break;
-    }
-    case WireMeasure::kProud:
-      response.neighbors =
-          engine->KNearestProud(request.query, request.epsilon, request.k);
-      break;
-    case WireMeasure::kMunich: {
-      UTS_ASSIGN_OR_RETURN(response.neighbors,
-                           engine->KNearestMunich(request.query,
-                                                  request.epsilon, request.k,
-                                                  options_.munich));
-      break;
-    }
-    default:
-      return Status::InvalidArgument("knn: unsupported measure");
-  }
-  response.cost = WireSearchCost::From(cost);
+                       context_.Acquire(measure));
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       engine->Answer({.measure = measure,
+                                       .kind = kind,
+                                       .query = request.query,
+                                       .k = request.k,
+                                       .epsilon = request.epsilon,
+                                       .taus = {request.tau},
+                                       .munich = options_.munich}));
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.queries;
   }
+  return answer;
+}
+
+Result<KnnResponse> Service::Knn(const QueryRequest& request,
+                                 std::uint64_t request_seq) {
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       Answer(request, query::QueryKind::kKnn));
+  KnnResponse response;
+  response.request_seq = request_seq;
+  response.query = request.query;
+  response.neighbors = std::move(answer.neighbors);
+  response.cost = WireSearchCost::From(answer.cost);
   return response;
 }
 
 Result<IndexListResponse> Service::Range(const QueryRequest& request,
                                          std::uint64_t request_seq) {
-  if (ReadsEpsilon(request.measure)) {
-    return Status::InvalidArgument(
-        "range: PROUD/MUNICH are probabilistic — use PRQ");
-  }
-  UTS_RETURN_NOT_OK(CheckEpsilon("range", request.epsilon));
-  UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       Answer(request, query::QueryKind::kRange));
   IndexListResponse response;
   response.request_seq = request_seq;
-  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure));
-  index::SearchCost cost;
-  std::vector<std::size_t> matches;
-  if (request.measure == WireMeasure::kEuclid) {
-    matches =
-        engine->RangeSearchEuclidean(request.query, request.epsilon, &cost);
-  } else {
-    UTS_ASSIGN_OR_RETURN(
-        matches, engine->RangeSearchDust(request.query, request.epsilon,
-                                         &cost));
-  }
-  response.indices.assign(matches.begin(), matches.end());
-  response.cost = WireSearchCost::From(cost);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-  }
+  response.indices.assign(answer.matches.front().begin(),
+                          answer.matches.front().end());
+  response.cost = WireSearchCost::From(answer.cost);
   return response;
 }
 
 Result<IndexListResponse> Service::Prq(const QueryRequest& request,
                                        std::uint64_t request_seq) {
-  if (!ReadsEpsilon(request.measure)) {
-    return Status::InvalidArgument(
-        "prq: only the probabilistic measures (PROUD, MUNICH) answer PRQ");
-  }
-  UTS_RETURN_NOT_OK(CheckEpsilon("prq", request.epsilon));
-  // Φ⁻¹(τ) is ∓inf at 0 and 1: every candidate would match, or none.
-  if (!(request.tau > 0.0 && request.tau < 1.0)) {
-    return Status::InvalidArgument("prq: tau must lie in (0, 1)");
-  }
-  UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
-  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure));
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       Answer(request, query::QueryKind::kPrq));
   IndexListResponse response;
   response.request_seq = request_seq;
-  std::vector<std::size_t> matches;
-  if (request.measure == WireMeasure::kProud) {
-    matches = engine->ProbabilisticRangeSearchProud(
-        request.query, request.epsilon, request.tau);
-  } else {
-    UTS_ASSIGN_OR_RETURN(matches, engine->ProbabilisticRangeSearchMunich(
-                                      request.query, request.epsilon,
-                                      request.tau, options_.munich));
-  }
-  response.indices.assign(matches.begin(), matches.end());
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-  }
+  response.indices.assign(answer.matches.front().begin(),
+                          answer.matches.front().end());
   return response;
 }
 
@@ -296,38 +228,11 @@ Result<SweepResponse> Service::MeasureSweep(const QueryRequest& request,
         "sweep: dense sweeps serve the uncertain measures (dust|proud|"
         "munich)");
   }
-  if (ReadsEpsilon(request.measure)) {
-    UTS_RETURN_NOT_OK(CheckEpsilon("sweep", request.epsilon));
-  }
-  UTS_RETURN_NOT_OK(Activate(request.dataset, request.query));
-  UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
-                       AcquireFor(request.measure));
+  UTS_ASSIGN_OR_RETURN(query::QueryAnswer answer,
+                       Answer(request, query::QueryKind::kSweep));
   SweepResponse response;
   response.request_seq = request_seq;
-  switch (request.measure) {
-    case WireMeasure::kDust: {
-      UTS_ASSIGN_OR_RETURN(response.values,
-                           engine->DustDistances(request.query));
-      break;
-    }
-    case WireMeasure::kProud:
-      response.values =
-          engine->ProudMatchProbabilities(request.query, request.epsilon);
-      break;
-    case WireMeasure::kMunich: {
-      UTS_ASSIGN_OR_RETURN(
-          response.values,
-          engine->MunichMatchProbabilities(request.query, request.epsilon,
-                                           options_.munich));
-      break;
-    }
-    default:
-      return Status::InvalidArgument("sweep: unsupported measure");
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-  }
+  response.values = std::move(answer.scores);
   return response;
 }
 

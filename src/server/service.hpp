@@ -11,6 +11,19 @@
 /// engines' deterministic `ParallelFor` partitions, so responses are
 /// bitwise identical to in-process engine calls at every pool width.
 ///
+/// Every query request takes one path: activate the resident, acquire the
+/// engine for the measure, `UncertainEngine::Answer`, which validates the
+/// whole query. A failure on that path — a bad parameter, a missing
+/// measure state, a block whose spill log cannot be read, an estimator
+/// that refuses a pair — becomes that one request's error response.
+///
+/// API fence: the end-to-end benchmark (bench/e2e/serve.cpp) calls
+/// `Knn`, `Range`, `Prq` and `MeasureSweep` with their
+/// `(const QueryRequest&, std::uint64_t)` signatures, plus `context()`,
+/// and reaches a shard's service through `Server::shard_service`. Keep the
+/// four handlers as separate public methods with these signatures; do not
+/// collapse them into one public handler.
+///
 /// Thread-safety: all methods must be called from one thread at a time
 /// (the dispatcher). `stats()` is the exception — it snapshots under a lock
 /// so tests and monitoring can read concurrently.
@@ -107,29 +120,33 @@ class Service {
   /// Names of the resident datasets.
   DatasetListResponse List(std::uint64_t request_seq);
 
+  /// \name Query handlers
+  /// Each runs the one shared path — activate the dataset (NotFound for an
+  /// unknown name or a query index past its series), acquire the engine
+  /// for the measure (NotSupported, so kUnavailable on the wire, for
+  /// MUNICH without a sample model), then query::UncertainEngine::Answer,
+  /// whose InvalidArgument messages name the handler ("knn: k must be
+  /// >= 1") — and maps the answer to its response type.
+  /// \{
+
   /// k-NN under the requested measure. For the probability measures the
   /// neighbor `distance` field carries the match probability at ε.
-  /// InvalidArgument for k = 0, and for PROUD/MUNICH a non-finite or
-  /// negative ε.
   Result<KnnResponse> Knn(const QueryRequest& request,
                           std::uint64_t request_seq);
 
-  /// Range query: Euclidean or DUST distance <= ε. InvalidArgument for a
-  /// non-finite or negative ε.
+  /// Range query: Euclidean or DUST distance <= ε.
   Result<IndexListResponse> Range(const QueryRequest& request,
                                   std::uint64_t request_seq);
 
   /// Probabilistic range query: PROUD or MUNICH Pr(dist <= ε) >= τ.
-  /// InvalidArgument for a non-finite or negative ε, or τ outside (0, 1)
-  /// (NaN included).
   Result<IndexListResponse> Prq(const QueryRequest& request,
                                 std::uint64_t request_seq);
 
   /// Dense per-candidate sweep: DUST distances or PROUD/MUNICH match
-  /// probabilities at ε. InvalidArgument for PROUD/MUNICH with a
-  /// non-finite or negative ε.
+  /// probabilities at ε. InvalidArgument for Euclidean.
   Result<SweepResponse> MeasureSweep(const QueryRequest& request,
                                      std::uint64_t request_seq);
+  /// \}
 
   /// Record one completed per-query k-NN list of a KnnSweep (called by the
   /// dispatcher as it streams sweep items).
@@ -143,10 +160,9 @@ class Service {
   /// the query index is out of range.
   Status Activate(const std::string& name, std::uint32_t query);
 
-  /// The shared uncertain engine with the state `measure` needs, or the
-  /// context's error (NotSupported, so kUnavailable on the wire, for
-  /// MUNICH on a dataset bound without a sample model).
-  Result<query::UncertainEngine*> AcquireFor(WireMeasure measure);
+  /// The handlers' shared path: activate, acquire, answer `kind`.
+  Result<query::QueryAnswer> Answer(const QueryRequest& request,
+                                    query::QueryKind kind);
 
   ServiceOptions options_;
   query::EngineContext context_;

@@ -303,51 +303,50 @@ TEST(EngineContextTest, SharedEngineQueriesMatchFreshEnginesBitwise) {
     context_options.threads = threads;
     EngineContext engines(context_options);
     ASSERT_TRUE(engines.BindData(pdf, samples, seed, proud_sigma).ok());
-    UncertainEngine* shared = engines.AcquireEuclidean().ValueOrDie();
-    ASSERT_EQ(engines.AcquireDust().ValueOrDie(), shared);
-    ASSERT_EQ(engines.AcquireMunich().ValueOrDie(), shared);
+    UncertainEngine* shared = engines.Acquire(Measure::kEuclidean).ValueOrDie();
+    ASSERT_EQ(engines.Acquire(Measure::kDust).ValueOrDie(), shared);
+    ASSERT_EQ(engines.Acquire(Measure::kMunich).ValueOrDie(), shared);
     EXPECT_EQ(engines.stats().pdf_packs, 1u);
     const measures::MunichOptions munich = Trio::MakeMunichOptions();
 
+    // DUST: dense sweep + RQ + k-NN; PROUD and MUNICH: dense sweep + PRQ
+    // (counter-based pair seeds make the Monte Carlo streams identical).
+    const struct {
+      Measure measure;
+      const UncertainEngine* fresh;
+      std::vector<QueryKind> kinds;
+    } cases[] = {
+        {Measure::kDust, fresh_dust.ValueOrDie().get(),
+         {QueryKind::kSweep, QueryKind::kRange, QueryKind::kKnn}},
+        {Measure::kProud, fresh_proud.ValueOrDie().get(),
+         {QueryKind::kSweep, QueryKind::kPrq}},
+        {Measure::kMunich, fresh_munich.ValueOrDie().get(),
+         {QueryKind::kSweep, QueryKind::kPrq}},
+    };
     for (std::size_t q : {std::size_t{0}, std::size_t{7}}) {
-      // DUST: dense sweep + RQ + k-NN.
-      const auto want_dust_sweep =
-          fresh_dust.ValueOrDie()->DustDistances(q).ValueOrDie();
-      EXPECT_EQ(shared->DustDistances(q).ValueOrDie(), want_dust_sweep)
-          << "threads=" << threads;
-      EXPECT_EQ(shared->RangeSearchDust(q, epsilon).ValueOrDie(),
-                fresh_dust.ValueOrDie()->RangeSearchDust(q, epsilon)
-                    .ValueOrDie());
-      const auto want_knn =
-          fresh_dust.ValueOrDie()->KNearestDust(q, 5).ValueOrDie();
-      const auto got_knn = shared->KNearestDust(q, 5).ValueOrDie();
-      ASSERT_EQ(got_knn.size(), want_knn.size());
-      for (std::size_t i = 0; i < got_knn.size(); ++i) {
-        EXPECT_EQ(got_knn[i].index, want_knn[i].index);
-        EXPECT_EQ(got_knn[i].distance, want_knn[i].distance);
+      for (const auto& c : cases) {
+        for (QueryKind kind : c.kinds) {
+          const Query query{.measure = c.measure,
+                            .kind = kind,
+                            .query = q,
+                            .k = 5,
+                            .epsilon = epsilon,
+                            .taus = {tau},
+                            .munich = munich};
+          const auto want = c.fresh->Answer(query);
+          const auto got = shared->Answer(query);
+          ASSERT_TRUE(want.ok() && got.ok());
+          EXPECT_EQ(got.ValueOrDie().scores, want.ValueOrDie().scores);
+          EXPECT_EQ(got.ValueOrDie().matches, want.ValueOrDie().matches);
+          const auto& got_knn = got.ValueOrDie().neighbors;
+          const auto& want_knn = want.ValueOrDie().neighbors;
+          ASSERT_EQ(got_knn.size(), want_knn.size());
+          for (std::size_t i = 0; i < got_knn.size(); ++i) {
+            EXPECT_EQ(got_knn[i].index, want_knn[i].index);
+            EXPECT_EQ(got_knn[i].distance, want_knn[i].distance);
+          }
+        }
       }
-
-      // PROUD: dense sweep + PRQ.
-      EXPECT_EQ(shared->ProudMatchProbabilities(q, epsilon),
-                fresh_proud.ValueOrDie()->ProudMatchProbabilities(q, epsilon));
-      EXPECT_EQ(
-          shared->ProbabilisticRangeSearchProud(q, epsilon, tau),
-          fresh_proud.ValueOrDie()->ProbabilisticRangeSearchProud(q, epsilon,
-                                                                  tau));
-
-      // MUNICH: dense sweep + PRQ (counter-based pair seeds make the
-      // Monte Carlo streams identical).
-      EXPECT_EQ(
-          shared->MunichMatchProbabilities(q, epsilon, munich).ValueOrDie(),
-          fresh_munich.ValueOrDie()
-              ->MunichMatchProbabilities(q, epsilon, munich)
-              .ValueOrDie());
-      EXPECT_EQ(
-          shared->ProbabilisticRangeSearchMunich(q, epsilon, tau, munich)
-              .ValueOrDie(),
-          fresh_munich.ValueOrDie()
-              ->ProbabilisticRangeSearchMunich(q, epsilon, tau, munich)
-              .ValueOrDie());
     }
   }
 }
@@ -376,11 +375,11 @@ TEST(EngineContextTest, RaggedOrEmptySeriesDataIsRefusedAtBind) {
   }
   EXPECT_FALSE(engines.HasResident("r"));
   EXPECT_EQ(engines.pdf(), nullptr);
-  EXPECT_EQ(engines.AcquireEuclidean().status().code(),
+  EXPECT_EQ(engines.Acquire(Measure::kEuclidean).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engines.AcquireDust().status().code(),
+  EXPECT_EQ(engines.Acquire(Measure::kDust).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engines.AcquireMunich().status().code(),
+  EXPECT_EQ(engines.Acquire(Measure::kMunich).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engines.stats().acquires_declined, 3u);
   EXPECT_EQ(engines.stats().pdf_packs, 0u);
@@ -394,14 +393,14 @@ TEST(EngineContextTest, MunichWithoutASampleModelIsNotSupported) {
                   .BindData(uncertain::PerturbDataset(exact, spec, 3),
                             std::nullopt, 3, 0.5)
                   .ok());
-  EXPECT_EQ(engines.AcquireMunich().status().code(),
+  EXPECT_EQ(engines.Acquire(Measure::kMunich).status().code(),
             StatusCode::kNotSupported);
   core::MunichMatcher munich;
   EXPECT_EQ(munich.Bind(engines).code(), StatusCode::kNotSupported);
   EXPECT_EQ(munich.Retrieve(0, 12, 1.0).status().code(),
             StatusCode::kInvalidArgument);  // left unbound
   // The other measures are served from the same engine.
-  EXPECT_TRUE(engines.AcquireDust().ok());
+  EXPECT_TRUE(engines.Acquire(Measure::kDust).ok());
   EXPECT_EQ(engines.stats().acquires_declined, 2u);
   EXPECT_EQ(engines.stats().acquires_served, 1u);
 }
@@ -448,12 +447,13 @@ TEST(EngineContextTest, ResidencyTableActivatesAndQueriesMultipleDatasets) {
   ASSERT_TRUE(engines.ActivateResident("a").ok());
   ASSERT_NE(engines.active_resident(), nullptr);
   EXPECT_EQ(*engines.active_resident(), "a");
-  UncertainEngine* dust_a = engines.AcquireDust().ValueOrDie();
-  EXPECT_EQ(dust_a->DustDistances(0).ValueOrDie().size(), 10u);
+  const Query sweep{.measure = Measure::kDust, .kind = QueryKind::kSweep};
+  UncertainEngine* dust_a = engines.Acquire(Measure::kDust).ValueOrDie();
+  EXPECT_EQ(dust_a->Answer(sweep).ValueOrDie().scores.size(), 10u);
 
   ASSERT_TRUE(engines.ActivateResident("b").ok());
-  UncertainEngine* dust_b = engines.AcquireDust().ValueOrDie();
-  EXPECT_EQ(dust_b->DustDistances(0).ValueOrDie().size(), 6u);
+  UncertainEngine* dust_b = engines.Acquire(Measure::kDust).ValueOrDie();
+  EXPECT_EQ(dust_b->Answer(sweep).ValueOrDie().scores.size(), 6u);
 
   // Re-activating the already-active resident is dedup'd by the content
   // fingerprint: no repack.
@@ -481,19 +481,21 @@ TEST(EngineContextTest, ResidentActivationMatchesDirectBindBitwise) {
 
   EngineContext direct{EngineContextOptions{}};
   ASSERT_TRUE(direct.BindData(pdf, std::nullopt, 9, 0.5).ok());
-  UncertainEngine* want = direct.AcquireDust().ValueOrDie();
+  UncertainEngine* want = direct.Acquire(Measure::kDust).ValueOrDie();
 
   EngineContext resident{EngineContextOptions{}};
   ASSERT_TRUE(resident.AddResident("r", pdf, std::nullopt, 9, 0.5).ok());
   ASSERT_TRUE(resident.ActivateResident("r").ok());
-  UncertainEngine* got = resident.AcquireDust().ValueOrDie();
+  UncertainEngine* got = resident.Acquire(Measure::kDust).ValueOrDie();
 
   for (std::size_t q = 0; q < 3; ++q) {
-    const auto a = want->DustDistances(q);
-    const auto b = got->DustDistances(q);
+    const Query sweep{
+        .measure = Measure::kDust, .kind = QueryKind::kSweep, .query = q};
+    const auto a = want->Answer(sweep);
+    const auto b = got->Answer(sweep);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.ValueOrDie(), b.ValueOrDie()) << "query " << q;
+    EXPECT_EQ(a.ValueOrDie().scores, b.ValueOrDie().scores) << "query " << q;
   }
 }
 
@@ -510,8 +512,9 @@ TEST(EngineContextTest, DropActiveResidentClearsLabelButKeepsEnginesUsable) {
                                std::nullopt, 1, 0.4)
                   .ok());
   ASSERT_TRUE(engines.ActivateResident("live").ok());
-  UncertainEngine* dust = engines.AcquireDust().ValueOrDie();
-  const auto before = dust->DustDistances(0);
+  UncertainEngine* dust = engines.Acquire(Measure::kDust).ValueOrDie();
+  const Query sweep{.measure = Measure::kDust, .kind = QueryKind::kSweep};
+  const auto before = dust->Answer(sweep);
   ASSERT_TRUE(before.ok());
 
   ASSERT_TRUE(engines.DropResident("live").ok());
@@ -519,10 +522,10 @@ TEST(EngineContextTest, DropActiveResidentClearsLabelButKeepsEnginesUsable) {
   EXPECT_FALSE(engines.HasResident("live"));
 
   // The bound engine outlives the table entry: same pointer, same answers.
-  EXPECT_EQ(engines.AcquireDust().ValueOrDie(), dust);
-  const auto after = dust->DustDistances(0);
+  EXPECT_EQ(engines.Acquire(Measure::kDust).ValueOrDie(), dust);
+  const auto after = dust->Answer(sweep);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.ValueOrDie(), before.ValueOrDie());
+  EXPECT_EQ(after.ValueOrDie().scores, before.ValueOrDie().scores);
 }
 
 TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
@@ -538,7 +541,7 @@ TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
                                std::nullopt, 5, 0.5)
                   .ok());
   ASSERT_TRUE(engines.ActivateResident("r").ok());
-  ASSERT_TRUE(engines.AcquireDust().ok());
+  ASSERT_TRUE(engines.Acquire(Measure::kDust).ok());
   EXPECT_EQ(engines.stats().data_binds, 1u);
   EXPECT_EQ(engines.stats().pdf_packs, 1u);
 
@@ -560,7 +563,7 @@ TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
                                std::nullopt, 6, 0.5)
                   .ok());
   ASSERT_TRUE(engines.ActivateResident("r").ok());
-  ASSERT_TRUE(engines.AcquireDust().ok());
+  ASSERT_TRUE(engines.Acquire(Measure::kDust).ok());
   EXPECT_EQ(engines.stats().data_binds, 2u);
   EXPECT_EQ(engines.stats().data_rebind_hits, 1u);
   EXPECT_EQ(engines.stats().pdf_packs, 2u);
@@ -613,7 +616,7 @@ TEST(EngineContextTest, EqualContentRebindsWhateverTheModelObjects) {
   ASSERT_TRUE(
       engines.BindData(NormalPdf(exact, 0.5, true), std::nullopt, 3, 0.5)
           .ok());
-  ASSERT_TRUE(engines.AcquireEuclidean().ok());
+  ASSERT_TRUE(engines.Acquire(Measure::kEuclidean).ok());
   ASSERT_EQ(engines.stats().pdf_packs, 1u);
 
   // Same observations and models by Key(), one model object per series.
@@ -622,7 +625,7 @@ TEST(EngineContextTest, EqualContentRebindsWhateverTheModelObjects) {
           .ok());
   EXPECT_EQ(engines.stats().data_rebind_hits, 1u);
   EXPECT_EQ(engines.stats().data_binds, 1u);
-  ASSERT_TRUE(engines.AcquireEuclidean().ok());
+  ASSERT_TRUE(engines.Acquire(Measure::kEuclidean).ok());
   EXPECT_EQ(engines.stats().pdf_packs, 1u);
 }
 
@@ -896,11 +899,11 @@ TEST(EngineContextTest, DustTableCacheKeepsNoBoundDatasetsModels) {
                                  seed, 0.5)
                     .ok());
     ASSERT_TRUE(engines.ActivateResident(names.back()).ok());
-    ASSERT_TRUE(engines.AcquireDust().ok());
+    ASSERT_TRUE(engines.Acquire(Measure::kDust).ok());
   }
   // Rebind an earlier resident, then drop them all and bind fresh data.
   ASSERT_TRUE(engines.ActivateResident(names[1]).ok());
-  ASSERT_TRUE(engines.AcquireDust().ok());
+  ASSERT_TRUE(engines.Acquire(Measure::kDust).ok());
   for (const std::string& name : names) {
     ASSERT_TRUE(engines.DropResident(name).ok());
   }
@@ -908,7 +911,7 @@ TEST(EngineContextTest, DustTableCacheKeepsNoBoundDatasetsModels) {
                   .BindData(uncertain::PerturbDataset(exact, spec, 99),
                             std::nullopt, 99, 0.5)
                   .ok());
-  ASSERT_TRUE(engines.AcquireDust().ok());
+  ASSERT_TRUE(engines.Acquire(Measure::kDust).ok());
 
   std::size_t alive = 0;
   for (const auto& model : models) alive += model.expired() ? 0 : 1;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -153,7 +154,7 @@ TEST(EngineParityTest, KNearestMatchesReferenceAtEveryThreadCount) {
             *d, SmallChunkOptions(threads)).ValueOrDie();
         for (std::size_t q : {std::size_t{0}, std::size_t{7},
                               std::size_t{59}}) {
-          ExpectNeighborsIdentical(engine.KNearestEuclidean(q, 10),
+          ExpectNeighborsIdentical(engine.KNearestEuclidean(q, 10).ValueOrDie(),
                                    ReferenceKNearest(*d, q, 10));
         }
       }
@@ -190,9 +191,9 @@ TEST(EngineParityTest, KNearestEdgeCases) {
   for (std::size_t threads : kThreadCounts) {
     auto engine = DistanceMatrixEngine::Create(
         d, SmallChunkOptions(threads)).ValueOrDie();
-    EXPECT_TRUE(engine.KNearestEuclidean(0, 0).empty());
+    EXPECT_TRUE(engine.KNearestEuclidean(0, 0).ValueOrDie().empty());
     // k exceeding the candidate count clamps, like the reference.
-    ExpectNeighborsIdentical(engine.KNearestEuclidean(3, 100),
+    ExpectNeighborsIdentical(engine.KNearestEuclidean(3, 100).ValueOrDie(),
                              ReferenceKNearest(d, 3, 100));
   }
 }
@@ -211,7 +212,7 @@ TEST(EngineParityTest, RangeSearchMatchesReferenceIncludingExactBoundary) {
         // decisive; on the tie-heavy grid many candidates sit exactly on it.
         const double epsilon =
             distance::Euclidean((*d)[q].values(), (*d)[(q + 5) % 60].values());
-        const auto got = engine.RangeSearchEuclidean(q, epsilon);
+        const auto got = engine.RangeSearchEuclidean(q, epsilon).ValueOrDie();
         const auto want = ReferenceRangeSearch(*d, q, epsilon);
         EXPECT_EQ(got, want);
       }
@@ -296,7 +297,7 @@ TEST(EngineParityTest, EngineSnapshotSurvivesDatasetMutation) {
   auto engine =
       DistanceMatrixEngine::Create(d, SmallChunkOptions(2)).ValueOrDie();
   d[0].mutable_values()[0] += 100.0;
-  ExpectNeighborsIdentical(engine.KNearestEuclidean(2, 4), want);
+  ExpectNeighborsIdentical(engine.KNearestEuclidean(2, 4).ValueOrDie(), want);
 }
 
 // --- End-to-end: the evaluation runner --------------------------------------
@@ -393,10 +394,10 @@ TEST(ScanRowsTest, EveryRowScoredOnceWithinItsBlockAtEveryPoolWidth) {
           kGrain};
       std::vector<std::atomic<int>> visits(kRows);
       std::atomic<int> bad_chunks{0};
-      const std::vector<double> got = detail::ScanRows(
-          target, [&](const ts::RowChunk& chunk,
-                      const ts::StoreView::PinnedBlock& pin,
-                      std::span<double> out) {
+      const std::vector<double> got =
+          detail::ScanRows(target, [&](const ts::RowChunk& chunk,
+                                       const ts::StoreView::PinnedBlock& pin,
+                                       std::span<double> out) {
             const std::size_t block_end =
                 pin.first_row() + view.block_row_count(chunk.block);
             if (pin.first_row() != view.block_first_row(chunk.block) ||
@@ -404,7 +405,7 @@ TEST(ScanRowsTest, EveryRowScoredOnceWithinItsBlockAtEveryPoolWidth) {
                 chunk.end - chunk.begin > kGrain ||
                 out.size() != chunk.end - chunk.begin) {
               ++bad_chunks;
-              return;
+              return Status::OK();
             }
             for (std::size_t i = 0; i < out.size(); ++i) {
               ++visits[chunk.begin + i];
@@ -412,13 +413,51 @@ TEST(ScanRowsTest, EveryRowScoredOnceWithinItsBlockAtEveryPoolWidth) {
               out[i] = 0.0;
               for (double v : pin.block().row(local)) out[i] += v;
             }
-          });
+            return Status::OK();
+          }).ValueOrDie();
       EXPECT_EQ(bad_chunks.load(), 0) << "paged=" << paged;
       for (std::size_t r = 0; r < kRows; ++r) {
         EXPECT_EQ(visits[r].load(), 1) << "row " << r << " threads=" << threads;
       }
       EXPECT_EQ(got, want) << "paged=" << paged << " threads=" << threads;
     }
+  }
+}
+
+TEST(ScanRowsTest, LowestFailingChunkIsReturnedAtEveryPoolWidth) {
+  // 40 rows at a grain of 4 are chunks 0..9. Chunks 3, 6 and 9 fail with
+  // their own message; every width must report chunk 3's status and no
+  // scores, and a scan whose scorer never fails still answers.
+  constexpr std::size_t kRows = 40, kGrain = 4;
+  auto store = ts::SoaStore::FromPacked(std::vector<double>(kRows, 1.0), 1);
+  ASSERT_TRUE(store.ok());
+  const detail::ChunkScorer fail_some = [](const ts::RowChunk& chunk,
+                                           const ts::StoreView::PinnedBlock&,
+                                           std::span<double> out) {
+    const std::size_t index = chunk.begin / kGrain;
+    if (index % 3 == 0 && index > 0) {
+      return Status::IOError("chunk " + std::to_string(index));
+    }
+    for (double& v : out) v = static_cast<double>(index);
+    return Status::OK();
+  };
+  for (std::size_t threads : {1, 2, 8}) {
+    exec::ThreadPool pool(threads);
+    const detail::ScanTarget target{
+        ts::StoreView(store.ValueOrDie()),
+        &distance::ResolveDispatch(distance::SimdMode::kAuto), &pool, kGrain};
+    const auto failed = detail::ScanRows(target, fail_some);
+    ASSERT_FALSE(failed.ok()) << "threads=" << threads;
+    EXPECT_EQ(failed.status(), Status::IOError("chunk 3"))
+        << "threads=" << threads;
+    const auto scored = detail::ScanRows(
+        target, [](const ts::RowChunk&, const ts::StoreView::PinnedBlock&,
+                   std::span<double> out) {
+          for (double& v : out) v = 2.0;
+          return Status::OK();
+        });
+    ASSERT_TRUE(scored.ok());
+    EXPECT_EQ(scored.ValueOrDie(), std::vector<double>(kRows, 2.0));
   }
 }
 

@@ -110,6 +110,14 @@ std::vector<CertainCase> CertainCases() {
   return cases;
 }
 
+/// `engine`'s answer to `query`; a failure fails the test and answers
+/// nothing.
+QueryAnswer Ask(const UncertainEngine& engine, const Query& query) {
+  auto answer = engine.Answer(query);
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  return answer.ok() ? std::move(answer).ValueOrDie() : QueryAnswer{};
+}
+
 // --- Euclidean ---------------------------------------------------------------
 
 TEST(IndexParityTest, KnnIndexOnVsOffBitwiseIdentical) {
@@ -123,8 +131,9 @@ TEST(IndexParityTest, KnnIndexOnVsOffBitwiseIdentical) {
       ASSERT_TRUE(on.index_enabled()) << c.name;
       for (std::size_t q = 0; q < c.dataset.size(); ++q) {
         index::SearchCost cost;
-        const auto got = on.KNearestEuclidean(q, 10, &cost);
-        ExpectNeighborsIdentical(got, off.KNearestEuclidean(q, 10));
+        const auto got = on.KNearestEuclidean(q, 10, &cost).ValueOrDie();
+        ExpectNeighborsIdentical(got,
+                                 off.KNearestEuclidean(q, 10).ValueOrDie());
         EXPECT_EQ(cost.candidates_total, c.dataset.size() - 1)
             << c.name << " q=" << q;
         EXPECT_EQ(cost.candidates_touched + cost.pruned_lower_bound,
@@ -151,7 +160,8 @@ TEST(IndexParityTest, AllKnnIndexOnMatchesPerQueryOff) {
       const auto all = on.AllKNearestEuclidean(7, 0, &cost);
       ASSERT_EQ(all.size(), c.dataset.size());
       for (std::size_t q = 0; q < all.size(); ++q) {
-        ExpectNeighborsIdentical(all[q], off.KNearestEuclidean(q, 7));
+        ExpectNeighborsIdentical(all[q],
+                                 off.KNearestEuclidean(q, 7).ValueOrDie());
       }
       costs.push_back(cost);
     }
@@ -178,8 +188,8 @@ TEST(IndexParityTest, RangeIndexOnVsOffBitwiseIdentical) {
           c.dataset, CertainOptions(threads, true)).ValueOrDie();
       for (std::size_t q = 0; q < c.dataset.size(); ++q) {
         index::SearchCost cost;
-        EXPECT_EQ(on.RangeSearchEuclidean(q, epsilon, &cost),
-                  off.RangeSearchEuclidean(q, epsilon))
+        EXPECT_EQ(on.RangeSearchEuclidean(q, epsilon, &cost).ValueOrDie(),
+                  off.RangeSearchEuclidean(q, epsilon).ValueOrDie())
             << c.name << " threads=" << threads << " q=" << q;
         EXPECT_EQ(cost.candidates_touched + cost.pruned_lower_bound,
                   cost.candidates_total);
@@ -289,18 +299,26 @@ TEST(IndexParityTest, DustKnnAndRangeIndexOnVsOffBitwiseIdentical) {
       EXPECT_FALSE(off.ValueOrDie()->dust_index_enabled());
       ASSERT_TRUE(on.ValueOrDie()->dust_index_enabled()) << c.name;
       const double epsilon =
-          off.ValueOrDie()->DustDistance(0, 17).ValueOrDie();
+          Ask(*off.ValueOrDie(), {.measure = Measure::kDust,
+                                  .kind = QueryKind::kScore,
+                                  .candidate = 17})
+              .scores.front();
       for (std::size_t q : {std::size_t{0}, std::size_t{5},
                             std::size_t{31}}) {
-        index::SearchCost cost;
-        ExpectNeighborsIdentical(
-            on.ValueOrDie()->KNearestDust(q, 10, &cost).ValueOrDie(),
-            off.ValueOrDie()->KNearestDust(q, 10).ValueOrDie());
-        EXPECT_EQ(cost.candidates_touched + cost.pruned_lower_bound,
-                  cost.candidates_total)
+        Query query{.measure = Measure::kDust,
+                    .kind = QueryKind::kKnn,
+                    .query = q,
+                    .k = 10,
+                    .epsilon = epsilon};
+        const QueryAnswer knn = Ask(*on.ValueOrDie(), query);
+        ExpectNeighborsIdentical(knn.neighbors,
+                                 Ask(*off.ValueOrDie(), query).neighbors);
+        EXPECT_EQ(knn.cost.candidates_touched + knn.cost.pruned_lower_bound,
+                  knn.cost.candidates_total)
             << c.name << " q=" << q;
-        EXPECT_EQ(on.ValueOrDie()->RangeSearchDust(q, epsilon).ValueOrDie(),
-                  off.ValueOrDie()->RangeSearchDust(q, epsilon).ValueOrDie())
+        query.kind = QueryKind::kRange;
+        EXPECT_EQ(Ask(*on.ValueOrDie(), query).matches,
+                  Ask(*off.ValueOrDie(), query).matches)
             << c.name << " threads=" << threads << " q=" << q;
       }
     }
@@ -320,7 +338,11 @@ TEST(IndexParityTest, DustWalkDataPrunes) {
   ASSERT_TRUE(on.ValueOrDie()->dust_index_enabled());
   index::SearchCost cost;
   for (std::size_t q = 0; q < d.size(); ++q) {
-    ASSERT_TRUE(on.ValueOrDie()->KNearestDust(q, 5, &cost).ok());
+    cost.Accumulate(Ask(*on.ValueOrDie(), {.measure = Measure::kDust,
+                                           .kind = QueryKind::kKnn,
+                                           .query = q,
+                                           .k = 5})
+                        .cost);
   }
   EXPECT_GT(cost.pruned_lower_bound, 0u);
   EXPECT_LT(cost.candidates_touched, cost.candidates_total);
@@ -367,11 +389,22 @@ TEST(IndexParityTest, UncertainEngineEuclideanEqualsCertainEngineBitwise) {
           ASSERT_EQ(certain.index_enabled(), indexed);
           for (std::size_t q = 0; q < observed.size(); ++q) {
             index::SearchCost want, got;
-            ExpectNeighborsIdentical(uncertain.KNearestEuclidean(q, 10, &got),
-                                     certain.KNearestEuclidean(q, 10, &want));
-            EXPECT_EQ(uncertain.RangeSearchEuclidean(q, epsilon, &got),
-                      certain.RangeSearchEuclidean(q, epsilon, &want))
+            Query query{.kind = QueryKind::kKnn,
+                        .query = q,
+                        .k = 10,
+                        .epsilon = epsilon};
+            const QueryAnswer knn = Ask(uncertain, query);
+            ExpectNeighborsIdentical(
+                knn.neighbors,
+                certain.KNearestEuclidean(q, 10, &want).ValueOrDie());
+            query.kind = QueryKind::kRange;
+            const QueryAnswer range = Ask(uncertain, query);
+            EXPECT_EQ(range.matches.front(),
+                      certain.RangeSearchEuclidean(q, epsilon, &want)
+                          .ValueOrDie())
                 << c.name << " q=" << q;
+            got.Accumulate(knn.cost);
+            got.Accumulate(range.cost);
             EXPECT_EQ(got.candidates_total, want.candidates_total);
             EXPECT_EQ(got.candidates_touched, want.candidates_touched);
             EXPECT_EQ(got.pruned_lower_bound, want.pruned_lower_bound);
@@ -401,12 +434,14 @@ TEST(IndexParityTest, ProudPrqIdenticalAcrossIndexFlip) {
     auto off = UncertainEngine::Create(ties, off_options);
     auto on = UncertainEngine::Create(ties, on_options);
     ASSERT_TRUE(off.ok() && on.ok());
-    for (double tau : {0.1, 0.5, 0.9}) {
-      EXPECT_EQ(
-          on.ValueOrDie()->ProbabilisticRangeSearchProud(3, 2.0, tau),
-          off.ValueOrDie()->ProbabilisticRangeSearchProud(3, 2.0, tau))
-          << "tau=" << tau << " threads=" << threads;
-    }
+    const Query prq{.measure = Measure::kProud,
+                    .kind = QueryKind::kPrq,
+                    .query = 3,
+                    .epsilon = 2.0,
+                    .taus = {0.1, 0.5, 0.9}};
+    EXPECT_EQ(Ask(*on.ValueOrDie(), prq).matches,
+              Ask(*off.ValueOrDie(), prq).matches)
+        << "threads=" << threads;
   }
 }
 

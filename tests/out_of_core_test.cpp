@@ -85,6 +85,19 @@ void ExpectSameNeighbors(const std::vector<query::Neighbor>& resident,
   }
 }
 
+using query::Measure;
+using query::Query;
+using query::QueryKind;
+
+/// `engine`'s answer to `request`; a failure fails the test and answers
+/// nothing.
+query::QueryAnswer Ask(const query::UncertainEngine& engine,
+                       const Query& request) {
+  auto answer = engine.Answer(request);
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  return answer.ok() ? std::move(answer).ValueOrDie() : query::QueryAnswer{};
+}
+
 // --- Store + view mechanics --------------------------------------------------
 
 TEST(OutOfCoreStoreTest, ZeroBudgetRoundTripsEveryRow) {
@@ -174,10 +187,10 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
   for (bool indexed : {false, true}) {
     const auto resident = query::DistanceMatrixEngine::Create(
         d, PagedOptions(1, indexed, nullptr)).ValueOrDie();
-    const auto knn = resident.KNearestEuclidean(3, 10);
+    const auto knn = resident.KNearestEuclidean(3, 10).ValueOrDie();
     const auto all = resident.AllKNearestEuclidean(5);
     const double epsilon = knn[6].distance;  // nonempty, nontrivial range
-    const auto range = resident.RangeSearchEuclidean(3, epsilon);
+    const auto range = resident.RangeSearchEuclidean(3, epsilon).ValueOrDie();
     const auto motifs = resident.TopKMotifsEuclidean(4);
 
     for (std::size_t threads : kThreadCounts) {
@@ -188,7 +201,7 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
           d, PagedOptions(threads, indexed, pool)).ValueOrDie();
       {
         SCOPED_TRACE("knn");
-        ExpectSameNeighbors(knn, paged.KNearestEuclidean(3, 10));
+        ExpectSameNeighbors(knn, paged.KNearestEuclidean(3, 10).ValueOrDie());
       }
       const auto paged_all = paged.AllKNearestEuclidean(5);
       ASSERT_EQ(all.size(), paged_all.size());
@@ -196,7 +209,7 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
         SCOPED_TRACE(testing::Message() << "all-knn q=" << q);
         ExpectSameNeighbors(all[q], paged_all[q]);
       }
-      EXPECT_EQ(range, paged.RangeSearchEuclidean(3, epsilon));
+      EXPECT_EQ(range, paged.RangeSearchEuclidean(3, epsilon).ValueOrDie());
       const auto paged_motifs = paged.TopKMotifsEuclidean(4);
       ASSERT_EQ(motifs.size(), paged_motifs.size());
       for (std::size_t i = 0; i < motifs.size(); ++i) {
@@ -223,7 +236,7 @@ TEST(OutOfCoreCertainTest, PeakResidentStaysWithinBudgetPlusPinnedBlock) {
   const auto paged = query::DistanceMatrixEngine::Create(
       d, PagedOptions(1, false, pool)).ValueOrDie();
   for (std::size_t q = 0; q < d.size(); ++q) {
-    (void)paged.KNearestEuclidean(q, 10);
+    ASSERT_TRUE(paged.KNearestEuclidean(q, 10).ok());
   }
   const auto stats = pool->stats();
   EXPECT_GT(stats.faults, 0u);
@@ -272,10 +285,18 @@ TEST(OutOfCoreUncertainTest, DustPagedBitwiseEqualsResident) {
                       d, PagedUncertainOptions(1, false, nullptr))
                       .ValueOrDie();
   ASSERT_TRUE(resident->BuildDustTables(resident_dust).ok());
-  const auto distances = resident->DustDistances(2).ValueOrDie();
-  const auto knn = resident->KNearestDust(2, 7).ValueOrDie();
-  const double epsilon = knn[4].distance;
-  const auto range = resident->RangeSearchDust(2, epsilon).ValueOrDie();
+  Query sweep{.measure = Measure::kDust, .kind = QueryKind::kSweep,
+              .query = 2};
+  Query knn_query = sweep;
+  knn_query.kind = QueryKind::kKnn;
+  knn_query.k = 7;
+  const auto distances = Ask(*resident, sweep).scores;
+  const auto knn = Ask(*resident, knn_query).neighbors;
+  ASSERT_EQ(knn.size(), 7u);
+  Query range_query = sweep;
+  range_query.kind = QueryKind::kRange;
+  range_query.epsilon = knn[4].distance;
+  const auto range = Ask(*resident, range_query).matches;
 
   for (std::size_t threads : kThreadCounts) {
     for (bool indexed : {false, true}) {
@@ -285,13 +306,13 @@ TEST(OutOfCoreUncertainTest, DustPagedBitwiseEqualsResident) {
                        d, PagedUncertainOptions(threads, indexed, pool))
                        .ValueOrDie();
       ASSERT_TRUE(paged->BuildDustTables(paged_dust).ok());
-      const auto paged_distances = paged->DustDistances(2).ValueOrDie();
+      const auto paged_distances = Ask(*paged, sweep).scores;
       ASSERT_EQ(distances.size(), paged_distances.size());
       for (std::size_t i = 0; i < distances.size(); ++i) {
         EXPECT_EQ(distances[i], paged_distances[i]) << i;
       }
-      ExpectSameNeighbors(knn, paged->KNearestDust(2, 7).ValueOrDie());
-      EXPECT_EQ(range, paged->RangeSearchDust(2, epsilon).ValueOrDie());
+      ExpectSameNeighbors(knn, Ask(*paged, knn_query).neighbors);
+      EXPECT_EQ(range, Ask(*paged, range_query).matches);
       EXPECT_GT(pool->stats().faults, 0u);
     }
   }
@@ -303,29 +324,28 @@ TEST(OutOfCoreUncertainTest, ProudPagedBitwiseEqualsResident) {
   auto resident = query::UncertainEngine::Create(
                       d, PagedUncertainOptions(1, false, nullptr))
                       .ValueOrDie();
-  const auto probs = resident->ProudMatchProbabilities(1, 6.0);
-  const auto prq = resident->ProbabilisticRangeSearchProud(1, 6.0, 0.3);
-  const std::vector<double> taus = {0.05, 0.3, 0.7, 0.95};
-  const auto prq_each = resident->ProbabilisticRangeSearchProud(1, 6.0, taus);
-  ASSERT_EQ(prq_each.size(), taus.size());
-  for (std::size_t k = 0; k < taus.size(); ++k) {
-    EXPECT_EQ(prq_each[k],
-              resident->ProbabilisticRangeSearchProud(1, 6.0, taus[k]))
-        << k;
-  }
+  const Query sweep{.measure = Measure::kProud,
+                    .kind = QueryKind::kSweep,
+                    .query = 1,
+                    .epsilon = 6.0};
+  Query prq = sweep;
+  prq.kind = QueryKind::kPrq;
+  prq.taus = {0.05, 0.3, 0.7, 0.95};
+  const auto probs = Ask(*resident, sweep).scores;
+  const auto prq_each = Ask(*resident, prq).matches;
+  ASSERT_EQ(prq_each.size(), prq.taus.size());
 
   for (std::size_t threads : kThreadCounts) {
     auto pool = MakePool(2 * kBlockBytes);
     auto paged = query::UncertainEngine::Create(
                      d, PagedUncertainOptions(threads, false, pool))
                      .ValueOrDie();
-    const auto paged_probs = paged->ProudMatchProbabilities(1, 6.0);
+    const auto paged_probs = Ask(*paged, sweep).scores;
     ASSERT_EQ(probs.size(), paged_probs.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(probs[i], paged_probs[i]) << i;
     }
-    EXPECT_EQ(prq, paged->ProbabilisticRangeSearchProud(1, 6.0, 0.3));
-    EXPECT_EQ(prq_each, paged->ProbabilisticRangeSearchProud(1, 6.0, taus));
+    EXPECT_EQ(prq_each, Ask(*paged, prq).matches);
     EXPECT_GT(pool->stats().faults, 0u);
   }
 }
@@ -342,9 +362,10 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
                       pdf, PagedUncertainOptions(1, false, nullptr))
                       .ValueOrDie();
   ASSERT_TRUE(resident->AttachSamples(samples).ok());
-  const measures::MunichOptions munich{};
-  const auto probs =
-      resident->MunichMatchProbabilities(0, 4.0, munich).ValueOrDie();
+  const Query sweep{.measure = Measure::kMunich,
+                    .kind = QueryKind::kSweep,
+                    .epsilon = 4.0};
+  const auto probs = Ask(*resident, sweep).scores;
 
   for (std::size_t threads : kThreadCounts) {
     auto pool = MakePool(2 * kBlockBytes);
@@ -352,8 +373,7 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
                      pdf, PagedUncertainOptions(threads, false, pool))
                      .ValueOrDie();
     ASSERT_TRUE(paged->AttachSamples(samples).ok());
-    const auto paged_probs = paged->MunichMatchProbabilities(0, 4.0, munich)
-                                 .ValueOrDie();
+    const auto paged_probs = Ask(*paged, sweep).scores;
     ASSERT_EQ(probs.size(), paged_probs.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(probs[i], paged_probs[i]) << i;
@@ -366,7 +386,7 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
 TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 31);
   const auto reference = query::DistanceMatrixEngine::Create(d).ValueOrDie();
-  const auto expected = reference.KNearestEuclidean(0, 10);
+  const auto expected = reference.KNearestEuclidean(0, 10).ValueOrDie();
 
   query::EngineContextOptions options;
   options.threads = 2;
@@ -379,7 +399,8 @@ TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   EXPECT_EQ(context.stats().buffer_pools_created, 1u);
 
   const query::DistanceMatrixEngine* certain = context.Certain(d).ValueOrDie();
-  ExpectSameNeighbors(expected, certain->KNearestEuclidean(0, 10));
+  ExpectSameNeighbors(expected,
+                      certain->KNearestEuclidean(0, 10).ValueOrDie());
   EXPECT_GT(pool->stats().admits, 0u);
 }
 
@@ -401,8 +422,10 @@ TEST(OutOfCoreContextTest, UnusableSpillDirFailsInsteadOfDroppingTheBudget) {
                   .BindData(uncertain::PerturbDataset(d, spec, 33),
                             std::nullopt, 33, 0.5)
                   .ok());
-  EXPECT_EQ(context.AcquireEuclidean().status().code(), StatusCode::kIOError);
-  EXPECT_EQ(context.AcquireDust().status().code(), StatusCode::kIOError);
+  EXPECT_EQ(context.Acquire(query::Measure::kEuclidean).status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(context.Acquire(query::Measure::kDust).status().code(),
+            StatusCode::kIOError);
   EXPECT_EQ(context.stats().buffer_pools_created, 0u);
   EXPECT_EQ(context.stats().certain_packs, 0u);
   EXPECT_EQ(context.stats().pdf_packs, 0u);

@@ -79,7 +79,7 @@ TEST_P(EveryDataset, GroundTruthNeighborsFavorSameClass) {
   double same = 0.0, total = 0.0;
   const auto engine = query::DistanceMatrixEngine::Create(d).ValueOrDie();
   for (std::size_t qi = 0; qi < 12; ++qi) {
-    const auto nn = engine.KNearestEuclidean(qi, 3);
+    const auto nn = engine.KNearestEuclidean(qi, 3).ValueOrDie();
     for (const auto& nb : nn) {
       same += d[nb.index].label() == d[qi].label() ? 1.0 : 0.0;
       total += 1.0;

@@ -64,7 +64,7 @@ TEST(KNearestEuclideanTest, MatchesBruteForce) {
   const ts::Dataset d = RandomDataset(40, 16, 3);
   const auto engine = DistanceMatrixEngine::Create(d).ValueOrDie();
   for (std::size_t qi : {0u, 7u, 39u}) {
-    const auto nn = engine.KNearestEuclidean(qi, 5);
+    const auto nn = engine.KNearestEuclidean(qi, 5).ValueOrDie();
     ASSERT_EQ(nn.size(), 5u);
     // Brute force verify: no non-returned item is closer than the 5th.
     const double worst = nn.back().distance;
@@ -102,9 +102,9 @@ TEST(RangeSearchEuclideanTest, ConsistentWithKnn) {
   const ts::Dataset d = RandomDataset(30, 12, 5);
   const std::size_t qi = 4;
   const auto engine = DistanceMatrixEngine::Create(d).ValueOrDie();
-  const auto nn = engine.KNearestEuclidean(qi, 10);
+  const auto nn = engine.KNearestEuclidean(qi, 10).ValueOrDie();
   const double eps = nn.back().distance;
-  const auto range = engine.RangeSearchEuclidean(qi, eps);
+  const auto range = engine.RangeSearchEuclidean(qi, eps).ValueOrDie();
   // The range query at the 10th-NN distance returns at least 10 items
   // (ties can add more), and every k-NN member is inside.
   EXPECT_GE(range.size(), 10u);
@@ -119,7 +119,8 @@ TEST(RangeSearchEuclideanTest, ZeroEpsilonFindsOnlyDuplicates) {
   d.Add(ts::TimeSeries({1.0, 2.0}));
   d.Add(ts::TimeSeries({9.0, 9.0}));
   const auto matches =
-      DistanceMatrixEngine::Create(d).ValueOrDie().RangeSearchEuclidean(0, 0.0);
+      DistanceMatrixEngine::Create(d).ValueOrDie().RangeSearchEuclidean(0, 0.0)
+          .ValueOrDie();
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0], 1u);
 }

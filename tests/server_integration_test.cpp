@@ -816,9 +816,11 @@ TEST(ServerIntegration, ServiceServesEveryMeasureFromOnePack) {
   const auto reference = query::DistanceMatrixEngine::Create(
       observed, engine_options).ValueOrDie();
   index::SearchCost knn_cost, range_cost;
-  ExpectSameNeighbors(knn.ValueOrDie().neighbors,
-                      reference.KNearestEuclidean(3, 4, &knn_cost));
-  const auto matches = reference.RangeSearchEuclidean(3, 5.0, &range_cost);
+  ExpectSameNeighbors(
+      knn.ValueOrDie().neighbors,
+      reference.KNearestEuclidean(3, 4, &knn_cost).ValueOrDie());
+  const auto matches =
+      reference.RangeSearchEuclidean(3, 5.0, &range_cost).ValueOrDie();
   EXPECT_EQ(range.ValueOrDie().indices,
             std::vector<std::uint64_t>(matches.begin(), matches.end()));
   for (const auto& [got, want] :

@@ -254,6 +254,18 @@ std::vector<double> ClosedFormAdversarialRows(std::size_t rows,
 
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+using query::Query;
+using query::QueryKind;
+
+/// `engine`'s answer to `request`; a failure fails the test and answers
+/// nothing.
+query::QueryAnswer Ask(const query::UncertainEngine& engine,
+                       const Query& request) {
+  auto answer = engine.Answer(request);
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  return answer.ok() ? std::move(answer).ValueOrDie() : query::QueryAnswer{};
+}
+
 TEST(SimdKernelParityTest, DustClosedFormBitwise) {
   // The closed-form kernel scores eight rows per pass, one per lane, over
   // whole 4-timestamp tiles, and finishes leftover timestamps and leftover
@@ -495,8 +507,8 @@ TEST(SimdEngineParityTest, EuclideanQueriesMatchScalarEngine) {
       ASSERT_EQ(scalar.simd_level(), SimdLevel::kScalar);
 
       for (std::size_t q : {std::size_t{0}, std::size_t{17}}) {
-        const auto want = scalar.KNearestEuclidean(q, 10);
-        const auto got = simd.KNearestEuclidean(q, 10);
+        const auto want = scalar.KNearestEuclidean(q, 10).ValueOrDie();
+        const auto got = simd.KNearestEuclidean(q, 10).ValueOrDie();
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
           // Ranks and tie order must match exactly.
@@ -505,8 +517,8 @@ TEST(SimdEngineParityTest, EuclideanQueriesMatchScalarEngine) {
           ExpectRelNear(got[i].distance, want[i].distance, "knn-dist", i);
         }
         const double epsilon = want.back().distance;
-        EXPECT_EQ(simd.RangeSearchEuclidean(q, epsilon),
-                  scalar.RangeSearchEuclidean(q, epsilon))
+        EXPECT_EQ(simd.RangeSearchEuclidean(q, epsilon).ValueOrDie(),
+                  scalar.RangeSearchEuclidean(q, epsilon).ValueOrDie())
             << d.name() << " q=" << q;
       }
 
@@ -575,42 +587,44 @@ TEST(SimdEngineParityTest, DustAndProudQueriesMatchScalarEngine) {
 
     for (std::size_t q : {std::size_t{0}, std::size_t{13}}) {
       // DUST is bitwise: distances, ranks and tie order all EXPECT_EQ.
-      const auto want_d = scalar.DustDistances(q);
-      const auto got_d = simd.DustDistances(q);
-      ASSERT_TRUE(want_d.ok() && got_d.ok());
-      EXPECT_EQ(got_d.ValueOrDie(), want_d.ValueOrDie()) << "q=" << q;
-      const auto want_knn = scalar.KNearestDust(q, 7);
-      const auto got_knn = simd.KNearestDust(q, 7);
-      ASSERT_TRUE(want_knn.ok() && got_knn.ok());
-      ASSERT_EQ(got_knn.ValueOrDie().size(), want_knn.ValueOrDie().size());
-      for (std::size_t i = 0; i < got_knn.ValueOrDie().size(); ++i) {
-        EXPECT_EQ(got_knn.ValueOrDie()[i].index,
-                  want_knn.ValueOrDie()[i].index);
-        EXPECT_EQ(got_knn.ValueOrDie()[i].distance,
-                  want_knn.ValueOrDie()[i].distance);
+      Query dust{.measure = query::Measure::kDust,
+                 .kind = QueryKind::kSweep,
+                 .query = q,
+                 .k = 7};
+      EXPECT_EQ(Ask(simd, dust).scores, Ask(scalar, dust).scores)
+          << "q=" << q;
+      dust.kind = QueryKind::kKnn;
+      const auto want_knn = Ask(scalar, dust).neighbors;
+      const auto got_knn = Ask(simd, dust).neighbors;
+      ASSERT_EQ(got_knn.size(), want_knn.size());
+      for (std::size_t i = 0; i < got_knn.size(); ++i) {
+        EXPECT_EQ(got_knn[i].index, want_knn[i].index);
+        EXPECT_EQ(got_knn[i].distance, want_knn[i].distance);
       }
 
       // PROUD PRQ: the match set (ranks and membership) must agree; the
-      // probabilities behind it are within the pinned tolerance.
-      EXPECT_EQ(simd.ProbabilisticRangeSearchProud(q, 6.0, 0.6),
-                scalar.ProbabilisticRangeSearchProud(q, 6.0, 0.6))
-          << "q=" << q;
-      // A τ list: each slot equals the single-τ call, on both levels. Match
+      // probabilities behind it are within the pinned tolerance. A τ list:
+      // each slot equals the single-τ query, on both levels. Match
       // probabilities at ε = 6 sit far below 0.5, so the list reaches into
       // the lower tail, where the slots differ.
-      const std::vector<double> taus = {1e-8, 1e-4, 0.6};
-      const auto simd_each = simd.ProbabilisticRangeSearchProud(q, 6.0, taus);
-      EXPECT_EQ(simd_each, scalar.ProbabilisticRangeSearchProud(q, 6.0, taus))
-          << "q=" << q;
-      ASSERT_EQ(simd_each.size(), taus.size());
+      Query proud{.measure = query::Measure::kProud,
+                  .kind = QueryKind::kPrq,
+                  .query = q,
+                  .epsilon = 6.0,
+                  .taus = {1e-8, 1e-4, 0.6}};
+      const auto simd_each = Ask(simd, proud).matches;
+      EXPECT_EQ(simd_each, Ask(scalar, proud).matches) << "q=" << q;
+      ASSERT_EQ(simd_each.size(), 3u);
       EXPECT_GT(simd_each[0].size(), simd_each[1].size()) << "q=" << q;
+      const std::vector<double> taus = proud.taus;
       for (std::size_t k = 0; k < taus.size(); ++k) {
-        EXPECT_EQ(simd_each[k],
-                  simd.ProbabilisticRangeSearchProud(q, 6.0, taus[k]))
+        proud.taus = {taus[k]};
+        EXPECT_EQ(Ask(simd, proud).matches.front(), simd_each[k])
             << "q=" << q << " tau=" << taus[k];
       }
-      const auto want_p = scalar.ProudMatchProbabilities(q, 6.0);
-      const auto got_p = simd.ProudMatchProbabilities(q, 6.0);
+      proud.kind = QueryKind::kSweep;
+      const auto want_p = Ask(scalar, proud).scores;
+      const auto got_p = Ask(simd, proud).scores;
       ASSERT_EQ(got_p.size(), want_p.size());
       for (std::size_t i = 0; i < got_p.size(); ++i) {
         ExpectRelNear(got_p[i], want_p[i], "proud-prob", i);
@@ -685,7 +699,10 @@ TEST(SimdEngineParityTest, DustClosedFormSweepMatchesScalarMeasureBitwise) {
           measures::Dust cache;
           ASSERT_TRUE(engine->BuildDustTables(cache).ok());
           const std::vector<double> got =
-              engine->DustDistances(q).ValueOrDie();
+              Ask(*engine, {.measure = query::Measure::kDust,
+                            .kind = QueryKind::kSweep,
+                            .query = q})
+                  .scores;
           ASSERT_EQ(got.size(), want.size());
           for (std::size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(Bits(got[i]), want[i]) << "candidate " << i;
@@ -697,7 +714,7 @@ TEST(SimdEngineParityTest, DustClosedFormSweepMatchesScalarMeasureBitwise) {
 }
 
 TEST(SimdEngineParityTest, EuclideanDistanceIsTheScanValueBitwise) {
-  // The Euclidean matcher calibrates ε with EuclideanDistance and retrieves
+  // The Euclidean matcher calibrates ε with a one-pair score and retrieves
   // with the range scan; the two must be one kernel's values, at any chunk
   // shape and paged, so the calibration candidate is always in range.
   const std::size_t len = 37;
@@ -711,12 +728,16 @@ TEST(SimdEngineParityTest, EuclideanDistanceIsTheScanValueBitwise) {
                         .ValueOrDie();
       for (std::size_t q : {std::size_t{0}, std::size_t{13}, std::size_t{40}}) {
         // Every other row, with the scan's distance.
-        for (const query::Neighbor& nb :
-             engine->KNearestEuclidean(q, d.size())) {
-          const double got = engine->EuclideanDistance(q, nb.index);
+        Query request{.kind = QueryKind::kKnn, .query = q, .k = d.size()};
+        for (const query::Neighbor& nb : Ask(*engine, request).neighbors) {
+          request.kind = QueryKind::kScore;
+          request.candidate = nb.index;
+          const double got = Ask(*engine, request).scores.front();
           EXPECT_EQ(Bits(got), Bits(nb.distance))
               << "q=" << q << " c=" << nb.index;
-          const auto in_range = engine->RangeSearchEuclidean(q, got);
+          request.kind = QueryKind::kRange;
+          request.epsilon = got;
+          const auto in_range = Ask(*engine, request).matches.front();
           EXPECT_TRUE(std::binary_search(in_range.begin(), in_range.end(),
                                          nb.index))
               << "q=" << q << " c=" << nb.index;

@@ -2,7 +2,8 @@
 // (src/query/uncertain_engine): DUST / PROUD / MUNICH sweep, PRQ and k-NN
 // results must be bit-identical — indices AND distances/probabilities — to
 // the scalar measure APIs at 1, 2 and 8 threads, including tie-heavy and
-// degenerate-σ inputs. The references below call the scalar measures
+// degenerate-σ inputs. Answer's validation and failure channel are checked
+// here too. The references below call the scalar measures
 // directly (the sequential reference path the engine is documented
 // against), mirroring tests/engine_parity_test.cpp for the certain engine.
 
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -132,6 +134,14 @@ std::vector<Neighbor> ReferenceKNearestDescending(
   return all;
 }
 
+/// `engine`'s answer to `query`; a failure fails the test and answers
+/// nothing.
+QueryAnswer Ask(const UncertainEngine& engine, const Query& query) {
+  auto answer = engine.Answer(query);
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  return answer.ok() ? std::move(answer).ValueOrDie() : QueryAnswer{};
+}
+
 void ExpectNeighborsIdentical(const std::vector<Neighbor>& got,
                               const std::vector<Neighbor>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -185,11 +195,13 @@ TEST(UncertainEngineParityTest, DustSweepMatchesScalarAtEveryThreadCount) {
           UncertainEngine::Create(c.dataset, SmallChunkOptions(threads));
       ASSERT_TRUE(engine.ok()) << c.name << ": " << engine.status();
       ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables(dust).ok()) << c.name;
-      auto distances = engine.ValueOrDie()->DustDistances(0);
-      ASSERT_TRUE(distances.ok()) << c.name;
-      ASSERT_EQ(distances.ValueOrDie().size(), reference.size());
+      const std::vector<double> distances =
+          Ask(*engine.ValueOrDie(),
+              {.measure = Measure::kDust, .kind = QueryKind::kSweep})
+              .scores;
+      ASSERT_EQ(distances.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(distances.ValueOrDie()[i], reference[i])  // bitwise
+        EXPECT_EQ(distances[i], reference[i])  // bitwise
             << c.name << " threads=" << threads << " candidate=" << i;
       }
     }
@@ -214,10 +226,19 @@ TEST(UncertainEngineParityTest, DustKnnAndRangeMatchScalarWithTies) {
           UncertainEngine::Create(c.dataset, SmallChunkOptions(threads));
       ASSERT_TRUE(engine.ok());
       ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables(dust).ok());
-      ExpectNeighborsIdentical(
-          engine.ValueOrDie()->KNearestDust(5, 10).ValueOrDie(), want_knn);
-      EXPECT_EQ(engine.ValueOrDie()->RangeSearchDust(5, epsilon).ValueOrDie(),
-                want_rq)
+      ExpectNeighborsIdentical(Ask(*engine.ValueOrDie(),
+                                   {.measure = Measure::kDust,
+                                    .kind = QueryKind::kKnn,
+                                    .query = 5,
+                                    .k = 10})
+                                   .neighbors,
+                               want_knn);
+      EXPECT_EQ(Ask(*engine.ValueOrDie(), {.measure = Measure::kDust,
+                                           .kind = QueryKind::kRange,
+                                           .query = 5,
+                                           .epsilon = epsilon})
+                    .matches,
+                std::vector<std::vector<std::size_t>>{want_rq})
           << c.name << " threads=" << threads;
     }
   }
@@ -231,11 +252,12 @@ TEST(UncertainEngineParityTest, DustQueriesRequireBuiltTables) {
   measures::Dust dust;
   auto engine = UncertainEngine::Create(d, SmallChunkOptions(1));
   ASSERT_TRUE(engine.ok());
+  const Query sweep{.measure = Measure::kDust, .kind = QueryKind::kSweep};
   EXPECT_FALSE(engine.ValueOrDie()->dust_ready());
-  EXPECT_FALSE(engine.ValueOrDie()->DustDistances(0).ok());
+  EXPECT_FALSE(engine.ValueOrDie()->Answer(sweep).ok());
   ASSERT_TRUE(engine.ValueOrDie()->BuildDustTables(dust).ok());
   EXPECT_TRUE(engine.ValueOrDie()->dust_ready());
-  EXPECT_TRUE(engine.ValueOrDie()->DustDistances(0).ok());
+  EXPECT_TRUE(engine.ValueOrDie()->Answer(sweep).ok());
 }
 
 TEST(UncertainEngineParityTest, DustTablesBorrowedFromSharedCacheMatch) {
@@ -257,14 +279,16 @@ TEST(UncertainEngineParityTest, DustTablesBorrowedFromSharedCacheMatch) {
   ASSERT_TRUE(borrowed.ValueOrDie()->BuildDustTables(cache).ok());
   const std::size_t tables_after_first = cache.CacheSize();
   EXPECT_GT(tables_after_first, 0u);
-  const auto want = own.ValueOrDie()->DustDistances(3).ValueOrDie();
-  EXPECT_EQ(borrowed.ValueOrDie()->DustDistances(3).ValueOrDie(), want);
+  const Query sweep{
+      .measure = Measure::kDust, .kind = QueryKind::kSweep, .query = 3};
+  const auto want = Ask(*own.ValueOrDie(), sweep).scores;
+  EXPECT_EQ(Ask(*borrowed.ValueOrDie(), sweep).scores, want);
   // Re-binding over the same cache: nothing rebuilt, same results.
   auto again = UncertainEngine::Create(d, SmallChunkOptions(1));
   ASSERT_TRUE(again.ok());
   ASSERT_TRUE(again.ValueOrDie()->BuildDustTables(cache).ok());
   EXPECT_EQ(cache.CacheSize(), tables_after_first);
-  EXPECT_EQ(again.ValueOrDie()->DustDistances(3).ValueOrDie(), want);
+  EXPECT_EQ(Ask(*again.ValueOrDie(), sweep).scores, want);
 }
 
 // --- PROUD -------------------------------------------------------------------
@@ -302,13 +326,17 @@ TEST(UncertainEngineParityTest, ProudPrqMatchesScalarAtEveryThreadCount) {
       options.proud_sigma = sigma;
       auto engine = UncertainEngine::Create(ties, options);
       ASSERT_TRUE(engine.ok());
-      const auto each =
-          engine.ValueOrDie()->ProbabilisticRangeSearchProud(q, epsilon, taus);
+      Query prq{.measure = Measure::kProud,
+                .kind = QueryKind::kPrq,
+                .query = q,
+                .epsilon = epsilon,
+                .taus = taus};
+      const auto each = Ask(*engine.ValueOrDie(), prq).matches;
       ASSERT_EQ(each.size(), taus.size());
       for (std::size_t k = 0; k < taus.size(); ++k) {
-        EXPECT_EQ(engine.ValueOrDie()->ProbabilisticRangeSearchProud(
-                      q, epsilon, taus[k]),
-                  want[k])
+        prq.taus = {taus[k]};
+        EXPECT_EQ(Ask(*engine.ValueOrDie(), prq).matches,
+                  std::vector<std::vector<std::size_t>>{want[k]})
             << "tau=" << taus[k] << " threads=" << threads << " q=" << q;
         EXPECT_EQ(each[k], want[k])
             << "tau list slot " << k << " threads=" << threads << " q=" << q;
@@ -341,15 +369,16 @@ TEST(UncertainEngineParityTest, ProudDegenerateSigmaSharpThreshold) {
     options.proud_sigma = 0.0;
     auto engine = UncertainEngine::Create(ties, options);
     ASSERT_TRUE(engine.ok());
-    EXPECT_EQ(
-        engine.ValueOrDie()->ProbabilisticRangeSearchProud(0, epsilon, 0.5),
-        want)
-        << "threads=" << threads;
     // The degenerate decision ignores τ, so every slot of a τ list is the
     // same distance test.
-    const std::vector<double> taus = {0.01, 0.5, 0.99};
-    for (const auto& slot : engine.ValueOrDie()->ProbabilisticRangeSearchProud(
-             0, epsilon, taus)) {
+    const auto each = Ask(*engine.ValueOrDie(),
+                          {.measure = Measure::kProud,
+                           .kind = QueryKind::kPrq,
+                           .epsilon = epsilon,
+                           .taus = {0.5, 0.01, 0.99}})
+                          .matches;
+    ASSERT_EQ(each.size(), 3u);
+    for (const auto& slot : each) {
       EXPECT_EQ(slot, want) << "threads=" << threads;
     }
   }
@@ -375,11 +404,17 @@ TEST(UncertainEngineParityTest, ProudKnnByProbabilityMatchesScalar) {
     options.proud_sigma = sigma;
     auto engine = UncertainEngine::Create(ties, options);
     ASSERT_TRUE(engine.ok());
-    ExpectNeighborsIdentical(
-        engine.ValueOrDie()->KNearestProud(7, epsilon, 12), want);
+    Query query{.measure = Measure::kProud,
+                .kind = QueryKind::kKnn,
+                .query = 7,
+                .k = 12,
+                .epsilon = epsilon};
+    ExpectNeighborsIdentical(Ask(*engine.ValueOrDie(), query).neighbors,
+                             want);
     // The dense sweep is bitwise the scalar per-pair probability.
-    const auto dense =
-        engine.ValueOrDie()->ProudMatchProbabilities(7, epsilon);
+    query.kind = QueryKind::kSweep;
+    const auto dense = Ask(*engine.ValueOrDie(), query).scores;
+    ASSERT_EQ(dense.size(), probs.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(dense[i], probs[i]) << "candidate " << i;
     }
@@ -444,10 +479,15 @@ TEST(UncertainEngineParityTest, MunichSweepMatchesScalarCounterSeeds) {
       auto engine = UncertainEngine::Create(f.pdf, options);
       ASSERT_TRUE(engine.ok());
       ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
-      auto got = engine.ValueOrDie()->MunichMatchProbabilities(4, 2.5, mopts);
-      ASSERT_TRUE(got.ok());
+      const auto got = Ask(*engine.ValueOrDie(), {.measure = Measure::kMunich,
+                                                  .kind = QueryKind::kSweep,
+                                                  .query = 4,
+                                                  .epsilon = 2.5,
+                                                  .munich = mopts})
+                           .scores;
+      ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.ValueOrDie()[i], want[i])  // bitwise
+        EXPECT_EQ(got[i], want[i])  // bitwise
             << "estimator=" << int(mopts.estimator) << " threads=" << threads
             << " candidate=" << i;
       }
@@ -472,14 +512,18 @@ TEST(UncertainEngineParityTest, MunichPrqAndKnnMatchReference) {
     auto engine = UncertainEngine::Create(f.pdf, options);
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
-    EXPECT_EQ(engine.ValueOrDie()
-                  ->ProbabilisticRangeSearchMunich(0, epsilon, tau, mopts)
-                  .ValueOrDie(),
-              want_prq)
+    Query query{.measure = Measure::kMunich,
+                .kind = QueryKind::kPrq,
+                .k = 8,
+                .epsilon = epsilon,
+                .taus = {tau},
+                .munich = mopts};
+    EXPECT_EQ(Ask(*engine.ValueOrDie(), query).matches,
+              std::vector<std::vector<std::size_t>>{want_prq})
         << "threads=" << threads;
-    ExpectNeighborsIdentical(
-        engine.ValueOrDie()->KNearestMunich(0, epsilon, 8, mopts).ValueOrDie(),
-        want_knn);
+    query.kind = QueryKind::kKnn;
+    ExpectNeighborsIdentical(Ask(*engine.ValueOrDie(), query).neighbors,
+                             want_knn);
   }
 }
 
@@ -493,16 +537,131 @@ TEST(UncertainEngineParityTest, MunichDegenerateSamplesDecideByBounds) {
     auto engine = UncertainEngine::Create(f.pdf, options);
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
-    auto probs = engine.ValueOrDie()->MunichMatchProbabilities(
-        1, 1.5, measures::MunichOptions{});
-    ASSERT_TRUE(probs.ok());
+    const auto probs = Ask(*engine.ValueOrDie(), {.measure = Measure::kMunich,
+                                                  .kind = QueryKind::kSweep,
+                                                  .query = 1,
+                                                  .epsilon = 1.5})
+                           .scores;
     const auto want = ReferenceMunichProbabilities(
         f, measures::MunichOptions{}, 0x5eed, 1, 1.5);
+    ASSERT_EQ(probs.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       if (i == 1) continue;
-      EXPECT_TRUE(probs.ValueOrDie()[i] == 0.0 ||
-                  probs.ValueOrDie()[i] == 1.0);
-      EXPECT_EQ(probs.ValueOrDie()[i], want[i]);
+      EXPECT_TRUE(probs[i] == 0.0 || probs[i] == 1.0);
+      EXPECT_EQ(probs[i], want[i]);
+    }
+  }
+}
+
+// --- One validation for every query -----------------------------------------
+
+TEST(UncertainEngineParityTest, AnswerRefusesEveryMalformedQuery) {
+  // 30 series: index 30 lies past the packed rows. Across the whole
+  // (measure x kind) grid, Answer refuses it and each parameter the query
+  // reads outside its domain with InvalidArgument, in Release builds too,
+  // so no query reads past the rows. The boundaries still answer.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+  const MunichFixture f = MakeMunichFixture(30, 6, 3, 0.5, 41);
+  measures::Dust dust;
+  auto ready = UncertainEngine::Create(f.pdf, SmallChunkOptions(2));
+  auto bare = UncertainEngine::Create(f.pdf, SmallChunkOptions(2));
+  ASSERT_TRUE(ready.ok() && bare.ok());
+  ASSERT_TRUE(ready.ValueOrDie()->BuildDustTables(dust).ok());
+  ASSERT_TRUE(ready.ValueOrDie()->AttachSamples(f.samples).ok());
+  const UncertainEngine& engine = *ready.ValueOrDie();
+  const auto code = [&engine](const Query& query) {
+    return engine.Answer(query).status().code();
+  };
+  for (Measure measure : {Measure::kEuclidean, Measure::kDust,
+                          Measure::kProud, Measure::kMunich}) {
+    const bool probability =
+        measure == Measure::kProud || measure == Measure::kMunich;
+    for (QueryKind kind : {QueryKind::kKnn, QueryKind::kRange, QueryKind::kPrq,
+                           QueryKind::kSweep, QueryKind::kScore}) {
+      SCOPED_TRACE(testing::Message() << "measure " << int(measure)
+                                      << " kind " << int(kind));
+      const Query valid{.measure = measure,
+                        .kind = kind,
+                        .query = 29,
+                        .candidate = 29,
+                        .k = 40,
+                        .epsilon = 0.0,
+                        .taus = {0.5}};
+      if ((kind == QueryKind::kRange && probability) ||
+          (kind == QueryKind::kPrq && !probability)) {
+        EXPECT_EQ(code(valid), kInvalid);
+        continue;
+      }
+      const auto answer = engine.Answer(valid);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      if (kind == QueryKind::kKnn) {
+        EXPECT_EQ(answer.ValueOrDie().neighbors.size(), 29u);
+      }
+      for (std::size_t index : {30, 31}) {
+        Query bad = valid;
+        bad.query = index;
+        EXPECT_EQ(code(bad), kInvalid) << "query " << index;
+      }
+      if (kind == QueryKind::kScore) {
+        Query bad = valid;
+        bad.candidate = 30;
+        EXPECT_EQ(code(bad), kInvalid);
+      }
+      if (kind == QueryKind::kRange || probability) {
+        for (double epsilon : {kNaN, kInf, -kInf, -1.0}) {
+          Query bad = valid;
+          bad.epsilon = epsilon;
+          EXPECT_EQ(code(bad), kInvalid) << "epsilon " << epsilon;
+        }
+      }
+      if (kind == QueryKind::kPrq) {
+        for (double tau : {kNaN, 0.0, 1.0, -0.5, 1.5}) {
+          Query bad = valid;
+          bad.taus = {0.5, tau};
+          EXPECT_EQ(code(bad), kInvalid) << "tau " << tau;
+        }
+      }
+      if (kind == QueryKind::kKnn) {
+        Query bad = valid;
+        bad.k = 0;
+        EXPECT_EQ(code(bad), kInvalid);
+      }
+      // DUST before its tables are built; MUNICH without samples.
+      if (measure == Measure::kDust || measure == Measure::kMunich) {
+        EXPECT_EQ(bare.ValueOrDie()->Answer(valid).status().code(), kInvalid);
+      }
+    }
+  }
+}
+
+TEST(UncertainEngineParityTest, MunichEstimatorRefusalReachesTheCaller) {
+  // The exact estimator refuses every pair whose enumeration exceeds its
+  // half limit (9 sample pairs per timestamp here against a limit of 4).
+  // With the bounds filter off every candidate reaches it, and each MUNICH
+  // query returns the refusal instead of a partial answer at every width.
+  const MunichFixture f = MakeMunichFixture(20, 6, 3, 0.5, 42);
+  measures::MunichOptions exact;
+  exact.estimator = measures::MunichOptions::Estimator::kExact;
+  exact.exact_half_limit = 4;
+  exact.use_bounds_filter = false;
+  for (std::size_t threads : kThreadCounts) {
+    auto engine = UncertainEngine::Create(f.pdf, SmallChunkOptions(threads));
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE(engine.ValueOrDie()->AttachSamples(f.samples).ok());
+    for (QueryKind kind :
+         {QueryKind::kKnn, QueryKind::kPrq, QueryKind::kSweep}) {
+      const auto answer = engine.ValueOrDie()->Answer(
+          {.measure = Measure::kMunich,
+           .kind = kind,
+           .query = 4,
+           .k = 5,
+           .epsilon = 2.5,
+           .taus = {0.5},
+           .munich = exact});
+      EXPECT_EQ(answer.status().code(), StatusCode::kNotSupported)
+          << "kind " << int(kind) << " threads=" << threads;
     }
   }
 }

@@ -310,7 +310,12 @@ int CmdMatch(const Args& args) {
       std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
       return 1;
     }
-    neighbors = engine.ValueOrDie().KNearestEuclidean(query, k, &cost);
+    auto nearest = engine.ValueOrDie().KNearestEuclidean(query, k, &cost);
+    if (!nearest.ok()) {
+      std::fprintf(stderr, "%s\n", nearest.status().ToString().c_str());
+      return 1;
+    }
+    neighbors = std::move(nearest).ValueOrDie();
     report_cost = args.Has("index");
   } else {
     if (args.Has("index")) {

@@ -610,7 +610,7 @@ void BM_GroundTruthKnnEngineThreads(benchmark::State& state) {
   const auto engine =
       query::DistanceMatrixEngine::Create(d, options).ValueOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
+    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * d.size() * d.size() * 128);
 }
@@ -639,7 +639,7 @@ void BM_GroundTruthKnnEnginePaged(benchmark::State& state) {
   const auto engine =
       query::DistanceMatrixEngine::Create(d, options).ValueOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
+    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * d.size() * d.size() * 128);
   state.counters["faults_per_iter"] =
@@ -678,7 +678,7 @@ void BM_GroundTruthKnnEngineWalk(benchmark::State& state) {
   const ts::Dataset d = RandomWalkDataset(256, 512, 210);
   const auto engine = query::DistanceMatrixEngine::Create(d).ValueOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
+    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * d.size() * d.size() * d[0].size());
 }
@@ -693,9 +693,10 @@ void BM_GroundTruthKnnEngineWalkIndexed(benchmark::State& state) {
   // The cascade is deterministic, so one pre-loop run yields the exact
   // per-iteration work accounting without perturbing the timed loop.
   index::SearchCost cost;
-  benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10, 0, &cost));
+  benchmark::DoNotOptimize(
+      engine.AllKNearestEuclidean(10, 0, &cost).ValueOrDie());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10));
+    benchmark::DoNotOptimize(engine.AllKNearestEuclidean(10).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * d.size() * d.size() * d[0].size());
   const double total = static_cast<double>(cost.candidates_total);

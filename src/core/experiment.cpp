@@ -7,9 +7,7 @@
 
 #include "core/timer.hpp"
 #include "exec/parallel_for.hpp"
-#include "query/engine.hpp"
 #include "query/engine_context.hpp"
-#include "query/search.hpp"
 #include "uncertain/perturb.hpp"
 
 namespace uts::core {
@@ -45,7 +43,7 @@ struct QueryScore {
 /// slots, so distinct queries may run concurrently.
 Status ScoreQuery(std::span<Matcher* const> matchers,
                   std::span<const double> tau_grid, std::size_t qi,
-                  std::size_t n, const std::vector<query::Neighbor>& neighbors,
+                  std::size_t n, std::span<const query::Neighbor> neighbors,
                   std::span<QueryScore> out) {
   std::vector<std::size_t> relevant;
   relevant.reserve(neighbors.size());
@@ -167,33 +165,17 @@ Result<std::vector<MatcherResult>> Evaluate(
     results[r].name = matchers[tau_grid.empty() ? r : 0]->name();
   }
 
-  distance::DtwOptions gt_dtw_options;
-  gt_dtw_options.band_radius = options.dtw_ground_truth_band;
-
   // Ground truth: the k nearest under the exact Euclidean distance (or
   // exact DTW when requested). "Distance thresholds are chosen such that
   // in the ground truth set they return exactly 10 time series." The
-  // all-pairs sweep runs on the context's shared certain engine — Euclidean
-  // over the SoA store (parallel over queries), DTW over the pure per-pair
-  // callback (parallel over candidates; small grain since one DTW is
-  // O(n²)). Repeated runs over the same exact dataset reuse the engine.
+  // context memoizes it per exact dataset, so every σ, error model and τ
+  // swept over one dataset shares one sweep.
   UTS_ASSIGN_OR_RETURN(
-      const query::DistanceMatrixEngine* engine,
-      engines->Certain(exact, options.dtw_ground_truth ? 16 : 0));
-
-  std::vector<std::vector<query::Neighbor>> ground_truth;
-  if (options.dtw_ground_truth) {
-    ground_truth.resize(num_queries);
-    for (std::size_t qi = 0; qi < num_queries; ++qi) {
-      ground_truth[qi] =
-          engine->KNearest(exact.size(), qi, k, [&](std::size_t i) {
-            return distance::Dtw(exact[qi].values(), exact[i].values(),
-                                 gt_dtw_options);
-          });
-    }
-  } else {
-    ground_truth = engine->AllKNearestEuclidean(k, num_queries);
-  }
+      const std::vector<query::Neighbor> ground_truth,
+      engines->GroundTruth(exact, k, num_queries,
+                           options.dtw_ground_truth
+                               ? std::optional(options.dtw_ground_truth_band)
+                               : std::nullopt));
 
   // One task per query on the run's pool: a query is calibrated, retrieved
   // and scored on one worker (nested engine loops run inline there). Each
@@ -206,9 +188,9 @@ Result<std::vector<MatcherResult>> Evaluate(
   exec::ParallelFor(
       engines->pool(), num_queries, 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t qi = begin; qi < end; ++qi) {
-          assert(ground_truth[qi].size() == k);
           failures[qi] = ScoreQuery(
-              matchers, tau_grid, qi, exact.size(), ground_truth[qi],
+              matchers, tau_grid, qi, exact.size(),
+              std::span(ground_truth).subspan(qi * k, k),
               std::span(scores).subspan(qi * width, width));
         }
       });

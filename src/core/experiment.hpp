@@ -91,9 +91,11 @@ struct RunOptions {
   /// configured with the same thread count as `threads` and the SIMD mode
   /// `force_scalar` asks for (InvalidArgument otherwise). Passing one
   /// context across repeated runs (a τ search and its final run,
-  /// per-dataset loops) reuses the pool and, when the perturbed data is
-  /// bit-identical, the packed engines too. When null the run creates a
-  /// private context internally; results are bit-identical either way.
+  /// per-dataset loops, σ sweeps) reuses the pool, each exact dataset's
+  /// ground truth (EngineContext::GroundTruth) and, when the perturbed
+  /// data is bit-identical, the packed engines too. When null the run
+  /// creates a private context internally; results are bit-identical
+  /// either way.
   query::EngineContext* engine_context = nullptr;
 };
 

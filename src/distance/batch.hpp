@@ -73,7 +73,9 @@ void EuclideanBatchRange(std::span<const double> query,
 /// pitch to scatter a triangle into it). Each candidate row is loaded once
 /// per kQueryBlock queries, and every pair's sum still accumulates in
 /// ascending timestamp order with one accumulator — bit-identical to
-/// SquaredEuclidean(row(q), row(r)).
+/// SquaredEuclidean(row(q), row(r)). The AVX2 form also runs one chain per
+/// pair whether or not its query fills a block of kQueryBlock, so a pair's
+/// value never depends on the query range it is swept with.
 void SquaredEuclideanMultiQueryBatch(const ts::RowBlock& queries,
                                      std::size_t query_begin,
                                      std::size_t query_end,

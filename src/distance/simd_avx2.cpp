@@ -82,6 +82,26 @@ inline double SquaredRowAvx2(const double* q, const double* row,
   return sum;
 }
 
+/// One pair's squared distance in the multi-query kernel's chain: one
+/// 4-lane FMA accumulator, the fixed HSum, then a scalar tail — exactly the
+/// operations a lane of a 4-query block performs.
+inline double SquaredRowOneChainAvx2(const double* q, const double* row,
+                                     std::size_t n) {
+  __m256d s = _mm256_setzero_pd();
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    const __m256d d =
+        _mm256_sub_pd(_mm256_loadu_pd(q + t), _mm256_loadu_pd(row + t));
+    s = _mm256_fmadd_pd(d, d, s);
+  }
+  double sum = HSum(s);
+  for (; t < n; ++t) {
+    const double d = q[t] - row[t];
+    sum += d * d;
+  }
+  return sum;
+}
+
 void SquaredEuclideanRangeAvx2(std::span<const double> query,
                                const ts::RowBlock& block,
                                std::size_t row_begin, std::size_t row_end,
@@ -170,11 +190,17 @@ void SquaredEuclideanMultiQueryAvx2(const ts::RowBlock& queries,
         o3[r - row_begin] = r3;
       }
     }
+    // Leftover queries run the blocks' one-accumulator chain, not
+    // SquaredRowAvx2's four: a pair's value must not depend on whether its
+    // query filled a block, or a ground-truth row would change with the
+    // number of queries swept alongside it.
     for (; q < query_end; ++q) {
-      SquaredEuclideanRangeAvx2(
-          queries.row(q), candidates, tile, tile_end,
-          out.subspan((q - query_begin) * out_stride + (tile - row_begin),
-                      tile_end - tile));
+      const double* q0 = qbase + q * stride;
+      double* o0 = out.data() + (q - query_begin) * out_stride;
+      for (std::size_t r = tile; r < tile_end; ++r) {
+        o0[r - row_begin] = SquaredRowOneChainAvx2(q0, base + r * stride,
+                                                   stride);
+      }
     }
   }
 }

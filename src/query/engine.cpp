@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -36,24 +34,28 @@ std::vector<MotifPair> BoundedMotifHeap::TakeSorted() {
 
 }  // namespace detail
 
-Result<DistanceMatrixEngine> DistanceMatrixEngine::Create(
-    const ts::Dataset& dataset, EngineOptions options) {
+Status DistanceMatrixEngine::CheckShape(const ts::Dataset& dataset) {
   if (dataset.empty()) {
     return Status::InvalidArgument("certain engine needs a non-empty dataset");
   }
-  const std::size_t stride = dataset[0].size();
-  if (stride == 0) {
+  if (dataset[0].size() == 0) {
     return Status::InvalidArgument("certain engine needs non-empty series");
   }
   if (!dataset.HasUniformLength()) {
     return Status::InvalidArgument(
         "certain engine needs series of uniform length");
   }
+  return Status::OK();
+}
+
+Result<DistanceMatrixEngine> DistanceMatrixEngine::Create(
+    const ts::Dataset& dataset, EngineOptions options) {
+  UTS_RETURN_NOT_OK(CheckShape(dataset));
   // With a buffer pool, one block buffer is live at a time while packing.
   UTS_ASSIGN_OR_RETURN(
       ts::SoaStore store,
       ts::SoaStore::FromRows(
-          dataset.size(), stride,
+          dataset.size(), dataset[0].size(),
           [&dataset](std::size_t r, std::span<double> out) {
             const auto& values = dataset[r].values();
             std::copy(values.begin(), values.end(), out.begin());
@@ -128,27 +130,6 @@ std::vector<Neighbor> DistanceMatrixEngine::KNearest(
   return detail::SelectKSmallest(distances, exclude, k);
 }
 
-std::vector<MotifPair> DistanceMatrixEngine::TopKMotifs(
-    std::size_t n, std::size_t k, const PairwiseDistanceFn& distance) const {
-  const std::size_t grain = MotifGrain(n);
-  std::vector<std::vector<MotifPair>> locals(exec::NumChunks(n, grain));
-  exec::ParallelFor(pool_, n, grain,
-                    [&](std::size_t begin, std::size_t end) {
-                      detail::BoundedMotifHeap heap(k);
-                      for (std::size_t a = begin; a < end; ++a) {
-                        for (std::size_t b = a + 1; b < n; ++b) {
-                          heap.Push({a, b, distance(a, b)});
-                        }
-                      }
-                      locals[begin / grain] = heap.TakeSorted();
-                    });
-  detail::BoundedMotifHeap merged(k);
-  for (const auto& local : locals) {
-    for (const MotifPair& pair : local) merged.Push(pair);
-  }
-  return merged.TakeSorted();
-}
-
 // --- Euclidean batched paths -------------------------------------------------
 
 Result<std::vector<Neighbor>> DistanceMatrixEngine::KNearestEuclidean(
@@ -158,45 +139,78 @@ Result<std::vector<Neighbor>> DistanceMatrixEngine::KNearestEuclidean(
   return detail::KBest(scan, query_index, k, cost);
 }
 
-std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
-    std::size_t k, std::size_t num_queries, index::SearchCost* cost) const {
-  const std::size_t n = size();
+Result<std::vector<std::vector<Neighbor>>>
+DistanceMatrixEngine::AllKNearestEuclidean(std::size_t k,
+                                           std::size_t num_queries,
+                                           index::SearchCost* cost) const {
   const std::size_t queries =
-      num_queries == 0 ? n : std::min(num_queries, n);
+      num_queries == 0 ? size() : std::min(num_queries, size());
+  const std::size_t width = std::min(k, size() - 1);
+  std::vector<Neighbor> rows(queries * width);
+  UTS_RETURN_NOT_OK(KNearestEuclideanRows(0, queries, width, rows, cost));
   std::vector<std::vector<Neighbor>> out(queries);
+  for (std::size_t q = 0; q < queries; ++q) {
+    out[q].assign(rows.begin() + static_cast<long>(q * width),
+                  rows.begin() + static_cast<long>((q + 1) * width));
+  }
+  return out;
+}
+
+Status DistanceMatrixEngine::KNearestEuclideanRows(
+    std::size_t first, std::size_t last, std::size_t k,
+    std::span<Neighbor> out, index::SearchCost* cost) const {
+  const std::size_t n = size();
+  if (first > last || last > n || k >= n || out.size() != (last - first) * k) {
+    return Status::InvalidArgument(
+        "k-NN rows [" + std::to_string(first) + ", " + std::to_string(last) +
+        ") at k = " + std::to_string(k) + " do not fit " + std::to_string(n) +
+        " series and " + std::to_string(out.size()) + " output slots");
+  }
+  // Row q's k neighbors, selected from its n final distances.
+  const auto select = [&](std::size_t q, std::span<const double> row) {
+    const std::vector<Neighbor> nearest = detail::SelectKSmallest(row, q, k);
+    std::copy(nearest.begin(), nearest.end(),
+              out.begin() + static_cast<long>((q - first) * k));
+  };
   if (synopsis_index_ != nullptr) {
     // Per-query cascades parallelized over queries (grain 1: pruning makes
     // per-query work uneven; a cascade itself never forks). Each query's
     // cost lands in its own record; the fold below is index-ordered, so the
     // counters are deterministic at every thread count.
-    std::vector<index::SearchCost> per_query(queries);
-    exec::ParallelFor(pool_, queries, /*grain=*/1,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t q = begin; q < end; ++q) {
-                          auto knn = KNearestEuclidean(q, k, &per_query[q]);
-                          if (!knn.ok()) {
-                            std::fprintf(stderr, "uncertts: %s\n",
-                                         knn.status().ToString().c_str());
-                            std::abort();
-                          }
-                          out[q] = std::move(knn).ValueOrDie();
-                        }
-                      });
+    std::vector<index::SearchCost> per_query(last - first);
+    std::vector<Status> failures(last - first);
+    exec::ParallelFor(
+        pool_, last - first, /*grain=*/1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::size_t q = first + i;
+            auto nearest = KNearestEuclidean(q, k, &per_query[i]);
+            if (!nearest.ok()) {
+              failures[i] = nearest.status();
+              continue;
+            }
+            std::copy(nearest.ValueOrDie().begin(),
+                      nearest.ValueOrDie().end(),
+                      out.begin() + static_cast<long>(i * k));
+          }
+        });
+    for (const Status& failure : failures) UTS_RETURN_NOT_OK(failure);
     if (cost != nullptr) {
       for (const index::SearchCost& record : per_query) {
         cost->Accumulate(record);
       }
     }
-    return out;
+    return Status::OK();
   }
-  detail::ChargeFullScan(cost, queries * (n - 1));
+  detail::ChargeFullScan(cost, (last - first) * (n - 1));
   // When every series is a query and the full matrix fits in memory,
-  // exploit symmetry: (a-b) is exactly -(b-a) in IEEE arithmetic, so
-  // d(q,c)² is bitwise d(c,q)² — compute the upper triangle only and
-  // mirror the lower. Halves the distance work of the ground-truth build.
+  // exploit symmetry: (a-b) is exactly -(b-a) in IEEE arithmetic and every
+  // pair is one accumulation chain whichever rows it is swept with, so
+  // d(q,c)² is bitwise d(c,q)² — compute the upper triangle only and mirror
+  // the lower. Halves the distance work of the ground-truth build.
   constexpr std::size_t kMaxMatrixEntries = std::size_t{1} << 24;  // 128 MiB
   const ts::StoreView view(store_);
-  if (queries == n && n * n <= kMaxMatrixEntries) {
+  if (first == 0 && last == n && n * n <= kMaxMatrixEntries) {
     std::vector<double> matrix(n * n, 0.0);
     // Phase 1: rows of the upper trapezoid, per query chunk. Block rows are
     // a multiple of kQueryBlock, so each query chunk sits inside one block;
@@ -204,30 +218,37 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
     // (q,c) pair is still one ordered accumulation chain, so the block cuts
     // never change a result bit.
     const auto query_chunks = ts::PartitionRows(view, distance::kQueryBlock);
+    std::vector<Status> failures(query_chunks.size());
     exec::ParallelFor(
         pool_, query_chunks.size(), /*grain=*/1,
         [&](std::size_t chunk_begin, std::size_t chunk_end) {
           for (std::size_t qc = chunk_begin; qc < chunk_end; ++qc) {
-            const ts::RowChunk& chunk = query_chunks[qc];
-            const auto query_pin = ts::PinOrAbort(view, chunk.block);
-            const std::size_t query_first = query_pin.first_row();
-            for (std::size_t cb = chunk.block; cb < view.num_blocks(); ++cb) {
-              const auto cand_pin = ts::PinOrAbort(view, cb);
-              const std::size_t cand_first = cand_pin.first_row();
-              const std::size_t cand_begin =
-                  std::max(chunk.begin, cand_first);
-              const std::size_t cand_end =
-                  cand_first + view.block_row_count(cb);
-              dispatch_->squared_euclidean_multi_query(
-                  query_pin.block(), chunk.begin - query_first,
-                  chunk.end - query_first, cand_pin.block(),
-                  cand_begin - cand_first, cand_end - cand_first,
-                  std::span<double>(matrix).subspan(chunk.begin * n +
-                                                    cand_begin),
-                  n);
-            }
+            failures[qc] = [&]() -> Status {
+              const ts::RowChunk& chunk = query_chunks[qc];
+              UTS_ASSIGN_OR_RETURN(const auto query_pin,
+                                   view.Pin(chunk.block));
+              const std::size_t query_first = query_pin.first_row();
+              for (std::size_t cb = chunk.block; cb < view.num_blocks();
+                   ++cb) {
+                UTS_ASSIGN_OR_RETURN(const auto cand_pin, view.Pin(cb));
+                const std::size_t cand_first = cand_pin.first_row();
+                const std::size_t cand_begin =
+                    std::max(chunk.begin, cand_first);
+                const std::size_t cand_end =
+                    cand_first + view.block_row_count(cb);
+                dispatch_->squared_euclidean_multi_query(
+                    query_pin.block(), chunk.begin - query_first,
+                    chunk.end - query_first, cand_pin.block(),
+                    cand_begin - cand_first, cand_end - cand_first,
+                    std::span<double>(matrix).subspan(chunk.begin * n +
+                                                      cand_begin),
+                    n);
+              }
+              return Status::OK();
+            }();
           }
         });
+    for (const Status& failure : failures) UTS_RETURN_NOT_OK(failure);
     // Phase 2: mirror the lower triangle (ParallelFor is a barrier, so the
     // sources are complete).
     exec::ParallelFor(pool_, n, /*grain=*/64,
@@ -247,46 +268,48 @@ std::vector<std::vector<Neighbor>> DistanceMatrixEngine::AllKNearestEuclidean(
           for (std::size_t q = begin; q < end; ++q) {
             double* row = matrix.data() + q * n;
             for (std::size_t c = 0; c < n; ++c) row[c] = std::sqrt(row[c]);
-            out[q] = detail::SelectKSmallest(
-                std::span<const double>(row, n), q, k);
+            select(q, std::span<const double>(row, n));
           }
         });
-    return out;
+    return Status::OK();
   }
 
-  // Streaming fallback (query prefix, or matrix too large): parallelize
+  // Streaming sweep (a query range, or a matrix too large): parallelize
   // over query chunks; the multi-query kernel loads each candidate row once
-  // per kQueryBlock queries, and each chunk writes only its own out[q]
-  // slots. Candidates are swept block by block into the chunk's buffer.
+  // per kQueryBlock queries, and each chunk writes only its own rows of
+  // `out`. Candidates are swept block by block into the chunk's buffer.
   const auto query_chunks =
-      ts::PartitionRowRange(view, 0, queries, distance::kQueryBlock);
+      ts::PartitionRowRange(view, first, last, distance::kQueryBlock);
+  std::vector<Status> failures(query_chunks.size());
   exec::ParallelFor(
       pool_, query_chunks.size(), /*grain=*/1,
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t qc = chunk_begin; qc < chunk_end; ++qc) {
-          const ts::RowChunk& chunk = query_chunks[qc];
-          const auto query_pin = ts::PinOrAbort(view, chunk.block);
-          const std::size_t query_first = query_pin.first_row();
-          std::vector<double> block((chunk.end - chunk.begin) * n, 0.0);
-          for (std::size_t cb = 0; cb < view.num_blocks(); ++cb) {
-            const auto cand_pin = ts::PinOrAbort(view, cb);
-            const std::size_t cand_first = cand_pin.first_row();
-            dispatch_->squared_euclidean_multi_query(
-                query_pin.block(), chunk.begin - query_first,
-                chunk.end - query_first, cand_pin.block(), 0,
-                view.block_row_count(cb),
-                std::span<double>(block).subspan(cand_first), n);
-          }
-          for (double& v : block) v = std::sqrt(v);
-          for (std::size_t q = chunk.begin; q < chunk.end; ++q) {
-            out[q] = detail::SelectKSmallest(
-                std::span<const double>(block).subspan((q - chunk.begin) * n,
-                                                       n),
-                q, k);
-          }
+          failures[qc] = [&]() -> Status {
+            const ts::RowChunk& chunk = query_chunks[qc];
+            UTS_ASSIGN_OR_RETURN(const auto query_pin, view.Pin(chunk.block));
+            const std::size_t query_first = query_pin.first_row();
+            std::vector<double> block((chunk.end - chunk.begin) * n, 0.0);
+            for (std::size_t cb = 0; cb < view.num_blocks(); ++cb) {
+              UTS_ASSIGN_OR_RETURN(const auto cand_pin, view.Pin(cb));
+              const std::size_t cand_first = cand_pin.first_row();
+              dispatch_->squared_euclidean_multi_query(
+                  query_pin.block(), chunk.begin - query_first,
+                  chunk.end - query_first, cand_pin.block(), 0,
+                  view.block_row_count(cb),
+                  std::span<double>(block).subspan(cand_first), n);
+            }
+            for (double& v : block) v = std::sqrt(v);
+            for (std::size_t q = chunk.begin; q < chunk.end; ++q) {
+              select(q, std::span<const double>(block).subspan(
+                            (q - chunk.begin) * n, n));
+            }
+            return Status::OK();
+          }();
         }
       });
-  return out;
+  for (const Status& failure : failures) UTS_RETURN_NOT_OK(failure);
+  return Status::OK();
 }
 
 Result<std::vector<std::size_t>> DistanceMatrixEngine::RangeSearchEuclidean(
@@ -296,17 +319,40 @@ Result<std::vector<std::size_t>> DistanceMatrixEngine::RangeSearchEuclidean(
   return detail::WithinRange(scan, query_index, epsilon, cost);
 }
 
-std::vector<MotifPair> DistanceMatrixEngine::TopKMotifsEuclidean(
+Result<std::vector<MotifPair>> DistanceMatrixEngine::TopKMotifsEuclidean(
     std::size_t k) const {
-  // Streams rows of the SoA store through the generic chunked heap/merge;
-  // each pair is ranked by its final metric value, exactly like the
-  // sequential reference. Row pins are taken per pair (free when resident).
+  // Each a-chunk keeps its own k-sized heap; the heaps merge in chunk
+  // order, and each pair is ranked by its final metric value, exactly like
+  // the sequential reference. Row pins are free when resident.
+  const std::size_t n = size();
   const ts::StoreView view(store_);
-  return TopKMotifs(size(), k, [view](std::size_t a, std::size_t b) {
-    const auto pin_a = ts::PinRowOrAbort(view, a);
-    const auto pin_b = ts::PinRowOrAbort(view, b);
-    return std::sqrt(distance::SquaredEuclidean(pin_a.row(), pin_b.row()));
-  });
+  const std::size_t grain = MotifGrain(n);
+  const std::size_t chunks = exec::NumChunks(n, grain);
+  std::vector<std::vector<MotifPair>> locals(chunks);
+  std::vector<Status> failures(chunks);
+  exec::ParallelFor(
+      pool_, n, grain, [&](std::size_t begin, std::size_t end) {
+        failures[begin / grain] = [&]() -> Status {
+          detail::BoundedMotifHeap heap(k);
+          for (std::size_t a = begin; a < end; ++a) {
+            UTS_ASSIGN_OR_RETURN(const auto pin_a, view.PinRow(a));
+            for (std::size_t b = a + 1; b < n; ++b) {
+              UTS_ASSIGN_OR_RETURN(const auto pin_b, view.PinRow(b));
+              heap.Push({a, b,
+                         std::sqrt(distance::SquaredEuclidean(
+                             pin_a.row(), pin_b.row()))});
+            }
+          }
+          locals[begin / grain] = heap.TakeSorted();
+          return Status::OK();
+        }();
+      });
+  for (const Status& failure : failures) UTS_RETURN_NOT_OK(failure);
+  detail::BoundedMotifHeap merged(k);
+  for (const auto& local : locals) {
+    for (const MotifPair& pair : local) merged.Push(pair);
+  }
+  return merged.TakeSorted();
 }
 
 }  // namespace uts::query

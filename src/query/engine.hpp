@@ -21,9 +21,14 @@
 /// store through the shared store scan of scan.hpp. UncertainEngine shares
 /// that Euclidean measure and the server answers Euclidean requests from
 /// it, so a served dataset needs no engine of this kind; the evaluation
-/// runs this one over exact data for its ground truth. The callback
-/// overloads parallelize arbitrary thread-safe distances (e.g. the
-/// exact-DTW ground truth).
+/// builds one over exact data, through `EngineContext::GroundTruth`, only
+/// for the ground-truth rows its memo lacks. The callback overload
+/// parallelizes an arbitrary thread-safe distance (the exact-DTW ground
+/// truth).
+///
+/// Failure channel: every store query returns a failed pin as a `Status`
+/// (the lowest failing chunk's, as in `detail::ScanRows`), never a partial
+/// answer and never an abort.
 
 #ifndef UTS_QUERY_ENGINE_HPP_
 #define UTS_QUERY_ENGINE_HPP_
@@ -62,11 +67,14 @@ class DistanceMatrixEngine {
  public:
   /// Build the engine over `dataset`: packs its rows once (paged through
   /// `options.buffer_pool` when set), resolves the kernel dispatch and,
-  /// when enabled, the synopsis index. InvalidArgument for an empty
-  /// dataset, empty series or series of unequal length; a paged store's
-  /// failed spill is returned as well.
+  /// when enabled, the synopsis index. Rejects what CheckShape rejects; a
+  /// paged store's failed spill is returned as well.
   static Result<DistanceMatrixEngine> Create(const ts::Dataset& dataset,
                                              EngineOptions options = {});
+
+  /// InvalidArgument for data the engine cannot pack: an empty dataset,
+  /// empty series or series of unequal length.
+  static Status CheckShape(const ts::Dataset& dataset);
 
   /// Joins the owned pool, if any.
   ~DistanceMatrixEngine();
@@ -106,13 +114,27 @@ class DistanceMatrixEngine {
       std::size_t query_index, std::size_t k,
       index::SearchCost* cost = nullptr) const;
 
-  /// k-NN lists of the first `num_queries` series (0 = every series) — the
-  /// paper's ground-truth build, parallelized over queries.
-  /// out[q] == KNearestEuclidean(q, k); candidates always span the whole
-  /// dataset. Aborts on an unreadable spill log.
-  std::vector<std::vector<Neighbor>> AllKNearestEuclidean(
+  /// k-NN lists of the first `num_queries` series (0 = every series):
+  /// KNearestEuclideanRows over [0, num_queries) with k clamped to the
+  /// candidate count, one list per query.
+  Result<std::vector<std::vector<Neighbor>>> AllKNearestEuclidean(
       std::size_t k, std::size_t num_queries = 0,
       index::SearchCost* cost = nullptr) const;
+
+  /// The paper's ground-truth build, parallelized over queries: the k
+  /// nearest neighbors of every query in [first, last) into `out`, query q
+  /// at out[(q - first) * k, (q - first + 1) * k); candidates always span
+  /// the whole dataset. A row does not depend on the range it is swept in:
+  /// each (query, candidate) pair is one accumulation chain on every path
+  /// (the symmetric all-rows matrix, the streaming sweep, and the indexed
+  /// per-query cascade, where a row is KNearestEuclidean(q, k)), so rows
+  /// swept in pieces equal one sweep's bit for bit. InvalidArgument unless
+  /// first <= last <= size(), k < size() and out holds (last - first) * k
+  /// neighbors; a failed pin returns the lowest failing chunk's status, and
+  /// `out` is then unspecified.
+  Status KNearestEuclideanRows(std::size_t first, std::size_t last,
+                               std::size_t k, std::span<Neighbor> out,
+                               index::SearchCost* cost = nullptr) const;
 
   /// RQ(Q, C, ε): indices with distance <= epsilon, self-match excluded,
   /// ascending.
@@ -121,27 +143,18 @@ class DistanceMatrixEngine {
       index::SearchCost* cost = nullptr) const;
 
   /// Top-k closest pairs under Euclidean distance; bounded-memory (k-sized
-  /// heap per worker chunk), sorted ascending with (a, b) tie-breaks.
-  /// Aborts on an unreadable spill log.
-  std::vector<MotifPair> TopKMotifsEuclidean(std::size_t k) const;
+  /// heap per worker chunk), sorted ascending with (a, b) tie-breaks. A
+  /// failed pin returns the lowest failing chunk's status.
+  Result<std::vector<MotifPair>> TopKMotifsEuclidean(std::size_t k) const;
   /// \}
 
-  /// \name Generic callback queries
-  /// The callback must be thread-safe when threads() > 1; it is never
-  /// invoked for the excluded index.
-  /// \{
-
-  /// k nearest under an arbitrary distance callback; same ordering contract
-  /// as query::KNearest.
+  /// k nearest under an arbitrary distance callback (the exact-DTW ground
+  /// truth); same ordering contract as query::KNearest. The callback must
+  /// be thread-safe when threads() > 1; it is never invoked for the
+  /// excluded index.
   std::vector<Neighbor> KNearest(std::size_t n, std::size_t exclude,
                                  std::size_t k,
                                  const DistanceToFn& distance_to) const;
-
-  /// Top-k closest pairs under an arbitrary pairwise distance; same
-  /// ordering contract as query::TopKMotifs.
-  std::vector<MotifPair> TopKMotifs(std::size_t n, std::size_t k,
-                                    const PairwiseDistanceFn& distance) const;
-  /// \}
 
  private:
   /// Chunk size of the triangular motif loops: contiguous a-chunks are

@@ -8,7 +8,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "distance/dtw.hpp"
 #include "exec/parallel_for.hpp"
+#include "query/engine.hpp"
 
 namespace uts::query {
 
@@ -115,7 +117,7 @@ std::uint64_t FingerprintRunData(
   return f.h;
 }
 
-/// Content fingerprint of the exact dataset a certain engine is built over,
+/// Content fingerprint of the exact dataset a ground truth is swept over,
 /// folded per series like FingerprintRunData.
 std::uint64_t FingerprintDataset(const ts::Dataset& dataset,
                                  exec::ThreadPool* pool) {
@@ -262,29 +264,69 @@ const uncertain::UncertainDataset* EngineContext::ResidentPdf(
   return it == residents_.end() ? nullptr : &it->second.pdf;
 }
 
-Result<const DistanceMatrixEngine*> EngineContext::Certain(
-    const ts::Dataset& exact, std::size_t grain) {
-  const std::uint64_t fingerprint = FingerprintDataset(exact, pool());
-  if (certain_.has_value() && fingerprint == certain_fingerprint_ &&
-      grain == certain_key_grain_) {
-    ++stats_.certain_reuses;
-    return &*certain_;
+Result<std::vector<Neighbor>> EngineContext::GroundTruth(
+    const ts::Dataset& exact, std::size_t k, std::size_t num_queries,
+    std::optional<std::size_t> dtw_band) {
+  UTS_RETURN_NOT_OK(DistanceMatrixEngine::CheckShape(exact));
+  const std::size_t n = exact.size();
+  if (k == 0 || k >= n) {
+    return Status::InvalidArgument("ground truth needs 1 <= k < " +
+                                   std::to_string(n) + " (got k = " +
+                                   std::to_string(k) + ")");
   }
+  if (num_queries == 0 || num_queries > n) {
+    return Status::InvalidArgument(
+        "ground truth needs 1 <= num_queries <= " + std::to_string(n) +
+        " (got " + std::to_string(num_queries) + ")");
+  }
+  const GroundTruthKey key{FingerprintDataset(exact, pool()), n,
+                           exact[0].size(), k, dtw_band};
+  auto it = ground_truth_.find(key);
+  const std::size_t have =
+      it == ground_truth_.end() ? 0 : it->second.size() / k;
+  if (have >= num_queries) {
+    ++stats_.certain_reuses;
+    return std::vector<Neighbor>(
+        it->second.begin(),
+        it->second.begin() + static_cast<long>(num_queries * k));
+  }
+
+  // Sweep rows [have, num_queries) on a transient certain engine; rows do
+  // not depend on the rows swept with them, so appending them to the memo's
+  // prefix equals one sweep of [0, num_queries).
   EngineOptions options;
   options.threads = threads_;
   options.shared_pool = pool();
   options.simd = options_.simd;
-  if (grain != 0) options.grain = grain;
+  // One exact DTW is O(length²): a small grain spreads one query's
+  // candidates over the pool.
+  if (dtw_band.has_value()) options.grain = 16;
   options.index = options_.index;
   UTS_ASSIGN_OR_RETURN(options.buffer_pool, StoragePool());
   options.block_rows = options_.block_rows;
-  UTS_ASSIGN_OR_RETURN(DistanceMatrixEngine engine,
+  UTS_ASSIGN_OR_RETURN(const DistanceMatrixEngine engine,
                        DistanceMatrixEngine::Create(exact, options));
-  certain_.emplace(std::move(engine));
-  certain_fingerprint_ = fingerprint;
-  certain_key_grain_ = grain;
   ++stats_.certain_packs;
-  return &*certain_;
+  std::vector<Neighbor> rows(num_queries * k);
+  if (have > 0) std::copy(it->second.begin(), it->second.end(), rows.begin());
+  if (!dtw_band.has_value()) {
+    UTS_RETURN_NOT_OK(engine.KNearestEuclideanRows(
+        have, num_queries, k, std::span(rows).subspan(have * k)));
+  } else {
+    distance::DtwOptions dtw;
+    dtw.band_radius = *dtw_band;
+    for (std::size_t q = have; q < num_queries; ++q) {
+      const std::vector<Neighbor> nearest =
+          engine.KNearest(n, q, k, [&](std::size_t i) {
+            return distance::Dtw(exact[q].values(), exact[i].values(), dtw);
+          });
+      std::copy(nearest.begin(), nearest.end(),
+                rows.begin() + static_cast<long>(q * k));
+    }
+  }
+  std::vector<Neighbor>& memo = ground_truth_[key];
+  memo = std::move(rows);
+  return memo;
 }
 
 Result<UncertainEngine*> EngineContext::EnsureUncertain() {

@@ -1,6 +1,7 @@
 /// \file engine_context.hpp
 /// \brief The run-wide shared engine context: one thread pool, one SoA pack
-/// of each dataset, one engine per evaluation.
+/// of each dataset, one engine per evaluation, one ground truth per exact
+/// dataset.
 ///
 /// Every figure of the paper compares MUNICH / PROUD / DUST on the *same*
 /// uncertain dataset, yet a naive binding builds one `UncertainEngine` per
@@ -23,12 +24,15 @@
 ///    so re-binding across datasets under one error spec reuses
 ///    already-integrated tables) and the MUNICH sample attachment are each
 ///    built on first use and cached for the rest of the run;
-///  * **one certain engine** — the `DistanceMatrixEngine` driving the
-///    ground-truth sweeps over *exact* data owns its packed rows and is
-///    cached across runs keyed by the dataset's content, so repeated runs
-///    over one dataset (a τ search and the final run at the tuned τ) pack
-///    it once, whichever copy of the data they pass. Residency keeps no
-///    certain view of the observations.
+///  * **one ground truth per exact dataset** — `GroundTruth` memoizes the
+///    k-NN rows of the *exact* series for the context's lifetime, keyed by
+///    the dataset's content, shape, k and distance (Euclidean or a DTW
+///    band). Every σ, error model and τ swept over one dataset shares that
+///    ground truth (the paper's §4.1.2), so a request the memo covers is a
+///    copy; a longer one builds a transient certain engine
+///    (`DistanceMatrixEngine`) that sweeps only the missing rows. Serving
+///    never computes ground truth, so residency keeps no certain view of
+///    the observations.
 ///
 /// Re-binding with bit-identical data (the repeated-run pattern: every run
 /// re-perturbs deterministically to the same observations) is detected by
@@ -56,7 +60,7 @@
 #include "common/result.hpp"
 #include "exec/thread_pool.hpp"
 #include "measures/dust.hpp"
-#include "query/engine.hpp"
+#include "query/search.hpp"
 #include "query/uncertain_engine.hpp"
 #include "ts/dataset.hpp"
 #include "uncertain/uncertain_series.hpp"
@@ -102,10 +106,13 @@ class EngineContext {
   struct Stats {
     std::size_t pools_created = 0;     ///< Shared ThreadPool constructions.
     std::size_t pdf_packs = 0;         ///< UncertainEngine builds (SoA packs).
-    std::size_t certain_packs = 0;     ///< DistanceMatrixEngine builds.
+    std::size_t certain_packs = 0;     ///< Transient DistanceMatrixEngine
+                                       ///< builds: GroundTruth requests
+                                       ///< that swept missing rows.
     std::size_t data_binds = 0;        ///< BindData calls that replaced data.
     std::size_t data_rebind_hits = 0;  ///< BindData calls that kept data.
-    std::size_t certain_reuses = 0;    ///< Certain() calls served from cache.
+    std::size_t certain_reuses = 0;    ///< GroundTruth requests the memo
+                                       ///< served whole.
     std::size_t dust_table_builds = 0;  ///< DUST acquisitions that added
                                        ///< tables to the DUST cache.
     std::size_t sample_attaches = 0;   ///< MUNICH acquisitions that
@@ -144,8 +151,8 @@ class EngineContext {
   /// stores through: the explicit `ExecOptions::buffer_pool` when set, a
   /// lazily created pool when `memory_budget_bytes > 0`, null otherwise
   /// (fully-resident stores). Also null while the pool cannot be created
-  /// (an unwritable spill dir); `Certain` and the acquisitions then fail
-  /// with that error instead of dropping the budget.
+  /// (an unwritable spill dir); a GroundTruth sweep and the acquisitions
+  /// then fail with that error instead of dropping the budget.
   std::shared_ptr<ts::BufferPool> buffer_pool();
 
   /// \name Run data
@@ -245,18 +252,30 @@ class EngineContext {
   const uncertain::UncertainDataset* ResidentPdf(const std::string& name) const;
   /// \}
 
-  /// \name Certain engine (ground truth / calibration sweeps)
+  /// \name Ground truth (the exact series' k nearest neighbors)
   /// \{
 
-  /// The shared DistanceMatrixEngine over `exact`, scheduled on the shared
-  /// pool. Cached across calls keyed by the content fingerprint of `exact`
-  /// and by `grain` (0 = default), so repeated runs over equal data pack it
-  /// once. The engine owns its rows, so `exact` is only read during the
-  /// call. Fails as DistanceMatrixEngine::Create does (empty or ragged
-  /// data, a failed spill); the view stays valid until the next Certain()
-  /// call that packs.
-  Result<const DistanceMatrixEngine*> Certain(const ts::Dataset& exact,
-                                              std::size_t grain = 0);
+  /// The k nearest exact neighbors of queries [0, num_queries) of `exact`,
+  /// self excluded: query q's at [q * k, (q + 1) * k), ascending by
+  /// distance, ties by index. The distance is Euclidean, or exact DTW under
+  /// the Sakoe–Chiba band `dtw_band` (distance::DtwOptions::kNoBand =
+  /// unconstrained) when set. InvalidArgument for data
+  /// DistanceMatrixEngine::CheckShape rejects, k outside [1, series) or
+  /// num_queries outside [1, series].
+  ///
+  /// Memoized for the context's lifetime per (content fingerprint and
+  /// shape of `exact`, k, distance): a request the memo covers is a copy of
+  /// its first rows; a longer one builds a transient DistanceMatrixEngine
+  /// on the shared pool (and storage tier) that sweeps only the missing
+  /// rows. A row does not depend on the rows swept with it
+  /// (DistanceMatrixEngine::KNearestEuclideanRows), so the result is
+  /// bitwise that of one fresh sweep over [0, num_queries), in whatever
+  /// order requests arrive. `exact` is only read during the call. Fails as
+  /// the sweep does (an unusable spill dir, a failed pin), leaving the memo
+  /// as it was.
+  Result<std::vector<Neighbor>> GroundTruth(
+      const ts::Dataset& exact, std::size_t k, std::size_t num_queries,
+      std::optional<std::size_t> dtw_band = std::nullopt);
   /// \}
 
   /// The shared UncertainEngine (one per run, lazily built) with the
@@ -318,10 +337,19 @@ class EngineContext {
   std::map<std::string, Resident> residents_;
   std::string active_resident_;  ///< Empty when the binding is not a resident.
 
-  // The cached certain engine, keyed by content fingerprint + grain.
-  std::optional<DistanceMatrixEngine> certain_;
-  std::uint64_t certain_fingerprint_ = 0;
-  std::size_t certain_key_grain_ = 0;  ///< Certain()'s `grain` argument.
+  /// What one ground-truth memo entry answers.
+  struct GroundTruthKey {
+    std::uint64_t fingerprint = 0;  ///< Content of the exact dataset.
+    std::size_t rows = 0;           ///< Its series count.
+    std::size_t length = 0;         ///< Its series length.
+    std::size_t k = 0;              ///< Neighbors per query.
+    std::optional<std::size_t> dtw_band;  ///< nullopt = Euclidean.
+    auto operator<=>(const GroundTruthKey&) const = default;
+  };
+
+  /// The ground-truth memo: per key, the rows of queries [0, m) as one flat
+  /// array of m * k neighbors, allocated on the calling thread.
+  std::map<GroundTruthKey, std::vector<Neighbor>> ground_truth_;
 
   Stats stats_;
 };

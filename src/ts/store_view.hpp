@@ -210,10 +210,10 @@ inline std::vector<RowChunk> PartitionRows(const StoreView& view,
 /// Pin that treats failure as fatal. A pin can only fail when a paged
 /// store's spill log has become unreadable. Queries do not use this: their
 /// scans pin through `StoreView::Pin` and return the failure as a
-/// `Status` (query/scan.hpp). It is left for the callers that still
-/// return plain values — the synopsis index build and the certain
-/// engine's ground-truth and motif loops — which fail stop rather than
-/// hand back wrong rows (docs/ARCHITECTURE.md §6).
+/// `Status` (query/scan.hpp), and so do the certain engine's ground-truth
+/// and motif loops. It is left for the synopsis index build, which still
+/// returns plain values and fails stop rather than hand back wrong rows,
+/// and for tests (docs/ARCHITECTURE.md §6).
 inline StoreView::PinnedBlock PinOrAbort(const StoreView& view,
                                          std::size_t block) {
   auto pinned = view.Pin(block);

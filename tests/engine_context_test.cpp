@@ -2,7 +2,7 @@
 // context (src/query/engine_context):
 //
 //  * resource discipline — a full multi-matcher evaluation packs the pdf
-//    dataset into SoA exactly once, builds exactly one certain engine and
+//    dataset into SoA exactly once, sweeps its ground truth once and
 //    constructs exactly one thread pool (none at threads == 1), asserted
 //    through EngineContext::Stats and the process-wide
 //    exec::ThreadPool::TotalCreated() counter;
@@ -10,6 +10,10 @@
 //    shared engine produce bit-identical sweep / PRQ / k-NN outputs to
 //    fresh per-matcher engines, and bit-identical evaluation scores to
 //    solo per-matcher runs, at 1, 2 and 8 threads;
+//  * the ground-truth memo — rows equal a fresh sweep whatever the request
+//    order, k, distance, thread count or storage tier; an equal copy hits,
+//    a changed value misses, and eval_paper's call order sweeps only under
+//    its first σ;
 //  * lazy caches — τ-sweep style rebinds to bit-identical data keep the
 //    packed engines; data the engines cannot pack is refused at bind, and
 //    what can still fail (no sample model, an unusable spill dir) fails the
@@ -34,15 +38,18 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/matchers.hpp"
 #include "core/metrics.hpp"
+#include "distance/dtw.hpp"
 #include "distance/lp.hpp"
 #include "exec/thread_pool.hpp"
 #include "prob/distribution.hpp"
 #include "prob/rng.hpp"
+#include "query/engine.hpp"
 #include "query/engine_context.hpp"
 #include "query/uncertain_engine.hpp"
 #include "server/frame.hpp"
@@ -188,33 +195,204 @@ TEST(EngineContextTest, TauSweepRebindKeepsEnginesAndCaches) {
   EXPECT_EQ(engines.stats().dust_table_builds, 1u);
 }
 
-TEST(EngineContextTest, CertainEngineIsKeyedByContentNotAddress) {
-  // The certain engine owns its rows, so its cache key is the content: an
-  // equal dataset at another address reuses the engine, which outlives the
-  // copy it was packed from.
+// --- Ground-truth memo -------------------------------------------------------
+
+/// One fresh Euclidean sweep of queries [0, num_queries) on a new engine,
+/// flattened like GroundTruth's rows.
+std::vector<Neighbor> FreshSweep(const ts::Dataset& exact, std::size_t k,
+                                 std::size_t num_queries) {
+  EngineOptions options;
+  options.threads = 1;
+  const auto lists = DistanceMatrixEngine::Create(exact, options)
+                         .ValueOrDie()
+                         .AllKNearestEuclidean(k, num_queries)
+                         .ValueOrDie();
+  std::vector<Neighbor> rows;
+  for (const auto& list : lists) {
+    rows.insert(rows.end(), list.begin(), list.end());
+  }
+  return rows;
+}
+
+/// The sequential exact-DTW k-NN of queries [0, num_queries), flattened.
+std::vector<Neighbor> FreshDtwSweep(const ts::Dataset& exact, std::size_t k,
+                                    std::size_t num_queries,
+                                    std::size_t band) {
+  distance::DtwOptions dtw;
+  dtw.band_radius = band;
+  std::vector<Neighbor> rows;
+  for (std::size_t q = 0; q < num_queries; ++q) {
+    const auto list = KNearest(exact.size(), q, k, [&](std::size_t i) {
+      return distance::Dtw(exact[q].values(), exact[i].values(), dtw);
+    });
+    rows.insert(rows.end(), list.begin(), list.end());
+  }
+  return rows;
+}
+
+void ExpectRowsBitwise(const std::vector<Neighbor>& got,
+                       const std::vector<Neighbor>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].index, want[i].index) << what << " slot " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].distance),
+              std::bit_cast<std::uint64_t>(want[i].distance))
+        << what << " slot " << i;
+  }
+}
+
+TEST(EngineContextTest, GroundTruthRowsEqualAFreshSweepInAnyRequestOrder) {
+  // 130 series of length 24: 130 % 4 != 0 and an odd request leave
+  // queries outside a full multi-query block, whose pairs must still run
+  // the blocks' accumulation chain; a full request takes the symmetric
+  // matrix path, a shorter one the streaming path. Paged stores cut the
+  // rows into blocks of 8.
+  constexpr std::size_t kRows = 130, kLength = 24, kBand = 3;
+  const ts::Dataset exact = MakeExact(kRows, kLength, 21);
+  const std::vector<std::vector<std::size_t>> orders = {
+      {64, 128}, {128, 64}, {5, kRows}, {kRows, 5}};
+  for (std::size_t threads : kThreadCounts) {
+    for (bool paged : {false, true}) {
+      for (const auto& order : orders) {
+        EngineContextOptions context_options;
+        context_options.threads = threads;
+        if (paged) {
+          context_options.block_rows = 8;
+          context_options.memory_budget_bytes =
+              3 * 8 * kLength * sizeof(double);
+        }
+        EngineContext engines(context_options);
+        const std::string what = "threads=" + std::to_string(threads) +
+                                 (paged ? " paged" : " resident") + " order " +
+                                 std::to_string(order[0]) + "->" +
+                                 std::to_string(order[1]);
+        // k 3 then 5: one memo entry per k, each extended or served whole.
+        for (std::size_t k : {std::size_t{3}, std::size_t{5}}) {
+          for (std::size_t num_queries : order) {
+            ExpectRowsBitwise(
+                engines.GroundTruth(exact, k, num_queries).ValueOrDie(),
+                FreshSweep(exact, k, num_queries),
+                what + " k=" + std::to_string(k) +
+                    " queries=" + std::to_string(num_queries));
+          }
+        }
+        for (std::size_t num_queries : order) {
+          ExpectRowsBitwise(
+              engines.GroundTruth(exact, 4, num_queries, kBand).ValueOrDie(),
+              FreshDtwSweep(exact, 4, num_queries, kBand),
+              what + " dtw queries=" + std::to_string(num_queries));
+        }
+        // A longer request sweeps (and packs); a shorter one is a copy.
+        const bool grows = order[1] > order[0];
+        EXPECT_EQ(engines.stats().certain_packs, grows ? 6u : 3u) << what;
+        EXPECT_EQ(engines.stats().certain_reuses, grows ? 0u : 3u) << what;
+        EXPECT_EQ(engines.stats().buffer_pools_created, paged ? 1u : 0u)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(EngineContextTest, EvalPaperCallOrderPacksOnlyUnderTheFirstSigma) {
+  // The eval_paper pass: per σ, PROUD's τ is searched on the first two
+  // datasets at half the queries, then the trio's final runs cover all four.
+  // Every σ shares one ground truth per dataset, so only the first σ sweeps.
+  std::vector<ts::Dataset> datasets;
+  for (std::uint64_t d = 0; d < 4; ++d) {
+    datasets.push_back(MakeExact(40, 16, 60 + d));
+  }
+  EngineContextOptions context_options;
+  context_options.threads = 2;
+  EngineContext engines(context_options);
+  core::RunOptions final_options;
+  final_options.ground_truth_k = 5;
+  final_options.max_queries = 16;
+  final_options.threads = 2;
+  final_options.engine_context = &engines;
+  core::RunOptions tune_options = final_options;
+  tune_options.max_queries = 8;
+  const std::vector<double> grid = {0.1, 0.5, 0.9};
+
+  const double sigmas[] = {0.4, 1.0, 1.6};
+  for (std::size_t s = 0; s < std::size(sigmas); ++s) {
+    const auto spec =
+        uncertain::ErrorSpec::Constant(ErrorKind::kNormal, sigmas[s]);
+    core::EuclideanMatcher euclid;
+    core::ProudMatcher proud(0.5);
+    for (std::size_t d = 0; d < 2; ++d) {
+      ASSERT_TRUE(
+          core::SweepTau(datasets[d], spec, proud, tune_options, grid).ok());
+    }
+    core::Matcher* const matchers[] = {&euclid, &proud};
+    for (const ts::Dataset& exact : datasets) {
+      ASSERT_TRUE(
+          core::RunSimilarityMatching(exact, spec, matchers, final_options)
+              .ok());
+    }
+    // The first σ sweeps 8 rows of datasets 0-1, extends them to 16, then
+    // sweeps 16 rows of datasets 2-3; every later request is a copy.
+    EXPECT_EQ(engines.stats().certain_packs, 6u) << "sigma=" << sigmas[s];
+    EXPECT_EQ(engines.stats().certain_reuses, 6 * s) << "sigma=" << sigmas[s];
+  }
+}
+
+TEST(EngineContextTest, GroundTruthIsKeyedByContentNotAddress) {
+  // The memo's key is the content: an equal dataset at another address is
+  // served from it after the copy it was swept from is gone, and one
+  // changed value misses.
   const ts::Dataset exact = MakeExact(24, 8, 9);
   EngineContextOptions context_options;
   context_options.threads = 2;
   EngineContext engines(context_options);
 
   auto copy = std::make_unique<ts::Dataset>(exact);
-  const DistanceMatrixEngine* built = engines.Certain(*copy).ValueOrDie();
-  const auto want = built->AllKNearestEuclidean(5);
+  const auto want = engines.GroundTruth(*copy, 5, 24).ValueOrDie();
   copy.reset();
 
-  const DistanceMatrixEngine* reused = engines.Certain(exact).ValueOrDie();
-  EXPECT_EQ(reused, built);
+  ExpectRowsBitwise(engines.GroundTruth(exact, 5, 24).ValueOrDie(), want,
+                    "equal copy");
   EXPECT_EQ(engines.stats().certain_packs, 1u);
   EXPECT_EQ(engines.stats().certain_reuses, 1u);
-  const auto got = reused->AllKNearestEuclidean(5);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t q = 0; q < got.size(); ++q) {
-    ASSERT_EQ(got[q].size(), want[q].size()) << "q=" << q;
-    for (std::size_t i = 0; i < got[q].size(); ++i) {
-      EXPECT_EQ(got[q][i].index, want[q][i].index) << "q=" << q;
-      EXPECT_EQ(got[q][i].distance, want[q][i].distance) << "q=" << q;
-    }
+  ExpectRowsBitwise(want, FreshSweep(exact, 5, 24), "fresh sweep");
+
+  ts::Dataset changed = exact;
+  double& value = changed[3].mutable_values()[2];
+  value = std::nextafter(value, 10.0);
+  ExpectRowsBitwise(engines.GroundTruth(changed, 5, 24).ValueOrDie(),
+                    FreshSweep(changed, 5, 24), "changed value");
+  EXPECT_EQ(engines.stats().certain_packs, 2u);
+  EXPECT_EQ(engines.stats().certain_reuses, 1u);
+}
+
+TEST(EngineContextTest, GroundTruthRefusesWhatNoSweepCanAnswer) {
+  ts::Dataset ragged("ragged");
+  ragged.Add(ts::TimeSeries({1.0, 2.0, 3.0}));
+  ragged.Add(ts::TimeSeries({1.0, 2.0}));
+  ragged.Add(ts::TimeSeries({0.0, 0.0, 0.0}));
+  ts::Dataset empty_series("empty-series");
+  for (int i = 0; i < 3; ++i) {
+    empty_series.Add(ts::TimeSeries(std::vector<double>{}));
   }
+  const ts::Dataset exact = MakeExact(12, 8, 3);
+  EngineContext engines;
+  for (const ts::Dataset* d : {&ragged, &empty_series}) {
+    EXPECT_EQ(engines.GroundTruth(*d, 1, 3).status().code(),
+              StatusCode::kInvalidArgument)
+        << d->name();
+  }
+  EXPECT_EQ(engines.GroundTruth(ts::Dataset("empty"), 1, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  for (const auto& [k, num_queries] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 4}, {12, 4}, {3, 0}, {3, 13}}) {
+    EXPECT_EQ(engines.GroundTruth(exact, k, num_queries).status().code(),
+              StatusCode::kInvalidArgument)
+        << "k=" << k << " num_queries=" << num_queries;
+  }
+  EXPECT_EQ(engines.stats().certain_packs, 0u);
+  EXPECT_EQ(engines.stats().certain_reuses, 0u);
+  EXPECT_EQ(engines.GroundTruth(exact, 11, 12).ValueOrDie().size(), 132u);
 }
 
 // --- Cross-matcher reuse parity ----------------------------------------------

@@ -167,7 +167,7 @@ TEST(EngineParityTest, AllKNearestMatchesPerQueryResults) {
   for (std::size_t threads : kThreadCounts) {
     auto engine = DistanceMatrixEngine::Create(
         d, SmallChunkOptions(threads)).ValueOrDie();
-    const auto all = engine.AllKNearestEuclidean(5);
+    const auto all = engine.AllKNearestEuclidean(5).ValueOrDie();
     ASSERT_EQ(all.size(), d.size());
     for (std::size_t q = 0; q < d.size(); ++q) {
       ExpectNeighborsIdentical(all[q], ReferenceKNearest(d, q, 5));
@@ -179,7 +179,7 @@ TEST(EngineParityTest, AllKNearestHonorsQueryPrefixCap) {
   const ts::Dataset d = GaussianDataset(40, 16, 4);
   auto engine =
       DistanceMatrixEngine::Create(d, SmallChunkOptions(8)).ValueOrDie();
-  const auto all = engine.AllKNearestEuclidean(3, 12);
+  const auto all = engine.AllKNearestEuclidean(3, 12).ValueOrDie();
   ASSERT_EQ(all.size(), 12u);
   for (std::size_t q = 0; q < all.size(); ++q) {
     ExpectNeighborsIdentical(all[q], ReferenceKNearest(d, q, 3));
@@ -230,7 +230,8 @@ TEST(EngineParityTest, TopKMotifsMatchesReferenceAtEveryThreadCount) {
     for (std::size_t threads : kThreadCounts) {
       auto engine = DistanceMatrixEngine::Create(
           *d, SmallChunkOptions(threads)).ValueOrDie();
-      ExpectMotifsIdentical(engine.TopKMotifsEuclidean(15), want);
+      ExpectMotifsIdentical(engine.TopKMotifsEuclidean(15).ValueOrDie(),
+                            want);
     }
   }
 }
@@ -240,9 +241,9 @@ TEST(EngineParityTest, TopKMotifsEdgeCases) {
   for (std::size_t threads : kThreadCounts) {
     auto engine = DistanceMatrixEngine::Create(
         d, SmallChunkOptions(threads)).ValueOrDie();
-    EXPECT_TRUE(engine.TopKMotifsEuclidean(0).empty());
+    EXPECT_TRUE(engine.TopKMotifsEuclidean(0).ValueOrDie().empty());
     // k exceeding the pair count returns all pairs, sorted.
-    ExpectMotifsIdentical(engine.TopKMotifsEuclidean(1000),
+    ExpectMotifsIdentical(engine.TopKMotifsEuclidean(1000).ValueOrDie(),
                           ReferenceTopKMotifs(d, 1000));
   }
   // Degenerate collections: no pairs to rank.

@@ -353,8 +353,8 @@ TEST(SweepTauTest, RepeatedTauKeepsTheFirstMaximum) {
 }
 
 TEST(SweepTauTest, PerturbsBindsAndBuildsGroundTruthOnce) {
-  // One 19-point search binds the data once and builds or reuses the
-  // ground-truth engine once, where a run per grid point did each 19 times.
+  // One 19-point search binds the data once and sweeps or reuses the
+  // ground truth once, where a run per grid point did each 19 times.
   const ts::Dataset d = SmallDataset();
   query::EngineContext context(query::EngineContextOptions{});
   RunOptions options = QuickOptions();

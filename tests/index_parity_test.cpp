@@ -157,7 +157,7 @@ TEST(IndexParityTest, AllKnnIndexOnMatchesPerQueryOff) {
       const auto on = DistanceMatrixEngine::Create(
           c.dataset, CertainOptions(threads, true)).ValueOrDie();
       index::SearchCost cost;
-      const auto all = on.AllKNearestEuclidean(7, 0, &cost);
+      const auto all = on.AllKNearestEuclidean(7, 0, &cost).ValueOrDie();
       ASSERT_EQ(all.size(), c.dataset.size());
       for (std::size_t q = 0; q < all.size(); ++q) {
         ExpectNeighborsIdentical(all[q],
@@ -206,7 +206,7 @@ TEST(IndexParityTest, WalkDataActuallyPrunes) {
   const auto on =
       DistanceMatrixEngine::Create(walk, CertainOptions(1, true)).ValueOrDie();
   index::SearchCost cost;
-  on.AllKNearestEuclidean(10, 0, &cost);
+  ASSERT_TRUE(on.AllKNearestEuclidean(10, 0, &cost).ok());
   EXPECT_GT(cost.pruned_lower_bound, 0u);
   EXPECT_LT(cost.candidates_touched, cost.candidates_total);
 }

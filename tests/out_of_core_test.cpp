@@ -188,10 +188,10 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
     const auto resident = query::DistanceMatrixEngine::Create(
         d, PagedOptions(1, indexed, nullptr)).ValueOrDie();
     const auto knn = resident.KNearestEuclidean(3, 10).ValueOrDie();
-    const auto all = resident.AllKNearestEuclidean(5);
+    const auto all = resident.AllKNearestEuclidean(5).ValueOrDie();
     const double epsilon = knn[6].distance;  // nonempty, nontrivial range
     const auto range = resident.RangeSearchEuclidean(3, epsilon).ValueOrDie();
-    const auto motifs = resident.TopKMotifsEuclidean(4);
+    const auto motifs = resident.TopKMotifsEuclidean(4).ValueOrDie();
 
     for (std::size_t threads : kThreadCounts) {
       SCOPED_TRACE(testing::Message()
@@ -203,14 +203,14 @@ TEST(OutOfCoreCertainTest, PagedBitwiseEqualsResidentAtEveryThreadCount) {
         SCOPED_TRACE("knn");
         ExpectSameNeighbors(knn, paged.KNearestEuclidean(3, 10).ValueOrDie());
       }
-      const auto paged_all = paged.AllKNearestEuclidean(5);
+      const auto paged_all = paged.AllKNearestEuclidean(5).ValueOrDie();
       ASSERT_EQ(all.size(), paged_all.size());
       for (std::size_t q = 0; q < all.size(); ++q) {
         SCOPED_TRACE(testing::Message() << "all-knn q=" << q);
         ExpectSameNeighbors(all[q], paged_all[q]);
       }
       EXPECT_EQ(range, paged.RangeSearchEuclidean(3, epsilon).ValueOrDie());
-      const auto paged_motifs = paged.TopKMotifsEuclidean(4);
+      const auto paged_motifs = paged.TopKMotifsEuclidean(4).ValueOrDie();
       ASSERT_EQ(motifs.size(), paged_motifs.size());
       for (std::size_t i = 0; i < motifs.size(); ++i) {
         EXPECT_EQ(motifs[i].a, paged_motifs[i].a);
@@ -250,11 +250,11 @@ TEST(OutOfCoreCertainTest, ZeroBudgetConcurrentStress) {
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 13);
   const auto resident = query::DistanceMatrixEngine::Create(
       d, PagedOptions(1, false, nullptr)).ValueOrDie();
-  const auto expected = resident.AllKNearestEuclidean(5);
+  const auto expected = resident.AllKNearestEuclidean(5).ValueOrDie();
   auto pool = MakePool(0);
   const auto paged = query::DistanceMatrixEngine::Create(
       d, PagedOptions(8, false, pool)).ValueOrDie();
-  const auto got = paged.AllKNearestEuclidean(5);
+  const auto got = paged.AllKNearestEuclidean(5).ValueOrDie();
   ASSERT_EQ(expected.size(), got.size());
   for (std::size_t q = 0; q < expected.size(); ++q) {
     ExpectSameNeighbors(expected[q], got[q]);
@@ -385,8 +385,14 @@ TEST(OutOfCoreUncertainTest, MunichPagedBitwiseEqualsResident) {
 
 TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 31);
-  const auto reference = query::DistanceMatrixEngine::Create(d).ValueOrDie();
-  const auto expected = reference.KNearestEuclidean(0, 10).ValueOrDie();
+  const auto reference = query::DistanceMatrixEngine::Create(d)
+                             .ValueOrDie()
+                             .AllKNearestEuclidean(10)
+                             .ValueOrDie();
+  std::vector<query::Neighbor> expected;
+  for (const auto& row : reference) {
+    expected.insert(expected.end(), row.begin(), row.end());
+  }
 
   query::EngineContextOptions options;
   options.threads = 2;
@@ -398,15 +404,16 @@ TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   EXPECT_EQ(context.buffer_pool(), pool);  // cached, not re-created
   EXPECT_EQ(context.stats().buffer_pools_created, 1u);
 
-  const query::DistanceMatrixEngine* certain = context.Certain(d).ValueOrDie();
+  // The ground truth's transient certain engine pages through the
+  // context's pool; its rows equal the resident sweep bit for bit.
   ExpectSameNeighbors(expected,
-                      certain->KNearestEuclidean(0, 10).ValueOrDie());
+                      context.GroundTruth(d, 10, kSeries).ValueOrDie());
   EXPECT_GT(pool->stats().admits, 0u);
 }
 
 TEST(OutOfCoreContextTest, UnusableSpillDirFailsInsteadOfDroppingTheBudget) {
   // A budget whose spill log cannot be created must not quietly turn into
-  // fully-resident stores: the certain engine and the acquisitions fail
+  // fully-resident stores: the ground-truth sweep and the acquisitions fail
   // with the spill log's error, and nothing is packed.
   const ts::Dataset d = GaussianDataset(kSeries, kLength, 32);
   query::EngineContextOptions options;
@@ -414,7 +421,8 @@ TEST(OutOfCoreContextTest, UnusableSpillDirFailsInsteadOfDroppingTheBudget) {
   options.spill_dir = "/nonexistent/spill";
   query::EngineContext context(options);
   EXPECT_EQ(context.buffer_pool(), nullptr);
-  EXPECT_EQ(context.Certain(d).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(context.GroundTruth(d, 10, kSeries).status().code(),
+            StatusCode::kIOError);
 
   const auto spec =
       uncertain::ErrorSpec::Constant(prob::ErrorKind::kNormal, 0.5);

@@ -189,8 +189,10 @@ TEST(TopKMotifsTest, EuclideanVariantFindsPlantedMotif) {
   auto clone = d[4];
   clone.mutable_values()[0] += 0.01;
   d[19] = clone;
-  const auto motifs =
-      DistanceMatrixEngine::Create(d).ValueOrDie().TopKMotifsEuclidean(1);
+  const auto motifs = DistanceMatrixEngine::Create(d)
+                          .ValueOrDie()
+                          .TopKMotifsEuclidean(1)
+                          .ValueOrDie();
   ASSERT_EQ(motifs.size(), 1u);
   EXPECT_EQ(motifs[0].a, 4u);
   EXPECT_EQ(motifs[0].b, 19u);

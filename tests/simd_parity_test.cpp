@@ -522,8 +522,8 @@ TEST(SimdEngineParityTest, EuclideanQueriesMatchScalarEngine) {
             << d.name() << " q=" << q;
       }
 
-      const auto want_all = scalar.AllKNearestEuclidean(5);
-      const auto got_all = simd.AllKNearestEuclidean(5);
+      const auto want_all = scalar.AllKNearestEuclidean(5).ValueOrDie();
+      const auto got_all = simd.AllKNearestEuclidean(5).ValueOrDie();
       ASSERT_EQ(got_all.size(), want_all.size());
       for (std::size_t q = 0; q < got_all.size(); ++q) {
         ASSERT_EQ(got_all[q].size(), want_all[q].size());

@@ -14,13 +14,12 @@ through ``ts::StoreView`` pins so it works identically for paged stores.
 
 ``ts::PinOrAbort`` and ``ts::PinRowOrAbort`` abort the process when a
 paged store's spill log cannot be read. A query must instead return that
-failure as a ``Status`` (``query::detail::ScanRows`` / ``ScoreRow`` and
-``UncertainEngine::Answer``), so the server answers the one request with
-an error. The abort tokens are fenced out of the query path:
-``src/query`` (except ``src/query/engine.cpp``, whose ground-truth and
-motif loops still return plain values until the certain engine folds into
-the uncertain one), ``src/server`` and ``src/core``. The synopsis index
-build (``src/index``) keeps its abort for the same reason.
+failure as a ``Status`` (``query::detail::ScanRows`` / ``ScoreRow``,
+``UncertainEngine::Answer`` and the certain engine's ground-truth and motif
+loops), so the server answers the one request with an error and the
+evaluation runner returns it. The abort tokens are fenced out of the query
+path: ``src/query``, ``src/server`` and ``src/core``. The synopsis index
+build (``src/index``) still returns plain values and keeps its abort.
 
 This script greps the fenced trees for each token set and fails on any
 hit, so a new call site cannot silently reintroduce a resident-only
@@ -47,7 +46,7 @@ FENCES = [
      "(use ts::StoreView pins)"),
     (re.compile(r"\bPin(?:Row)?OrAbort\b"),
      ["src/query", "src/server", "src/core"],
-     {"src/query/engine.cpp"},
+     set(),
      "fail-stop pin on the query path "
      "(pin with ts::StoreView::Pin and return the Status)"),
 ]

@@ -360,8 +360,13 @@ int CmdMotifs(const Args& args) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return 1;
   }
-  const auto motifs =
+  const auto found =
       engine.ValueOrDie().TopKMotifsEuclidean(args.GetSize("k", 5));
+  if (!found.ok()) {
+    std::fprintf(stderr, "%s\n", found.status().ToString().c_str());
+    return 1;
+  }
+  const auto& motifs = found.ValueOrDie();
   core::TextTable table({"rank", "a", "b", "distance"});
   for (std::size_t r = 0; r < motifs.size(); ++r) {
     table.AddRow({std::to_string(r + 1), std::to_string(motifs[r].a),

@@ -8,7 +8,6 @@
 #include "core/timer.hpp"
 #include "exec/parallel_for.hpp"
 #include "query/engine_context.hpp"
-#include "uncertain/perturb.hpp"
 
 namespace uts::core {
 
@@ -100,8 +99,8 @@ Result<std::vector<MatcherResult>> Evaluate(
   // The single resource root of this evaluation: one shared thread pool,
   // one SoA pack per dataset, one uncertain engine for all matchers. An
   // externally supplied context (options.engine_context) persists those
-  // resources across runs — the final run after a τ search re-perturbs to
-  // bit-identical data and therefore keeps the packed engines.
+  // resources across runs — the final run after a τ search has the same
+  // inputs and therefore keeps the packed engine.
   std::optional<query::EngineContext> local_engines;
   query::EngineContext* engines = options.engine_context;
   if (engines == nullptr) {
@@ -128,26 +127,19 @@ Result<std::vector<MatcherResult>> Evaluate(
     }
   }
 
-  // --- Perturb -------------------------------------------------------------
-  // Series are perturbed on the run's pool; the output is bitwise identical
-  // to the inline loop at every width.
-  uncertain::UncertainDataset pdf =
-      uncertain::PerturbDataset(exact, spec, options.seed, engines->pool());
-  std::optional<uncertain::MultiSampleDataset> samples;
-  const bool want_samples = options.munich_samples_per_point > 0;
-  if (want_samples) {
-    // An independent seed stream: the sample-model observations are a
-    // different set of measurements of the same underlying series.
-    samples = uncertain::PerturbDatasetMultiSample(
-        exact, spec, options.munich_samples_per_point,
-        prob::DeriveSeed(options.seed, 0xface), engines->pool());
-  }
-
+  // --- Perturb and bind ----------------------------------------------------
+  // The context binds by the run's inputs: a key it already holds (the
+  // final run after a τ search) keeps the engine and perturbs nothing; a
+  // new one is perturbed on the run's pool straight into the engine's flat
+  // pack, bitwise PerturbDataset's values at every width. The exact
+  // dataset is hashed once, for the binding and the ground truth.
+  const query::KeyedDataset keyed = engines->Keyed(exact);
   const double reported_sigma = options.proud_sigma > 0.0
                                     ? options.proud_sigma
                                     : spec.RepresentativeSigma();
-  UTS_RETURN_NOT_OK(engines->BindData(std::move(pdf), std::move(samples),
-                                      options.seed, reported_sigma));
+  UTS_RETURN_NOT_OK(engines->BindRun(keyed, spec, options.seed,
+                                     options.munich_samples_per_point,
+                                     reported_sigma));
   // Matchers see only the perturbed data; `exact` stays ground truth.
   for (Matcher* matcher : matchers) {
     UTS_RETURN_NOT_OK(matcher->Bind(*engines));
@@ -172,7 +164,7 @@ Result<std::vector<MatcherResult>> Evaluate(
   // swept over one dataset shares one sweep.
   UTS_ASSIGN_OR_RETURN(
       const std::vector<query::Neighbor> ground_truth,
-      engines->GroundTruth(exact, k, num_queries,
+      engines->GroundTruth(keyed, k, num_queries,
                            options.dtw_ground_truth
                                ? std::optional(options.dtw_ground_truth_band)
                                : std::nullopt));

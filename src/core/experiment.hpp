@@ -92,10 +92,11 @@ struct RunOptions {
   /// `force_scalar` asks for (InvalidArgument otherwise). Passing one
   /// context across repeated runs (a τ search and its final run,
   /// per-dataset loops, σ sweeps) reuses the pool, each exact dataset's
-  /// ground truth (EngineContext::GroundTruth) and, when the perturbed
-  /// data is bit-identical, the packed engines too. When null the run
-  /// creates a private context internally; results are bit-identical
-  /// either way.
+  /// ground truth (EngineContext::GroundTruth) and, when the run's inputs
+  /// (exact dataset, spec, seed, MUNICH samples per point, PROUD σ) equal
+  /// the previous run's, the perturbation and packed engine too
+  /// (EngineContext::BindRun). When null the run creates a private context
+  /// internally; results are bit-identical either way.
   query::EngineContext* engine_context = nullptr;
 };
 

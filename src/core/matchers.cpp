@@ -15,17 +15,6 @@ namespace uts::core {
 
 namespace {
 
-/// The pdf-model dataset bound in `engines`; InvalidArgument before its
-/// first BindData.
-Result<const uncertain::UncertainDataset*> BoundPdf(
-    const query::EngineContext& engines) {
-  if (engines.pdf() == nullptr) {
-    return Status::InvalidArgument(
-        "engine context has no bound dataset; call BindData first");
-  }
-  return engines.pdf();
-}
-
 /// Guard of every query method: InvalidArgument unless the matcher `name`
 /// is bound (`bound`, its bound dataset or engine, is non-null) and `qi`
 /// and `ci` index two of its series.
@@ -71,6 +60,16 @@ Status RequireProudTau(double tau) {
 double ObservationDistance(const uncertain::UncertainDataset& pdf,
                            std::size_t qi, std::size_t ci) {
   return distance::Euclidean(pdf[qi].observations(), pdf[ci].observations());
+}
+
+/// ObservationDistance on the engine's pinned observation rows: the same
+/// scalar kernel over the same values.
+Result<double> ObservationDistance(const query::UncertainEngine& engine,
+                                   std::size_t qi, std::size_t ci) {
+  const ts::StoreView rows = engine.observations();
+  UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedRow q, rows.PinRow(qi));
+  UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedRow c, rows.PinRow(ci));
+  return distance::Euclidean(q.row(), c.row());
 }
 
 /// The engine's `measure` score of the pair (qi, ci): the value its scans
@@ -136,7 +135,6 @@ Status ProudMatcher::Bind(query::EngineContext& engines) {
   options.tau = tau_;
   options.sigma = engines.proud_sigma();
   proud_ = std::make_unique<measures::Proud>(options);
-  pdf_ = engines.pdf();
   engine_ = engine;
   return Status::OK();
 }
@@ -154,15 +152,17 @@ void ProudMatcher::set_tau(double tau) {
 Result<double> ProudMatcher::CalibrationDistance(std::size_t qi,
                                                  std::size_t ci) {
   UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "PROUD"));
-  return ObservationDistance(*pdf_, qi, ci);
+  return ObservationDistance(*engine_, qi, ci);
 }
 
 Result<bool> ProudMatcher::Matches(std::size_t qi, std::size_t ci,
                                    double epsilon) {
   UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "PROUD"));
   UTS_RETURN_NOT_OK(RequireProudTau(tau_));
-  return proud_->Matches((*pdf_)[qi].observations(),
-                         (*pdf_)[ci].observations(), epsilon);
+  const ts::StoreView rows = engine_->observations();
+  UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedRow q, rows.PinRow(qi));
+  UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedRow c, rows.PinRow(ci));
+  return proud_->Matches(q.row(), c.row(), epsilon);
 }
 
 Result<std::vector<std::size_t>> ProudMatcher::Retrieve(std::size_t qi,
@@ -212,7 +212,7 @@ Result<bool> ProudSynopsisMatcherAdapter::Decide(
 }
 
 Status ProudSynopsisMatcherAdapter::Bind(query::EngineContext& engines) {
-  UTS_ASSIGN_OR_RETURN(pdf_, BoundPdf(engines));
+  UTS_ASSIGN_OR_RETURN(pdf_, engines.pdf());
   sigma_ = engines.proud_sigma();
   // Synopses depend on neither τ nor σ, so a later set_tau keeps them.
   synopses_.clear();
@@ -304,7 +304,7 @@ Result<std::vector<std::size_t>> DustMatcher::Retrieve(std::size_t qi,
 // ----------------------------------------------------------------- DUST-DTW
 
 Status DustDtwMatcher::Bind(query::EngineContext& engines) {
-  UTS_ASSIGN_OR_RETURN(pdf_, BoundPdf(engines));
+  UTS_ASSIGN_OR_RETURN(pdf_, engines.pdf());
   return Status::OK();
 }
 
@@ -328,7 +328,6 @@ Status MunichMatcher::Bind(query::EngineContext& engines) {
   UTS_ASSIGN_OR_RETURN(query::UncertainEngine * engine,
                        engines.Acquire(query::Measure::kMunich));
   engine_ = engine;
-  pdf_ = engines.pdf();
   samples_ = engines.samples();
   seed_ = engines.seed();
   // Probabilities depend on neither τ nor anything outside the bound data,
@@ -351,7 +350,7 @@ void MunichMatcher::set_tau(double tau) {
 Result<double> MunichMatcher::CalibrationDistance(std::size_t qi,
                                                   std::size_t ci) {
   UTS_RETURN_NOT_OK(RequirePair(engine_, qi, ci, "MUNICH"));
-  return ObservationDistance(*pdf_, qi, ci);
+  return ObservationDistance(*engine_, qi, ci);
 }
 
 MunichMatcher::Row& MunichMatcher::RowAt(std::size_t qi, double epsilon) {
@@ -429,7 +428,7 @@ Result<std::vector<std::vector<std::size_t>>> MunichMatcher::RetrieveEachTau(
 
 Status MunichDtwMatcher::Bind(query::EngineContext& engines) {
   UTS_ASSIGN_OR_RETURN(const uncertain::UncertainDataset* pdf,
-                       BoundPdf(engines));
+                       engines.pdf());
   if (engines.samples() == nullptr) {
     return Status::NotSupported(
         "the bound dataset has no sample model (required by MUNICH-DTW)");
@@ -495,7 +494,7 @@ std::string DtwMatcher::name() const {
 }
 
 Status DtwMatcher::Bind(query::EngineContext& engines) {
-  UTS_ASSIGN_OR_RETURN(pdf_, BoundPdf(engines));
+  UTS_ASSIGN_OR_RETURN(pdf_, engines.pdf());
   return Status::OK();
 }
 
@@ -524,7 +523,7 @@ std::string Ar1SmootherMatcher::name() const {
 
 Status Ar1SmootherMatcher::Bind(query::EngineContext& engines) {
   UTS_ASSIGN_OR_RETURN(const uncertain::UncertainDataset* pdf,
-                       BoundPdf(engines));
+                       engines.pdf());
   pdf_ = nullptr;  // until every series is smoothed
   smoothed_.clear();
   smoothed_.reserve(pdf->size());
@@ -579,7 +578,7 @@ std::string FilteredMatcher::name() const {
 
 Status FilteredMatcher::Bind(query::EngineContext& engines) {
   UTS_ASSIGN_OR_RETURN(const uncertain::UncertainDataset* pdf,
-                       BoundPdf(engines));
+                       engines.pdf());
   pdf_ = nullptr;  // until every series is filtered
   filtered_.clear();
   filtered_.reserve(pdf->size());

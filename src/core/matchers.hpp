@@ -17,12 +17,15 @@
 /// Every matcher binds to the run's query::EngineContext and reads the
 /// bound data from it. The four engine matchers (Euclidean, PROUD, DUST,
 /// MUNICH) acquire the context's one shared query::UncertainEngine at Bind
-/// and retrieve only through it, so a run packs its observations once and
+/// and read only through it, so a run packs its observations once and
 /// scores every technique with the same kernels. Calibration keeps the
 /// kernels it has always used: the engine's for Euclidean and DUST, the
-/// scalar Euclidean distance on the observations for PROUD and MUNICH. The
-/// per-pair `Matches` of PROUD and MUNICH run the scalar measures, which
-/// the engine sweeps equal bit for bit.
+/// scalar Euclidean distance on the engine's pinned observation rows for
+/// PROUD and MUNICH. The per-pair `Matches` of PROUD and MUNICH run the
+/// scalar measures on those rows, which the engine sweeps equal bit for
+/// bit. None of the four reads the object form (`EngineContext::pdf()`);
+/// the other matchers read per-point models or whole observation vectors
+/// from it.
 
 #ifndef UTS_CORE_MATCHERS_HPP_
 #define UTS_CORE_MATCHERS_HPP_
@@ -99,7 +102,6 @@ class ProudMatcher final : public Matcher {
  private:
   double tau_;
   std::unique_ptr<measures::Proud> proud_;
-  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
   /// Borrowed view of the context's shared engine; null until Bind.
   query::UncertainEngine* engine_ = nullptr;
 };
@@ -196,9 +198,10 @@ class DustDtwMatcher final : public Matcher {
 /// to identical data, so the final run at the tuned τ reuses the
 /// probabilities the tune run computed instead of re-running the
 /// exact/Monte-Carlo estimator. They reset at a Bind to data whose
-/// `EngineContext::data_fingerprint` differs (any changed observation,
-/// error model, sample, seed or σ). Only query `qi`'s calls touch row `qi`,
-/// so distinct queries may run concurrently.
+/// `EngineContext::data_fingerprint` differs (for the runner's binding, any
+/// changed input of the run; for a BindData binding, any changed
+/// observation, error model, sample, seed or σ). Only query `qi`'s calls
+/// touch row `qi`, so distinct queries may run concurrently.
 class MunichMatcher final : public Matcher {
  public:
   explicit MunichMatcher(measures::MunichOptions options = {})
@@ -241,7 +244,6 @@ class MunichMatcher final : public Matcher {
                                                    double epsilon);
 
   measures::Munich munich_;
-  const uncertain::UncertainDataset* pdf_ = nullptr;  ///< Bound; borrowed.
   const uncertain::MultiSampleDataset* samples_ = nullptr;  ///< Bound.
   std::uint64_t seed_ = 0;  ///< The bound run's seed.
   /// Borrowed view of the context's shared engine; null until Bind.

@@ -61,13 +61,6 @@ void SquaredEuclideanBatchRange(std::span<const double> query,
   });
 }
 
-void EuclideanBatchRange(std::span<const double> query,
-                         const ts::RowBlock& block, std::size_t row_begin,
-                         std::size_t row_end, std::span<double> out) {
-  SquaredEuclideanBatchRange(query, block, row_begin, row_end, out);
-  for (double& v : out) v = std::sqrt(v);
-}
-
 void SquaredEuclideanMultiQueryBatch(const ts::RowBlock& queries,
                                      std::size_t query_begin,
                                      std::size_t query_end,
@@ -257,7 +250,8 @@ void EuclideanBatch(std::span<const double> query, const ts::SoaStore& store,
       store, out,
       [&query](const ts::RowBlock& block, std::size_t begin, std::size_t end,
                std::span<double> slice) {
-        EuclideanBatchRange(query, block, begin, end, slice);
+        SquaredEuclideanBatchRange(query, block, begin, end, slice);
+        for (double& v : slice) v = std::sqrt(v);
       });
 }
 

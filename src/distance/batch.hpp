@@ -57,11 +57,6 @@ void SquaredEuclideanBatchRange(std::span<const double> query,
                                 std::size_t row_begin, std::size_t row_end,
                                 std::span<double> out);
 
-/// \brief Row-range Euclidean variant (sqrt applied).
-void EuclideanBatchRange(std::span<const double> query,
-                         const ts::RowBlock& block, std::size_t row_begin,
-                         std::size_t row_end, std::span<double> out);
-
 /// \brief All-pairs building block: squared Euclidean distances from query
 /// rows [query_begin, query_end) of the pinned block `queries` to candidate
 /// rows [row_begin, row_end) of the pinned block `candidates` (both ranges

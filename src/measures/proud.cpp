@@ -64,38 +64,4 @@ double Proud::EpsilonLimit() const {
   return prob::NormalQuantile(options_.tau);
 }
 
-ProudStats Proud::DistanceStatsGeneral(const uncertain::UncertainSeries& x,
-                                       const uncertain::UncertainSeries& y) {
-  assert(x.size() == y.size());
-  ProudStats stats;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto& ex = *x.error(i);
-    const auto& ey = *y.error(i);
-    const double mu = x.observation(i) - y.observation(i);
-    // Central moments of E = e_x - e_y (independent, both zero-mean):
-    //   m2 = m2x + m2y
-    //   m3 = m3x - m3y
-    //   m4 = m4x + 6 m2x m2y + m4y
-    const double m2x = ex.CentralMoment(2), m2y = ey.CentralMoment(2);
-    const double m3x = ex.CentralMoment(3), m3y = ey.CentralMoment(3);
-    const double m4x = ex.CentralMoment(4), m4y = ey.CentralMoment(4);
-    const double m2 = m2x + m2y;
-    const double m3 = m3x - m3y;
-    const double m4 = m4x + 6.0 * m2x * m2y + m4y;
-
-    const double mean_d2 = mu * mu + m2;
-    const double mean_d4 = mu * mu * mu * mu + 6.0 * mu * mu * m2 +
-                           4.0 * mu * m3 + m4;
-    stats.mean_sq += mean_d2;
-    stats.var_sq += mean_d4 - mean_d2 * mean_d2;
-  }
-  return stats;
-}
-
-double Proud::MatchProbabilityGeneral(const uncertain::UncertainSeries& x,
-                                      const uncertain::UncertainSeries& y,
-                                      double epsilon) {
-  return ProbabilityFromStats(DistanceStatsGeneral(x, y), epsilon);
-}
-
 }  // namespace uts::measures

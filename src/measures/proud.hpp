@@ -20,8 +20,7 @@
 /// and a single observed value for each timestamp" and "assumes that the
 /// standard deviation of the uncertainty error remains constant across all
 /// timestamps" (Section 3.1). The constant-σ mode below is therefore the
-/// paper-faithful configuration; an exact per-point moment propagation is
-/// also provided for analysis and tests.
+/// paper-faithful configuration.
 
 #ifndef UTS_MEASURES_PROUD_HPP_
 #define UTS_MEASURES_PROUD_HPP_
@@ -30,7 +29,6 @@
 
 #include "common/result.hpp"
 #include "prob/distribution.hpp"
-#include "uncertain/uncertain_series.hpp"
 
 namespace uts::measures {
 
@@ -94,27 +92,10 @@ class Proud {
   /// ε_limit = Φ⁻¹(τ) (Eq. 8: the paper's "statistics tables" lookup).
   double EpsilonLimit() const;
 
-  /// Exact moment propagation through arbitrary per-point error models:
-  /// with E_i = e_x,i − e_y,i (independent, zero-mean),
-  ///   E[D_i²]   = μ_i² + m2_i
-  ///   E[D_i⁴]   = μ_i⁴ + 6 μ_i² m2_i + 4 μ_i m3_i + m4_i
-  ///   Var[D_i²] = E[D_i⁴] − E[D_i²]²
-  /// where the mk_i combine both series' central moments. This is what
-  /// PROUD *could* do with full distribution knowledge; the library exposes
-  /// it for the analytical comparison and for validating the constant-σ
-  /// approximation in tests.
-  static ProudStats DistanceStatsGeneral(const uncertain::UncertainSeries& x,
-                                         const uncertain::UncertainSeries& y);
-
-  /// Match probability using the general per-point moments.
-  static double MatchProbabilityGeneral(const uncertain::UncertainSeries& x,
-                                        const uncertain::UncertainSeries& y,
-                                        double epsilon);
-
   /// Pr(distance ≤ ε) from already-accumulated moments — the single
-  /// expression behind MatchProbability and MatchProbabilityGeneral, shared
-  /// with the batched query::UncertainEngine sweeps so batch decisions are
-  /// bit-identical to the scalar matcher.
+  /// expression behind MatchProbability, shared with the batched
+  /// query::UncertainEngine sweeps so batch decisions are bit-identical to
+  /// the scalar matcher.
   static double ProbabilityFromStats(const ProudStats& stats, double epsilon);
 
   /// ε_norm (or the degenerate decision) from accumulated moments — the

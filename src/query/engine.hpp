@@ -125,10 +125,15 @@ class DistanceMatrixEngine {
   /// nearest neighbors of every query in [first, last) into `out`, query q
   /// at out[(q - first) * k, (q - first + 1) * k); candidates always span
   /// the whole dataset. A row does not depend on the range it is swept in:
-  /// each (query, candidate) pair is one accumulation chain on every path
-  /// (the symmetric all-rows matrix, the streaming sweep, and the indexed
-  /// per-query cascade, where a row is KNearestEuclidean(q, k)), so rows
-  /// swept in pieces equal one sweep's bit for bit. InvalidArgument unless
+  /// each (query, candidate) pair is one accumulation chain on each path,
+  /// so rows swept in pieces equal one sweep's bit for bit. The paths are
+  /// not bitwise one another, though: an unindexed engine sweeps the
+  /// multi-query kernel (the symmetric all-rows matrix or the streaming
+  /// sweep, one chain per pair), while an indexed one runs a per-query
+  /// cascade, where a row is KNearestEuclidean(q, k) on the single-query
+  /// kernel, whose AVX2 form accumulates over four chains and can differ
+  /// in the last bits (EngineContext::GroundTruth therefore never indexes).
+  /// InvalidArgument unless
   /// first <= last <= size(), k < size() and out holds (last - first) * k
   /// neighbors; a failed pin returns the lowest failing chunk's status, and
   /// `out` is then unspecified.

@@ -1,6 +1,7 @@
 #include "query/engine_context.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -11,6 +12,7 @@
 #include "distance/dtw.hpp"
 #include "exec/parallel_for.hpp"
 #include "query/engine.hpp"
+#include "uncertain/perturb.hpp"
 
 namespace uts::query {
 
@@ -57,8 +59,9 @@ void MixSeriesHashes(Fnv& f, exec::ThreadPool* pool, std::size_t count,
 /// equally. A last-pointer memo skips the lookup while consecutive points
 /// share one model object; only a pointer change reaches the pointer →
 /// Key()-hash map, which is local to its chunk of series. A dataset built
-/// by ErrorSpec::Assign therefore pays one Key() call per distinct model
-/// per series, and no per-point map lookup.
+/// by PerturbDataset therefore pays one Key() call per distinct model
+/// per series, and no per-point map lookup. Only BindData (the residency
+/// path) pays this per-point pass; BindRun keys a run by its inputs.
 std::uint64_t FingerprintRunData(
     const uncertain::UncertainDataset& pdf,
     const std::optional<uncertain::MultiSampleDataset>& samples,
@@ -117,8 +120,22 @@ std::uint64_t FingerprintRunData(
   return f.h;
 }
 
-/// Content fingerprint of the exact dataset a ground truth is swept over,
-/// folded per series like FingerprintRunData.
+/// The splitmix64 finalizer: a bijection that spreads every bit of `v`
+/// over the whole word.
+std::uint64_t Spread(std::uint64_t v) {
+  v ^= v >> 30;
+  v *= 0xbf58476d1ce4e5b9ULL;
+  v ^= v >> 27;
+  v *= 0x94d049bb133111ebULL;
+  return v ^ (v >> 31);
+}
+
+/// Content fingerprint of an exact dataset (the key of a run binding and
+/// of a ground truth), folded per series like FingerprintRunData. Each
+/// value is spread before it is mixed: a multiply only carries upward, so
+/// in plain FNV-1a over whole words a flipped sign bit stays in the top
+/// bit and two of them cancel (negating an even-length series kept its
+/// fingerprint).
 std::uint64_t FingerprintDataset(const ts::Dataset& dataset,
                                  exec::ThreadPool* pool) {
   Fnv f;
@@ -129,7 +146,9 @@ std::uint64_t FingerprintDataset(const ts::Dataset& dataset,
                       const auto& values = dataset[s].values();
                       Fnv h;
                       h.Mix(values.size());
-                      for (double v : values) h.MixDouble(v);
+                      for (double v : values) {
+                        h.Mix(Spread(std::bit_cast<std::uint64_t>(v)));
+                      }
                       hashes[s] = h.h;
                     }
                   });
@@ -181,6 +200,76 @@ Result<std::shared_ptr<ts::BufferPool>> EngineContext::StoragePool() {
   return owned_buffer_pool_;
 }
 
+KeyedDataset EngineContext::Keyed(const ts::Dataset& exact) {
+  return KeyedDataset(exact, FingerprintDataset(exact, pool()));
+}
+
+void EngineContext::Unbind() {
+  bound_ = false;
+  run_key_.reset();
+  pdf_.reset();
+  samples_.reset();
+  // A direct bind is anonymous; ActivateResident re-labels it afterwards.
+  active_resident_.clear();
+  // Engine state is data-specific. The DUST table cache survives on
+  // purpose — tables depend only on the error models, not the observations.
+  uncertain_.reset();
+}
+
+Status EngineContext::BindRun(const KeyedDataset& exact,
+                              const uncertain::ErrorSpec& spec,
+                              std::uint64_t seed,
+                              std::size_t samples_per_point,
+                              double proud_sigma) {
+  const ts::Dataset& data = exact.dataset();
+  UTS_RETURN_NOT_OK(DistanceMatrixEngine::CheckShape(data));
+  RunKey key{exact.fingerprint(),
+             data.size(),
+             data[0].size(),
+             spec.Key(),
+             seed,
+             samples_per_point,
+             std::bit_cast<std::uint64_t>(proud_sigma)};
+  if (bound_ && run_key_ == key) {
+    // Same inputs, so bitwise the same perturbation: keep every engine and
+    // cache, and perturb nothing.
+    ++stats_.data_rebind_hits;
+    return Status::OK();
+  }
+  // Drop the old binding first, so the new pack can reuse its memory.
+  Unbind();
+  UTS_ASSIGN_OR_RETURN(const UncertainEngineOptions options,
+                       UncertainOptions(seed, proud_sigma));
+  UTS_ASSIGN_OR_RETURN(
+      uncertain::UncertainPack pack,
+      uncertain::PerturbDatasetPacked(data, spec, seed, pool()));
+  UTS_ASSIGN_OR_RETURN(uncertain_,
+                       UncertainEngine::Create(std::move(pack), options));
+  ++stats_.pdf_packs;
+  if (samples_per_point > 0) {
+    // An independent seed stream: the sample-model observations are a
+    // different set of measurements of the same underlying series.
+    samples_ = uncertain::PerturbDatasetMultiSample(
+        data, spec, samples_per_point, prob::DeriveSeed(seed, 0xface),
+        pool());
+  }
+  Fnv f;
+  f.Mix(key.fingerprint);
+  f.Mix(key.rows);
+  f.Mix(key.length);
+  f.Mix(std::hash<std::string>{}(key.spec));
+  f.Mix(key.seed);
+  f.Mix(key.samples_per_point);
+  f.Mix(key.proud_sigma_bits);
+  data_fingerprint_ = f.h;
+  seed_ = seed;
+  proud_sigma_ = proud_sigma;
+  run_key_ = std::move(key);
+  bound_ = true;
+  ++stats_.data_binds;
+  return Status::OK();
+}
+
 Status EngineContext::BindData(
     uncertain::UncertainDataset pdf,
     std::optional<uncertain::MultiSampleDataset> samples, std::uint64_t seed,
@@ -188,26 +277,52 @@ Status EngineContext::BindData(
   UTS_RETURN_NOT_OK(UncertainEngine::CheckShape(pdf));
   const std::uint64_t fingerprint =
       FingerprintRunData(pdf, samples, seed, proud_sigma, pool());
-  if (bound_ && fingerprint == data_fingerprint_) {
+  if (bound_ && !run_key_.has_value() && fingerprint == data_fingerprint_) {
     // Bit-identical rebind (the repeated-run pattern): keep every engine and
     // cache; the freshly perturbed copies are discarded.
     ++stats_.data_rebind_hits;
     return Status::OK();
   }
+  Unbind();
   pdf_ = std::move(pdf);
   samples_ = std::move(samples);
   seed_ = seed;
   proud_sigma_ = proud_sigma;
   data_fingerprint_ = fingerprint;
   bound_ = true;
-  // A direct bind is anonymous; ActivateResident re-labels it afterwards.
-  active_resident_.clear();
-  // Engine state is data-specific; drop it and rebuild lazily. The DUST
-  // table cache survives on purpose — tables depend only on the error
-  // models, not the observations.
-  uncertain_.reset();
   ++stats_.data_binds;
   return Status::OK();
+}
+
+Result<const uncertain::UncertainDataset*> EngineContext::pdf() {
+  if (!bound_) {
+    return Status::InvalidArgument("engine context has no bound dataset; "
+                                   "call BindData first");
+  }
+  if (pdf_.has_value()) return &*pdf_;
+  // A BindRun binding: the engine holds the rows and error classes.
+  const UncertainEngine& engine = *uncertain_;
+  const ts::StoreView rows = engine.observations();
+  const std::span<const std::uint16_t> ids = engine.class_ids();
+  const std::span<const prob::ErrorDistributionPtr> classes =
+      engine.error_classes();
+  const std::size_t len = engine.length();
+  uncertain::UncertainDataset objects;
+  objects.series.reserve(engine.size());
+  for (std::size_t s = 0; s < engine.size(); ++s) {
+    UTS_ASSIGN_OR_RETURN(const ts::StoreView::PinnedRow pin, rows.PinRow(s));
+    const std::span<const double> row = pin.row();
+    std::vector<prob::ErrorDistributionPtr> errors;
+    errors.reserve(len);
+    for (std::size_t t = 0; t < len; ++t) {
+      errors.push_back(classes[ids[s * len + t]]);
+    }
+    objects.series.emplace_back(std::vector<double>(row.begin(), row.end()),
+                                std::move(errors));
+  }
+  pdf_ = std::move(objects);
+  ++stats_.object_forms;
+  return &*pdf_;
 }
 
 Status EngineContext::AddResident(
@@ -265,8 +380,9 @@ const uncertain::UncertainDataset* EngineContext::ResidentPdf(
 }
 
 Result<std::vector<Neighbor>> EngineContext::GroundTruth(
-    const ts::Dataset& exact, std::size_t k, std::size_t num_queries,
+    const KeyedDataset& keyed, std::size_t k, std::size_t num_queries,
     std::optional<std::size_t> dtw_band) {
+  const ts::Dataset& exact = keyed.dataset();
   UTS_RETURN_NOT_OK(DistanceMatrixEngine::CheckShape(exact));
   const std::size_t n = exact.size();
   if (k == 0 || k >= n) {
@@ -279,8 +395,8 @@ Result<std::vector<Neighbor>> EngineContext::GroundTruth(
         "ground truth needs 1 <= num_queries <= " + std::to_string(n) +
         " (got " + std::to_string(num_queries) + ")");
   }
-  const GroundTruthKey key{FingerprintDataset(exact, pool()), n,
-                           exact[0].size(), k, dtw_band};
+  const GroundTruthKey key{keyed.fingerprint(), n, exact[0].size(), k,
+                           dtw_band};
   auto it = ground_truth_.find(key);
   const std::size_t have =
       it == ground_truth_.end() ? 0 : it->second.size() / k;
@@ -301,7 +417,8 @@ Result<std::vector<Neighbor>> EngineContext::GroundTruth(
   // One exact DTW is O(length²): a small grain spreads one query's
   // candidates over the pool.
   if (dtw_band.has_value()) options.grain = 16;
-  options.index = options_.index;
+  // No synopsis index: its per-query cascades would make the rows depend on
+  // the context's index setting (see GroundTruth's contract).
   UTS_ASSIGN_OR_RETURN(options.buffer_pool, StoragePool());
   options.block_rows = options_.block_rows;
   UTS_ASSIGN_OR_RETURN(const DistanceMatrixEngine engine,
@@ -329,12 +446,8 @@ Result<std::vector<Neighbor>> EngineContext::GroundTruth(
   return memo;
 }
 
-Result<UncertainEngine*> EngineContext::EnsureUncertain() {
-  if (!bound_) {
-    return Status::InvalidArgument("engine context has no bound dataset; "
-                                   "call BindData first");
-  }
-  if (uncertain_ != nullptr) return uncertain_.get();
+Result<UncertainEngineOptions> EngineContext::UncertainOptions(
+    std::uint64_t seed, double proud_sigma) {
   UncertainEngineOptions options;
   options.threads = threads_;
   options.shared_pool = pool();
@@ -342,10 +455,21 @@ Result<UncertainEngine*> EngineContext::EnsureUncertain() {
   options.index = options_.index;
   UTS_ASSIGN_OR_RETURN(options.buffer_pool, StoragePool());
   options.block_rows = options_.block_rows;
-  options.seed = seed_;
-  options.proud_sigma = proud_sigma_;
+  options.seed = seed;
+  options.proud_sigma = proud_sigma;
+  return options;
+}
+
+Result<UncertainEngine*> EngineContext::EnsureUncertain() {
+  if (!bound_) {
+    return Status::InvalidArgument("engine context has no bound dataset; "
+                                   "call BindData first");
+  }
+  if (uncertain_ != nullptr) return uncertain_.get();
+  UTS_ASSIGN_OR_RETURN(UncertainEngineOptions options,
+                       UncertainOptions(seed_, proud_sigma_));
   UTS_ASSIGN_OR_RETURN(uncertain_,
-                       UncertainEngine::Create(pdf_, std::move(options)));
+                       UncertainEngine::Create(*pdf_, std::move(options)));
   ++stats_.pdf_packs;
   return uncertain_.get();
 }

@@ -14,11 +14,16 @@
 ///    of the run borrows (`EngineOptions::shared_pool`), so a full
 ///    multi-matcher evaluation constructs at most one pool (none when
 ///    `threads <= 1`; everything runs inline on the caller);
-///  * **one pdf pack** — `BindData` takes ownership of the perturbed
-///    datasets of the evaluation; the shared `UncertainEngine` over them is
-///    built lazily on the first `Acquire(measure)` and reused by every
-///    subsequent one, whatever the measure, and every query then goes
-///    through its one entry point, `UncertainEngine::Answer`;
+///  * **one pdf pack, bound one of two ways** — `BindRun`, the evaluation
+///    runner's path, keys a run by its inputs and perturbs a new one
+///    straight into the flat `UncertainPack` the shared `UncertainEngine`
+///    adopts, so the run builds no model reference per point unless a
+///    matcher asks `pdf()` for the object form. `BindData`, under the
+///    residency table (the server's path), takes an object-form dataset,
+///    keys it by content fingerprint and builds the engine on the first
+///    `Acquire`; residents keep this path until they become immutable
+///    snapshots (ROADMAP item 6). Every query then goes through the
+///    engine's one entry point, `UncertainEngine::Answer`;
 ///  * **lazy, cached measure state** — DUST lookup tables (built through a
 ///    context-persistent `measures::Dust` cache with the default options,
 ///    so re-binding across datasets under one error spec reuses
@@ -30,17 +35,14 @@
 ///    band). Every σ, error model and τ swept over one dataset shares that
 ///    ground truth (the paper's §4.1.2), so a request the memo covers is a
 ///    copy; a longer one builds a transient certain engine
-///    (`DistanceMatrixEngine`) that sweeps only the missing rows. Serving
-///    never computes ground truth, so residency keeps no certain view of
-///    the observations.
-///
-/// Re-binding with bit-identical data (the repeated-run pattern: every run
-/// re-perturbs deterministically to the same observations) is detected by
-/// content fingerprint and keeps all engines and caches.
+///    (`DistanceMatrixEngine`, never indexed) that sweeps only the missing
+///    rows. Serving never computes ground truth, so residency keeps no
+///    certain view of the observations.
 ///
 /// Determinism: the context only changes *where* resources live, never what
 /// is computed — all engine results remain bit-identical to fresh
-/// per-measure engines at every thread count.
+/// per-measure engines at every thread count, whichever way the data was
+/// bound.
 ///
 /// Thread-safety: the context is a setup-time object mutated by `Bind`
 /// calls; it is not thread-safe itself. The engines it hands out follow
@@ -63,9 +65,31 @@
 #include "query/search.hpp"
 #include "query/uncertain_engine.hpp"
 #include "ts/dataset.hpp"
+#include "uncertain/error_spec.hpp"
 #include "uncertain/uncertain_series.hpp"
 
 namespace uts::query {
+
+/// \brief An exact dataset borrowed together with its content fingerprint,
+/// hashed once by `EngineContext::Keyed` and read by `BindRun` and
+/// `GroundTruth`. The dataset must outlive the handle and stay unchanged
+/// while it is used.
+class KeyedDataset {
+ public:
+  /// The borrowed dataset.
+  const ts::Dataset& dataset() const { return *dataset_; }
+
+  /// Content fingerprint of every value, folded per series.
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
+ private:
+  friend class EngineContext;
+  KeyedDataset(const ts::Dataset& dataset, std::uint64_t fingerprint)
+      : dataset_(&dataset), fingerprint_(fingerprint) {}
+
+  const ts::Dataset* dataset_;
+  std::uint64_t fingerprint_;
+};
 
 /// \brief Execution configuration of an EngineContext. The shared
 /// execution fields (`threads`, `simd`, `shared_pool`, `index`,
@@ -109,8 +133,10 @@ class EngineContext {
     std::size_t certain_packs = 0;     ///< Transient DistanceMatrixEngine
                                        ///< builds: GroundTruth requests
                                        ///< that swept missing rows.
-    std::size_t data_binds = 0;        ///< BindData calls that replaced data.
-    std::size_t data_rebind_hits = 0;  ///< BindData calls that kept data.
+    std::size_t data_binds = 0;        ///< BindData / BindRun calls that
+                                       ///< replaced data.
+    std::size_t data_rebind_hits = 0;  ///< BindData / BindRun calls that
+                                       ///< kept data.
     std::size_t certain_reuses = 0;    ///< GroundTruth requests the memo
                                        ///< served whole.
     std::size_t dust_table_builds = 0;  ///< DUST acquisitions that added
@@ -126,6 +152,8 @@ class EngineContext {
                                            ///< went through BindData.
     std::size_t buffer_pools_created = 0;  ///< Context-owned ts::BufferPool
                                            ///< constructions (at most 1).
+    std::size_t object_forms = 0;  ///< pdf() calls that built the object
+                                   ///< form of a BindRun binding.
   };
 
   /// Create a context; no pool or engine is built until first use.
@@ -151,22 +179,51 @@ class EngineContext {
   /// stores through: the explicit `ExecOptions::buffer_pool` when set, a
   /// lazily created pool when `memory_budget_bytes > 0`, null otherwise
   /// (fully-resident stores). Also null while the pool cannot be created
-  /// (an unwritable spill dir); a GroundTruth sweep and the acquisitions
-  /// then fail with that error instead of dropping the budget.
+  /// (an unwritable spill dir); BindRun, a GroundTruth sweep and the
+  /// acquisitions then fail with that error instead of dropping the budget.
   std::shared_ptr<ts::BufferPool> buffer_pool();
 
   /// \name Run data
   /// \{
 
-  /// Take ownership of this evaluation's perturbed datasets plus the
+  /// `exact` with its content fingerprint, hashed on the context's pool,
+  /// one pass per series folded in series order (the same value at every
+  /// thread count). Hash a dataset once per run and hand the handle to
+  /// `BindRun` and `GroundTruth`.
+  KeyedDataset Keyed(const ts::Dataset& exact);
+
+  /// Bind one evaluation run by its inputs: the perturbation of `exact`
+  /// under `spec` with base seed `seed` (series i draws from
+  /// DeriveSeed(seed, i), exactly as uncertain::PerturbDataset), plus, when
+  /// `samples_per_point > 0`, the repeated-observations model with that
+  /// many samples per point drawn from DeriveSeed(seed, 0xface). `seed`
+  /// also feeds the MUNICH pair streams and `proud_sigma` the constant-σ
+  /// PROUD kernels.
+  ///
+  /// Keyed by the inputs: the content fingerprint and shape of `exact`,
+  /// `spec.Key()`, `seed`, `samples_per_point` and the bits of
+  /// `proud_sigma`. Perturbation is a pure function of them, so an equal
+  /// key to the bound run's is a hit that perturbs nothing and keeps every
+  /// engine and cache. A new key drops the bound data, perturbs on the pool
+  /// straight into an `uncertain::UncertainPack` and builds the shared
+  /// engine by adopting it (one `pdf_packs`); the object form is built
+  /// later only if `pdf()` asks for it. InvalidArgument for data
+  /// DistanceMatrixEngine::CheckShape rejects (nothing changes then); a
+  /// failed engine build (an unusable spill dir, a failed spill) is
+  /// returned and leaves the context unbound.
+  Status BindRun(const KeyedDataset& exact, const uncertain::ErrorSpec& spec,
+                 std::uint64_t seed, std::size_t samples_per_point,
+                 double proud_sigma);
+
+  /// Take ownership of an object-form run: the perturbed datasets plus the
   /// run-level parameters baked into engine state (`seed` feeds the MUNICH
   /// pair streams, `proud_sigma` the constant-σ PROUD kernels).
   /// InvalidArgument for data the engines cannot pack
-  /// (UncertainEngine::CheckShape). When the
-  /// incoming data and parameters fingerprint identically to what is
-  /// already bound, the call is a no-op that keeps every engine and cache
-  /// (the repeated-run fast path); otherwise the uncertain engine and its
-  /// measure state are dropped and rebuilt lazily against the new data.
+  /// (UncertainEngine::CheckShape). When the incoming data and parameters
+  /// fingerprint identically to what a previous BindData bound, the call is
+  /// a no-op that keeps every engine and cache (the repeated-run fast
+  /// path); otherwise the uncertain engine and its measure state are
+  /// dropped and rebuilt lazily against the new data.
   ///
   /// The fingerprint is one pass per series, on the context's pool when
   /// there is one: each series hashes its observations, its error models
@@ -177,26 +234,30 @@ class EngineContext {
                   std::optional<uncertain::MultiSampleDataset> samples,
                   std::uint64_t seed, double proud_sigma);
 
-  /// The bound pdf-model dataset; null before the first BindData.
-  const uncertain::UncertainDataset* pdf() const {
-    return bound_ ? &pdf_ : nullptr;
-  }
+  /// The bound pdf-model dataset in object form. A BindData binding owns
+  /// it; for a BindRun binding it is built from the engine's rows and
+  /// error classes on the first call (counted by `Stats::object_forms`),
+  /// with observations bitwise PerturbDataset's, the reported models equal
+  /// by `Key()`, and no labels or ids. InvalidArgument before the first
+  /// bind; the error of a row that cannot be pinned.
+  Result<const uncertain::UncertainDataset*> pdf();
 
   /// The bound repeated-observations dataset; null when absent.
   const uncertain::MultiSampleDataset* samples() const {
     return bound_ && samples_.has_value() ? &*samples_ : nullptr;
   }
 
-  /// The base seed of the bound run (0 before the first BindData): the
-  /// seed of the MUNICH pair streams.
+  /// The base seed of the bound run (0 before the first bind): the seed of
+  /// the MUNICH pair streams.
   std::uint64_t seed() const { return seed_; }
 
   /// The constant σ reported to PROUD by the bound run (1.0 before the
-  /// first BindData): the σ of the shared engine's PROUD kernels.
+  /// first bind): the σ of the shared engine's PROUD kernels.
   double proud_sigma() const { return proud_sigma_; }
 
-  /// Content fingerprint of the bound data and run parameters (0 before
-  /// the first BindData): equal across binds of bit-identical data.
+  /// Fingerprint of the bound data and run parameters (0 before the first
+  /// bind): BindData's content fingerprint, or a hash of BindRun's key.
+  /// Equal across binds that kept the data.
   std::uint64_t data_fingerprint() const { return data_fingerprint_; }
   /// \}
 
@@ -267,14 +328,18 @@ class EngineContext {
   /// shape of `exact`, k, distance): a request the memo covers is a copy of
   /// its first rows; a longer one builds a transient DistanceMatrixEngine
   /// on the shared pool (and storage tier) that sweeps only the missing
-  /// rows. A row does not depend on the rows swept with it
+  /// rows. That engine is never indexed, whatever `ExecOptions::index`
+  /// says: every Euclidean row comes from the multi-query sweep's one
+  /// accumulation chain per pair, where an indexed engine's per-query
+  /// cascades can order a near tie differently under AVX2. A row does not
+  /// depend on the rows swept with it
   /// (DistanceMatrixEngine::KNearestEuclideanRows), so the result is
-  /// bitwise that of one fresh sweep over [0, num_queries), in whatever
-  /// order requests arrive. `exact` is only read during the call. Fails as
-  /// the sweep does (an unusable spill dir, a failed pin), leaving the memo
-  /// as it was.
+  /// bitwise that of one fresh unindexed sweep over [0, num_queries), in
+  /// whatever order requests arrive and whether or not the context
+  /// indexes. Fails as the sweep does (an unusable spill dir, a failed
+  /// pin), leaving the memo as it was.
   Result<std::vector<Neighbor>> GroundTruth(
-      const ts::Dataset& exact, std::size_t k, std::size_t num_queries,
+      const KeyedDataset& exact, std::size_t k, std::size_t num_queries,
       std::optional<std::size_t> dtw_band = std::nullopt);
   /// \}
 
@@ -308,6 +373,11 @@ class EngineContext {
   /// done yet; the error when unbound or when the build fails.
   Result<UncertainEngine*> EnsureUncertain();
 
+  /// The options of this context's shared engine for a run with `seed` and
+  /// `proud_sigma`; the error of a storage pool that cannot be created.
+  Result<UncertainEngineOptions> UncertainOptions(std::uint64_t seed,
+                                                  double proud_sigma);
+
   /// `buffer_pool()`'s pool, or the error that keeps it from being created.
   Result<std::shared_ptr<ts::BufferPool>> StoragePool();
 
@@ -320,9 +390,26 @@ class EngineContext {
   /// a store drops its pages before releasing its pool reference.
   std::shared_ptr<ts::BufferPool> owned_buffer_pool_;
 
-  // Bound run data (owned) + its content fingerprint.
+  /// What a BindRun binding was perturbed from.
+  struct RunKey {
+    std::uint64_t fingerprint = 0;  ///< Content of the exact dataset.
+    std::size_t rows = 0;           ///< Its series count.
+    std::size_t length = 0;         ///< Its series length.
+    std::string spec;               ///< ErrorSpec::Key().
+    std::uint64_t seed = 0;
+    std::size_t samples_per_point = 0;
+    std::uint64_t proud_sigma_bits = 0;
+    auto operator<=>(const RunKey&) const = default;
+  };
+
+  /// Forget the bound data and its engine (the DUST cache stays).
+  void Unbind();
+
+  // Bound run data (owned) + its fingerprint. The object form is absent
+  // for a BindRun binding until pdf() builds it.
   bool bound_ = false;
-  uncertain::UncertainDataset pdf_;
+  std::optional<RunKey> run_key_;  ///< Set iff BindRun made the binding.
+  std::optional<uncertain::UncertainDataset> pdf_;
   std::optional<uncertain::MultiSampleDataset> samples_;
   std::uint64_t seed_ = 0;
   double proud_sigma_ = 1.0;

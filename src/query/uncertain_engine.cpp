@@ -57,62 +57,88 @@ Status UncertainEngine::CheckShape(const uncertain::UncertainDataset& pdf) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
-    const uncertain::UncertainDataset& pdf, UncertainEngineOptions options) {
-  UTS_RETURN_NOT_OK(CheckShape(pdf));
-  const std::size_t n = pdf.size();
-  const std::size_t len = pdf[0].size();
+namespace {
 
-  std::unique_ptr<UncertainEngine> engine(
-      new UncertainEngine(std::move(options)));
-
-  // --- Pack observations + error-class ids ---------------------------------
-  // Class resolution is layered like measures::Dust's table cache: a
-  // last-seen-pointer memo (consecutive points usually share one
-  // distribution), then a pointer-keyed map, and only for a never-seen
-  // pointer the semantic string key — so a dataset pays one Key() call per
-  // distinct model object (ErrorSpec::Assign builds a few per series), not
-  // one per point.
-  std::vector<double> values;
-  values.reserve(n * len);
+/// `pdf` in flat form: its observations, and its error models interned by
+/// Key() in first-seen row-major order. A last-seen-pointer memo
+/// (consecutive points usually share one model object) and a pointer-keyed
+/// map keep the string key to one call per distinct model object.
+/// Precondition: CheckShape(pdf) passed.
+Result<uncertain::UncertainPack> PackObjects(
+    const uncertain::UncertainDataset& pdf) {
+  uncertain::UncertainPack pack;
+  pack.rows = pdf.size();
+  pack.length = pdf[0].size();
+  pack.observations.reserve(pack.rows * pack.length);
+  pack.class_ids.resize(pack.rows * pack.length);
   std::map<std::string, std::uint16_t> class_of;
   std::map<const void*, std::uint16_t> class_of_ptr;
   const prob::ErrorDistribution* last_ptr = nullptr;
   std::uint16_t last_id = 0;
-  engine->class_ids_.resize(n * len);
-  for (std::size_t s = 0; s < n; ++s) {
+  for (std::size_t s = 0; s < pack.rows; ++s) {
     const uncertain::UncertainSeries& series = pdf[s];
-    for (std::size_t t = 0; t < len; ++t) {
-      values.push_back(series.observation(t));
+    for (std::size_t t = 0; t < pack.length; ++t) {
+      pack.observations.push_back(series.observation(t));
       const auto& err = series.error(t);
       if (err.get() != last_ptr) {
         auto pit = class_of_ptr.find(err.get());
         if (pit == class_of_ptr.end()) {
           auto [it, inserted] = class_of.emplace(
-              err->Key(),
-              static_cast<std::uint16_t>(engine->class_dists_.size()));
+              err->Key(), static_cast<std::uint16_t>(pack.classes.size()));
           if (inserted) {
-            if (engine->class_dists_.size() >= 0xffff) {
+            if (pack.classes.size() >= 0xffff) {
               return Status::NotSupported(
                   "uncertain engine supports at most 65535 distinct error "
                   "models");
             }
-            engine->class_dists_.push_back(err);
+            pack.classes.push_back(err);
           }
           pit = class_of_ptr.emplace(err.get(), it->second).first;
         }
         last_ptr = err.get();
         last_id = pit->second;
       }
-      engine->class_ids_[s * len + t] = last_id;
+      pack.class_ids[s * pack.length + t] = last_id;
     }
   }
+  return pack;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
+    const uncertain::UncertainDataset& pdf, UncertainEngineOptions options) {
+  UTS_RETURN_NOT_OK(CheckShape(pdf));
+  UTS_ASSIGN_OR_RETURN(uncertain::UncertainPack pack, PackObjects(pdf));
+  return Create(std::move(pack), std::move(options));
+}
+
+Result<std::unique_ptr<UncertainEngine>> UncertainEngine::Create(
+    uncertain::UncertainPack pack, UncertainEngineOptions options) {
+  if (pack.rows == 0 || pack.length == 0) {
+    return Status::InvalidArgument("uncertain engine needs a non-empty "
+                                   "dataset of non-empty series");
+  }
+  if (pack.observations.size() != pack.rows * pack.length ||
+      pack.class_ids.size() != pack.observations.size()) {
+    return Status::InvalidArgument(
+        "uncertain pack needs one observation and one class id per point");
+  }
+  for (const std::uint16_t id : pack.class_ids) {
+    if (id >= pack.classes.size()) {
+      return Status::InvalidArgument("uncertain pack class id out of range");
+    }
+  }
+  std::unique_ptr<UncertainEngine> engine(
+      new UncertainEngine(std::move(options)));
+  engine->class_ids_ = std::move(pack.class_ids);
+  engine->class_dists_ = std::move(pack.classes);
   engine->num_classes_ = engine->class_dists_.size();
-  auto store = ts::SoaStore::FromPacked(std::move(values), len,
-                                        engine->options_.buffer_pool,
-                                        engine->options_.block_rows);
-  if (!store.ok()) return store.status();
-  engine->store_ = std::move(store).ValueOrDie();
+  UTS_ASSIGN_OR_RETURN(
+      engine->store_,
+      ts::SoaStore::FromPacked(std::move(pack.observations), pack.length,
+                               engine->options_.buffer_pool,
+                               engine->options_.block_rows));
   if (engine->options_.index.enabled) {
     engine->synopsis_index_ = std::make_unique<index::SynopsisIndex>(
         engine->store_, engine->options_.index.synopsis_coefficients);

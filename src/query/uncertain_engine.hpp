@@ -167,14 +167,25 @@ struct UncertainEngineOptions : ExecOptions {
 /// `BuildDustTables`, if used) is done.
 class UncertainEngine {
  public:
-  /// Build the engine: packs the observations into a SoA store and assigns
-  /// error-class ids. Fails as `CheckShape` does on data of another shape.
-  /// Measure-specific precomputations are explicit setup steps so callers
-  /// only pay for what they query: `BuildDustTables` before the DUST
-  /// queries (PROUD needs none; MUNICH needs `AttachSamples`).
+  /// Build the engine over the object form: packs it into the flat form
+  /// (observations plus error-class ids, the models interned by `Key()`)
+  /// and adopts that as the `UncertainPack` overload does. Fails as
+  /// `CheckShape` does on data of another shape, and with NotSupported past
+  /// 65535 distinct models. Measure-specific precomputations are explicit
+  /// setup steps so callers only pay for what they query:
+  /// `BuildDustTables` before the DUST queries (PROUD needs none; MUNICH
+  /// needs `AttachSamples`).
   static Result<std::unique_ptr<UncertainEngine>> Create(
       const uncertain::UncertainDataset& pdf,
       UncertainEngineOptions options = {});
+
+  /// Build the engine by adopting `pack`: its observations become the
+  /// store without a copy (a paged store copies them into its blocks) and
+  /// its class ids and table become the engine's error classes.
+  /// InvalidArgument for an empty pack, sizes that do not match its shape
+  /// or a class id past its table.
+  static Result<std::unique_ptr<UncertainEngine>> Create(
+      uncertain::UncertainPack pack, UncertainEngineOptions options = {});
 
   /// The shape `Create` requires: InvalidArgument for an empty dataset, an
   /// empty series or series of different lengths.
@@ -192,6 +203,18 @@ class UncertainEngine {
 
   /// Shared series length.
   std::size_t length() const { return store_.stride(); }
+
+  /// The observation rows (pin one with `PinRow`), paged like the store.
+  ts::StoreView observations() const { return ts::StoreView(store_); }
+
+  /// The error class of every point, row-major (rows × length).
+  std::span<const std::uint16_t> class_ids() const { return class_ids_; }
+
+  /// The reported model of each error class: distinct by `Key()`, in the
+  /// order the classes first occur row-major.
+  std::span<const prob::ErrorDistributionPtr> error_classes() const {
+    return class_dists_;
+  }
 
   /// Resolved worker-thread count (>= 1).
   std::size_t threads() const;

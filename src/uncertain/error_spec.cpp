@@ -1,6 +1,7 @@
 #include "uncertain/error_spec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -63,48 +64,23 @@ constexpr ErrorKind kMixKinds[] = {ErrorKind::kUniform, ErrorKind::kNormal,
 
 }  // namespace
 
-ErrorAssignment ErrorSpec::Assign(std::size_t length,
-                                  std::uint64_t seed) const {
-  prob::Rng rng(seed);
-
-  // Choose which positions receive the high σ. Using exact counts (rather
-  // than independent coin flips) matches the paper's "20% of the values"
-  // phrasing and reduces variance across series.
-  std::vector<bool> is_hi(length, false);
-  if (regime_ != ErrorRegime::kConstant) {
-    const auto num_hi = static_cast<std::size_t>(
-        std::llround(frac_hi_ * static_cast<double>(length)));
-    std::vector<std::size_t> order(length);
-    for (std::size_t i = 0; i < length; ++i) order[i] = i;
-    // Fisher–Yates prefix shuffle: the first num_hi entries become high-σ.
-    for (std::size_t i = 0; i < std::min(num_hi, length); ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng.UniformInt(length - i));
-      std::swap(order[i], order[j]);
-      is_hi[order[i]] = true;
-    }
-  }
-
-  // The regime's distinct actual models, each paired with the one model
-  // reported for it: the misreported constant, a tailed-uniform substitute
-  // for a uniform model, or the model itself. Model m = 2·family + is_hi
-  // (the constant regime has only model 0).
-  ErrorAssignment out;
-  std::vector<ErrorDistributionPtr> reported_of;
+ErrorModels ErrorSpec::Models() const {
+  // Model m = 2·family + is_hi (the constant regime has only model 0).
+  ErrorModels out;
   const ErrorDistributionPtr reported_const =
       misreport_ ? prob::MakeError(reported_kind_, reported_sigma_) : nullptr;
   auto add_model = [&](ErrorKind kind, double sigma) {
     ErrorDistributionPtr actual = prob::MakeError(kind, sigma);
     if (misreport_) {
-      reported_of.push_back(reported_const);
+      out.reported.push_back(reported_const);
     } else if (tailed_uniform_reporting_ &&
                actual->kind() == ErrorKind::kUniform) {
-      reported_of.push_back(
+      out.reported.push_back(
           prob::MakeTailedUniformError(actual->stddev(), tail_weight_));
     } else {
-      reported_of.push_back(actual);
+      out.reported.push_back(actual);
     }
-    out.models.push_back(std::move(actual));
+    out.actual.push_back(std::move(actual));
   };
   switch (regime_) {
     case ErrorRegime::kConstant:
@@ -121,18 +97,54 @@ ErrorAssignment ErrorSpec::Assign(std::size_t length,
       }
       break;
   }
-
-  out.actual.reserve(length);
-  out.reported.reserve(length);
-  for (std::size_t i = 0; i < length; ++i) {
-    std::size_t m = is_hi[i] ? 1 : 0;
-    if (regime_ == ErrorRegime::kMixedKind) {
-      m += 2 * static_cast<std::size_t>(rng.UniformInt(3));
-    }
-    out.actual.push_back(out.models[m].get());
-    out.reported.push_back(reported_of[m]);
-  }
   return out;
+}
+
+void ErrorSpec::AssignModels(std::uint64_t seed,
+                             std::span<std::uint8_t> model_of) const {
+  const std::size_t length = model_of.size();
+  std::fill(model_of.begin(), model_of.end(), std::uint8_t{0});
+  if (regime_ == ErrorRegime::kConstant) return;
+  prob::Rng rng(seed);
+
+  // Choose which positions receive the high σ. Using exact counts (rather
+  // than independent coin flips) matches the paper's "20% of the values"
+  // phrasing and reduces variance across series.
+  const auto num_hi = static_cast<std::size_t>(
+      std::llround(frac_hi_ * static_cast<double>(length)));
+  std::vector<std::size_t> order(length);
+  for (std::size_t i = 0; i < length; ++i) order[i] = i;
+  // Fisher–Yates prefix shuffle: the first num_hi entries become high-σ.
+  for (std::size_t i = 0; i < std::min(num_hi, length); ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.UniformInt(length - i));
+    std::swap(order[i], order[j]);
+    model_of[order[i]] = 1;
+  }
+  if (regime_ == ErrorRegime::kMixedKind) {
+    for (std::uint8_t& m : model_of) {
+      m = static_cast<std::uint8_t>(m + 2 * rng.UniformInt(3));
+    }
+  }
+}
+
+std::string ErrorSpec::Key() const {
+  // Doubles by their bits: equal keys mean bitwise-equal fields.
+  char buf[256];
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::snprintf(
+      buf, sizeof(buf),
+      "%d/%d/%016llx/%016llx/%016llx/%016llx/%d/%d/%016llx/%d/%016llx",
+      static_cast<int>(regime_), static_cast<int>(kind_),
+      static_cast<unsigned long long>(bits(sigma_)),
+      static_cast<unsigned long long>(bits(frac_hi_)),
+      static_cast<unsigned long long>(bits(sigma_hi_)),
+      static_cast<unsigned long long>(bits(sigma_lo_)),
+      static_cast<int>(misreport_), static_cast<int>(reported_kind_),
+      static_cast<unsigned long long>(bits(reported_sigma_)),
+      static_cast<int>(tailed_uniform_reporting_),
+      static_cast<unsigned long long>(bits(tail_weight_)));
+  return buf;
 }
 
 double ErrorSpec::RepresentativeSigma() const {

@@ -12,17 +12,17 @@
 ///  4. misreported σ — values perturbed with the mixed-σ regime, but the
 ///     techniques are told σ = 0.7 everywhere (Figure 10).
 ///
-/// An `ErrorSpec` turns into a per-timestamp `ErrorAssignment` with two
-/// parallel distribution vectors: `actual` generates the observations,
-/// `reported` is what the techniques are allowed to know. A regime has only
-/// a few distinct models, so each assignment builds them once and every
-/// timestamp refers to one of them.
+/// An `ErrorSpec` names a regime's few distinct models (`Models`) and
+/// assigns one of them to every timestamp of a series (`AssignModels`): the
+/// model's `actual` distribution generates the observation, its `reported`
+/// one is what the techniques are allowed to know.
 
 #ifndef UTS_UNCERTAIN_ERROR_SPEC_HPP_
 #define UTS_UNCERTAIN_ERROR_SPEC_HPP_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,23 +31,13 @@
 
 namespace uts::uncertain {
 
-/// \brief Per-timestamp error models for one series.
-///
-/// Ownership: `models` owns the regime's distinct actual models (one for a
-/// constant spec, two for mixed σ, six for mixed kind), and every `actual`
-/// entry is a non-owning pointer into it — valid while the assignment (or
-/// its `models`) lives. `reported` holds shared owners because it becomes
-/// the perturbed series' error models; it shares one object per distinct
-/// reported model (an actual model itself, the misreported constant, or one
-/// tailed-uniform substitute per uniform model).
-struct ErrorAssignment {
-  /// Distribution that actually perturbs each point; points into `models`.
-  std::vector<const prob::ErrorDistribution*> actual;
-  /// Distribution reported to the similarity techniques (usually the same
-  /// object as the actual one).
-  std::vector<prob::ErrorDistributionPtr> reported;
-  /// The distinct actual models `actual` points at.
-  std::vector<prob::ErrorDistributionPtr> models;
+/// \brief The distinct models of a spec: model m perturbs with `actual[m]`
+/// and is reported as `reported[m]` (the actual model itself, the
+/// misreported constant, or a tailed-uniform substitute). Reported entries
+/// of different models may be one object.
+struct ErrorModels {
+  std::vector<prob::ErrorDistributionPtr> actual;    ///< One per model.
+  std::vector<prob::ErrorDistributionPtr> reported;  ///< One per model.
 
   std::size_t size() const { return actual.size(); }
 };
@@ -61,8 +51,9 @@ enum class ErrorRegime {
 
 /// \brief Declarative error-injection specification.
 ///
-/// Build with the factory functions below; `Assign` instantiates it for a
-/// series of a given length using a deterministic seed.
+/// Build with the factory functions below; `Models` and `AssignModels`
+/// instantiate it for a series of a given length using a deterministic
+/// seed.
 class ErrorSpec {
  public:
   /// Constant error: family `kind`, standard deviation `sigma` everywhere.
@@ -89,9 +80,22 @@ class ErrorSpec {
   /// uniform distribution wherever a (pure) uniform error is reported.
   ErrorSpec WithTailedUniformReporting(double tail_weight = 0.01) const;
 
-  /// Instantiate per-timestamp distributions for a series of `length`
-  /// points. Deterministic in `seed`.
-  ErrorAssignment Assign(std::size_t length, std::uint64_t seed) const;
+  /// The regime's distinct models, in model order: one for a constant
+  /// spec, two (low σ, high σ) for mixed σ, six (uniform, normal,
+  /// exponential, each low then high σ) for mixed kind. Every call builds
+  /// new objects; equal specs give models of equal `Key()`.
+  ErrorModels Models() const;
+
+  /// The model of each of `model_of.size()` timestamps of one series, as an
+  /// index into `Models()`. Deterministic in `seed`; this is the one
+  /// per-point choice every perturbation makes.
+  void AssignModels(std::uint64_t seed, std::span<std::uint8_t> model_of) const;
+
+  /// Canonical key of the spec: every field (regime, kind, σ, the mixed
+  /// regimes' fraction and σ levels, the misreport and tailed-uniform
+  /// settings) by exact value, so two specs share a key iff every field is
+  /// bitwise equal.
+  std::string Key() const;
 
   /// The regime of this spec.
   ErrorRegime regime() const { return regime_; }

@@ -11,12 +11,20 @@
 /// Series i always draws from its own seed DeriveSeed(seed, i) and writes
 /// only output slot i, so the result is bitwise identical at every pool
 /// width, and to the inline loop.
+///
+/// Every call runs one core per series: the spec's model assignment
+/// (ErrorSpec::AssignModels) from one seed stream, then one draw of the
+/// assigned model's actual distribution per point from another. The object
+/// form (PerturbDataset) and the flat form (PerturbDatasetPacked) of one
+/// (dataset, spec, seed) therefore hold bitwise-equal observations and the
+/// same reported model at every point.
 
 #ifndef UTS_UNCERTAIN_PERTURB_HPP_
 #define UTS_UNCERTAIN_PERTURB_HPP_
 
 #include <cstdint>
 
+#include "common/result.hpp"
 #include "exec/thread_pool.hpp"
 #include "ts/dataset.hpp"
 #include "uncertain/error_spec.hpp"
@@ -48,6 +56,16 @@ MultiSampleSeries PerturbMultiSample(const ts::TimeSeries& exact,
 UncertainDataset PerturbDataset(const ts::Dataset& exact,
                                 const ErrorSpec& spec, std::uint64_t seed,
                                 exec::ThreadPool* pool = nullptr);
+
+/// \brief Perturb a whole dataset straight into the flat pdf form the query
+/// engine adopts: PerturbDataset's observations and reported models, with
+/// no model reference per point. Series i uses DeriveSeed(seed, i); `pool`
+/// as for PerturbDataset. InvalidArgument unless every series has one
+/// length.
+Result<UncertainPack> PerturbDatasetPacked(const ts::Dataset& exact,
+                                           const ErrorSpec& spec,
+                                           std::uint64_t seed,
+                                           exec::ThreadPool* pool = nullptr);
 
 /// \brief Perturb a whole dataset (repeated-observations model). Series i
 /// uses the derived seed DeriveSeed(seed, i); `pool` as for PerturbDataset.

@@ -16,6 +16,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +151,24 @@ struct UncertainDataset {
     assert(i < series.size());
     return series[i];
   }
+};
+
+/// \brief A pdf-model dataset in flat form: every observation in one
+/// row-major buffer and one error-class id per point, over a small table of
+/// the distinct reported models.
+///
+/// This is the form the query engine adopts (UncertainEngine::Create) and
+/// the evaluation runner perturbs into (PerturbDatasetPacked), so neither
+/// builds, hashes or frees a model reference per point. Class c is
+/// `classes[c]`; classes are distinct by `Key()` and numbered in the order
+/// they first occur, row-major, which is the numbering the engine gives the
+/// object form of the same data. Labels and ids are not kept.
+struct UncertainPack {
+  std::size_t rows = 0;    ///< Number of series.
+  std::size_t length = 0;  ///< Points per series.
+  std::vector<double> observations;      ///< rows × length, row-major.
+  std::vector<std::uint16_t> class_ids;  ///< rows × length, into classes.
+  std::vector<prob::ErrorDistributionPtr> classes;  ///< Reported models.
 };
 
 /// \brief A named collection of sample-modeled uncertain series.

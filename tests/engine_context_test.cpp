@@ -10,10 +10,14 @@
 //    shared engine produce bit-identical sweep / PRQ / k-NN outputs to
 //    fresh per-matcher engines, and bit-identical evaluation scores to
 //    solo per-matcher runs, at 1, 2 and 8 threads;
-//  * the ground-truth memo — rows equal a fresh sweep whatever the request
-//    order, k, distance, thread count or storage tier; an equal copy hits,
-//    a changed value misses, and eval_paper's call order sweeps only under
-//    its first σ;
+//  * the ground-truth memo — rows equal a fresh unindexed sweep whatever
+//    the request order, k, distance, thread count, storage tier or index
+//    setting; an equal copy hits, a changed value or a negated series
+//    misses, and eval_paper's call order sweeps only under its first σ;
+//  * the run binding — BindRun misses on a change to any input and hits on
+//    an equal copy of the exact data; the trio and the Fig. 4 matchers
+//    never build the object form, and the one a DTW or UMA run builds
+//    holds PerturbDataset's observations;
 //  * lazy caches — τ-sweep style rebinds to bit-identical data keep the
 //    packed engines; data the engines cannot pack is refused at bind, and
 //    what can still fail (no sample model, an unusable spill dir) fails the
@@ -271,7 +275,8 @@ TEST(EngineContextTest, GroundTruthRowsEqualAFreshSweepInAnyRequestOrder) {
         for (std::size_t k : {std::size_t{3}, std::size_t{5}}) {
           for (std::size_t num_queries : order) {
             ExpectRowsBitwise(
-                engines.GroundTruth(exact, k, num_queries).ValueOrDie(),
+                engines.GroundTruth(engines.Keyed(exact), k, num_queries)
+                    .ValueOrDie(),
                 FreshSweep(exact, k, num_queries),
                 what + " k=" + std::to_string(k) +
                     " queries=" + std::to_string(num_queries));
@@ -279,7 +284,8 @@ TEST(EngineContextTest, GroundTruthRowsEqualAFreshSweepInAnyRequestOrder) {
         }
         for (std::size_t num_queries : order) {
           ExpectRowsBitwise(
-              engines.GroundTruth(exact, 4, num_queries, kBand).ValueOrDie(),
+              engines.GroundTruth(engines.Keyed(exact), 4, num_queries, kBand)
+                  .ValueOrDie(),
               FreshDtwSweep(exact, 4, num_queries, kBand),
               what + " dtw queries=" + std::to_string(num_queries));
         }
@@ -347,11 +353,13 @@ TEST(EngineContextTest, GroundTruthIsKeyedByContentNotAddress) {
   EngineContext engines(context_options);
 
   auto copy = std::make_unique<ts::Dataset>(exact);
-  const auto want = engines.GroundTruth(*copy, 5, 24).ValueOrDie();
+  const auto want =
+      engines.GroundTruth(engines.Keyed(*copy), 5, 24).ValueOrDie();
   copy.reset();
 
-  ExpectRowsBitwise(engines.GroundTruth(exact, 5, 24).ValueOrDie(), want,
-                    "equal copy");
+  ExpectRowsBitwise(
+      engines.GroundTruth(engines.Keyed(exact), 5, 24).ValueOrDie(), want,
+      "equal copy");
   EXPECT_EQ(engines.stats().certain_packs, 1u);
   EXPECT_EQ(engines.stats().certain_reuses, 1u);
   ExpectRowsBitwise(want, FreshSweep(exact, 5, 24), "fresh sweep");
@@ -359,9 +367,20 @@ TEST(EngineContextTest, GroundTruthIsKeyedByContentNotAddress) {
   ts::Dataset changed = exact;
   double& value = changed[3].mutable_values()[2];
   value = std::nextafter(value, 10.0);
-  ExpectRowsBitwise(engines.GroundTruth(changed, 5, 24).ValueOrDie(),
-                    FreshSweep(changed, 5, 24), "changed value");
+  ExpectRowsBitwise(
+      engines.GroundTruth(engines.Keyed(changed), 5, 24).ValueOrDie(),
+      FreshSweep(changed, 5, 24), "changed value");
   EXPECT_EQ(engines.stats().certain_packs, 2u);
+  EXPECT_EQ(engines.stats().certain_reuses, 1u);
+
+  // Negating a series flips only sign bits, an even number of them here
+  // (length 8): the fingerprint must still tell the data apart.
+  ts::Dataset negated = exact;
+  for (double& v : negated[3].mutable_values()) v = -v;
+  ExpectRowsBitwise(
+      engines.GroundTruth(engines.Keyed(negated), 5, 24).ValueOrDie(),
+      FreshSweep(negated, 5, 24), "negated series");
+  EXPECT_EQ(engines.stats().certain_packs, 3u);
   EXPECT_EQ(engines.stats().certain_reuses, 1u);
 }
 
@@ -377,22 +396,263 @@ TEST(EngineContextTest, GroundTruthRefusesWhatNoSweepCanAnswer) {
   const ts::Dataset exact = MakeExact(12, 8, 3);
   EngineContext engines;
   for (const ts::Dataset* d : {&ragged, &empty_series}) {
-    EXPECT_EQ(engines.GroundTruth(*d, 1, 3).status().code(),
-              StatusCode::kInvalidArgument)
+    EXPECT_EQ(
+        engines.GroundTruth(engines.Keyed(*d), 1, 3).status().code(),
+        StatusCode::kInvalidArgument)
         << d->name();
   }
-  EXPECT_EQ(engines.GroundTruth(ts::Dataset("empty"), 1, 1).status().code(),
+  const ts::Dataset empty("empty");
+  EXPECT_EQ(engines.GroundTruth(engines.Keyed(empty), 1, 1).status().code(),
             StatusCode::kInvalidArgument);
   for (const auto& [k, num_queries] :
        std::vector<std::pair<std::size_t, std::size_t>>{
            {0, 4}, {12, 4}, {3, 0}, {3, 13}}) {
-    EXPECT_EQ(engines.GroundTruth(exact, k, num_queries).status().code(),
-              StatusCode::kInvalidArgument)
+    EXPECT_EQ(
+        engines.GroundTruth(engines.Keyed(exact), k, num_queries)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument)
         << "k=" << k << " num_queries=" << num_queries;
   }
   EXPECT_EQ(engines.stats().certain_packs, 0u);
   EXPECT_EQ(engines.stats().certain_reuses, 0u);
-  EXPECT_EQ(engines.GroundTruth(exact, 11, 12).ValueOrDie().size(), 132u);
+  EXPECT_EQ(
+      engines.GroundTruth(engines.Keyed(exact), 11, 12).ValueOrDie().size(),
+      132u);
+}
+
+TEST(EngineContextTest, GroundTruthRowsDoNotDependOnTheContextsIndex) {
+  // An indexed certain engine takes its rows from per-query cascades, whose
+  // AVX2 distances need not be bitwise the multi-query sweep's: on these 40
+  // Gaussian series of length 64 they differ under native dispatch. The
+  // ground truth never indexes, so an indexed context returns the rows of
+  // an unindexed one bit for bit.
+  constexpr std::size_t kRows = 40, kLength = 64, kK = 10;
+  const ts::Dataset exact = MakeExact(kRows, kLength, 1);
+  EngineOptions indexed_options;
+  indexed_options.threads = 1;
+  indexed_options.index.enabled = true;
+  const auto indexed = DistanceMatrixEngine::Create(exact, indexed_options)
+                           .ValueOrDie();
+  std::vector<Neighbor> cascade_rows;
+  for (const auto& list :
+       indexed.AllKNearestEuclidean(kK, kRows).ValueOrDie()) {
+    cascade_rows.insert(cascade_rows.end(), list.begin(), list.end());
+  }
+  const std::vector<Neighbor> sweep = FreshSweep(exact, kK, kRows);
+  if (indexed.simd_level() == distance::SimdLevel::kAvx2) {
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      differing += std::bit_cast<std::uint64_t>(cascade_rows[i].distance) !=
+                   std::bit_cast<std::uint64_t>(sweep[i].distance);
+    }
+    EXPECT_GT(differing, 0u) << "the data no longer separates the paths";
+  }
+  for (std::size_t threads : kThreadCounts) {
+    for (bool index : {false, true}) {
+      EngineContextOptions options;
+      options.threads = threads;
+      options.index.enabled = index;
+      EngineContext engines(options);
+      ExpectRowsBitwise(
+          engines.GroundTruth(engines.Keyed(exact), kK, kRows).ValueOrDie(),
+          sweep,
+          "threads=" + std::to_string(threads) +
+              (index ? " indexed" : " unindexed"));
+    }
+  }
+}
+
+// --- Run binding -------------------------------------------------------------
+
+TEST(EngineContextTest, BindRunMissesOnEveryInputAndHitsOnAnEqualCopy) {
+  // Each input of the run key changed alone binds afresh; every ErrorSpec
+  // field is one of them. Each variant is bound between two binds of the
+  // base, so a hit anywhere would show.
+  using uncertain::ErrorSpec;
+  const ts::Dataset exact = MakeExact(20, 8, 71);
+  ts::Dataset changed_value = exact;
+  double& value = changed_value[7].mutable_values()[3];
+  value = std::nextafter(value, 10.0);
+  const ts::Dataset shorter = exact.Truncated(20, 7).ValueOrDie();
+  const ts::Dataset fewer = exact.Truncated(19, 8).ValueOrDie();
+
+  struct Inputs {
+    const ts::Dataset* exact;
+    ErrorSpec spec;
+    std::uint64_t seed = 5;
+    std::size_t samples_per_point = 2;
+    double proud_sigma = 0.5;
+  };
+  const ErrorSpec mixed = ErrorSpec::MixedSigma(ErrorKind::kUniform, 0.2,
+                                                1.0, 0.4);
+  const ErrorSpec base_spec = mixed.WithMisreported(ErrorKind::kNormal, 0.7)
+                                  .WithTailedUniformReporting(0.01);
+  const Inputs base{&exact, base_spec};
+  auto with_spec = [&](ErrorSpec spec) {
+    Inputs inputs = base;
+    inputs.spec = spec;
+    return inputs;
+  };
+  auto with = [&](auto field, auto value) {
+    Inputs inputs = base;
+    inputs.*field = value;
+    return inputs;
+  };
+  const std::vector<std::pair<std::string, Inputs>> variants = {
+      {"regime", with_spec(ErrorSpec::MixedKind(0.2, 1.0, 0.4)
+                               .WithMisreported(ErrorKind::kNormal, 0.7)
+                               .WithTailedUniformReporting(0.01))},
+      {"kind", with_spec(ErrorSpec::MixedSigma(ErrorKind::kNormal, 0.2, 1.0,
+                                               0.4)
+                             .WithMisreported(ErrorKind::kNormal, 0.7)
+                             .WithTailedUniformReporting(0.01))},
+      {"sigma", with_spec(ErrorSpec::Constant(ErrorKind::kUniform, 0.5))},
+      {"sigma lo", with_spec(ErrorSpec::MixedSigma(ErrorKind::kUniform, 0.2,
+                                                   1.0, 0.3)
+                                 .WithMisreported(ErrorKind::kNormal, 0.7)
+                                 .WithTailedUniformReporting(0.01))},
+      {"sigma hi", with_spec(ErrorSpec::MixedSigma(ErrorKind::kUniform, 0.2,
+                                                   1.1, 0.4)
+                                 .WithMisreported(ErrorKind::kNormal, 0.7)
+                                 .WithTailedUniformReporting(0.01))},
+      {"high fraction",
+       with_spec(ErrorSpec::MixedSigma(ErrorKind::kUniform, 0.3, 1.0, 0.4)
+                     .WithMisreported(ErrorKind::kNormal, 0.7)
+                     .WithTailedUniformReporting(0.01))},
+      {"misreport", with_spec(mixed.WithTailedUniformReporting(0.01))},
+      {"misreport kind",
+       with_spec(mixed.WithMisreported(ErrorKind::kUniform, 0.7)
+                     .WithTailedUniformReporting(0.01))},
+      {"misreport sigma",
+       with_spec(mixed.WithMisreported(ErrorKind::kNormal, 0.8)
+                     .WithTailedUniformReporting(0.01))},
+      {"tailed uniform",
+       with_spec(mixed.WithMisreported(ErrorKind::kNormal, 0.7))},
+      {"tail weight",
+       with_spec(mixed.WithMisreported(ErrorKind::kNormal, 0.7)
+                     .WithTailedUniformReporting(0.02))},
+      {"seed", with(&Inputs::seed, std::uint64_t{6})},
+      {"samples per point", with(&Inputs::samples_per_point, std::size_t{3})},
+      {"reported sigma", with(&Inputs::proud_sigma, 0.6)},
+      {"exact value", with(&Inputs::exact, &changed_value)},
+      {"length", with(&Inputs::exact, &shorter)},
+      {"series", with(&Inputs::exact, &fewer)},
+  };
+  // The "sigma" variant is a constant spec: pin that σ is a field of it.
+  ASSERT_NE(ErrorSpec::Constant(ErrorKind::kUniform, 0.5).Key(),
+            ErrorSpec::Constant(ErrorKind::kUniform, 0.6).Key());
+
+  EngineContextOptions options;
+  options.threads = 2;
+  EngineContext engines(options);
+  auto bind = [&](const Inputs& in) {
+    return engines.BindRun(engines.Keyed(*in.exact), in.spec, in.seed,
+                           in.samples_per_point, in.proud_sigma);
+  };
+  ASSERT_TRUE(bind(base).ok());
+  std::size_t binds = 1;
+  for (const auto& [what, inputs] : variants) {
+    ASSERT_TRUE(bind(inputs).ok()) << what;
+    EXPECT_EQ(engines.stats().data_binds, ++binds) << what;
+    ASSERT_TRUE(bind(base).ok()) << what;
+    EXPECT_EQ(engines.stats().data_binds, ++binds) << what;
+  }
+  EXPECT_EQ(engines.stats().data_rebind_hits, 0u);
+  EXPECT_EQ(engines.stats().pdf_packs, binds);
+
+  // An equal copy at another address hits, after the original is gone.
+  auto copy = std::make_unique<ts::Dataset>(exact);
+  const Inputs copied{copy.get(), base_spec};
+  ASSERT_TRUE(bind(copied).ok());
+  EXPECT_EQ(engines.stats().data_rebind_hits, 1u);
+  copy.reset();
+  ASSERT_TRUE(bind(base).ok());
+  EXPECT_EQ(engines.stats().data_rebind_hits, 2u);
+  EXPECT_EQ(engines.stats().data_binds, binds);
+  EXPECT_EQ(engines.stats().pdf_packs, binds);
+}
+
+TEST(EngineContextTest, TrioAndFigureFourRunsNeverBuildTheObjectForm) {
+  // The Euclidean / PROUD / DUST trio with a τ search, and the Fig. 4 set
+  // with MUNICH: every matcher reads the engine, none the object form.
+  const ts::Dataset exact = MakeExact(24, 8, 81);
+  EngineContextOptions context_options;
+  context_options.threads = 2;
+  EngineContext engines(context_options);
+  core::RunOptions options = QuickRunOptions(2);
+  options.engine_context = &engines;
+  const std::vector<double> grid = {0.1, 0.5, 0.9};
+  for (double sigma : {0.4, 1.0}) {
+    const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, sigma);
+    core::EuclideanMatcher euclid;
+    core::ProudMatcher proud(0.5);
+    core::DustMatcher dust;
+    ASSERT_TRUE(core::SweepTau(exact, spec, proud, options, grid).ok());
+    core::Matcher* const trio[] = {&euclid, &proud, &dust};
+    ASSERT_TRUE(core::RunSimilarityMatching(exact, spec, trio, options).ok());
+
+    Trio figure;
+    core::EuclideanMatcher figure_euclid;
+    ASSERT_TRUE(
+        core::SweepTau(exact, spec, figure.munich, options, grid).ok());
+    core::Matcher* const four[] = {&figure.munich, &figure.proud,
+                                   &figure.dust, &figure_euclid};
+    ASSERT_TRUE(core::RunSimilarityMatching(exact, spec, four, options).ok());
+  }
+  EXPECT_EQ(engines.stats().object_forms, 0u);
+  // One bind per σ; every later run of that σ kept it.
+  EXPECT_EQ(engines.stats().data_binds, 2u);
+  EXPECT_EQ(engines.stats().data_rebind_hits, 6u);
+  EXPECT_EQ(engines.stats().pdf_packs, 2u);
+}
+
+TEST(EngineContextTest, ObjectFormOfARunBindingIsPerturbDatasets) {
+  // A DTW run and a UMA run read per-point observations and models: the
+  // context builds them from the engine once per binding, bitwise
+  // PerturbDataset's observations under models equal by Key().
+  const ts::Dataset exact = MakeExact(20, 12, 91);
+  const auto spec = uncertain::ErrorSpec::MixedKind();
+  for (std::size_t threads : kThreadCounts) {
+    for (bool paged : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << (paged ? " paged" : " resident"));
+      EngineContextOptions context_options;
+      context_options.threads = threads;
+      if (paged) {
+        context_options.block_rows = 4;
+        context_options.memory_budget_bytes = 3 * 4 * 12 * sizeof(double);
+      }
+      EngineContext engines(context_options);
+      core::RunOptions options = QuickRunOptions(threads);
+      options.munich_samples_per_point = 0;
+      options.engine_context = &engines;
+      core::DtwMatcher dtw;
+      core::Matcher* const dtw_only[] = {&dtw};
+      ASSERT_TRUE(
+          core::RunSimilarityMatching(exact, spec, dtw_only, options).ok());
+      EXPECT_EQ(engines.stats().object_forms, 1u);
+      auto uma = core::MakeUmaMatcher();
+      core::Matcher* const uma_only[] = {uma.get()};
+      ASSERT_TRUE(
+          core::RunSimilarityMatching(exact, spec, uma_only, options).ok());
+      EXPECT_EQ(engines.stats().object_forms, 1u);  // same inputs: kept
+
+      const uncertain::UncertainDataset want =
+          uncertain::PerturbDataset(exact, spec, options.seed);
+      const uncertain::UncertainDataset& got = *engines.pdf().ValueOrDie();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t s = 0; s < want.size(); ++s) {
+        ASSERT_EQ(got[s].size(), want[s].size());
+        for (std::size_t t = 0; t < want[s].size(); ++t) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s].observation(t)),
+                    std::bit_cast<std::uint64_t>(want[s].observation(t)));
+          EXPECT_EQ(got[s].error(t)->Key(), want[s].error(t)->Key());
+        }
+      }
+      EXPECT_EQ(engines.stats().object_forms, 1u);
+    }
+  }
 }
 
 // --- Cross-matcher reuse parity ----------------------------------------------
@@ -552,7 +812,7 @@ TEST(EngineContextTest, RaggedOrEmptySeriesDataIsRefusedAtBind) {
               StatusCode::kInvalidArgument);
   }
   EXPECT_FALSE(engines.HasResident("r"));
-  EXPECT_EQ(engines.pdf(), nullptr);
+  EXPECT_EQ(engines.pdf().status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engines.Acquire(Measure::kEuclidean).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engines.Acquire(Measure::kDust).status().code(),

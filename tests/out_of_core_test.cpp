@@ -406,8 +406,9 @@ TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
 
   // The ground truth's transient certain engine pages through the
   // context's pool; its rows equal the resident sweep bit for bit.
-  ExpectSameNeighbors(expected,
-                      context.GroundTruth(d, 10, kSeries).ValueOrDie());
+  ExpectSameNeighbors(
+      expected,
+      context.GroundTruth(context.Keyed(d), 10, kSeries).ValueOrDie());
   EXPECT_GT(pool->stats().admits, 0u);
 }
 
@@ -421,7 +422,7 @@ TEST(OutOfCoreContextTest, UnusableSpillDirFailsInsteadOfDroppingTheBudget) {
   options.spill_dir = "/nonexistent/spill";
   query::EngineContext context(options);
   EXPECT_EQ(context.buffer_pool(), nullptr);
-  EXPECT_EQ(context.GroundTruth(d, 10, kSeries).status().code(),
+  EXPECT_EQ(context.GroundTruth(context.Keyed(d), 10, kSeries).status().code(),
             StatusCode::kIOError);
 
   const auto spec =

@@ -201,99 +201,5 @@ TEST(ProudDecisionTest, HigherTauIsStricter) {
   EXPECT_GE(lenient_matches, strict_matches);
 }
 
-// ---------------------------------------------------- general moment path
-
-TEST(ProudGeneralTest, AgreesWithConstantSigmaForNormalErrors) {
-  const double sigma = 0.9;
-  const auto x_obs = RandomObs(25, 13);
-  const auto y_obs = RandomObs(25, 14);
-
-  std::vector<prob::ErrorDistributionPtr> ex(25, prob::MakeNormalError(sigma));
-  std::vector<prob::ErrorDistributionPtr> ey(25, prob::MakeNormalError(sigma));
-  uncertain::UncertainSeries x(x_obs, ex);
-  uncertain::UncertainSeries y(y_obs, ey);
-
-  Proud proud({.tau = 0.5, .sigma = sigma});
-  const ProudStats fast = proud.DistanceStats(x_obs, y_obs);
-  const ProudStats general = Proud::DistanceStatsGeneral(x, y);
-  EXPECT_NEAR(general.mean_sq, fast.mean_sq, 1e-9);
-  EXPECT_NEAR(general.var_sq, fast.var_sq, 1e-9);
-}
-
-TEST(ProudGeneralTest, SkewedErrorsMatchMonteCarlo) {
-  // Exponential errors: the general moment propagation must still match
-  // simulation (this is what "full distribution knowledge" buys).
-  const double sigma = 0.6;
-  const auto x_obs = RandomObs(16, 15);
-  const auto y_obs = RandomObs(16, 16);
-  std::vector<prob::ErrorDistributionPtr> ex(16,
-                                             prob::MakeExponentialError(sigma));
-  std::vector<prob::ErrorDistributionPtr> ey(16,
-                                             prob::MakeExponentialError(sigma));
-  uncertain::UncertainSeries x(x_obs, ex);
-  uncertain::UncertainSeries y(y_obs, ey);
-
-  const ProudStats stats = Proud::DistanceStatsGeneral(x, y);
-  prob::Rng rng(17);
-  prob::RunningStats mc;
-  auto err = prob::MakeExponentialError(sigma);
-  for (int t = 0; t < 60000; ++t) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < x_obs.size(); ++i) {
-      const double d =
-          (x_obs[i] + err->Sample(rng)) - (y_obs[i] + err->Sample(rng));
-      sum += d * d;
-    }
-    mc.Add(sum);
-  }
-  EXPECT_NEAR(mc.Mean(), stats.mean_sq, 0.02 * stats.mean_sq);
-  EXPECT_NEAR(mc.VarianceSample(), stats.var_sq, 0.08 * stats.var_sq);
-}
-
-TEST(ProudGeneralTest, MixedSigmaSeriesMatchesMonteCarlo) {
-  const auto x_obs = RandomObs(20, 18);
-  const auto y_obs = RandomObs(20, 19);
-  std::vector<prob::ErrorDistributionPtr> ex, ey;
-  for (std::size_t i = 0; i < 20; ++i) {
-    ex.push_back(prob::MakeNormalError(i % 5 == 0 ? 1.0 : 0.4));
-    ey.push_back(prob::MakeNormalError(i % 5 == 0 ? 1.0 : 0.4));
-  }
-  uncertain::UncertainSeries x(x_obs, ex);
-  uncertain::UncertainSeries y(y_obs, ey);
-
-  const ProudStats stats = Proud::DistanceStatsGeneral(x, y);
-  prob::Rng rng(20);
-  prob::RunningStats mc;
-  for (int t = 0; t < 60000; ++t) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < 20; ++i) {
-      const double s = i % 5 == 0 ? 1.0 : 0.4;
-      const double d = (x_obs[i] + rng.Gaussian(0.0, s)) -
-                       (y_obs[i] + rng.Gaussian(0.0, s));
-      sum += d * d;
-    }
-    mc.Add(sum);
-  }
-  EXPECT_NEAR(mc.Mean(), stats.mean_sq, 0.02 * stats.mean_sq);
-  EXPECT_NEAR(mc.VarianceSample(), stats.var_sq, 0.08 * stats.var_sq);
-}
-
-TEST(ProudGeneralTest, ProbabilityGeneralMonotoneAndBounded) {
-  const auto x_obs = RandomObs(20, 21);
-  const auto y_obs = RandomObs(20, 22);
-  std::vector<prob::ErrorDistributionPtr> ex(20, prob::MakeUniformError(0.5));
-  std::vector<prob::ErrorDistributionPtr> ey(20, prob::MakeUniformError(0.5));
-  uncertain::UncertainSeries x(x_obs, ex);
-  uncertain::UncertainSeries y(y_obs, ey);
-  double prev = 0.0;
-  for (double eps = 0.0; eps < 15.0; eps += 0.5) {
-    const double p = Proud::MatchProbabilityGeneral(x, y, eps);
-    EXPECT_GE(p, prev - 1e-12);
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
-    prev = p;
-  }
-}
-
 }  // namespace
 }  // namespace uts::measures

@@ -10,8 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -21,6 +25,7 @@
 #include "measures/proud.hpp"
 #include "prob/rng.hpp"
 #include "query/uncertain_engine.hpp"
+#include "ts/buffer_pool.hpp"
 #include "uncertain/error_spec.hpp"
 #include "uncertain/perturb.hpp"
 
@@ -709,6 +714,152 @@ TEST(UncertainEngineParityTest, SimilarityMatchingThreadCountInvariant) {
           << reference[m].name;
       EXPECT_EQ(got[m].per_query_recall, reference[m].per_query_recall)
           << reference[m].name;
+    }
+  }
+}
+
+// --- Pack-bound vs object-bound ---------------------------------------------
+
+/// Every bit of `got` and `want`: neighbours, matches, scores and cost.
+void ExpectAnswersBitwise(const QueryAnswer& got, const QueryAnswer& want) {
+  ExpectNeighborsIdentical(got.neighbors, want.neighbors);
+  EXPECT_EQ(got.matches, want.matches);
+  ASSERT_EQ(got.scores.size(), want.scores.size());
+  for (std::size_t i = 0; i < got.scores.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.scores[i]),
+              std::bit_cast<std::uint64_t>(want.scores[i]))
+        << "slot " << i;
+  }
+  EXPECT_EQ(got.cost.candidates_total, want.cost.candidates_total);
+  EXPECT_EQ(got.cost.candidates_touched, want.cost.candidates_touched);
+  EXPECT_EQ(got.cost.pruned_lower_bound, want.cost.pruned_lower_bound);
+  EXPECT_EQ(got.cost.abandoned_early, want.cost.abandoned_early);
+}
+
+TEST(UncertainEngineParityTest, PackBoundEngineAnswersLikeTheObjectBoundOne) {
+  // The evaluation runner perturbs straight into the flat pack an engine
+  // adopts (EngineContext::BindRun); the object path packs PerturbDataset's
+  // objects of the same inputs. The two engines must hold the same rows and
+  // error classes and answer every measure and query kind bit for bit, in
+  // every regime, at 1, 2 and 8 threads (the pack perturbed on a pool of
+  // that width), resident and paged.
+  using uncertain::ErrorSpec;
+  constexpr std::size_t kSeries = 18, kLength = 10, kSamples = 3;
+  constexpr std::uint64_t kSeed = 31;
+  prob::Rng rng(7);
+  ts::Dataset raw("pack-parity");
+  for (std::size_t i = 0; i < kSeries; ++i) {
+    std::vector<double> values(kLength);
+    for (double& v : values) v = rng.Gaussian();
+    raw.Add(ts::TimeSeries(std::move(values)));
+  }
+  const ts::Dataset exact = raw.ZNormalizedCopy();
+  const std::pair<const char*, ErrorSpec> specs[] = {
+      {"constant", ErrorSpec::Constant(ErrorKind::kNormal, 0.6)},
+      {"mixed sigma", ErrorSpec::MixedSigma(ErrorKind::kNormal)},
+      {"mixed kind", ErrorSpec::MixedKind()},
+      {"misreported", ErrorSpec::MixedSigma(ErrorKind::kNormal)
+                          .WithMisreported(ErrorKind::kNormal, 0.7)},
+      {"tailed uniform", ErrorSpec::Constant(ErrorKind::kUniform, 0.5)
+                             .WithTailedUniformReporting(0.01)},
+  };
+  measures::MunichOptions munich;
+  munich.estimator = measures::MunichOptions::Estimator::kMonteCarlo;
+  munich.mc_samples = 200;
+  measures::Dust tables;  // one table cache: each model pair integrates once
+
+  for (const auto& [name, spec] : specs) {
+    const uncertain::UncertainDataset objects =
+        uncertain::PerturbDataset(exact, spec, kSeed);
+    const uncertain::MultiSampleDataset samples =
+        uncertain::PerturbDatasetMultiSample(exact, spec, kSamples,
+                                             prob::DeriveSeed(kSeed, 0xface));
+    for (std::size_t threads : kThreadCounts) {
+      std::unique_ptr<exec::ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<exec::ThreadPool>(threads);
+      for (bool paged : {false, true}) {
+        SCOPED_TRACE(testing::Message() << name << " threads=" << threads
+                                        << (paged ? " paged" : " resident"));
+        UncertainEngineOptions options;
+        options.threads = threads;
+        options.shared_pool = pool.get();
+        options.seed = kSeed;
+        options.proud_sigma = 0.6;
+        if (paged) {
+          ts::BufferPool::Options budget;
+          budget.budget_bytes = 3 * 4 * kLength * sizeof(double);
+          options.buffer_pool = ts::BufferPool::Create(budget).ValueOrDie();
+          options.block_rows = 4;
+        }
+        auto pack = uncertain::PerturbDatasetPacked(exact, spec, kSeed,
+                                                    pool.get());
+        ASSERT_TRUE(pack.ok()) << pack.status();
+        auto from_pack =
+            UncertainEngine::Create(std::move(pack).ValueOrDie(), options);
+        auto from_objects = UncertainEngine::Create(objects, options);
+        ASSERT_TRUE(from_pack.ok() && from_objects.ok());
+        for (const auto* engine :
+             {&from_pack.ValueOrDie(), &from_objects.ValueOrDie()}) {
+          ASSERT_TRUE((*engine)->BuildDustTables(tables).ok());
+          ASSERT_TRUE((*engine)->AttachSamples(samples).ok());
+        }
+        const UncertainEngine& got = *from_pack.ValueOrDie();
+        const UncertainEngine& want = *from_objects.ValueOrDie();
+
+        // The same rows and error classes.
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_TRUE(std::equal(got.class_ids().begin(), got.class_ids().end(),
+                               want.class_ids().begin(),
+                               want.class_ids().end()));
+        ASSERT_EQ(got.error_classes().size(), want.error_classes().size());
+        for (std::size_t c = 0; c < got.error_classes().size(); ++c) {
+          EXPECT_EQ(got.error_classes()[c]->Key(),
+                    want.error_classes()[c]->Key());
+        }
+        for (std::size_t s = 0; s < got.size(); ++s) {
+          const auto a = got.observations().PinRow(s).ValueOrDie();
+          const auto b = want.observations().PinRow(s).ValueOrDie();
+          for (std::size_t t = 0; t < kLength; ++t) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.row()[t]),
+                      std::bit_cast<std::uint64_t>(b.row()[t]));
+          }
+        }
+
+        // Every measure and every kind it answers.
+        const std::pair<Measure, std::vector<QueryKind>> grid[] = {
+            {Measure::kEuclidean,
+             {QueryKind::kKnn, QueryKind::kRange, QueryKind::kSweep,
+              QueryKind::kScore}},
+            {Measure::kDust,
+             {QueryKind::kKnn, QueryKind::kRange, QueryKind::kSweep,
+              QueryKind::kScore}},
+            {Measure::kProud,
+             {QueryKind::kKnn, QueryKind::kPrq, QueryKind::kSweep,
+              QueryKind::kScore}},
+            {Measure::kMunich,
+             {QueryKind::kKnn, QueryKind::kPrq, QueryKind::kSweep,
+              QueryKind::kScore}},
+        };
+        for (std::size_t q : {std::size_t{0}, std::size_t{7}, kSeries - 1}) {
+          for (const auto& [measure, kinds] : grid) {
+            for (QueryKind kind : kinds) {
+              const Query query{.measure = measure,
+                                .kind = kind,
+                                .query = q,
+                                .candidate = (q + 5) % kSeries,
+                                .k = 4,
+                                .epsilon = 3.0,
+                                .taus = {0.2, 0.5, 0.9},
+                                .munich = munich};
+              SCOPED_TRACE(testing::Message()
+                           << "query " << q << " measure "
+                           << static_cast<int>(measure) << " kind "
+                           << static_cast<int>(kind));
+              ExpectAnswersBitwise(Ask(got, query), Ask(want, query));
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -65,27 +65,36 @@ TEST(MultiSampleSeriesTest, SampleMeansAndBoundingInterval) {
 
 // -------------------------------------------------------------- error spec
 
+/// The model index `spec` assigns each of `length` points under `seed`.
+std::vector<std::uint8_t> ModelsOf(const ErrorSpec& spec, std::size_t length,
+                                   std::uint64_t seed) {
+  std::vector<std::uint8_t> model_of(length, 0xff);
+  spec.AssignModels(seed, model_of);
+  return model_of;
+}
+
 TEST(ErrorSpecTest, ConstantAssignsOneDistributionEverywhere) {
   const ErrorSpec spec = ErrorSpec::Constant(ErrorKind::kNormal, 0.7);
-  const ErrorAssignment a = spec.Assign(20, 42);
-  ASSERT_EQ(a.size(), 20u);
-  ASSERT_EQ(a.models.size(), 1u);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(a.actual[i]->kind(), ErrorKind::kNormal);
-    EXPECT_NEAR(a.actual[i]->stddev(), 0.7, 1e-12);
-    EXPECT_EQ(a.actual[i], a.models[0].get());  // owned by the assignment
-    EXPECT_EQ(a.actual[i], a.reported[i].get());  // same object
-  }
+  const ErrorModels models = spec.Models();
+  ASSERT_EQ(models.size(), 1u);
+  EXPECT_EQ(models.actual[0]->kind(), ErrorKind::kNormal);
+  EXPECT_NEAR(models.actual[0]->stddev(), 0.7, 1e-12);
+  EXPECT_EQ(models.reported[0], models.actual[0]);  // same object
+  for (const std::uint8_t m : ModelsOf(spec, 20, 42)) EXPECT_EQ(m, 0);
   EXPECT_NEAR(spec.RepresentativeSigma(), 0.7, 1e-12);
 }
 
 TEST(ErrorSpecTest, MixedSigmaHitsExactFraction) {
   // Paper's Figure 8 regime: 20% sigma=1.0, 80% sigma=0.4.
   const ErrorSpec spec = ErrorSpec::MixedSigma(ErrorKind::kNormal);
-  const ErrorAssignment a = spec.Assign(100, 7);
+  const ErrorModels models = spec.Models();
+  ASSERT_EQ(models.size(), 2u);
+  EXPECT_NEAR(models.actual[0]->stddev(), 0.4, 1e-12);
+  EXPECT_NEAR(models.actual[1]->stddev(), 1.0, 1e-12);
   std::size_t hi = 0;
-  for (const auto& d : a.actual) {
-    if (std::fabs(d->stddev() - 1.0) < 1e-9) ++hi;
+  for (const std::uint8_t m : ModelsOf(spec, 100, 7)) {
+    ASSERT_LT(m, 2u);
+    hi += m;
   }
   EXPECT_EQ(hi, 20u);
 }
@@ -94,9 +103,9 @@ TEST(ErrorSpecTest, MixedSigmaPositionsVaryWithSeed) {
   const ErrorSpec spec = ErrorSpec::MixedSigma(ErrorKind::kNormal);
   auto hi_positions = [&](std::uint64_t seed) {
     std::set<std::size_t> set;
-    const ErrorAssignment a = spec.Assign(50, seed);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (std::fabs(a.actual[i]->stddev() - 1.0) < 1e-9) set.insert(i);
+    const std::vector<std::uint8_t> model_of = ModelsOf(spec, 50, seed);
+    for (std::size_t i = 0; i < model_of.size(); ++i) {
+      if (model_of[i] == 1) set.insert(i);
     }
     return set;
   };
@@ -106,32 +115,39 @@ TEST(ErrorSpecTest, MixedSigmaPositionsVaryWithSeed) {
 
 TEST(ErrorSpecTest, MixedKindUsesAllThreeFamilies) {
   const ErrorSpec spec = ErrorSpec::MixedKind();
-  const ErrorAssignment a = spec.Assign(300, 11);
+  const ErrorModels models = spec.Models();
   std::set<ErrorKind> kinds;
-  for (const auto* d : a.actual) kinds.insert(d->kind());
+  for (const std::uint8_t m : ModelsOf(spec, 300, 11)) {
+    kinds.insert(models.actual[m]->kind());
+  }
   EXPECT_TRUE(kinds.count(ErrorKind::kNormal));
   EXPECT_TRUE(kinds.count(ErrorKind::kUniform));
   EXPECT_TRUE(kinds.count(ErrorKind::kExponential));
 }
 
-TEST(ErrorSpecTest, ActualModelsPointIntoTheAssignmentsOwnModels) {
-  // Three families × two σ levels: six models, however long the series.
-  const ErrorAssignment a = ErrorSpec::MixedKind().Assign(300, 11);
-  ASSERT_EQ(a.models.size(), 6u);
-  std::set<const prob::ErrorDistribution*> owned;
-  for (const auto& model : a.models) owned.insert(model.get());
-  for (const auto* d : a.actual) EXPECT_EQ(owned.count(d), 1u);
+TEST(ErrorSpecTest, MixedKindHasSixModelsWhateverTheLength) {
+  // Three families × two σ levels, each low then high: model 2·family +
+  // is_hi, however long the series.
+  const ErrorSpec spec = ErrorSpec::MixedKind();
+  const ErrorModels models = spec.Models();
+  ASSERT_EQ(models.size(), 6u);
+  for (std::size_t m = 0; m < 6; ++m) {
+    EXPECT_NEAR(models.actual[m]->stddev(), m % 2 ? 1.0 : 0.4, 1e-12);
+  }
+  for (const std::uint8_t m : ModelsOf(spec, 300, 11)) EXPECT_LT(m, 6u);
 }
 
 TEST(ErrorSpecTest, MisreportedSeparatesActualFromReported) {
   // Figure 10: actual mixed-sigma normal, reported constant normal 0.7.
   const ErrorSpec spec = ErrorSpec::MixedSigma(ErrorKind::kNormal)
                              .WithMisreported(ErrorKind::kNormal, 0.7);
-  const ErrorAssignment a = spec.Assign(50, 3);
+  const ErrorModels models = spec.Models();
   bool actual_varies = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a.reported[i]->stddev(), 0.7, 1e-12);
-    if (std::fabs(a.actual[i]->stddev() - 0.7) > 1e-9) actual_varies = true;
+  for (const std::uint8_t m : ModelsOf(spec, 50, 3)) {
+    EXPECT_NEAR(models.reported[m]->stddev(), 0.7, 1e-12);
+    if (std::fabs(models.actual[m]->stddev() - 0.7) > 1e-9) {
+      actual_varies = true;
+    }
   }
   EXPECT_TRUE(actual_varies);
   EXPECT_NEAR(spec.RepresentativeSigma(), 0.7, 1e-12);
@@ -139,22 +155,20 @@ TEST(ErrorSpecTest, MisreportedSeparatesActualFromReported) {
 
 TEST(ErrorSpecTest, TailedUniformReportingOnlyRewritesUniform) {
   const ErrorSpec spec = ErrorSpec::MixedKind().WithTailedUniformReporting();
-  const ErrorAssignment a = spec.Assign(300, 13);
-  // One substitute per uniform σ level, shared by every point at that σ.
-  std::map<double, const prob::ErrorDistribution*> substitute_of_sigma;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.actual[i]->kind() == ErrorKind::kUniform) {
-      EXPECT_EQ(a.reported[i]->kind(), ErrorKind::kTailedUniform);
-      EXPECT_NEAR(a.reported[i]->stddev(), a.actual[i]->stddev(), 1e-9);
-      const auto [it, first] = substitute_of_sigma.emplace(
-          a.actual[i]->stddev(), a.reported[i].get());
-      EXPECT_EQ(it->second, a.reported[i].get()) << "point " << i;
+  const ErrorModels models = spec.Models();
+  // One substitute per uniform σ level; every other model reports itself.
+  std::set<const prob::ErrorDistribution*> substitutes;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    if (models.actual[m]->kind() == ErrorKind::kUniform) {
+      EXPECT_EQ(models.reported[m]->kind(), ErrorKind::kTailedUniform);
+      EXPECT_NEAR(models.reported[m]->stddev(), models.actual[m]->stddev(),
+                  1e-9);
+      substitutes.insert(models.reported[m].get());
     } else {
-      EXPECT_EQ(a.reported[i]->kind(), a.actual[i]->kind());
-      EXPECT_EQ(a.reported[i].get(), a.actual[i]);
+      EXPECT_EQ(models.reported[m], models.actual[m]);
     }
   }
-  EXPECT_EQ(substitute_of_sigma.size(), 2u);  // σ_lo and σ_hi
+  EXPECT_EQ(substitutes.size(), 2u);  // σ_lo and σ_hi
 }
 
 TEST(ErrorSpecTest, RepresentativeSigmaOfMixedSpecIsRms) {
